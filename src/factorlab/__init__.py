@@ -8,7 +8,6 @@ from .congruences import (
     FactorPair,
     all_congruences,
     compactness_report,
-    compose,
     congruence_from_partition,
     congruence_join,
     congruence_meet,

@@ -129,10 +129,19 @@ def cmd_algebra_show(args) -> int:
     return EXIT_OK
 
 
+def _parse_element(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValidationError(
+            f"congruence spec element {token!r} is not an integer"
+        ) from None
+
+
 def _parse_theta_spec(algebra: FiniteAlgebra, spec: str):
     if "|" in spec:
         classes = [
-            [int(x) for x in part.split(",") if x != ""]
+            [_parse_element(x) for x in part.split(",") if x != ""]
             for part in spec.strip("{}").split("|")
         ]
         return congruence_from_partition(algebra, classes)
@@ -142,7 +151,7 @@ def _parse_theta_spec(algebra: FiniteAlgebra, spec: str):
             f"congruence spec must be 'a,b' or a partition '0,3|1,4|2,5', "
             f"got {spec!r}"
         )
-    return principal_congruence(algebra, int(parts[0]), int(parts[1]))
+    return principal_congruence(algebra, *map(_parse_element, parts))
 
 
 def cmd_cong(args) -> int:

@@ -4,6 +4,11 @@ lattice at desk scale, factor pairs and product decompositions.
 A congruence is stored as its canonical representative array rep[0..n-1] with
 rep[i] = least element of i's class, so equality is tuple equality and sorted
 output is deterministic.
+
+Everything here works through the basic translations a -> f(c1,..,a,..,ck)
+(R. Freese, "Computing congruences efficiently", Algebra Universalis 59,
+2008): an equivalence is a congruence iff every basic translation maps each
+class into one class.
 """
 from __future__ import annotations
 
@@ -16,66 +21,67 @@ from .errors import InternalCheckError, ResourceBoundError, ValidationError
 DEFAULT_SIZE_BOUND = 8
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def rep_tuple(self) -> tuple[int, ...]:
-        # roots are already the least members because union keeps the smaller root
-        return tuple(self.find(i) for i in range(len(self.parent)))
-
-
-def _is_compatible(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> bool:
-    # One argument position at a time suffices: full compatibility follows by
-    # transitivity through the intermediate tuples.
+def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The distinct non-identity basic translations, each as its value table."""
     n = algebra.size
-    classes: dict[int, list[int]] = {}
-    for i, r in enumerate(rep):
-        classes.setdefault(r, []).append(i)
-    multi = [c for c in classes.values() if len(c) > 1]
-    if not multi:
-        return True
-    for sym, arity in algebra.signature.symbols:
-        if arity == 0:
-            continue
-        table = algebra.table(sym)
+    found: set[tuple[int, ...]] = set()
+    for (_, arity), table in zip(algebra.signature.symbols, algebra.tables):
         for pos in range(arity):
-            for rest in itertools.product(range(n), repeat=arity - 1):
-                for cls in multi:
-                    first = None
-                    for a in cls:
-                        idx = 0
-                        for j in range(arity):
-                            if j == pos:
-                                idx = idx * n + a
-                            else:
-                                idx = idx * n + rest[j if j < pos else j - 1]
-                        v = rep[table[idx]]
-                        if first is None:
-                            first = v
-                        elif v != first:
-                            return False
-    return True
+            # entries that vary only in argument `pos` lie `stride` apart
+            stride = n ** (arity - 1 - pos)
+            for base in range(len(table)):
+                if base // stride % n == 0:
+                    found.add(table[base : base + n * stride : stride])
+    found.discard(tuple(range(n)))
+    return tuple(found)
+
+
+def _close(parent: list[int], translations: tuple, pending: list) -> tuple[int, ...]:
+    """Merge the pending pairs into the union-find forest `parent`, closed
+    under the translations, and return the canonical rep tuple.
+
+    The forest keeps parent[i] <= i, so every root is its class's least
+    member.  Each merge of roots (x, y) queues (t(x), t(y)) for every
+    translation t; every related pair is joined by a chain of merged pairs,
+    so the result is closed under all translations.
+    """
+    while pending:
+        x, y = pending.pop()
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if y < x:
+            x, y = y, x
+        parent[y] = x
+        for t in translations:
+            if t[x] != t[y]:
+                pending.append((t[x], t[y]))
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return tuple(parent)
+
+
+def _join_rep(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[int, ...]:
+    return _close(list(r1), (), list(enumerate(r2)))
+
+
+def _respects_translations(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> bool:
+    """True iff every basic translation maps each class of rep into one class."""
+    return all(
+        rep[t[i]] == rep[t[r]]
+        for t in _translations(algebra)
+        for i, r in enumerate(rep)
+    )
 
 
 @dataclass(frozen=True)
 class Congruence:
+    """A congruence as its canonical rep array.  The constructor validates;
+    congruences computed here are correct by construction and skip it."""
+
     algebra: FiniteAlgebra
     rep: tuple[int, ...]
 
@@ -88,7 +94,7 @@ class Congruence:
                 raise ValidationError(f"rep[{i}]={r} is not the least class member")
             if self.rep[r] != r:
                 raise ValidationError(f"rep[{i}]={r} but rep[{r}]={self.rep[r]}")
-        if not _is_compatible(self.algebra, self.rep):
+        if not _respects_translations(self.algebra, self.rep):
             raise ValidationError("incompatible partition rejected")
 
     def related(self, a: int, b: int) -> bool:
@@ -114,91 +120,64 @@ class Congruence:
         return partition_text(self)
 
 
+def _trusted(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> Congruence:
+    """A Congruence for a rep array that is a congruence by construction."""
+    theta = object.__new__(Congruence)
+    object.__setattr__(theta, "algebra", algebra)
+    object.__setattr__(theta, "rep", rep)
+    return theta
+
+
 def partition_text(theta: Congruence) -> str:
     """Compact class-list rendering, e.g. {0,3|1,4|2,5}."""
     return "{" + "|".join(",".join(map(str, c)) for c in theta.classes()) + "}"
 
 
-def _normalize_rep(uf: _UnionFind) -> tuple[int, ...]:
-    return uf.rep_tuple()
-
-
 def identity_congruence(algebra: FiniteAlgebra) -> Congruence:
-    return Congruence(algebra, tuple(range(algebra.size)))
+    return _trusted(algebra, tuple(range(algebra.size)))
 
 
 def total_congruence(algebra: FiniteAlgebra) -> Congruence:
-    return Congruence(algebra, (0,) * algebra.size)
+    return _trusted(algebra, (0,) * algebra.size)
 
 
 def congruence_from_partition(
     algebra: FiniteAlgebra, classes: list[list[int]]
 ) -> Congruence:
+    n = algebra.size
     seen: set[int] = set()
-    rep = [-1] * algebra.size
+    rep = [-1] * n
     for cls in classes:
+        if not cls:
+            raise ValidationError("empty class in partition")
+        for e in cls:
+            if not isinstance(e, int) or not 0 <= e < n:
+                raise ValidationError(
+                    f"partition element {e!r} is not in the universe 0..{n - 1}"
+                )
         least = min(cls)
         for e in cls:
             if e in seen:
                 raise ValidationError(f"element {e} in two classes")
             seen.add(e)
             rep[e] = least
-    if len(seen) != algebra.size:
+    if len(seen) != n:
         raise ValidationError("partition does not cover the universe")
     return Congruence(algebra, tuple(rep))
 
 
-def _close_under_operations(algebra: FiniteAlgebra, uf: _UnionFind) -> None:
-    n = algebra.size
-    changed = True
-    while changed:
-        changed = False
-        classes: dict[int, list[int]] = {}
-        for i in range(n):
-            classes.setdefault(uf.find(i), []).append(i)
-        multi = [c for c in classes.values() if len(c) > 1]
-        if not multi:
-            return
-        for sym, arity in algebra.signature.symbols:
-            if arity == 0:
-                continue
-            table = algebra.table(sym)
-            for pos in range(arity):
-                for rest in itertools.product(range(n), repeat=arity - 1):
-                    for cls in multi:
-                        first = None
-                        for a in cls:
-                            idx = 0
-                            for j in range(arity):
-                                if j == pos:
-                                    idx = idx * n + a
-                                else:
-                                    idx = idx * n + rest[j if j < pos else j - 1]
-                            v = table[idx]
-                            if first is None:
-                                first = v
-                            elif uf.union(first, v):
-                                changed = True
-
-
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
-    """Least congruence identifying a and b (worklist closure over the tables)."""
+    """Least congruence identifying a and b: the union-find closure of the
+    pair under the basic translations."""
     n = algebra.size
     if not (0 <= a < n and 0 <= b < n):
         raise ValidationError(f"elements ({a},{b}) outside universe of size {n}")
-    uf = _UnionFind(n)
-    uf.union(a, b)
-    _close_under_operations(algebra, uf)
-    return Congruence(algebra, _normalize_rep(uf))
+    return _trusted(algebra, _close(list(range(n)), _translations(algebra), [(a, b)]))
 
 
 def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
     _check_owner(t1, t2)
-    uf = _UnionFind(t1.algebra.size)
-    for i in range(t1.algebra.size):
-        uf.union(i, t1.rep[i])
-        uf.union(i, t2.rep[i])
-    return Congruence(t1.algebra, _normalize_rep(uf))
+    return _trusted(t1.algebra, _join_rep(t1.rep, t2.rep))
 
 
 def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
@@ -208,24 +187,7 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     for i in range(t1.algebra.size):
         key = (t1.rep[i], t2.rep[i])
         rep.append(first.setdefault(key, i))
-    return Congruence(t1.algebra, tuple(rep))
-
-
-def compose(t1: Congruence, t2: Congruence) -> frozenset[tuple[int, int]]:
-    """Relational composition {(x,z) : exists y with x t1 y and y t2 z}."""
-    _check_owner(t1, t2)
-    n = t1.algebra.size
-    cls1: dict[int, list[int]] = {}
-    for i in range(n):
-        cls1.setdefault(t1.rep[i], []).append(i)
-    pairs = set()
-    for x in range(n):
-        for y in cls1[t1.rep[x]]:
-            r2 = t2.rep[y]
-            for z in range(n):
-                if t2.rep[z] == r2:
-                    pairs.add((x, z))
-    return frozenset(pairs)
+    return _trusted(t1.algebra, tuple(rep))
 
 
 def _check_owner(t1: Congruence, t2: Congruence) -> None:
@@ -236,46 +198,60 @@ def _check_owner(t1: Congruence, t2: Congruence) -> None:
 def all_congruences(
     algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[Congruence]:
-    """The full congruence lattice: join-closure of all principal congruences.
+    """The full congruence lattice.
 
-    Sorted by (number of classes, rep array), so the total congruence comes
-    first and the identity last.
+    The basic translations are computed once; each principal congruence is
+    the union-find closure of one pair under them.  Every congruence is a
+    join of principal ones, so closing {identity} and the principals under
+    joins with a principal reaches the whole lattice.  Sorted by (number of
+    classes, rep array), so the total congruence comes first and the
+    identity last.
     """
     n = algebra.size
     if n > bound:
         raise ResourceBoundError(
             f"size {n} exceeds congruence enumeration bound {bound}"
         )
-    found: dict[tuple[int, ...], Congruence] = {}
-    delta = identity_congruence(algebra)
-    found[delta.rep] = delta
-    for a in range(n):
-        for b in range(a + 1, n):
-            c = principal_congruence(algebra, a, b)
-            found.setdefault(c.rep, c)
-    frontier = list(found.values())
+    translations = _translations(algebra)
+    principals = {
+        _close(list(range(n)), translations, [(a, b)])
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    found = {tuple(range(n))} | principals
+    frontier = list(principals)
     while frontier:
         fresh = []
-        for c1 in frontier:
-            for c2 in list(found.values()):
-                j = congruence_join(c1, c2)
-                if j.rep not in found:
-                    found[j.rep] = j
+        for rep in frontier:
+            for p in principals:
+                j = _join_rep(rep, p)
+                if j not in found:
+                    found.add(j)
                     fresh.append(j)
         frontier = fresh
-    return sorted(found.values(), key=lambda c: (c.n_classes, c.rep))
+    return [
+        _trusted(algebra, rep)
+        for rep in sorted(found, key=lambda r: (len(set(r)), r))
+    ]
 
 
 # -- factor pairs and decompositions ------------------------------------------
 
 
+def _meet_is_identity(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
+    return len(set(zip(r1, r2))) == len(r1)
+
+
 @dataclass(frozen=True)
 class FactorPair:
-    """An ordered complementary pair: meet is identity, composition is total.
+    """An ordered complementary pair: the meet is the identity and the
+    composition theta o theta_c is total.
 
-    One direction of the composition check suffices: if theta o theta_c is
-    total then so is theta_c o theta, because the total relation is symmetric
-    and (x,z) in theta o theta_c gives the reversed chain z theta_c y theta x.
+    The test is "meet is the identity and |A/theta| * |A/theta_c| = |A|".
+    Meet identity makes a -> (a/theta, a/theta_c) injective from A into
+    A/theta x A/theta_c; equal cardinalities make it onto as well, and onto
+    says that every theta-class meets every theta_c-class, which is exactly
+    theta o theta_c = theta_c o theta = total.
     """
 
     theta: Congruence
@@ -283,32 +259,33 @@ class FactorPair:
 
     def __post_init__(self):
         _check_owner(self.theta, self.theta_c)
-        if not congruence_meet(self.theta, self.theta_c).is_identity():
+        if not _meet_is_identity(self.theta.rep, self.theta_c.rep):
             raise ValidationError("factor pair meet is not the identity")
-        n = self.theta.algebra.size
-        if len(compose(self.theta, self.theta_c)) != n * n:
+        if self.theta.n_classes * self.theta_c.n_classes != self.theta.algebra.size:
             raise ValidationError("factor pair composition is not total")
 
 
 def factor_pairs(
-    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
+    algebra: FiniteAlgebra,
+    bound: int = DEFAULT_SIZE_BOUND,
+    lattice: list[Congruence] | None = None,
 ) -> list[FactorPair]:
     """All ordered pairs (theta, theta*) with meet identity and composition total.
 
     Both orientations are returned: the central element attached to a pair
-    depends on which side carries the zero tuple.
+    depends on which side carries the zero tuple.  A caller that already
+    holds `all_congruences(algebra, bound)` passes it as `lattice` so that it
+    is not built again.
     """
-    cons = all_congruences(algebra, bound)
+    cons = all_congruences(algebra, bound) if lattice is None else lattice
     n = algebra.size
-    out = []
-    for t1 in cons:
-        for t2 in cons:
-            if not congruence_meet(t1, t2).is_identity():
-                continue
-            if len(compose(t1, t2)) != n * n:
-                continue
-            out.append(FactorPair(t1, t2))
-    return out
+    counts = [c.n_classes for c in cons]
+    return [
+        FactorPair(t1, t2)
+        for t1, k1 in zip(cons, counts)
+        for t2, k2 in zip(cons, counts)
+        if k1 * k2 == n and _meet_is_identity(t1.rep, t2.rep)
+    ]
 
 
 @dataclass(frozen=True)
@@ -389,24 +366,26 @@ def compactness_report(
         for b in range(a + 1, algebra.size)
         if theta.related(a, b)
     ]
-    principals = {p: principal_congruence(algebra, *p) for p in candidates}
+    n = algebra.size
+    translations = _translations(algebra)
+    principals = {p: _close(list(range(n)), translations, [p]) for p in candidates}
     for p in candidates:
-        if principals[p].rep == theta.rep:
+        if principals[p] == theta.rep:
             return CompactnessReport(theta, 1, (p,), True)
     for i, p in enumerate(candidates):
         for q in candidates[i + 1 :]:
-            if congruence_join(principals[p], principals[q]).rep == theta.rep:
+            if _join_rep(principals[p], principals[q]) == theta.rep:
                 return CompactnessReport(theta, 2, (p, q), True)
     # greedy cover: join principals until theta is reached
     chosen: list[tuple[int, int]] = []
-    acc = identity_congruence(algebra)
-    for p in candidates:
-        if acc.rep == theta.rep:
+    acc = tuple(range(n))
+    for a, b in candidates:
+        if acc == theta.rep:
             break
-        if acc.related(*p):
+        if acc[a] == acc[b]:
             continue
-        acc = congruence_join(acc, principals[p])
-        chosen.append(p)
-    if acc.rep != theta.rep:
+        acc = _join_rep(acc, principals[a, b])
+        chosen.append((a, b))
+    if acc != theta.rep:
         raise InternalCheckError("greedy principal cover failed to reach theta")
     return CompactnessReport(theta, len(chosen), tuple(chosen), False)

@@ -36,19 +36,25 @@ class CentralElement:
 
 
 def central_elements(
-    algebra: FiniteAlgebra, ctx: VarietyContext, bound: int = 8
+    algebra: FiniteAlgebra,
+    ctx: VarietyContext,
+    bound: int = 8,
+    pairs: list[FactorPair] | None = None,
 ) -> list[CentralElement]:
     """One central tuple per ordered factor pair.
 
     The tuple exists and is unique because every theta-class meets every
-    theta*-class in exactly one element.
+    theta*-class in exactly one element.  A caller that already holds
+    `factor_pairs(algebra, bound)` passes it as `pairs`.
     """
     if algebra.signature != ctx.signature:
         raise ValidationError("algebra signature differs from the context")
     zero = ctx.zero_values(algebra)
     one = ctx.one_values(algebra)
+    if pairs is None:
+        pairs = factor_pairs(algebra, bound)
     out = []
-    for pair in factor_pairs(algebra, bound):
+    for pair in pairs:
         e = []
         for i in range(ctx.l):
             hits = [
@@ -272,8 +278,8 @@ def correspondence_check(
     """Central elements must map bijectively, via the relation the formula
     defines, onto the zero-side kernels of the ordered factor pairs.  Ring
     fixtures are additionally cross-checked against the idempotent oracle."""
-    ces = central_elements(algebra, ctx, bound)
     pairs = factor_pairs(algebra, bound)
+    ces = central_elements(algebra, ctx, bound, pairs)
     reports = tuple(congruence_of_central(algebra, phi, ce) for ce in ces)
     distinct = len({ce.e for ce in ces}) == len(ces)
     bijection_ok = distinct and len(ces) == len(pairs)

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's algorithms: congruences are
 found by filtering all set partitions with a full-tuple compatibility scan,
 and free-algebra carriers by a plain set-based fixpoint over pointwise
-vectors.
+vectors.  The table-scan principal closure, its compatibility check and the
+relational composition are the congruence layer's earlier implementation,
+kept as references for the translation-based one.
 """
 import itertools
 
@@ -61,6 +63,122 @@ def congruence_reps_bruteforce(algebra):
         if compatible_naive(algebra, rep):
             found.add(rep)
     return found
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+    def rep_tuple(self):
+        # roots are the least members because union keeps the smaller root
+        return tuple(self.find(i) for i in range(len(self.parent)))
+
+
+def is_compatible_table_scan(algebra, rep):
+    """Compatibility one argument position at a time, scanning the tables;
+    full compatibility follows by transitivity through intermediate tuples."""
+    n = algebra.size
+    classes = {}
+    for i, r in enumerate(rep):
+        classes.setdefault(r, []).append(i)
+    multi = [c for c in classes.values() if len(c) > 1]
+    if not multi:
+        return True
+    for sym, arity in algebra.signature.symbols:
+        if arity == 0:
+            continue
+        table = algebra.table(sym)
+        for pos in range(arity):
+            for rest in itertools.product(range(n), repeat=arity - 1):
+                for cls in multi:
+                    first = None
+                    for a in cls:
+                        idx = 0
+                        for j in range(arity):
+                            if j == pos:
+                                idx = idx * n + a
+                            else:
+                                idx = idx * n + rest[j if j < pos else j - 1]
+                        v = rep[table[idx]]
+                        if first is None:
+                            first = v
+                        elif v != first:
+                            return False
+    return True
+
+
+def close_under_operations(algebra, uf):
+    """Merge classes by table scans until every operation respects them."""
+    n = algebra.size
+    changed = True
+    while changed:
+        changed = False
+        classes = {}
+        for i in range(n):
+            classes.setdefault(uf.find(i), []).append(i)
+        multi = [c for c in classes.values() if len(c) > 1]
+        if not multi:
+            return
+        for sym, arity in algebra.signature.symbols:
+            if arity == 0:
+                continue
+            table = algebra.table(sym)
+            for pos in range(arity):
+                for rest in itertools.product(range(n), repeat=arity - 1):
+                    for cls in multi:
+                        first = None
+                        for a in cls:
+                            idx = 0
+                            for j in range(arity):
+                                if j == pos:
+                                    idx = idx * n + a
+                                else:
+                                    idx = idx * n + rest[j if j < pos else j - 1]
+                            v = table[idx]
+                            if first is None:
+                                first = v
+                            elif uf.union(first, v):
+                                changed = True
+
+
+def principal_rep_table_scan(algebra, a, b):
+    """Rep tuple of the least congruence identifying a and b."""
+    uf = UnionFind(algebra.size)
+    uf.union(a, b)
+    close_under_operations(algebra, uf)
+    return uf.rep_tuple()
+
+
+def compose(t1, t2):
+    """Relational composition {(x,z) : exists y with x t1 y and y t2 z}."""
+    n = len(t1.rep)
+    cls1 = {}
+    for i in range(n):
+        cls1.setdefault(t1.rep[i], []).append(i)
+    pairs = set()
+    for x in range(n):
+        for y in cls1[t1.rep[x]]:
+            r2 = t2.rep[y]
+            for z in range(n):
+                if t2.rep[z] == r2:
+                    pairs.add((x, z))
+    return frozenset(pairs)
 
 
 def ring_idempotents(algebra):

@@ -99,6 +99,23 @@ def test_cong_compactness_partition(capsys):
     assert "theta = {0,3|1,4|2,5}" in out
 
 
+def test_cong_compactness_non_integer_exits_2(capsys):
+    assert main(["cong", str(FIXTURES / "z6.alg"), "--compactness", "a,b"]) == 2
+    assert "'a' is not an integer" in capsys.readouterr().err
+
+
+def test_cong_compactness_element_too_large_exits_2(capsys):
+    spec = "0,9|1,2,3,4,5"
+    assert main(["cong", str(FIXTURES / "z6.alg"), "--compactness", spec]) == 2
+    assert "element 9 is not in the universe 0..5" in capsys.readouterr().err
+
+
+def test_cong_compactness_negative_element_exits_2(capsys):
+    spec = "0,-1|1,2,3,4,5"
+    assert main(["cong", str(FIXTURES / "z6.alg"), "--compactness", spec]) == 2
+    assert "element -1 is not in the universe 0..5" in capsys.readouterr().err
+
+
 def test_freealg_dump(capsys):
     code, out = run_cli(capsys, "freealg", "dump", FIXTURES / "rings.ctx")
     assert code == 0

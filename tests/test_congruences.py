@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factorlab import (
     Congruence,
+    FiniteAlgebra,
     ResourceBoundError,
+    Signature,
     ValidationError,
     all_congruences,
     compactness_report,
-    compose,
     congruence_from_partition,
     congruence_join,
     congruence_meet,
@@ -18,8 +21,16 @@ from factorlab import (
     quotient,
     total_congruence,
 )
+import factorlab.congruences as congruences
 from factorlab.fixtures import cyclic_ring
-from oracles import congruence_reps_bruteforce
+from oracles import (
+    compose,
+    congruence_reps_bruteforce,
+    is_compatible_table_scan,
+    principal_rep_table_scan,
+    rep_of_partition,
+    set_partitions,
+)
 
 MOD2 = (0, 1, 0, 1, 0, 1)
 MOD3 = (0, 1, 2, 0, 1, 2)
@@ -230,3 +241,59 @@ def test_compactness_total_z6(z6):
 
 def test_partition_text_format(z6):
     assert partition_text(Congruence(z6, MOD3)) == "{0,3|1,4|2,5}"
+
+
+UNARY_BINARY = Signature((("f", 1), ("g", 2)))
+
+
+@st.composite
+def unary_binary_algebras(draw):
+    n = draw(st.integers(1, 5))
+    f = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    g = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    return FiniteAlgebra(UNARY_BINARY, n, (tuple(f), tuple(g)), "R")
+
+
+@given(unary_binary_algebras())
+def test_translation_closure_matches_table_scan(algebra):
+    n = algebra.size
+    reps = congruence_reps_bruteforce(algebra)
+    cons = all_congruences(algebra)
+    assert {c.rep for c in cons} == reps
+    for a in range(n):
+        for b in range(n):
+            assert principal_congruence(algebra, a, b).rep == (
+                principal_rep_table_scan(algebra, a, b)
+            )
+    by_composition = {
+        (t1.rep, t2.rep)
+        for t1 in cons
+        for t2 in cons
+        if congruence_meet(t1, t2).is_identity() and len(compose(t1, t2)) == n * n
+    }
+    assert {(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra)} == (
+        by_composition
+    )
+    for classes in set_partitions(n):
+        rep = rep_of_partition(n, classes)
+        assert congruences._respects_translations(algebra, rep) == (
+            is_compatible_table_scan(algebra, rep)
+        )
+
+
+def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch):
+    calls = []
+    checker = congruences._respects_translations
+
+    def counting(algebra, rep):
+        calls.append(rep)
+        return checker(algebra, rep)
+
+    monkeypatch.setattr(congruences, "_respects_translations", counting)
+    member = max(lattices_ctx.pool_algebras, key=lambda a: a.size)
+    assert len(all_congruences(member)) == 8
+    assert len(factor_pairs(member)) == 4
+    assert calls == []
+    with pytest.raises(ValidationError, match="incompatible"):
+        congruence_from_partition(z6, [[0, 1], [2, 3], [4, 5]])
+    assert len(calls) == 1

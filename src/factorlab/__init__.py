@@ -53,8 +53,6 @@ from .formulas import (
     ExistentialDnf,
     Literal,
     PositiveExistential,
-    eval_dnf,
-    eval_in_product,
     parse_formula,
     parse_term_text,
     strip_to_positive,
@@ -65,7 +63,6 @@ from .positivize import (
     PreservationReport,
     check_preservation,
     enumerate_witnesses,
-    find_disjunct_witness,
     positivize,
 )
 from .terms import App, Term, Var, free_vars, is_closed, term_text

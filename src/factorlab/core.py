@@ -177,16 +177,6 @@ def direct_product(
     )
 
 
-def projections_of_product(
-    a: FiniteAlgebra, b: FiniteAlgebra
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The two coordinate projection maps of the fixed pair encoding."""
-    n = a.size * b.size
-    p1 = tuple(pair_split(p, b.size)[0] for p in range(n))
-    p2 = tuple(pair_split(p, b.size)[1] for p in range(n))
-    return p1, p2
-
-
 # -- subalgebras and homomorphisms -------------------------------------------
 
 

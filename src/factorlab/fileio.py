@@ -22,7 +22,7 @@ from pathlib import Path
 from .core import FiniteAlgebra, Signature
 from .errors import ValidationError
 from .formulas import ExistentialDnf, parse_formula, parse_term_text
-from .terms import term_text
+from .terms import Term, term_text
 from .variety import VarietyContext
 
 
@@ -40,6 +40,20 @@ def _read_json(path: Path) -> dict:
     return data
 
 
+def _int(value, what: str) -> int:
+    """`value` itself if it is an integer; JSON floats, strings and booleans
+    are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> FiniteAlgebra:
     for key in ("name", "size", "ops"):
         if key not in data:
@@ -54,11 +68,16 @@ def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> Finit
             raise ValidationError(
                 f"{origin}: op '{sym}' needs 'arity' and 'table'"
             )
-        symbols.append((sym, int(spec["arity"])))
-        tables[sym] = [int(v) for v in spec["table"]]
+        what = f"{origin}: op '{sym}'"
+        symbols.append((sym, _int(spec["arity"], f"{what} arity")))
+        tables[sym] = [
+            _int(v, f"{what} table entry {i}")
+            for i, v in enumerate(_list(spec["table"], f"{what} table"))
+        ]
     signature = Signature(tuple(symbols), l=l)
     return FiniteAlgebra.from_ops(
-        signature, int(data["size"]), tables, str(data["name"])
+        signature, _int(data["size"], f"{origin}: 'size'"), tables,
+        str(data["name"]),
     )
 
 
@@ -86,13 +105,22 @@ def dump_algebra(algebra: FiniteAlgebra, path: str | Path) -> None:
     )
 
 
+def _terms(texts, what: str, signature: Signature) -> tuple[Term, ...]:
+    out = []
+    for i, t in enumerate(_list(texts, what)):
+        if not isinstance(t, str):
+            raise ValidationError(f"{what} entry {i} must be a term text, got {t!r}")
+        out.append(parse_term_text(t, signature))
+    return tuple(out)
+
+
 def load_context(path: str | Path) -> VarietyContext:
     p = Path(path)
     data = _read_json(p)
     for key in ("generator", "zero", "one"):
         if key not in data:
             raise ValidationError(f"{p}: missing '{key}'")
-    l = int(data.get("l", 1))
+    l = _int(data.get("l", 1), f"{p}: 'l'")
     gen = data["generator"]
     if isinstance(gen, str):
         generator = load_algebra(p.parent / gen, l=l)
@@ -100,12 +128,8 @@ def load_context(path: str | Path) -> VarietyContext:
         generator = algebra_from_dict(gen, l=l, origin=f"{p}:generator")
     else:
         raise ValidationError(f"{p}: 'generator' must be a path or an object")
-    zero = tuple(
-        parse_term_text(str(t), generator.signature) for t in data["zero"]
-    )
-    one = tuple(
-        parse_term_text(str(t), generator.signature) for t in data["one"]
-    )
+    zero = _terms(data["zero"], f"{p}: 'zero'", generator.signature)
+    one = _terms(data["one"], f"{p}: 'one'", generator.signature)
     return VarietyContext(generator, zero, one)
 
 

@@ -18,12 +18,10 @@ and universal quantifiers are rejected rather than normalized away.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
-from .core import FiniteAlgebra, Signature, direct_product, pair_index
+from .core import FiniteAlgebra, Signature
 from .errors import EvalError, FormulaSyntaxError, ValidationError
 from .terms import App, Term, Var, free_vars, term_text
 
@@ -106,12 +104,16 @@ class PositiveExistential:
     def is_trivially_true(self) -> bool:
         return not self.literals
 
+    @property
+    def disjuncts(self) -> tuple[tuple[Literal, ...], ...]:
+        return (self.literals,)
+
     def text(self) -> str:
         if not self.literals:
             # the empty conjunction has no grammar form; x = x is the
             # canonical constantly-true rendering
             return _formula_text(self.bound_vars, ((Literal(Var("x"), Var("x")),),))
-        return _formula_text(self.bound_vars, (self.literals,))
+        return _formula_text(self.bound_vars, self.disjuncts)
 
 
 def strip_to_positive(phi: ExistentialDnf, k: int) -> PositiveExistential:
@@ -132,6 +134,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<ident>[A-Za-z0-9_]+)"
 )
 
+# Parsing recurses per open parenthesis: deeper input is refused up front.
+MAX_NESTING = 100
+
 _INFIX_ALIASES = {"*": ("*", "·"), "·": ("·", "*")}
 _INFIX_TOKENS = ("+", "*", "·", "/\\", "\\/")
 
@@ -146,12 +151,22 @@ class _Tok:
 def _tokenize(text: str) -> list[_Tok]:
     out = []
     i = 0
+    depth = 0
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if not m:
             raise FormulaSyntaxError(f"unexpected character {text[i]!r}", i)
         if m.lastgroup != "ws":
             out.append(_Tok(m.lastgroup, m.group(), i))
+            if m.group() == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise FormulaSyntaxError(
+                        f"nested too deeply (more than {MAX_NESTING} "
+                        f"parentheses)", i
+                    )
+            elif m.group() == ")":
+                depth -= 1
         i = m.end()
     out.append(_Tok("eof", "", len(text)))
     return out
@@ -363,167 +378,146 @@ def parse_term_text(text: str, signature: Signature) -> Term:
 # -- evaluation ----------------------------------------------------------------
 
 
-def _as_disjuncts(
-    phi: ExistentialDnf | PositiveExistential,
-) -> tuple[tuple[Literal, ...], ...]:
-    if isinstance(phi, ExistentialDnf):
-        return phi.disjuncts
-    return (phi.literals,)
+def _run(code, env: list[int], n: int) -> bool:
+    """Execute one level's instructions, then check its literals."""
+    instructions, literals = code
+    for out, table, args in instructions:
+        if len(args) == 2:
+            env[out] = table[env[args[0]] * n + env[args[1]]]
+        elif len(args) == 1:
+            env[out] = table[env[args[0]]]
+        else:
+            i = 0
+            for a in args:
+                i = i * n + env[a]
+            env[out] = table[i]
+    for lhs, rhs, positive in literals:
+        if (env[lhs] == env[rhs]) != positive:
+            return False
+    return True
 
 
 class DnfEvaluator:
     """Compiled evaluator for one formula over one algebra.
 
-    Witness search for the bound variables runs disjunct by disjunct in input
-    order, lexicographically over element indices, short-circuiting on the
-    first false literal.  Literals that do not mention any bound variable are
-    checked before entering the witness loop; this cannot change the first
-    witness found.  Instances hold no mutable state and are safe to share.
+    Each disjunct compiles to instructions (output slot, table, argument
+    slots) and literal checks over one slot list: x, y, z1..zl, w1..w_nb, then
+    one slot per distinct compound subterm.  Both sit at level j when w_j is
+    the last bound variable they mention, at level 0 when they mention none;
+    closed subterms and closed literals are evaluated here, once.  One search
+    binds w1..w_nb depth first in lexicographic order and runs level j as
+    soon as w_j is bound, so a false literal prunes every extension of the
+    prefix.  Witnesses come disjunct by disjunct in input order;
+    `first_witness` and `satisfied` stop at the first.  Instances are safe to
+    share.
     """
 
     def __init__(self, algebra: FiniteAlgebra, phi: ExistentialDnf | PositiveExistential):
         self.algebra = algebra
         self.bound = phi.bound_vars
-        slots = {ROLE_X: 0, ROLE_Y: 1}
-        for i, z in enumerate(z_roles(phi.l)):
-            slots[z] = 2 + i
-        base = 2 + phi.l
-        for j, w in enumerate(phi.bound_vars):
-            slots[w] = base + j
-        self._w_base = base
-        self._n_slots = base + len(phi.bound_vars)
-        wset = set(phi.bound_vars)
         self._l = phi.l
-        self._disjuncts = []
-        for conj in _as_disjuncts(phi):
-            free, dep = [], []
-            for lit in conj:
-                compiled = (
-                    self._compile(lit.lhs, slots),
-                    self._compile(lit.rhs, slots),
-                    lit.positive,
-                )
-                (dep if lit.variables() & wset else free).append(compiled)
-            self._disjuncts.append((free, dep))
+        self._base = 2 + phi.l
+        roles = (ROLE_X, ROLE_Y, *z_roles(phi.l))
+        # name -> (slot, level); level -1 marks a closed subterm
+        self._vars = {v: (i, 0) for i, v in enumerate(roles)}
+        for j, w in enumerate(phi.bound_vars):
+            self._vars[w] = (self._base + j, j + 1)
+        # the slot list a search starts from: unbound w slots hold -1
+        self._frame = [0] * self._base + [-1] * len(phi.bound_vars)
+        self._programs = []
+        for k, conj in enumerate(phi.disjuncts):
+            levels = self._compile(conj)
+            if levels is not None:
+                self._programs.append((k, levels))
 
-    def _compile(self, t: Term, slots: dict[str, int]):
+    def _compile(self, conj: tuple[Literal, ...]):
+        """The levels of one disjunct, or None if a closed literal is false."""
+        levels = [([], []) for _ in range(len(self.bound) + 1)]
+        memo: dict[Term, tuple[int, int]] = {}
+        for lit in conj:
+            lhs, lhs_level = self._term(lit.lhs, levels, memo)
+            rhs, rhs_level = self._term(lit.rhs, levels, memo)
+            level = max(lhs_level, rhs_level)
+            if level >= 0:
+                levels[level][1].append((lhs, rhs, lit.positive))
+            elif (self._frame[lhs] == self._frame[rhs]) != lit.positive:
+                return None
+        return [(tuple(instrs), tuple(lits)) for instrs, lits in levels]
+
+    def _term(self, t: Term, levels, memo) -> tuple[int, int]:
+        """(slot, level) of a term, emitting the instructions it needs."""
         if isinstance(t, Var):
-            i = slots[t.name]
-            return lambda env, _i=i: env[_i]
-        table = self.algebra.table(t.symbol)
+            try:
+                return self._vars[t.name]
+            except KeyError:
+                raise EvalError(f"unbound variable '{t.name}'") from None
+        found = memo.get(t)
+        if found is not None:
+            return found
         arity = self.algebra.signature.arity(t.symbol)
         if arity != len(t.args):
             raise EvalError(
                 f"arity mismatch: '{t.symbol}' takes {arity} arguments, "
                 f"got {len(t.args)}"
             )
-        if not t.args:
-            c = table[0]
-            return lambda env, _c=c: _c
-        n = self.algebra.size
-        subs = [self._compile(a, slots) for a in t.args]
-        if arity == 1:
-            f0 = subs[0]
-            return lambda env, _t=table, _f=f0: _t[_f(env)]
-        if arity == 2:
-            f0, f1 = subs
-            return lambda env, _t=table, _n=n, _f=f0, _g=f1: _t[_f(env) * _n + _g(env)]
-        return lambda env, _t=table, _n=n, _s=subs: _t[
-            reduce(lambda acc, f: acc * _n + f(env), _s, 0)
-        ]
+        table = self.algebra.table(t.symbol)
+        args = [self._term(a, levels, memo) for a in t.args]
+        slots = tuple(s for s, _ in args)
+        level = max((lv for _, lv in args), default=-1)
+        out = len(self._frame)
+        if level < 0:
+            self._frame.append(
+                self.algebra.apply(t.symbol, [self._frame[s] for s in slots])
+            )
+        else:
+            self._frame.append(0)
+            levels[level][0].append((out, table, slots))
+        memo[t] = (out, level)
+        return out, level
 
-    def _env(self, x: int, y: int, zs: tuple[int, ...]) -> list[int]:
+    def _search(self, x: int, y: int, zs: tuple[int, ...]):
+        """Yield every (disjunct index, bound-variable assignment) satisfying
+        all literals of that disjunct, in search order."""
         if len(zs) != self._l:
             raise EvalError(f"expected {self._l} z-arguments, got {len(zs)}")
-        return [x, y, *zs] + [0] * len(self.bound)
-
-    @staticmethod
-    def _holds(lits, env) -> bool:
-        for lhs, rhs, positive in lits:
-            if (lhs(env) == rhs(env)) != positive:
-                return False
-        return True
+        base = self._base
+        top = base + len(self.bound)
+        n = self.algebra.size
+        env = self._frame.copy()
+        env[0] = x
+        env[1] = y
+        env[2:base] = zs
+        for k, levels in self._programs:
+            if not _run(levels[0], env, n):
+                continue
+            if top == base:
+                yield k, ()
+                continue
+            slot = base  # the bound variable being advanced
+            while slot >= base:
+                v = env[slot] + 1
+                if v == n:
+                    env[slot] = -1
+                    slot -= 1
+                    continue
+                env[slot] = v
+                if _run(levels[slot - base + 1], env, n):
+                    if slot + 1 == top:
+                        yield k, tuple(env[base:top])
+                    else:
+                        slot += 1
 
     def first_witness(
         self, x: int, y: int, zs: tuple[int, ...]
     ) -> tuple[int, tuple[int, ...]] | None:
         """First (disjunct index, bound-variable assignment) satisfying every
         literal of that disjunct, or None."""
-        env = self._env(x, y, zs)
-        n = self.algebra.size
-        nb = len(self.bound)
-        base = self._w_base
-        for k, (free, dep) in enumerate(self._disjuncts):
-            if not self._holds(free, env):
-                continue
-            if not dep:
-                return (k, (0,) * nb if nb else ())
-            for w in itertools.product(range(n), repeat=nb):
-                for j in range(nb):
-                    env[base + j] = w[j]
-                if self._holds(dep, env):
-                    return (k, w)
-        return None
+        return next(self._search(x, y, zs), None)
 
     def satisfied(self, x: int, y: int, zs: tuple[int, ...]) -> bool:
-        return self.first_witness(x, y, zs) is not None
+        return next(self._search(x, y, zs), None) is not None
 
     def all_witnesses(
         self, x: int, y: int, zs: tuple[int, ...]
     ) -> list[tuple[int, tuple[int, ...]]]:
-        env = self._env(x, y, zs)
-        n = self.algebra.size
-        nb = len(self.bound)
-        base = self._w_base
-        out = []
-        for k, (free, dep) in enumerate(self._disjuncts):
-            if not self._holds(free, env):
-                continue
-            for w in itertools.product(range(n), repeat=nb):
-                for j in range(nb):
-                    env[base + j] = w[j]
-                if self._holds(dep, env):
-                    out.append((k, w))
-        return out
-
-
-def eval_dnf(
-    algebra: FiniteAlgebra,
-    phi: ExistentialDnf | PositiveExistential,
-    x: int,
-    y: int,
-    zs: tuple[int, ...],
-) -> bool:
-    """True iff some bound-variable assignment satisfies some disjunct."""
-    return _cached_evaluator(algebra, phi).satisfied(x, y, zs)
-
-
-@lru_cache(maxsize=256)
-def _cached_evaluator(
-    algebra: FiniteAlgebra, phi: ExistentialDnf | PositiveExistential
-) -> DnfEvaluator:
-    return DnfEvaluator(algebra, phi)
-
-
-@lru_cache(maxsize=128)
-def _cached_product(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
-    return direct_product(a, b)
-
-
-def eval_in_product(
-    a: FiniteAlgebra,
-    b: FiniteAlgebra,
-    phi: ExistentialDnf | PositiveExistential,
-    ab: tuple[int, int],
-    cd: tuple[int, int],
-    z_pairs: tuple[tuple[int, int], ...],
-) -> bool:
-    """Evaluate over A x B at paired arguments under the fixed encoding.
-
-    z_pairs gives, per z-role, the (A-side, B-side) coordinates.
-    """
-    p = _cached_product(a, b)
-    x = pair_index(ab[0], ab[1], b.size)
-    y = pair_index(cd[0], cd[1], b.size)
-    zs = tuple(pair_index(za, zb, b.size) for za, zb in z_pairs)
-    return eval_dnf(p, phi, x, y, zs)
+        return list(self._search(x, y, zs))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteAlgebra, direct_product, eval_term, pair_index, pair_split
+from .core import FiniteAlgebra, direct_product, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import App, Term, Var
 from .variety import VarietyContext
@@ -49,6 +49,24 @@ def _default_var_names(rank: int) -> tuple[str, ...]:
     if rank == 2:
         return ("x", "y")
     return tuple(f"x{i + 1}" for i in range(rank))
+
+
+def _pointwise(
+    table: tuple[int, ...], vecs: list[tuple[int, ...]], n: int, n_points: int
+) -> tuple[int, ...]:
+    """The operation with flat table `table` applied at every point to the
+    argument vectors `vecs`."""
+    if not vecs:
+        return (table[0],) * n_points
+    if len(vecs) == 2:  # the common case, unrolled
+        return tuple([table[a * n + b] for a, b in zip(*vecs)])
+    out = []
+    for col in zip(*vecs):
+        i = 0
+        for a in col:
+            i = i * n + a
+        out.append(table[i])
+    return tuple(out)
 
 
 def free_algebra(
@@ -111,16 +129,11 @@ def free_algebra(
                 continue
             table = base.table(sym)
             for args in itertools.product(range(snapshot), repeat=arity):
-                if all(a < prev for a in args):
+                if max(args) < prev:
                     continue  # computed in an earlier round
-                vecs = [vectors[a] for a in args]
-                out = []
-                for p in range(len(points)):
-                    idx = 0
-                    for v in vecs:
-                        idx = idx * n + v[p]
-                    out.append(table[idx])
-                add(tuple(out), App(sym, tuple(witnesses[a] for a in args)))
+                vec = _pointwise(table, [vectors[a] for a in args], n, len(points))
+                if vec not in index:
+                    add(vec, App(sym, tuple(witnesses[a] for a in args)))
         prev = snapshot
 
     size = len(vectors)
@@ -129,14 +142,8 @@ def free_algebra(
         table = []
         btab = base.table(sym)
         for args in itertools.product(range(size), repeat=arity):
-            vecs = [vectors[a] for a in args]
-            out = []
-            for p in range(len(points)):
-                idx = 0
-                for v in vecs:
-                    idx = idx * n + v[p]
-                out.append(btab[idx])
-            entry = index.get(tuple(out))
+            vec = _pointwise(btab, [vectors[a] for a in args], n, len(points))
+            entry = index.get(vec)
             if entry is None:
                 raise InternalCheckError("carrier is not closed under operations")
             table.append(entry)
@@ -178,11 +185,7 @@ def free_pair_context(
     x = pair_index(f1.generators[0], f2.generators[0], f2.size)
     y = pair_index(f1.generators[0], f2.generators[1], f2.size)
     z = tuple(
-        pair_index(
-            eval_term(f1.algebra, zt, {}),
-            eval_term(f2.algebra, ot, {}),
-            f2.size,
-        )
-        for zt, ot in zip(ctx.zero_terms, ctx.one_terms)
+        pair_index(zero, one, f2.size)
+        for zero, one in zip(ctx.zero_values(f1.algebra), ctx.one_values(f2.algebra))
     )
     return FreePairContext(f1, f2, product, x, y, z)

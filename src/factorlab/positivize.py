@@ -57,26 +57,6 @@ def _distinguished_diagnostics(fpc: FreePairContext) -> dict:
     }
 
 
-def _find(phi: ExistentialDnf, fpc: FreePairContext) -> tuple[int, tuple[int, ...]]:
-    found = DnfEvaluator(fpc.product, phi).first_witness(fpc.x, fpc.y, fpc.z)
-    if found is None:
-        raise NoWitnessError(
-            "no disjunct is satisfiable at the distinguished assignment over "
-            "the free-pair product; the formula cannot define first-coordinate "
-            "equality over this variety",
-            _distinguished_diagnostics(fpc),
-        )
-    return found
-
-
-def find_disjunct_witness(
-    phi: ExistentialDnf, ctx: VarietyContext, budget: int = DEFAULT_BUDGET
-) -> tuple[int, tuple[int, ...]]:
-    """First (disjunct, witness tuple) satisfying every literal of that
-    disjunct at (x,x), (x,y), (zero, one) in the free-pair product."""
-    return _find(phi, free_pair_context(ctx, budget))
-
-
 def enumerate_witnesses(
     phi: ExistentialDnf, ctx: VarietyContext, budget: int = DEFAULT_BUDGET
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -90,14 +70,24 @@ def positivize(
 ) -> PositivizeResult:
     """Bundle the chosen disjunct, its positive part and term witnesses.
 
-    The witness for each bound variable decodes into a pair of terms: one over
+    The disjunct and witness are the first satisfying every literal of that
+    disjunct at (x,x), (x,y), (zero, one) in the free-pair product.  The
+    witness for each bound variable decodes into a pair of terms: one over
     {x} from the rank-1 coordinate and one over {x, y} from the rank-2
     coordinate.  Before returning, the substitution identities those terms
     must satisfy are re-verified over the whole pool; a failure there is a
     bug, not an input error.
     """
     fpc = free_pair_context(ctx, budget)
-    k, ws = _find(phi, fpc)
+    found = DnfEvaluator(fpc.product, phi).first_witness(fpc.x, fpc.y, fpc.z)
+    if found is None:
+        raise NoWitnessError(
+            "no disjunct is satisfiable at the distinguished assignment over "
+            "the free-pair product; the formula cannot define first-coordinate "
+            "equality over this variety",
+            _distinguished_diagnostics(fpc),
+        )
+    k, ws = found
     witnesses = []
     for w in ws:
         u, v = fpc.split(w)
@@ -129,34 +119,25 @@ def _recheck_substitution(result: PositivizeResult, ctx: VarietyContext) -> None
     psi = result.phi_prime
     zs = z_roles(psi.l)
     for algebra in ctx.pool_algebras or (ctx.generator,):
-        zero = ctx.zero_values(algebra)
-        one = ctx.one_values(algebra)
-        for a in algebra.elements():
-            env = {"x": a, "y": a}
-            for i, z in enumerate(zs):
-                env[z] = zero[i]
-            for (u, _), w in zip(result.witnesses, psi.bound_vars):
-                env[w] = eval_term(algebra, u, {"x": a})
-            for lit in psi.literals:
-                if eval_term(algebra, lit.lhs, env) != eval_term(algebra, lit.rhs, env):
-                    raise InternalCheckError(
-                        f"zero-side substitution identity failed in "
-                        f"'{algebra.name}' at x={a}: {lit.text()}"
-                    )
-        for a in algebra.elements():
-            for b in algebra.elements():
-                env = {"x": a, "y": b}
-                for i, z in enumerate(zs):
-                    env[z] = one[i]
-                for (_, v), w in zip(result.witnesses, psi.bound_vars):
-                    env[w] = eval_term(algebra, v, {"x": a, "y": b})
+        elements = algebra.elements()
+        sides = (  # (side, z values, witness coordinate, (x, y) points)
+            ("zero", ctx.zero_values(algebra), 0, [(a, a) for a in elements]),
+            ("one", ctx.one_values(algebra), 1,
+             itertools.product(elements, repeat=2)),
+        )
+        for side, z_values, coord, points in sides:
+            for a, b in points:
+                env = {"x": a, "y": b, **dict(zip(zs, z_values))}
+                for pair, w in zip(result.witnesses, psi.bound_vars):
+                    env[w] = eval_term(algebra, pair[coord], {"x": a, "y": b})
                 for lit in psi.literals:
                     if eval_term(algebra, lit.lhs, env) != eval_term(
                         algebra, lit.rhs, env
                     ):
+                        at = f"x={a}" if coord == 0 else f"x={a}, y={b}"
                         raise InternalCheckError(
-                            f"one-side substitution identity failed in "
-                            f"'{algebra.name}' at x={a}, y={b}: {lit.text()}"
+                            f"{side}-side substitution identity failed in "
+                            f"'{algebra.name}' at {at}: {lit.text()}"
                         )
 
 

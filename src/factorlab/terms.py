@@ -35,14 +35,6 @@ def is_closed(t: Term) -> bool:
     return not free_vars(t)
 
 
-def term_depth(t: Term) -> int:
-    if isinstance(t, Var):
-        return 0
-    if not t.args:
-        return 0
-    return 1 + max(term_depth(a) for a in t.args)
-
-
 def _operand_text(t: Term) -> str:
     # Nested infix applications need parentheses in the grammar.
     if isinstance(t, App) and len(t.args) == 2 and t.symbol in INFIX_SYMBOLS:

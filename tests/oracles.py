@@ -5,9 +5,13 @@ found by filtering all set partitions with a full-tuple compatibility scan,
 and free-algebra carriers by a plain set-based fixpoint over pointwise
 vectors.  The table-scan principal closure, its compatibility check and the
 relational composition are the congruence layer's earlier implementation,
-kept as references for the translation-based one.
+kept as references for the translation-based one.  Formulas are evaluated by
+plain recursive `eval_term` over every bound-variable assignment, and over
+A x B through the materialized product table.
 """
 import itertools
+
+from factorlab import eval_term, pair_index
 
 
 def set_partitions(n):
@@ -210,3 +214,31 @@ def term_function_vectors(algebra, rank):
         if not new:
             return vectors
         vectors |= new
+
+
+def witnesses_naive(algebra, phi, x, y, zs):
+    """Every (disjunct index, bound-variable assignment) satisfying all
+    literals of that disjunct, disjunct by disjunct and lexicographically
+    within one: no compilation, no literal scheduling, no pruning."""
+    env = {"x": x, "y": y, **{f"z{i + 1}": z for i, z in enumerate(zs)}}
+    out = []
+    for k, conj in enumerate(phi.disjuncts):
+        for w in itertools.product(range(algebra.size), repeat=len(phi.bound_vars)):
+            env.update(zip(phi.bound_vars, w))
+            if all(
+                (eval_term(algebra, lit.lhs, env) == eval_term(algebra, lit.rhs, env))
+                == lit.positive
+                for lit in conj
+            ):
+                out.append((k, w))
+    return out
+
+
+def eval_in_product(product, b_size, phi, ab, cd, z_pairs):
+    """The formula over the materialized product A x B, with |B| = b_size, at
+    paired arguments under the fixed encoding; z_pairs gives, per z-role,
+    the (A-side, B-side) coordinates."""
+    x = pair_index(ab[0], ab[1], b_size)
+    y = pair_index(cd[0], cd[1], b_size)
+    zs = tuple(pair_index(za, zb, b_size) for za, zb in z_pairs)
+    return bool(witnesses_naive(product, phi, x, y, zs))

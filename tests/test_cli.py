@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import FIXTURES, REPO
 from factorlab.cli import main
 
@@ -292,3 +294,51 @@ def test_exit_codes_are_distinct():
              EXIT_DFC_FAIL]
     assert codes == [0, 2, 3, 4, 5]
     assert len(set(codes)) == 5
+
+
+# -- coerced input and runaway nesting exit 2 ---------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("table", [0, 1.9, 1, 0], "op 'f' table entry 1"),
+        ("table", "0110", "op 'f' table"),
+        ("size", 2.0, "'size'"),
+        ("arity", False, "op 'f' arity"),
+    ],
+    ids=["float-entry", "string-table", "float-size", "bool-arity"],
+)
+def test_coerced_algebra_field_exits_2(capsys, tmp_path, field, value, named):
+    data = {"name": "bad", "size": 2,
+            "ops": {"f": {"arity": 2, "table": [0, 1, 1, 0]}}}
+    if field == "size":
+        data["size"] = value
+    else:
+        data["ops"]["f"][field] = value
+    bad = tmp_path / "bad.alg"
+    bad.write_text(json.dumps(data))
+    assert main(["algebra", "show", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [("zero", "1", "'zero' must be a list"), ("l", 1.7, "'l' must be an integer")],
+    ids=["string-zero", "float-l"],
+)
+def test_coerced_context_field_exits_2(capsys, tmp_path, field, value, named):
+    data = {"generator": str(FIXTURES / "z2.alg"), "l": 1,
+            "zero": ["1"], "one": ["0"], field: value}
+    bad = tmp_path / "bad.ctx"
+    bad.write_text(json.dumps(data))
+    assert main(["central", "list", str(bad)]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_deeply_nested_formula_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.fm"
+    deep.write_text("(" * 3000 + "x = y" + ")" * 3000)
+    code = main(["dfc", "verify", str(FIXTURES / "rings.ctx"), str(deep)])
+    assert code == 2
+    assert "nested too deeply" in capsys.readouterr().err

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from factorlab import (
+    FiniteAlgebra,
     ResourceBoundError,
+    Signature,
     eval_term,
     free_algebra,
     free_pair_context,
@@ -48,6 +50,29 @@ def test_free_matches_independent_enumeration(z2):
     for base, rank in [(z2, 1), (boolean_algebra2(), 1), (chain_lattice(3), 2)]:
         fa = free_algebra(base, rank)
         assert set(fa.vectors) == term_function_vectors(base, rank)
+
+
+def test_free_tables_of_a_noncommutative_base():
+    # subtraction is not commutative and p has arity 3, so argument order and
+    # the general pointwise path are both exercised, in the closure and in
+    # the carrier tables
+    ops = {
+        "-": [(a - b) % 3 for a, b in itertools.product(range(3), repeat=2)],
+        "p": [(a - b + c) % 3 for a, b, c in itertools.product(range(3), repeat=3)],
+        "neg": [-a % 3 for a in range(3)],
+    }
+    sig = Signature((("-", 2), ("p", 3), ("neg", 1)))
+    base = FiniteAlgebra.from_ops(sig, 3, ops, "Z3-")
+    for rank in (1, 2):
+        fa = free_algebra(base, rank)
+        assert set(fa.vectors) == term_function_vectors(base, rank)
+        for (sym, arity), table in zip(sig.symbols, fa.algebra.tables):
+            for i, args in enumerate(itertools.product(range(fa.size), repeat=arity)):
+                expected = tuple(
+                    base.apply(sym, [fa.vectors[a][p] for a in args])
+                    for p in range(3**rank)
+                )
+                assert fa.vectors[table[i]] == expected
 
 
 def test_free_size_bounds(z2, z6):

@@ -1,16 +1,19 @@
+import dataclasses
+
 import pytest
 
 from factorlab import (
+    InternalCheckError,
     NoWitnessError,
     check_preservation,
     enumerate_witnesses,
-    find_disjunct_witness,
     parse_formula,
     positivize,
     strip_to_positive,
     verify_dfc,
 )
-from factorlab.terms import term_text
+from factorlab.positivize import _recheck_substitution
+from factorlab.terms import App, term_text
 
 RING_MIXED = "exists w . (z1 * x = z1 * y and w != z1) or (z1 = w and x = y)"
 LATTICE_MIXED = (
@@ -18,16 +21,21 @@ LATTICE_MIXED = (
 )
 
 
+def _first_witness(phi, ctx):
+    cert = positivize(phi, ctx).certificate
+    return cert.disjunct, cert.witness_indices
+
+
 def test_find_witness_ring(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    k, ws = find_disjunct_witness(phi, rings_ctx)
+    k, ws = _first_witness(phi, rings_ctx)
     assert k == 0
     assert len(ws) == 1
 
 
 def test_find_witness_quantifier_free_lattice(lattices_ctx):
     phi = parse_formula(r"(x \/ z1 = y \/ z1)", lattices_ctx.signature, 1)
-    k, ws = find_disjunct_witness(phi, lattices_ctx)
+    k, ws = _first_witness(phi, lattices_ctx)
     assert k == 0
     assert ws == ()
 
@@ -35,7 +43,7 @@ def test_find_witness_quantifier_free_lattice(lattices_ctx):
 def test_no_witness_for_plain_equality(rings_ctx):
     phi = parse_formula("x = y", rings_ctx.signature, 1)
     with pytest.raises(NoWitnessError) as err:
-        find_disjunct_witness(phi, rings_ctx)
+        _first_witness(phi, rings_ctx)
     diag = err.value.diagnostics
     assert diag["x"]["right"] == "x" and diag["y"]["right"] == "y"
 
@@ -44,7 +52,7 @@ def test_decoy_disjunct_not_chosen(rings_ctx):
     # the decoy (z1 = w and x = y) fails at the distinguished assignment
     # because the rank-2 generators are distinct
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    k, _ = find_disjunct_witness(phi, rings_ctx)
+    k, _ = _first_witness(phi, rings_ctx)
     assert k == 0
 
 
@@ -101,7 +109,7 @@ def test_witness_terms_use_expected_variables(rings_ctx):
 
 def test_enumerate_witnesses_includes_first(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    k, ws = find_disjunct_witness(phi, rings_ctx)
+    k, ws = _first_witness(phi, rings_ctx)
     allw = enumerate_witnesses(phi, rings_ctx)
     assert (k, ws) in allw
     assert allw == sorted(allw)
@@ -152,6 +160,28 @@ def test_explicit_witness_values_satisfy_positive_literals(rings_ctx):
                             env_w = pair_index(ua, vbd, b.size)
                             # the explicit pair is itself a witness
                             assert (0, (env_w,)) in ev.all_witnesses(x, y, zs)
+
+
+def test_recheck_rejects_a_wrong_witness_term(rings_ctx):
+    # w = x is satisfied by the witness (x, x); substituting the constant 1
+    # on either side breaks it at x = 0 in the generator
+    phi = parse_formula(
+        "exists w . (z1 * x = z1 * y and w = x)", rings_ctx.signature, 1
+    )
+    result = positivize(phi, rings_ctx)
+    assert [tuple(map(term_text, pair)) for pair in result.witnesses] == [("x", "x")]
+    x = result.witnesses[0][0]
+    name = rings_ctx.generator.name
+    for pair, expected in [
+        ((App("1"), x), f"zero-side substitution identity failed in '{name}' "
+                        f"at x=0: w = x"),
+        ((x, App("1")), f"one-side substitution identity failed in '{name}' "
+                        f"at x=0, y=0: w = x"),
+    ]:
+        wrong = dataclasses.replace(result, witnesses=(pair,))
+        with pytest.raises(InternalCheckError) as err:
+            _recheck_substitution(wrong, rings_ctx)
+        assert str(err.value) == expected
 
 
 # -- preservation harness --------------------------------------------------------

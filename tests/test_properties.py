@@ -1,7 +1,7 @@
 """Property-based checks of the structural invariants."""
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from factorlab import (
@@ -25,6 +25,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var, term_text
+from oracles import witnesses_naive
 
 Z6 = cyclic_ring(6)
 N5 = pentagon_lattice()
@@ -63,7 +64,7 @@ ring_terms = terms_for(RING_SIG, ["x", "y", "z1"])
 
 @st.composite
 def random_formulas(draw):
-    n_bound = draw(st.integers(0, 2))
+    n_bound = draw(st.integers(0, 3))
     bound = tuple(f"w{i}" for i in range(n_bound))
     variables = ["x", "y", "z1", *bound]
     strat = terms_for(RING_SIG, variables)
@@ -162,38 +163,24 @@ def test_lattice_pool_members_inherit_generator_identities(data):
 
 @given(random_formulas(),
        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+# a subterm over a bound variable shared by two disjuncts
+@example(parse_formula("exists w . (w + w = x and w != w) or w + w = y",
+                       RING_SIG, 1), 0, 4, 0)
 def test_evaluator_agrees_with_all_witnesses(phi, x, y, z):
     ev = DnfEvaluator(Z6, phi)
     first = ev.first_witness(x, y, (z,))
     everything = ev.all_witnesses(x, y, (z,))
+    # the whole list, disjunct-major and then lexicographic, as plain
+    # recursive evaluation over every assignment finds it
+    assert everything == witnesses_naive(Z6, phi, x, y, (z,))
     if first is None:
         assert everything == []
     else:
         assert everything[0] == first
 
 
-def _naive_eval(algebra, phi, x, y, zs):
-    # independent route: plain recursive term evaluation over explicit
-    # environment dicts, no compilation, no literal hoisting
-    base = {"x": x, "y": y}
-    for i, z in enumerate(zs):
-        base[f"z{i + 1}"] = z
-    for w_vals in itertools.product(
-        range(algebra.size), repeat=len(phi.bound_vars)
-    ):
-        env = dict(base, **dict(zip(phi.bound_vars, w_vals)))
-        for conj in phi.disjuncts:
-            if all(
-                (eval_term(algebra, lit.lhs, env)
-                 == eval_term(algebra, lit.rhs, env)) == lit.positive
-                for lit in conj
-            ):
-                return True
-    return False
-
-
 @given(random_formulas(),
        st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
 def test_compiled_evaluator_matches_naive_route(phi, x, y, z):
     compiled = DnfEvaluator(Z6, phi).satisfied(x, y, (z,))
-    assert compiled == _naive_eval(Z6, phi, x, y, (z,))
+    assert compiled == bool(witnesses_naive(Z6, phi, x, y, (z,)))

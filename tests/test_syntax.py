@@ -5,13 +5,12 @@ import pytest
 from factorlab import (
     DnfEvaluator,
     ExistentialDnf,
+    FiniteAlgebra,
     FormulaSyntaxError,
     Literal,
     PositiveExistential,
     ValidationError,
     direct_product,
-    eval_dnf,
-    eval_in_product,
     pair_index,
     parse_formula,
     parse_term_text,
@@ -23,7 +22,9 @@ from factorlab.fixtures import (
     lattice_signature,
     ring_signature,
 )
+from factorlab.formulas import MAX_NESTING
 from factorlab.terms import App, Var, term_text
+from oracles import eval_in_product
 
 SIG = ring_signature()
 LSIG = lattice_signature()
@@ -154,28 +155,65 @@ def test_print_parse_round_trip_lattice():
 
 def test_eval_dnf_equal_arguments(z6):
     phi = parse_formula("z1 * x = z1 * y", SIG, 1)
-    assert eval_dnf(z6, phi, 2, 2, (3,))
+    assert DnfEvaluator(z6, phi).satisfied(2, 2, (3,))
 
 
 def test_eval_dnf_table_cases(z6):
-    phi = parse_formula("z1 * x = z1 * y", SIG, 1)
+    ev = DnfEvaluator(z6, parse_formula("z1 * x = z1 * y", SIG, 1))
     # 3*1 = 3 and 3*2 = 0 differ; 3*2 = 0 and 3*4 = 0 agree
-    assert not eval_dnf(z6, phi, 1, 2, (3,))
-    assert eval_dnf(z6, phi, 2, 4, (3,))
-    assert not eval_dnf(z6, phi, 1, 2, (1,))
+    assert not ev.satisfied(1, 2, (3,))
+    assert ev.satisfied(2, 4, (3,))
+    assert not ev.satisfied(1, 2, (1,))
 
 
 def test_eval_dnf_witness_search(z6):
-    phi = parse_formula("exists w . w + w = x and x = y", SIG, 1)
+    ev = DnfEvaluator(z6, parse_formula("exists w . w + w = x and x = y", SIG, 1))
     # doubles in Z6 are {0, 2, 4}
-    assert eval_dnf(z6, phi, 4, 4, (0,))
-    assert not eval_dnf(z6, phi, 3, 3, (0,))
+    assert ev.satisfied(4, 4, (0,))
+    assert not ev.satisfied(3, 3, (0,))
 
 
 def test_first_witness_is_lexicographic(z6):
     phi = parse_formula("exists w u . w + u = x and x = y", SIG, 1)
     found = DnfEvaluator(z6, phi).first_witness(3, 3, (0,))
     assert found == (0, (0, 3))
+
+
+def test_witness_search_checks_each_literal_once_its_variables_are_bound(z6):
+    # each literal mentions one bound variable, so a search that checks it as
+    # soon as that variable is bound tries 6 values per level: 36 lookups.
+    # Enumerating whole tuples first would examine 6^6 = 46,656 of them.
+    lookups = []
+
+    class Counted(tuple):
+        def __getitem__(self, i):
+            lookups.append(i)
+            if len(lookups) > 1000:
+                raise AssertionError("more table lookups than a pruned search needs")
+            return tuple.__getitem__(self, i)
+
+    counted = FiniteAlgebra(
+        z6.signature, z6.size, tuple(Counted(t) for t in z6.tables), "Z6"
+    )
+    names = [f"w{i}" for i in range(1, 7)]
+    phi = parse_formula(
+        f"exists {' '.join(names)} . "
+        + " and ".join(f"{w} + 0 = x" for w in names),
+        SIG, 1,
+    )
+    assert DnfEvaluator(counted, phi).first_witness(5, 0, (0,)) == (0, (5,) * 6)
+
+
+def test_nesting_depth_is_bounded():
+    deep = "(" * 3000 + "x" + ")" * 3000
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_formula(deep + " = y", SIG, 1)
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_term_text(deep, SIG)
+    at_limit = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_term_text(at_limit, SIG) == Var("x")
+    with pytest.raises(FormulaSyntaxError, match="nested too deeply"):
+        parse_term_text("(" + at_limit + ")", SIG)
 
 
 def test_eval_in_product_matches_explicit_product_exhaustively():
@@ -191,45 +229,43 @@ def test_eval_in_product_matches_explicit_product_exhaustively():
             else parse_formula(r"x \/ z1 = y \/ z1", sig, 1)
         )
         p = direct_product(a, b)
+        ev = DnfEvaluator(p, phi)
         for aa, cc in itertools.product(range(a.size), repeat=2):
             for bb, dd in itertools.product(range(b.size), repeat=2):
                 for za in range(a.size):
                     for zb in range(b.size):
-                        via_helper = eval_in_product(
-                            a, b, phi, (aa, bb), (cc, dd), ((za, zb),)
+                        via_oracle = eval_in_product(
+                            p, b.size, phi, (aa, bb), (cc, dd), ((za, zb),)
                         )
-                        direct = eval_dnf(
-                            p,
-                            phi,
+                        compiled = ev.satisfied(
                             pair_index(aa, bb, b.size),
                             pair_index(cc, dd, b.size),
                             (pair_index(za, zb, b.size),),
                         )
-                        assert via_helper == direct
+                        assert via_oracle == compiled
 
 
 def test_eval_in_product_first_coordinate_orientation(z6):
     # with parameters (1, 0) the idempotent equation pins the first coordinate
     phi = parse_formula("z1 * x = z1 * y", SIG, 1)
-    assert eval_in_product(z6, z6, phi, (1, 0), (1, 5), ((1, 0),))
-    assert not eval_in_product(z6, z6, phi, (1, 0), (2, 0), ((1, 0),))
+    p = direct_product(z6, z6)
+    assert eval_in_product(p, 6, phi, (1, 0), (1, 5), ((1, 0),))
+    assert not eval_in_product(p, 6, phi, (1, 0), (2, 0), ((1, 0),))
     # with parameters (0, 1) the same equation pins the second coordinate
-    assert eval_in_product(z6, z6, phi, (1, 0), (2, 0), ((0, 1),))
-    assert not eval_in_product(z6, z6, phi, (1, 0), (1, 5), ((0, 1),))
+    assert eval_in_product(p, 6, phi, (1, 0), (2, 0), ((0, 1),))
+    assert not eval_in_product(p, 6, phi, (1, 0), (1, 5), ((0, 1),))
 
 
 def test_atomic_coordinatewise_in_products():
     a, b = cyclic_ring(2), cyclic_ring(3)
-    p = direct_product(a, b)
     phi = parse_formula("x + x = y", SIG, 1)
+    ev_p, ev_a, ev_b = (DnfEvaluator(alg, phi) for alg in (direct_product(a, b), a, b))
     for xa, ya in itertools.product(range(a.size), repeat=2):
         for xb, yb in itertools.product(range(b.size), repeat=2):
-            in_product = eval_dnf(
-                p, phi, pair_index(xa, xb, b.size), pair_index(ya, yb, b.size), (0,)
+            in_product = ev_p.satisfied(
+                pair_index(xa, xb, b.size), pair_index(ya, yb, b.size), (0,)
             )
-            in_coords = eval_dnf(a, phi, xa, ya, (0,)) and eval_dnf(
-                b, phi, xb, yb, (0,)
-            )
+            in_coords = ev_a.satisfied(xa, ya, (0,)) and ev_b.satisfied(xb, yb, (0,))
             assert in_product == in_coords
 
 

@@ -11,9 +11,10 @@ Subcommands:
     pipeline CTX FORMULA
 
 Exit codes: 0 ok, 2 validation error, 3 resource bound exceeded,
-4 no witness, 5 first-coordinate verification failed.  Machine output
-(--format machine) is a single JSON line with sorted keys and no timestamps,
-so identical invocations are byte-identical.
+4 no witness, 5 first-coordinate verification failed, 6 internal check
+failed (a bug).  Machine output (--format machine) is a single JSON line
+with sorted keys and no timestamps, so identical invocations are
+byte-identical.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .errors import (
     ResourceBoundError,
     ValidationError,
 )
-from .freealg import DEFAULT_BUDGET, free_algebra
+from .freealg import DEFAULT_BUDGET, free_algebra, free_pair_context
 from .terms import term_text
 from .positivize import enumerate_witnesses, positivize
 from .variety import VarietyContext, verify_zero_one_condition
@@ -50,6 +51,7 @@ EXIT_VALIDATION = 2
 EXIT_RESOURCE = 3
 EXIT_NO_WITNESS = 4
 EXIT_DFC_FAIL = 5
+EXIT_INTERNAL = 6
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,8 @@ def cmd_positivize(args) -> int:
     cfg = _config(args)
     ctx = _load_populated_context(args.ctx, cfg)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
-    result = positivize(phi, ctx, budget=cfg.budget)
+    fpc = free_pair_context(ctx, cfg.budget)
+    result = positivize(phi, ctx, fpc=fpc)
     lam = phi.positive_indices(result.k)
     lines = [
         f"chosen disjunct k = {result.k}",
@@ -262,7 +265,7 @@ def cmd_positivize(args) -> int:
     machine = {"command": "positivize", "status": "ok",
                "lambda_k": list(lam), **_positivize_payload(result)}
     if args.all_witnesses:
-        allw = enumerate_witnesses(phi, ctx, budget=cfg.budget)
+        allw = enumerate_witnesses(phi, ctx, fpc=fpc)
         lines.append(f"all valid (disjunct, witness) pairs: {len(allw)}")
         for k, w in allw:
             lines.append(f"  k={k} w={list(w)}")
@@ -538,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except FactorLabError as exc:  # internal check failures and the like
         print(f"internal error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -180,6 +180,24 @@ def direct_product(
 # -- subalgebras and homomorphisms -------------------------------------------
 
 
+def _images(
+    table: tuple[int, ...], arity: int, elements: Sequence[int], n: int
+) -> list[int]:
+    """Entries of a flat table at every argument tuple over `elements`, in
+    lexicographic order of the tuples."""
+    if arity == 1:
+        return [table[a] for a in elements]
+    if arity == 2:  # the common case, unrolled
+        return [table[a * n + b] for a in elements for b in elements]
+    out = []
+    for args in itertools.product(elements, repeat=arity):
+        i = 0
+        for a in args:
+            i = i * n + a
+        out.append(table[i])
+    return out
+
+
 def subalgebra_generated(
     algebra: FiniteAlgebra, seed: Iterable[int]
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -192,9 +210,14 @@ def subalgebra_generated(
     for e in current:
         if not 0 <= e < algebra.size:
             raise ValidationError(f"seed element {e} outside universe")
-    for sym, arity in algebra.signature.symbols:
+    n = algebra.size
+    ops = [
+        (table, arity)
+        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
+    ]
+    for table, arity in ops:
         if arity == 0:
-            current.add(algebra.apply(sym))
+            current.add(table[0])
     if not current:
         raise ValidationError(
             "empty subuniverse: no constants in signature and empty seed"
@@ -203,25 +226,20 @@ def subalgebra_generated(
     while changed:
         changed = False
         snapshot = sorted(current)
-        for sym, arity in algebra.signature.symbols:
+        for table, arity in ops:
             if arity == 0:
                 continue
-            for args in itertools.product(snapshot, repeat=arity):
-                v = algebra.apply(sym, args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
+            size = len(current)
+            current.update(_images(table, arity, snapshot, n))
+            changed = changed or len(current) != size
     embedding = tuple(sorted(current))
     back = {old: new for new, old in enumerate(embedding)}
-    m = len(embedding)
-    tables = []
-    for sym, arity in algebra.signature.symbols:
-        table = []
-        for args in itertools.product(embedding, repeat=arity):
-            table.append(back[algebra.apply(sym, args)])
-        tables.append(tuple(table))
+    tables = tuple(
+        tuple([back[v] for v in _images(table, arity, embedding, n)])
+        for table, arity in ops
+    )
     sub = FiniteAlgebra(
-        algebra.signature, m, tuple(tables), f"{algebra.name}|{sorted(seed)}"
+        algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
     )
     return sub, embedding
 

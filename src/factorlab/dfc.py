@@ -18,7 +18,7 @@ from .congruences import (
     decomposition_from_pair,
     factor_pairs,
 )
-from .core import FiniteAlgebra, direct_product, pair_index
+from .core import FiniteAlgebra
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
 from .variety import VarietyContext
@@ -79,7 +79,7 @@ def central_elements(
 # -- exhaustive verification -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DfcCounterexample:
     left: str
     right: str
@@ -116,8 +116,25 @@ def verify_dfc(
     eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> DfcReport:
     """For every ordered pool pair (A, B) and all a,c in A, b,d in B, compare
-    the formula at ((a,b), (c,d), (zero-in-A, one-in-B)) against a == c.
+    the formula at ((a,b), (c,d), (zero-in-A, one-in-B)) in A x B against
+    a == c, without building A x B.
 
+    Existential truth in a product decomposes into truth in the factors
+    (Feferman-Vaught): a disjunct holds when some witness pair satisfies
+    every positive literal in both coordinates and every negative literal in
+    at least one.  So each member M is evaluated once per side it is used on
+    (zero values on the left, one values on the right): at every (a, c) in
+    M^2, `DnfEvaluator.failure_masks` gives per disjunct the sets of
+    negative literals that fail together at some witness satisfying its
+    positive literals.  Equal results are interned to one signature; a
+    table over left and right signatures, filled once per signature pair
+    that occurs, records whether some disjunct has a left and a right mask
+    with no failure in common, and each pair reads its (|A||B|)^2 cells
+    from that table.
+
+    Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
+    estimate, checked against eval_cap, is the sum of |M|^(2+nb) over
+    (member, side) plus the sum of (|A||B|)^2 over tested pairs.
     Mismatches are data, not errors.  Both orders of every pool pair are
     tested because the two coordinates play different roles.
     """
@@ -125,9 +142,9 @@ def verify_dfc(
     if not algebras:
         raise ValidationError("pool is empty; populate the context first")
     tested = [
-        (a, b)
-        for a in algebras
-        for b in algebras
+        (i, j)
+        for i, a in enumerate(algebras)
+        for j, b in enumerate(algebras)
         if a.size * b.size <= pair_cap
     ]
     skipped = tuple(
@@ -136,43 +153,85 @@ def verify_dfc(
         for b in algebras
         if a.size * b.size > pair_cap
     )
-    nb = len(phi.bound_vars)
-    estimate = sum(
-        (a.size * b.size) ** 2 * max(1, (a.size * b.size) ** nb)
-        for a, b in tested
+    lefts = sorted({i for i, _ in tested})
+    rights = sorted({j for _, j in tested})
+    per_member = len(phi.bound_vars) + 2
+    estimate = (
+        sum(algebras[i].size ** per_member for i in lefts)
+        + sum(algebras[j].size ** per_member for j in rights)
+        + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
     )
     if estimate > eval_cap:
         raise ResourceBoundError(
-            f"estimated {estimate} literal evaluations exceed cap {eval_cap}"
+            f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
         )
-    counterexamples = []
-    for a, b in tested:
-        product = direct_product(a, b)
-        ev = DnfEvaluator(product, phi)
-        zs = tuple(
-            pair_index(za, zb, b.size)
-            for za, zb in zip(ctx.zero_values(a), ctx.one_values(b))
-        )
-        for ea in a.elements():
-            for ec in a.elements():
+
+    def relation(algebra, zs, signatures):
+        """Signature ids of every (a, c), at index a*|M| + c."""
+        ev = DnfEvaluator(algebra, phi)
+        n = algebra.size
+        return [
+            signatures.setdefault(ev.failure_masks(a, c, zs), len(signatures))
+            for a in range(n)
+            for c in range(n)
+        ]
+
+    left_sigs: dict = {}
+    right_sigs: dict = {}
+    left = {
+        i: relation(algebras[i], ctx.zero_values(algebras[i]), left_sigs)
+        for i in lefts
+    }
+    right = {
+        j: relation(algebras[j], ctx.one_values(algebras[j]), right_sigs)
+        for j in rights
+    }
+    left_by_id, right_by_id = list(left_sigs), list(right_sigs)
+    table: dict = {}  # (left id, right id) -> does the formula hold
+
+    def holds(sa, sb):
+        found = table.get((sa, sb))
+        if found is None:
+            # some disjunct offers a left and a right mask with no failing
+            # negative literal in common
+            found = table[sa, sb] = any(
+                fa & fb == 0
+                for masks_a, masks_b in zip(left_by_id[sa], right_by_id[sb])
+                for fa in masks_a
+                for fb in masks_b
+            )
+        return found
+
+    # the cells (b, d) of B whose truth value differs from a == c, keyed by
+    # (signature of (a, c), a == c, B)
+    mismatches: dict = {}
+    rows = []
+    for i, j in tested:
+        a, b = algebras[i], algebras[j]
+        rel_a, rel_b = left[i], right[j]
+        na, nb = a.size, b.size
+        for ea in range(na):
+            for ec in range(na):
                 expected = ea == ec
-                for eb in b.elements():
-                    x = pair_index(ea, eb, b.size)
-                    for ed in b.elements():
-                        got = ev.satisfied(x, pair_index(ec, ed, b.size), zs)
-                        if got != expected:
-                            counterexamples.append(
-                                DfcCounterexample(
-                                    a.name, b.name, ea, eb, ec, ed,
-                                    "=>" if got else "<=",
-                                )
-                            )
-    counterexamples.sort(key=DfcCounterexample.as_tuple)
+                sa = rel_a[ea * na + ec]
+                cells = mismatches.get((sa, expected, j))
+                if cells is None:
+                    cells = mismatches[sa, expected, j] = [
+                        divmod(bd, nb)
+                        for bd, sb in enumerate(rel_b)
+                        if holds(sa, sb) != expected
+                    ]
+                direction = "<=" if expected else "=>"
+                rows.extend(
+                    (a.name, b.name, ea, eb, ec, ed, direction)
+                    for eb, ed in cells
+                )
+    rows.sort()  # the order of DfcCounterexample.as_tuple
     return DfcReport(
         phi.text(),
-        tuple((a.name, b.name) for a, b in tested),
+        tuple((algebras[i].name, algebras[j].name) for i, j in tested),
         skipped,
-        tuple(counterexamples),
+        tuple(DfcCounterexample(*r) for r in rows),
     )
 
 

@@ -408,7 +408,9 @@ class DnfEvaluator:
     binds w1..w_nb depth first in lexicographic order and runs level j as
     soon as w_j is bound, so a false literal prunes every extension of the
     prefix.  Witnesses come disjunct by disjunct in input order;
-    `first_witness` and `satisfied` stop at the first.  Instances are safe to
+    `first_witness` and `satisfied` stop at the first.  `failure_masks` runs
+    the same search over the same instructions with the positive literals
+    only and reports which negative literals fail.  Instances are safe to
     share.
     """
 
@@ -417,6 +419,8 @@ class DnfEvaluator:
         self.bound = phi.bound_vars
         self._l = phi.l
         self._base = 2 + phi.l
+        self._top = self._base + len(phi.bound_vars)
+        self._n_disjuncts = len(phi.disjuncts)
         roles = (ROLE_X, ROLE_Y, *z_roles(phi.l))
         # name -> (slot, level); level -1 marks a closed subterm
         self._vars = {v: (i, 0) for i, v in enumerate(roles)}
@@ -424,27 +428,54 @@ class DnfEvaluator:
             self._vars[w] = (self._base + j, j + 1)
         # the slot list a search starts from: unbound w slots hold -1
         self._frame = [0] * self._base + [-1] * len(phi.bound_vars)
-        self._programs = []
+        self._programs = []  # (k, levels): every literal prunes
+        self._positive_programs = []  # (k, levels): positive literals prune
+        self._negatives = {}  # k -> ((lhs slot, rhs slot, bit), ...)
         for k, conj in enumerate(phi.disjuncts):
-            levels = self._compile(conj)
+            levels, positive_levels, negatives = self._compile(conj)
             if levels is not None:
                 self._programs.append((k, levels))
+            if positive_levels is not None:
+                self._positive_programs.append((k, positive_levels))
+                self._negatives[k] = negatives
 
     def _compile(self, conj: tuple[Literal, ...]):
-        """The levels of one disjunct, or None if a closed literal is false."""
-        levels = [([], []) for _ in range(len(self.bound) + 1)]
-        memo: dict[Term, tuple[int, int]] = {}
-        for lit in conj:
-            lhs, lhs_level = self._term(lit.lhs, levels, memo)
-            rhs, rhs_level = self._term(lit.rhs, levels, memo)
-            level = max(lhs_level, rhs_level)
-            if level >= 0:
-                levels[level][1].append((lhs, rhs, lit.positive))
-            elif (self._frame[lhs] == self._frame[rhs]) != lit.positive:
-                return None
-        return [(tuple(instrs), tuple(lits)) for instrs, lits in levels]
+        """Two programs of one disjunct over shared instructions.
 
-    def _term(self, t: Term, levels, memo) -> tuple[int, int]:
+        Returns the levels with every literal check (None if a closed literal
+        is false), the levels with the positive checks only (None if a closed
+        positive literal is false), and the negative literals as
+        (lhs slot, rhs slot, bit), bit j for the j-th negative literal.
+        """
+        n_levels = len(self.bound) + 1
+        instructions = [[] for _ in range(n_levels)]
+        checks = [[] for _ in range(n_levels)]
+        negatives = []
+        memo: dict[Term, tuple[int, int]] = {}
+        all_hold = positives_hold = True
+        for lit in conj:
+            lhs, lhs_level = self._term(lit.lhs, instructions, memo)
+            rhs, rhs_level = self._term(lit.rhs, instructions, memo)
+            level = max(lhs_level, rhs_level)
+            if not lit.positive:
+                negatives.append((lhs, rhs, 1 << len(negatives)))
+            if level >= 0:
+                checks[level].append((lhs, rhs, lit.positive))
+            elif (self._frame[lhs] == self._frame[rhs]) != lit.positive:
+                all_hold = False
+                positives_hold = positives_hold and not lit.positive
+        instructions = [tuple(i) for i in instructions]
+        levels = [(i, tuple(c)) for i, c in zip(instructions, checks)]
+        positive_levels = [
+            (i, tuple(c for c in cs if c[2])) for i, cs in zip(instructions, checks)
+        ]
+        return (
+            levels if all_hold else None,
+            positive_levels if positives_hold else None,
+            tuple(negatives),
+        )
+
+    def _term(self, t: Term, instructions, memo) -> tuple[int, int]:
         """(slot, level) of a term, emitting the instructions it needs."""
         if isinstance(t, Var):
             try:
@@ -461,7 +492,7 @@ class DnfEvaluator:
                 f"got {len(t.args)}"
             )
         table = self.algebra.table(t.symbol)
-        args = [self._term(a, levels, memo) for a in t.args]
+        args = [self._term(a, instructions, memo) for a in t.args]
         slots = tuple(s for s, _ in args)
         level = max((lv for _, lv in args), default=-1)
         out = len(self._frame)
@@ -471,27 +502,28 @@ class DnfEvaluator:
             )
         else:
             self._frame.append(0)
-            levels[level][0].append((out, table, slots))
+            instructions[level].append((out, table, slots))
         memo[t] = (out, level)
         return out, level
 
-    def _search(self, x: int, y: int, zs: tuple[int, ...]):
-        """Yield every (disjunct index, bound-variable assignment) satisfying
-        all literals of that disjunct, in search order."""
+    def _search(self, programs, x: int, y: int, zs: tuple[int, ...]):
+        """Yield (disjunct index, slot list) at every bound-variable
+        assignment that passes every level of that disjunct's program, in
+        search order.  The slot list is live: read it before resuming."""
         if len(zs) != self._l:
             raise EvalError(f"expected {self._l} z-arguments, got {len(zs)}")
         base = self._base
-        top = base + len(self.bound)
+        top = self._top
         n = self.algebra.size
         env = self._frame.copy()
         env[0] = x
         env[1] = y
         env[2:base] = zs
-        for k, levels in self._programs:
+        for k, levels in programs:
             if not _run(levels[0], env, n):
                 continue
             if top == base:
-                yield k, ()
+                yield k, env
                 continue
             slot = base  # the bound variable being advanced
             while slot >= base:
@@ -503,7 +535,7 @@ class DnfEvaluator:
                 env[slot] = v
                 if _run(levels[slot - base + 1], env, n):
                     if slot + 1 == top:
-                        yield k, tuple(env[base:top])
+                        yield k, env
                     else:
                         slot += 1
 
@@ -512,12 +544,40 @@ class DnfEvaluator:
     ) -> tuple[int, tuple[int, ...]] | None:
         """First (disjunct index, bound-variable assignment) satisfying every
         literal of that disjunct, or None."""
-        return next(self._search(x, y, zs), None)
+        for k, env in self._search(self._programs, x, y, zs):
+            return k, tuple(env[self._base:self._top])
+        return None
 
     def satisfied(self, x: int, y: int, zs: tuple[int, ...]) -> bool:
-        return next(self._search(x, y, zs), None) is not None
+        return next(self._search(self._programs, x, y, zs), None) is not None
 
     def all_witnesses(
         self, x: int, y: int, zs: tuple[int, ...]
     ) -> list[tuple[int, tuple[int, ...]]]:
-        return list(self._search(x, y, zs))
+        base, top = self._base, self._top
+        return [
+            (k, tuple(env[base:top]))
+            for k, env in self._search(self._programs, x, y, zs)
+        ]
+
+    def failure_masks(
+        self, x: int, y: int, zs: tuple[int, ...]
+    ) -> tuple[frozenset[int], ...]:
+        """Per disjunct, the set over bound-variable assignments satisfying
+        its positive literals of the masks of its negative literals that fail
+        there (bit j for its j-th negative literal).
+
+        In a direct product a positive literal holds when it holds in every
+        factor and a negative literal when it holds in some factor, so a
+        disjunct holds at paired arguments exactly when the two factors offer
+        masks with no bit in common.
+        """
+        found = [set() for _ in range(self._n_disjuncts)]
+        negatives = self._negatives
+        for k, env in self._search(self._positive_programs, x, y, zs):
+            mask = 0
+            for lhs, rhs, bit in negatives[k]:
+                if env[lhs] == env[rhs]:
+                    mask |= bit
+            found[k].add(mask)
+        return tuple(map(frozenset, found))

@@ -58,15 +58,24 @@ def _distinguished_diagnostics(fpc: FreePairContext) -> dict:
 
 
 def enumerate_witnesses(
-    phi: ExistentialDnf, ctx: VarietyContext, budget: int = DEFAULT_BUDGET
+    phi: ExistentialDnf,
+    ctx: VarietyContext,
+    budget: int = DEFAULT_BUDGET,
+    fpc: FreePairContext | None = None,
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """All valid (disjunct, witness) pairs at the distinguished assignment."""
-    fpc = free_pair_context(ctx, budget)
+    """All valid (disjunct, witness) pairs at the distinguished assignment.
+    A caller that already holds `free_pair_context(ctx, budget)` passes it
+    as `fpc`."""
+    if fpc is None:
+        fpc = free_pair_context(ctx, budget)
     return DnfEvaluator(fpc.product, phi).all_witnesses(fpc.x, fpc.y, fpc.z)
 
 
 def positivize(
-    phi: ExistentialDnf, ctx: VarietyContext, budget: int = DEFAULT_BUDGET
+    phi: ExistentialDnf,
+    ctx: VarietyContext,
+    budget: int = DEFAULT_BUDGET,
+    fpc: FreePairContext | None = None,
 ) -> PositivizeResult:
     """Bundle the chosen disjunct, its positive part and term witnesses.
 
@@ -76,9 +85,11 @@ def positivize(
     {x} from the rank-1 coordinate and one over {x, y} from the rank-2
     coordinate.  Before returning, the substitution identities those terms
     must satisfy are re-verified over the whole pool; a failure there is a
-    bug, not an input error.
+    bug, not an input error.  A caller that already holds
+    `free_pair_context(ctx, budget)` passes it as `fpc`.
     """
-    fpc = free_pair_context(ctx, budget)
+    if fpc is None:
+        fpc = free_pair_context(ctx, budget)
     found = DnfEvaluator(fpc.product, phi).first_witness(fpc.x, fpc.y, fpc.z)
     if found is None:
         raise NoWitnessError(

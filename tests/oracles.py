@@ -7,11 +7,29 @@ vectors.  The table-scan principal closure, its compatibility check and the
 relational composition are the congruence layer's earlier implementation,
 kept as references for the translation-based one.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
-A x B through the materialized product table.
+A x B through the materialized product table.  `verify_dfc_materialized` is
+the first-coordinate harness as it was before it went coordinatewise: one
+product table and one witness search per product cell.
 """
 import itertools
 
-from factorlab import eval_term, pair_index
+from factorlab import (
+    DnfEvaluator,
+    ExistentialDnf,
+    PositiveExistential,
+    ResourceBoundError,
+    ValidationError,
+    VarietyContext,
+    direct_product,
+    eval_term,
+    pair_index,
+)
+from factorlab.dfc import (
+    DEFAULT_EVAL_CAP,
+    DEFAULT_PAIR_CAP,
+    DfcCounterexample,
+    DfcReport,
+)
 
 
 def set_partitions(n):
@@ -242,3 +260,70 @@ def eval_in_product(product, b_size, phi, ab, cd, z_pairs):
     y = pair_index(cd[0], cd[1], b_size)
     zs = tuple(pair_index(za, zb, b_size) for za, zb in z_pairs)
     return bool(witnesses_naive(product, phi, x, y, zs))
+
+
+def verify_dfc_materialized(
+    phi: ExistentialDnf | PositiveExistential,
+    ctx: VarietyContext,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    eval_cap: int = DEFAULT_EVAL_CAP,
+) -> DfcReport:
+    """For every ordered pool pair (A, B) and all a,c in A, b,d in B, compare
+    the formula at ((a,b), (c,d), (zero-in-A, one-in-B)) against a == c.
+
+    Mismatches are data, not errors.  Both orders of every pool pair are
+    tested because the two coordinates play different roles.
+    """
+    algebras = ctx.pool_algebras
+    if not algebras:
+        raise ValidationError("pool is empty; populate the context first")
+    tested = [
+        (a, b)
+        for a in algebras
+        for b in algebras
+        if a.size * b.size <= pair_cap
+    ]
+    skipped = tuple(
+        (a.name, b.name)
+        for a in algebras
+        for b in algebras
+        if a.size * b.size > pair_cap
+    )
+    nb = len(phi.bound_vars)
+    estimate = sum(
+        (a.size * b.size) ** 2 * max(1, (a.size * b.size) ** nb)
+        for a, b in tested
+    )
+    if estimate > eval_cap:
+        raise ResourceBoundError(
+            f"estimated {estimate} literal evaluations exceed cap {eval_cap}"
+        )
+    counterexamples = []
+    for a, b in tested:
+        product = direct_product(a, b)
+        ev = DnfEvaluator(product, phi)
+        zs = tuple(
+            pair_index(za, zb, b.size)
+            for za, zb in zip(ctx.zero_values(a), ctx.one_values(b))
+        )
+        for ea in a.elements():
+            for ec in a.elements():
+                expected = ea == ec
+                for eb in b.elements():
+                    x = pair_index(ea, eb, b.size)
+                    for ed in b.elements():
+                        got = ev.satisfied(x, pair_index(ec, ed, b.size), zs)
+                        if got != expected:
+                            counterexamples.append(
+                                DfcCounterexample(
+                                    a.name, b.name, ea, eb, ec, ed,
+                                    "=>" if got else "<=",
+                                )
+                            )
+    counterexamples.sort(key=DfcCounterexample.as_tuple)
+    return DfcReport(
+        phi.text(),
+        tuple((a.name, b.name) for a, b in tested),
+        skipped,
+        tuple(counterexamples),
+    )

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -184,6 +185,29 @@ def test_positivize_all_witnesses(capsys):
     assert all(entry["k"] == 0 for entry in data["all_witnesses"])
 
 
+@pytest.mark.parametrize("extra", [(), ("--all-witnesses",)])
+def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
+    import factorlab.cli
+
+    # the package re-exports the function `positivize` under the module's name
+    positivize_module = importlib.import_module("factorlab.positivize")
+    original = positivize_module.free_pair_context
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(factorlab.cli, "free_pair_context", counting)
+    monkeypatch.setattr(positivize_module, "free_pair_context", counting)
+    code, _ = run_cli(
+        capsys, "positivize", FIXTURES / "rings.ctx",
+        FIXTURES / "formulas" / "ring_mixed.fm", *extra, "--format", "machine",
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_positivize_no_witness_exits_4(capsys):
     code = main(["positivize", str(FIXTURES / "rings.ctx"),
                  str(FIXTURES / "formulas" / "not_dfc.fm")])
@@ -284,6 +308,7 @@ def test_pipeline_machine_output_deterministic():
 def test_exit_codes_are_distinct():
     from factorlab.cli import (
         EXIT_DFC_FAIL,
+        EXIT_INTERNAL,
         EXIT_NO_WITNESS,
         EXIT_OK,
         EXIT_RESOURCE,
@@ -291,9 +316,24 @@ def test_exit_codes_are_distinct():
     )
 
     codes = [EXIT_OK, EXIT_VALIDATION, EXIT_RESOURCE, EXIT_NO_WITNESS,
-             EXIT_DFC_FAIL]
-    assert codes == [0, 2, 3, 4, 5]
-    assert len(set(codes)) == 5
+             EXIT_DFC_FAIL, EXIT_INTERNAL]
+    assert codes == [0, 2, 3, 4, 5, 6]
+    assert len(set(codes)) == 6
+
+
+def test_internal_check_failure_exits_6(capsys, monkeypatch):
+    import factorlab.cli
+    from factorlab import InternalCheckError
+
+    def failing(*args, **kwargs):
+        raise InternalCheckError("central tuple not unique")
+
+    monkeypatch.setattr(factorlab.cli, "central_elements", failing)
+    code = main(["central", "list", str(FIXTURES / "rings.ctx")])
+    captured = capsys.readouterr()
+    assert code == 6
+    assert captured.out == ""
+    assert captured.err == "internal error: central tuple not unique\n"
 
 
 # -- coerced input and runaway nesting exit 2 ---------------------------------

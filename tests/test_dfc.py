@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import factorlab.core
 from factorlab import (
     ResourceBoundError,
     central_elements,
@@ -11,7 +14,7 @@ from factorlab import (
     partition_text,
     verify_dfc,
 )
-from factorlab.fixtures import cyclic_ring, ring_context
+from factorlab.fixtures import chain_lattice, cyclic_ring, lattice_context, ring_context
 from oracles import ring_idempotents
 
 RING_PHI = "z1 * x = z1 * y"
@@ -102,8 +105,32 @@ def test_verify_dfc_respects_pair_cap(rings_z6_ctx):
 
 def test_verify_dfc_eval_cap(rings_z6_ctx):
     phi = parse_formula(RING_PHI, rings_z6_ctx.signature, 1)
-    with pytest.raises(ResourceBoundError):
+    with pytest.raises(
+        ResourceBoundError, match=r"^verify_dfc: estimated \d+ evaluations exceed cap 10$"
+    ):
         verify_dfc(phi, rings_z6_ctx, eval_cap=10)
+
+
+def test_verify_dfc_builds_no_product(monkeypatch):
+    ctx = lattice_context(chain_lattice(3)).populated(max_size=16, depth=3)
+    original = factorlab.core.direct_product
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module namespace that holds the function, so no route escapes
+    for name, module in list(sys.modules.items()):
+        if name.startswith("factorlab") and getattr(
+            module, "direct_product", None
+        ) is original:
+            monkeypatch.setattr(module, "direct_product", counting)
+    phi = parse_formula("x = y", ctx.signature, 1)
+    report = verify_dfc(phi, ctx)
+    assert calls == []
+    assert len(ctx.pool) == 33
+    assert len(report.counterexamples) == 105254
 
 
 def test_dfc_relation_is_first_projection_kernel(z6, rings_z6_ctx):

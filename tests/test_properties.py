@@ -1,4 +1,5 @@
 """Property-based checks of the structural invariants."""
+import dataclasses
 import itertools
 
 from hypothesis import example, given, settings
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 from factorlab import (
     DnfEvaluator,
     ExistentialDnf,
+    FiniteAlgebra,
     Literal,
+    PoolEntry,
+    Signature,
+    VarietyContext,
     congruence_meet,
     direct_product,
     eval_term,
@@ -15,6 +20,7 @@ from factorlab import (
     parse_formula,
     principal_congruence,
     subalgebra_generated,
+    verify_dfc,
 )
 from factorlab.fixtures import (
     chain_lattice,
@@ -25,7 +31,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var, term_text
-from oracles import witnesses_naive
+from oracles import verify_dfc_materialized, witnesses_naive
 
 Z6 = cyclic_ring(6)
 N5 = pentagon_lattice()
@@ -184,3 +190,64 @@ def test_evaluator_agrees_with_all_witnesses(phi, x, y, z):
 def test_compiled_evaluator_matches_naive_route(phi, x, y, z):
     compiled = DnfEvaluator(Z6, phi).satisfied(x, y, (z,))
     assert compiled == bool(witnesses_naive(Z6, phi, x, y, (z,)))
+
+
+# -- first-coordinate harness against materialized products --------------------
+
+DFC_SIG = Signature((("f", 1), ("g", 2), ("0", 0), ("1", 0)))
+
+
+@st.composite
+def dfc_members(draw):
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    f = draw(st.lists(element, min_size=n, max_size=n))
+    g = draw(st.lists(element, min_size=n * n, max_size=n * n))
+    return FiniteAlgebra(
+        DFC_SIG, n, (tuple(f), tuple(g), (draw(element),), (draw(element),))
+    )
+
+
+@st.composite
+def dfc_formulas(draw):
+    n_bound = draw(st.integers(0, 2))
+    bound = tuple(f"w{i}" for i in range(n_bound))
+    strat = terms_for(DFC_SIG, ["x", "y", "z1", *bound])
+    disjuncts = []
+    for _ in range(draw(st.integers(1, 2))):
+        lits = [
+            Literal(draw(strat), draw(strat), draw(st.booleans()))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        if bound:
+            # a negative literal that depends on a bound variable, so the two
+            # coordinates' failure masks must be combined
+            w = Var(draw(st.sampled_from(bound)))
+            lits.append(Literal(
+                draw(st.sampled_from([w, App("f", (w,))])), draw(strat), False
+            ))
+        disjuncts.append(tuple(lits))
+    return ExistentialDnf(bound, tuple(disjuncts), 1)
+
+
+TWO = FiniteAlgebra(DFC_SIG, 2, ((0, 1), (0, 0, 1, 1), (0,), (1,)))
+ONE = FiniteAlgebra(DFC_SIG, 1, ((0,), (0,), (0,), (0,)))
+
+
+@given(st.lists(dfc_members(), min_size=1, max_size=3), dfc_formulas())
+# w0 != z1 fails throughout ONE and holds at w0 = 1 in TWO: it holds in the
+# products only through the TWO coordinate
+@example([TWO, ONE], parse_formula("exists w0 . x = x and w0 != z1", DFC_SIG, 1))
+# z1 is 0 on the left coordinate and 1 on the right
+@example([TWO], parse_formula("x = z1", DFC_SIG, 1))
+def test_verify_dfc_matches_materialized_products(members, phi):
+    pool = tuple(
+        PoolEntry(dataclasses.replace(m, name=f"M{i}"), "drawn")
+        for i, m in enumerate(members)
+    )
+    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+    largest = max(a.size * b.size for a in members for b in members)
+    for cap in (largest, largest - 1):
+        report = verify_dfc(phi, ctx, pair_cap=cap)
+        assert report == verify_dfc_materialized(phi, ctx, pair_cap=cap)
+        assert bool(report.skipped) == (cap < largest)

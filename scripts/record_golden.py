@@ -63,6 +63,9 @@ def invocations() -> list[list[str]]:
         ["freealg", "dump", _ctx("rings"), "--rank", "2"],
         ["freealg", "dump", _ctx("lattices"), "--rank", "2"],
         ["freealg", "dump", _ctx("boolean"), "--rank", "2"],
+        # the free algebra the benchmark's free-witness workload builds
+        ["freealg", "dump", _ctx("boolean"), "--rank", "3"],
+        ["freealg", "dump", _ctx("lattices"), "--rank", "3"],
         ["central", "list", _ctx("rings"), "--algebra", "fixtures/z2xz2.alg"],
         ["central", "list", _ctx("rings"), "--algebra", "fixtures/z12.alg"],
         ["central", "list", _ctx("lattices"), "--algebra", "fixtures/l2x2.alg"],

@@ -327,14 +327,13 @@ def cmd_central_list(args) -> int:
         lines.append(
             f"  e={e} theta={partition_text(ce.pair.theta)} "
             f"theta_c={partition_text(ce.pair.theta_c)} "
-            f"factors {ce.decomposition.left.size}x{ce.decomposition.right.size}"
+            f"factors {ce.pair.theta.n_classes}x{ce.pair.theta_c.n_classes}"
         )
         rows.append({
             "e": list(ce.e),
             "theta": partition_text(ce.pair.theta),
             "theta_c": partition_text(ce.pair.theta_c),
-            "factor_sizes": [ce.decomposition.left.size,
-                             ce.decomposition.right.size],
+            "factor_sizes": [ce.pair.theta.n_classes, ce.pair.theta_c.n_classes],
         })
     _emit(cfg, {"command": "central-list", "status": "ok",
                 "algebra": algebra.name, "count": len(ces),

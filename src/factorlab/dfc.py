@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .congruences import (
-    Congruence,
-    Decomposition,
-    FactorPair,
-    decomposition_from_pair,
-    factor_pairs,
-)
+from .congruences import Congruence, FactorPair, factor_pairs
 from .core import FiniteAlgebra
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
@@ -32,7 +26,6 @@ class CentralElement:
     algebra: FiniteAlgebra
     e: tuple[int, ...]
     pair: FactorPair
-    decomposition: Decomposition
 
 
 def central_elements(
@@ -68,11 +61,7 @@ def central_elements(
                     f"{len(hits)} candidates at position {i}"
                 )
             e.append(hits[0])
-        out.append(
-            CentralElement(
-                algebra, tuple(e), pair, decomposition_from_pair(algebra, pair)
-            )
-        )
+        out.append(CentralElement(algebra, tuple(e), pair))
     return out
 
 

@@ -8,10 +8,21 @@ freeness relative to the variety the base generates.  The closure keeps one
 witness term per element: the first one discovered breadth-first by term
 depth, with ties broken by signature order, so witnesses are minimal and
 deterministic.
+
+Operations are applied one row at a time.  A row fixes an operation f and
+its first arity-1 arguments, the prefix, and yields f(prefix, v) for a range
+of last arguments v.  While the base has at most 256 elements each carrier
+vector is held as bytes, one byte per point, and also as the little-endian
+int of those bytes.  For an operation with n**arity <= 256 the row kernel
+folds the prefix into one int once per row; its byte at each point is the
+table index up to the last argument.  Each v then costs one add, one
+`to_bytes` and one `bytes.translate` through the operation's table padded to
+256 bytes.  An operation with n**arity > 256 takes a per-point loop instead.
 """
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import FiniteAlgebra, direct_product, pair_index, pair_split
@@ -20,6 +31,8 @@ from .terms import App, Term, Var
 from .variety import VarietyContext
 
 DEFAULT_BUDGET = 100_000
+# Cap on carrier size x n**rank: the cells of all carrier vectors together.
+MAX_VECTOR_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -51,22 +64,60 @@ def _default_var_names(rank: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(rank))
 
 
-def _pointwise(
-    table: tuple[int, ...], vecs: list[tuple[int, ...]], n: int, n_points: int
-) -> tuple[int, ...]:
-    """The operation with flat table `table` applied at every point to the
-    argument vectors `vecs`."""
-    if not vecs:
-        return (table[0],) * n_points
-    if len(vecs) == 2:  # the common case, unrolled
-        return tuple([table[a * n + b] for a, b in zip(*vecs)])
-    out = []
-    for col in zip(*vecs):
-        i = 0
-        for a in col:
-            i = i * n + a
-        out.append(table[i])
-    return tuple(out)
+def _grid_points(base: FiniteAlgebra, rank: int) -> int:
+    """n**rank, once the rank generator vectors are known to fit under
+    MAX_VECTOR_CELLS.  The power is multiplied up only until it passes the
+    cap, so a huge rank costs a few steps and no huge integer."""
+    points = 1
+    for _ in range(rank if base.size > 1 else 0):
+        points *= base.size
+        if rank * points > MAX_VECTOR_CELLS:
+            break
+    if rank * points > MAX_VECTOR_CELLS:
+        raise ResourceBoundError(
+            f"free_algebra: the {rank} generator vectors over '{base.name}' "
+            f"need at least {rank * points} vector cells, over the cap "
+            f"{MAX_VECTOR_CELLS}; lower the rank"
+        )
+    return points
+
+
+def _row_kernel(
+    table: tuple[int, ...], arity: int, n: int, n_points: int,
+    keys: list, codes: list[int],
+) -> Callable[[tuple[int, ...], int, int], list]:
+    """row(prefix, lo, hi): the carrier keys of f(prefix, v) for lo <= v < hi,
+    where f has flat table `table`.  `keys` and `codes` are the growing
+    carrier, read at call time."""
+    if n**arity <= 256:
+        padded = bytes(table).ljust(256, b"\0")
+
+        def row(prefix, lo, hi):
+            c = 0
+            for a in prefix:  # no carry: every byte stays below n**arity
+                c = (c + codes[a]) * n
+            return [
+                (c + v).to_bytes(n_points, "little").translate(padded)
+                for v in codes[lo:hi]
+            ]
+
+        return row
+    pack = bytes if n <= 256 else tuple
+
+    def row(prefix, lo, hi):
+        cols = [keys[a] for a in prefix]
+        out = []
+        for v in range(lo, hi):
+            vec = []
+            for col in zip(*cols, keys[v]):
+                i = 0
+                for a in col:
+                    i = i * n + a
+                vec.append(table[i])
+            out.append(pack(vec))
+        return out
+
+    return row
 
 
 def free_algebra(
@@ -78,11 +129,21 @@ def free_algebra(
     """Closure of the rank projection vectors (plus constants) under all
     operations, computed pointwise over the index space base^rank.
 
+    Each round applies every operation to the argument tuples that use at
+    least one element new in the previous round, in lexicographic order, one
+    row kernel call per prefix (see the module docstring: one
+    `bytes.translate` per result when n**arity <= 256, else a per-point
+    loop).  The carrier tables are then built by the same kernel, a row at a
+    time.
+
     Raises ResourceBoundError, reporting the partial carrier size, as soon as
-    the closure exceeds the budget.
+    the closure exceeds the budget or carrier size x n**rank exceeds
+    MAX_VECTOR_CELLS; the rank generators are checked against that cap
+    before the point grid is built.
     """
     if rank < 0:
         raise ValidationError("rank must be nonnegative")
+    n_points = _grid_points(base, rank)
     names = var_names if var_names is not None else _default_var_names(rank)
     if len(names) != rank:
         raise ValidationError(f"{len(names)} variable names for rank {rank}")
@@ -91,68 +152,88 @@ def free_algebra(
     if rank == 0 and not base.signature.constants:
         raise ValidationError("rank 0 needs at least one constant symbol")
 
-    index: dict[tuple[int, ...], int] = {}
-    vectors: list[tuple[int, ...]] = []
+    # a carrier vector is keyed as bytes, or as a tuple when n > 256; codes
+    # holds the same vectors as ints for the byte kernel
+    pack = bytes if n <= 256 else tuple
+    index: dict = {}
+    keys: list = []
+    codes: list[int] = []
     witnesses: list[Term] = []
 
-    def add(vec: tuple[int, ...], term: Term) -> int:
-        found = index.get(vec)
+    def add(key, term: Term) -> int:
+        found = index.get(key)
         if found is not None:
             return found
-        if len(vectors) >= budget:
+        if len(keys) >= budget:
             raise ResourceBoundError(
                 f"free algebra closure over '{base.name}' exceeded budget "
-                f"{budget} (partial carrier size {len(vectors)}); "
+                f"{budget} (partial carrier size {len(keys)}); "
                 f"shrink the base algebra or raise the budget"
             )
-        i = len(vectors)
-        index[vec] = i
-        vectors.append(vec)
+        if (len(keys) + 1) * n_points > MAX_VECTOR_CELLS:
+            raise ResourceBoundError(
+                f"free_algebra: {len(keys) + 1} carrier vectors over "
+                f"'{base.name}' need {(len(keys) + 1) * n_points} vector "
+                f"cells, over the cap {MAX_VECTOR_CELLS} (partial carrier "
+                f"size {len(keys)}); lower the rank or shrink the base algebra"
+            )
+        i = len(keys)
+        index[key] = i
+        keys.append(key)
+        if n <= 256:
+            codes.append(int.from_bytes(key, "little"))
         witnesses.append(term)
         return i
 
     generators = tuple(
-        add(tuple(pt[j] for pt in points), Var(names[j])) for j in range(rank)
+        add(pack([pt[j] for pt in points]), Var(names[j])) for j in range(rank)
     )
-    for sym, arity in base.signature.symbols:
-        if arity == 0:
-            c = base.apply(sym)
-            add((c,) * len(points), App(sym, ()))
+    constants = {
+        sym: add(pack([base.apply(sym)] * n_points), App(sym, ()))
+        for sym, arity in base.signature.symbols
+        if arity == 0
+    }
+    ops = [(sym, arity) for sym, arity in base.signature.symbols if arity > 0]
+    rows = {
+        sym: _row_kernel(base.table(sym), arity, n, n_points, keys, codes)
+        for sym, arity in ops
+    }
 
     prev = 0
-    while True:
-        snapshot = len(vectors)
-        if snapshot == prev:
-            break
-        for sym, arity in base.signature.symbols:
-            if arity == 0:
-                continue
-            table = base.table(sym)
-            for args in itertools.product(range(snapshot), repeat=arity):
-                if max(args) < prev:
-                    continue  # computed in an earlier round
-                vec = _pointwise(table, [vectors[a] for a in args], n, len(points))
-                if vec not in index:
-                    add(vec, App(sym, tuple(witnesses[a] for a in args)))
+    while len(keys) > prev:
+        snapshot = len(keys)
+        for sym, arity in ops:
+            row = rows[sym]
+            for prefix in itertools.product(range(snapshot), repeat=arity - 1):
+                # tuples whose arguments all predate the last round were
+                # applied in an earlier round
+                lo = prev if max(prefix, default=-1) < prev else 0
+                for v, key in enumerate(row(prefix, lo, snapshot), lo):
+                    if key not in index:
+                        args = (*prefix, v)
+                        add(key, App(sym, tuple(witnesses[a] for a in args)))
         prev = snapshot
 
-    size = len(vectors)
+    size = len(keys)
     tables = []
     for sym, arity in base.signature.symbols:
-        table = []
-        btab = base.table(sym)
-        for args in itertools.product(range(size), repeat=arity):
-            vec = _pointwise(btab, [vectors[a] for a in args], n, len(points))
-            entry = index.get(vec)
-            if entry is None:
-                raise InternalCheckError("carrier is not closed under operations")
-            table.append(entry)
+        if arity == 0:
+            tables.append((constants[sym],))
+            continue
+        row = rows[sym]
+        table: list[int] = []
+        try:
+            for prefix in itertools.product(range(size), repeat=arity - 1):
+                table += [index[key] for key in row(prefix, 0, size)]
+        except KeyError:
+            raise InternalCheckError("carrier is not closed under operations") from None
         tables.append(tuple(table))
     carrier = FiniteAlgebra(
         base.signature, size, tuple(tables), f"F{rank}({base.name})"
     )
+    vectors = tuple(tuple(key) for key in keys)
     return FreeAlgebra(
-        base, rank, names, carrier, tuple(vectors), tuple(witnesses), generators
+        base, rank, names, carrier, vectors, tuple(witnesses), generators
     )
 
 

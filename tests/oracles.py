@@ -10,12 +10,16 @@ plain recursive `eval_term` over every bound-variable assignment, and over
 A x B through the materialized product table.  `verify_dfc_materialized` is
 the first-coordinate harness as it was before it went coordinatewise: one
 product table and one witness search per product cell.
+`free_algebra_pointwise` is the free-algebra closure as it was before it ran
+row by row on carrier vectors: one Python loop over the points per operation
+application, in the closure and again in the carrier tables.
 """
 import itertools
 
 from factorlab import (
     DnfEvaluator,
     ExistentialDnf,
+    FiniteAlgebra,
     PositiveExistential,
     ResourceBoundError,
     ValidationError,
@@ -30,6 +34,9 @@ from factorlab.dfc import (
     DfcCounterexample,
     DfcReport,
 )
+from factorlab.errors import InternalCheckError
+from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
+from factorlab.terms import App, Term, Var
 
 
 def set_partitions(n):
@@ -326,4 +333,109 @@ def verify_dfc_materialized(
         tuple((a.name, b.name) for a, b in tested),
         skipped,
         tuple(counterexamples),
+    )
+
+
+def _pointwise(
+    table: tuple[int, ...], vecs: list[tuple[int, ...]], n: int, n_points: int
+) -> tuple[int, ...]:
+    """The operation with flat table `table` applied at every point to the
+    argument vectors `vecs`."""
+    if not vecs:
+        return (table[0],) * n_points
+    if len(vecs) == 2:  # the common case, unrolled
+        return tuple([table[a * n + b] for a, b in zip(*vecs)])
+    out = []
+    for col in zip(*vecs):
+        i = 0
+        for a in col:
+            i = i * n + a
+        out.append(table[i])
+    return tuple(out)
+
+
+def free_algebra_pointwise(
+    base: FiniteAlgebra,
+    rank: int,
+    var_names: tuple[str, ...] | None = None,
+    budget: int = DEFAULT_BUDGET,
+) -> FreeAlgebra:
+    """Closure of the rank projection vectors (plus constants) under all
+    operations, computed pointwise over the index space base^rank.
+
+    Raises ResourceBoundError, reporting the partial carrier size, as soon as
+    the closure exceeds the budget.
+    """
+    if rank < 0:
+        raise ValidationError("rank must be nonnegative")
+    names = var_names if var_names is not None else _default_var_names(rank)
+    if len(names) != rank:
+        raise ValidationError(f"{len(names)} variable names for rank {rank}")
+    n = base.size
+    points = list(itertools.product(range(n), repeat=rank))
+    if rank == 0 and not base.signature.constants:
+        raise ValidationError("rank 0 needs at least one constant symbol")
+
+    index: dict[tuple[int, ...], int] = {}
+    vectors: list[tuple[int, ...]] = []
+    witnesses: list[Term] = []
+
+    def add(vec: tuple[int, ...], term: Term) -> int:
+        found = index.get(vec)
+        if found is not None:
+            return found
+        if len(vectors) >= budget:
+            raise ResourceBoundError(
+                f"free algebra closure over '{base.name}' exceeded budget "
+                f"{budget} (partial carrier size {len(vectors)}); "
+                f"shrink the base algebra or raise the budget"
+            )
+        i = len(vectors)
+        index[vec] = i
+        vectors.append(vec)
+        witnesses.append(term)
+        return i
+
+    generators = tuple(
+        add(tuple(pt[j] for pt in points), Var(names[j])) for j in range(rank)
+    )
+    for sym, arity in base.signature.symbols:
+        if arity == 0:
+            c = base.apply(sym)
+            add((c,) * len(points), App(sym, ()))
+
+    prev = 0
+    while True:
+        snapshot = len(vectors)
+        if snapshot == prev:
+            break
+        for sym, arity in base.signature.symbols:
+            if arity == 0:
+                continue
+            table = base.table(sym)
+            for args in itertools.product(range(snapshot), repeat=arity):
+                if max(args) < prev:
+                    continue  # computed in an earlier round
+                vec = _pointwise(table, [vectors[a] for a in args], n, len(points))
+                if vec not in index:
+                    add(vec, App(sym, tuple(witnesses[a] for a in args)))
+        prev = snapshot
+
+    size = len(vectors)
+    tables = []
+    for sym, arity in base.signature.symbols:
+        table = []
+        btab = base.table(sym)
+        for args in itertools.product(range(size), repeat=arity):
+            vec = _pointwise(btab, [vectors[a] for a in args], n, len(points))
+            entry = index.get(vec)
+            if entry is None:
+                raise InternalCheckError("carrier is not closed under operations")
+            table.append(entry)
+        tables.append(tuple(table))
+    carrier = FiniteAlgebra(
+        base.signature, size, tuple(tables), f"F{rank}({base.name})"
+    )
+    return FreeAlgebra(
+        base, rank, names, carrier, tuple(vectors), tuple(witnesses), generators
     )

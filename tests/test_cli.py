@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,27 @@ def test_freealg_dump_budget_exits_3(capsys):
                  "--rank", "2", "--budget", "100"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_freealg_dump_z6_rank2_stops_on_element_budget(capsys):
+    # 100,000 elements x 36 points = 3.6M cells: under the vector cell cap,
+    # so the element budget is what stops the closure
+    code = main(["freealg", "dump", str(FIXTURES / "rings_z6.ctx"), "--rank", "2"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "exceeded budget 100000 (partial carrier size 100000)" in err
+
+
+def test_freealg_dump_huge_rank_exits_3_before_the_grid(capsys):
+    # 2**30 points of rank 30: refused by the vector cell cap at once
+    start = time.perf_counter()
+    code = main(["freealg", "dump", str(FIXTURES / "rings.ctx"), "--rank", "30"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert elapsed < 1.0
+    assert "free_algebra: the 30 generator vectors over 'Z2' need at least" in err
+    assert "over the cap 10000000" in err
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -14,7 +14,9 @@ from factorlab import (
     partition_text,
     verify_dfc,
 )
+from factorlab.fileio import load_context
 from factorlab.fixtures import chain_lattice, cyclic_ring, lattice_context, ring_context
+from conftest import FIXTURES
 from oracles import ring_idempotents
 
 RING_PHI = "z1 * x = z1 * y"
@@ -111,8 +113,8 @@ def test_verify_dfc_eval_cap(rings_z6_ctx):
         verify_dfc(phi, rings_z6_ctx, eval_cap=10)
 
 
-def test_verify_dfc_builds_no_product(monkeypatch):
-    ctx = lattice_context(chain_lattice(3)).populated(max_size=16, depth=3)
+def _count_direct_products(monkeypatch) -> list:
+    """Record every later `direct_product` call, by any route."""
     original = factorlab.core.direct_product
     calls = []
 
@@ -126,11 +128,29 @@ def test_verify_dfc_builds_no_product(monkeypatch):
             module, "direct_product", None
         ) is original:
             monkeypatch.setattr(module, "direct_product", counting)
+    return calls
+
+
+def test_verify_dfc_builds_no_product(monkeypatch):
+    ctx = lattice_context(chain_lattice(3)).populated(max_size=16, depth=3)
+    calls = _count_direct_products(monkeypatch)
     phi = parse_formula("x = y", ctx.signature, 1)
     report = verify_dfc(phi, ctx)
     assert calls == []
     assert len(ctx.pool) == 33
     assert len(report.counterexamples) == 105254
+
+
+def test_correspondence_check_builds_no_product(monkeypatch):
+    # central elements carry their factor pair only; no Decomposition (two
+    # quotients and a product) is built for them
+    ctx = load_context(str(FIXTURES / "rings.ctx")).populated()
+    phi = parse_formula(RING_PHI, ctx.signature, 1)
+    calls = _count_direct_products(monkeypatch)
+    reports = [correspondence_check(entry.algebra, phi, ctx) for entry in ctx.pool]
+    assert calls == []
+    assert all(r.ok for r in reports)
+    assert sum(r.n_central for r in reports) > len(ctx.pool)
 
 
 def test_dfc_relation_is_first_projection_kernel(z6, rings_z6_ctx):

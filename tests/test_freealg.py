@@ -1,11 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import factorlab.freealg
 from factorlab import (
     FiniteAlgebra,
     ResourceBoundError,
     Signature,
+    ValidationError,
     eval_term,
     free_algebra,
     free_pair_context,
@@ -14,7 +18,7 @@ from factorlab import (
 )
 from factorlab.fixtures import boolean_algebra2, chain_lattice, cyclic_ring
 from factorlab.terms import Var, is_closed, term_text
-from oracles import term_function_vectors
+from oracles import free_algebra_pointwise, term_function_vectors
 
 
 def test_free_rank1_z2_ring(z2):
@@ -123,6 +127,36 @@ def test_budget_exceeded_reports_partial(z6):
         free_algebra(z6, 2, budget=500)
 
 
+def test_vector_cell_cap_reports_partial(z2, monkeypatch):
+    # rank 2 over Z2 has 4 points and 16 elements: 2 x 4 generator cells
+    # fit under a cap of 40, the eleventh element does not
+    monkeypatch.setattr(factorlab.freealg, "MAX_VECTOR_CELLS", 40)
+    with pytest.raises(ResourceBoundError) as info:
+        free_algebra(z2, 2)
+    assert str(info.value).startswith("free_algebra: 11 carrier vectors")
+    assert "need 44 vector cells, over the cap 40" in str(info.value)
+    assert "partial carrier size 10" in str(info.value)
+
+
+def test_vector_cell_cap_checked_before_the_point_grid(z2, monkeypatch):
+    # a one-element base has one point at every rank; the rank alone counts
+    trivial = FiniteAlgebra(Signature((("c", 0),)), 1, ((0,),), "T")
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("point grid built before the cell check")
+
+    monkeypatch.setattr(factorlab.freealg.itertools, "product", no_grid)
+    # 30 x 2**19 is the first product over the cap: n**rank is not formed
+    with pytest.raises(
+        ResourceBoundError,
+        match="at least 15728640 vector cells, over the cap 10000000",
+    ):
+        free_algebra(z2, 30)
+    monkeypatch.setattr(factorlab.freealg, "MAX_VECTOR_CELLS", 1000)
+    with pytest.raises(ResourceBoundError, match="at least 1001 vector cells"):
+        free_algebra(trivial, 1001)
+
+
 def test_universality_sampled(z2, rings_ctx):
     # every map of generators into a pool member must extend, via the witness
     # terms, to a homomorphism from the free algebra
@@ -161,3 +195,61 @@ def test_free_pair_distinct_generators_separate(rings_ctx):
     # x and y differ exactly in the rank-2 coordinate
     assert fpc.split(fpc.x)[0] == fpc.split(fpc.y)[0]
     assert fpc.split(fpc.x)[1] != fpc.split(fpc.y)[1]
+
+
+def _outcome(build, base, rank, budget):
+    try:
+        fa = build(base, rank, budget=budget)
+    except (ResourceBoundError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+    return fa.vectors, fa.witnesses, fa.generators, fa.algebra.tables
+
+
+@st.composite
+def small_bases(draw):
+    """Bases of size <= 4: up to two constants, a unary and a binary
+    operation and an optional ternary one, in a random signature order."""
+    n = draw(st.integers(1, 4))
+    element = st.integers(0, n - 1)
+    symbols = [(f"c{i}", 0) for i in range(draw(st.integers(0, 2)))]
+    symbols += [("u", 1), ("b", 2)]
+    if draw(st.booleans()):
+        symbols.append(("t", 3))
+    symbols = draw(st.permutations(symbols))
+    tables = tuple(
+        tuple(draw(st.lists(element, min_size=n**k, max_size=n**k)))
+        for _, k in symbols
+    )
+    return FiniteAlgebra(Signature(tuple(symbols)), n, tables, f"R{n}")
+
+
+CHAIN17_MAX = FiniteAlgebra.from_ops(
+    Signature((("max", 2), ("rev", 1))),
+    17,
+    {
+        "max": [max(a, b) for a, b in itertools.product(range(17), repeat=2)],
+        "rev": [16 - a for a in range(17)],
+    },
+    "C17",
+)
+
+
+Z17_MINUS = FiniteAlgebra.from_ops(
+    Signature((("-", 2),)),
+    17,
+    {"-": [(a - b) % 17 for a, b in itertools.product(range(17), repeat=2)]},
+    "Z17-",
+)
+
+
+@given(base=small_bases(), rank=st.integers(0, 2), budget=st.integers(1, 60))
+# 17**2 > 256, so the binary operations take the per-point kernel and rev
+# the byte kernel.  The closures have 4 and 82 elements over C17, and 17 over
+# Z17-, whose subtraction also pins the argument order.
+@example(base=CHAIN17_MAX, rank=1, budget=1000)
+@example(base=CHAIN17_MAX, rank=2, budget=1000)
+@example(base=Z17_MINUS, rank=1, budget=1000)
+def test_free_algebra_matches_pointwise_closure(base, rank, budget):
+    expected = _outcome(free_algebra_pointwise, base, rank, budget)
+    assert _outcome(free_algebra, base, rank, budget) == expected
+

@@ -95,6 +95,10 @@ def invocations() -> list[list[str]]:
         ["positivize", _ctx("rings"), _fm("ring_mixed"), "--all-witnesses"],
         ["pipeline", _ctx("lattices"), _fm("lattice_mixed")],
         ["dfc", "verify", _ctx("lattices"), _fm("not_dfc")],
+        # failing runs with many (left, right) name groups
+        ["dfc", "verify", _ctx("lattices"), _fm("not_dfc"),
+         "--pool-depth", "3", "--max-size", "16"],
+        ["pipeline", _ctx("rings"), _fm("not_dfc")],
     ]
     return machine + text
 

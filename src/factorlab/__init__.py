@@ -4,14 +4,10 @@ definability in finitely generated varieties, at desk scale."""
 from .congruences import (
     CompactnessReport,
     Congruence,
-    Decomposition,
     FactorPair,
     all_congruences,
     compactness_report,
     congruence_from_partition,
-    congruence_join,
-    congruence_meet,
-    decomposition_from_pair,
     factor_pairs,
     identity_congruence,
     partition_text,

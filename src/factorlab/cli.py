@@ -301,7 +301,8 @@ def cmd_dfc_verify(args) -> int:
         + (f" (skipped over cap: {len(report.skipped)})" if report.skipped else ""),
         f"status: {report.status}",
     ]
-    if report.counterexamples:
+    # machine output reads only the first counterexample
+    if report.counterexamples and cfg.fmt != "machine":
         first = report.counterexamples[0]
         lines.append(
             f"first counterexample: A={first.left} B={first.right} "

@@ -1,5 +1,5 @@
 """Congruences as compatible partitions: principal generation, the full
-lattice at desk scale, factor pairs and product decompositions.
+lattice at desk scale, factor pairs and quotients.
 
 A congruence is stored as its canonical representative array rep[0..n-1] with
 rep[i] = least element of i's class, so equality is tuple equality and sorted
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteAlgebra, direct_product, is_homomorphism, pair_index
+from .core import FiniteAlgebra
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 
 DEFAULT_SIZE_BOUND = 8
@@ -175,21 +175,6 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
     return _trusted(algebra, _close(list(range(n)), _translations(algebra), [(a, b)]))
 
 
-def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
-    _check_owner(t1, t2)
-    return _trusted(t1.algebra, _join_rep(t1.rep, t2.rep))
-
-
-def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
-    _check_owner(t1, t2)
-    first: dict[tuple[int, int], int] = {}
-    rep = []
-    for i in range(t1.algebra.size):
-        key = (t1.rep[i], t2.rep[i])
-        rep.append(first.setdefault(key, i))
-    return _trusted(t1.algebra, tuple(rep))
-
-
 def _check_owner(t1: Congruence, t2: Congruence) -> None:
     if t1.algebra != t2.algebra:
         raise ValidationError("congruences belong to different algebras")
@@ -235,7 +220,7 @@ def all_congruences(
     ]
 
 
-# -- factor pairs and decompositions ------------------------------------------
+# -- factor pairs and quotients ----------------------------------------------
 
 
 def _meet_is_identity(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
@@ -288,15 +273,6 @@ def factor_pairs(
     ]
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    left: FiniteAlgebra
-    right: FiniteAlgebra
-    iso: tuple[int, ...]
-    proj_left: tuple[int, ...]
-    proj_right: tuple[int, ...]
-
-
 def quotient(
     algebra: FiniteAlgebra, theta: Congruence
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -317,23 +293,6 @@ def quotient(
         algebra.signature, m, tuple(tables), f"{algebra.name}/{partition_text(theta)}"
     )
     return quot, proj
-
-
-def decomposition_from_pair(algebra: FiniteAlgebra, pair: FactorPair) -> Decomposition:
-    """Split the algebra along a factor pair; asserts the map is a bijective
-    homomorphism onto the product of the two quotients."""
-    a1, p1 = quotient(algebra, pair.theta)
-    a2, p2 = quotient(algebra, pair.theta_c)
-    iso = tuple(pair_index(p1[c], p2[c], a2.size) for c in range(algebra.size))
-    if len(set(iso)) != algebra.size or a1.size * a2.size != algebra.size:
-        raise InternalCheckError(
-            f"factor pair of '{algebra.name}' does not induce a bijection"
-        )
-    if not is_homomorphism(algebra, direct_product(a1, a2), iso):
-        raise InternalCheckError(
-            f"factor pair of '{algebra.name}' does not induce a homomorphism"
-        )
-    return Decomposition(a1, a2, iso, tuple(p1), tuple(p2))
 
 
 # -- compactness diagnostics ---------------------------------------------------

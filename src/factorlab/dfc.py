@@ -9,6 +9,8 @@ index = a*|B| + b.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .congruences import Congruence, FactorPair, factor_pairs
@@ -82,16 +84,89 @@ class DfcCounterexample:
         return (self.left, self.right, self.a, self.b, self.c, self.d, self.direction)
 
 
+class DfcCounterexamples(Sequence):
+    """The counterexamples of one `verify_dfc` run in `as_tuple` order, built
+    only as far as they are read.
+
+    `groups` maps (left name, right name) to (a, c, cells) entries, one per
+    tested pair with those names and (a, c) whose mismatch cells (b, d) are
+    non-empty.  The length is the number of cells.  Reading a row by index
+    sorts the rows of its name group once, as plain tuples, and wraps that
+    row in DfcCounterexample once.  Equality and hashing are those of the
+    tuple of all rows.
+    """
+
+    __slots__ = ("_keys", "_entries", "_starts", "_rows", "_read")
+
+    def __init__(self, groups: dict):
+        self._keys = sorted(key for key, entries in groups.items() if entries)
+        self._entries = [groups[key] for key in self._keys]
+        starts = [0]  # the index of the first row of each group, then the length
+        for entries in self._entries:
+            starts.append(starts[-1] + sum(len(cells) for _, _, cells in entries))
+        self._starts = starts
+        self._rows: list = [None] * len(self._keys)
+        self._read: dict[int, DfcCounterexample] = {}
+
+    def _group(self, g: int) -> list:
+        """Group g's rows (a, b, c, d, direction), sorted."""
+        rows = self._rows[g]
+        if rows is None:
+            rows = self._rows[g] = sorted(
+                (a, b, c, d, "<=" if a == c else "=>")
+                for a, c, cells in self._entries[g]
+                for b, d in cells
+            )
+        return rows
+
+    def _at(self, k: int) -> DfcCounterexample:
+        ce = self._read.get(k)
+        if ce is None:
+            g = bisect_right(self._starts, k) - 1
+            row = self._group(g)[k - self._starts[g]]
+            ce = self._read[k] = DfcCounterexample(*self._keys[g], *row)
+        return ce
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        # negative indices and slices as for a tuple
+        try:
+            picked = range(len(self))[index]
+        except IndexError:
+            raise IndexError("counterexample index out of range") from None
+        if isinstance(index, slice):
+            return tuple(map(self._at, picked))
+        return self._at(picked)
+
+    def __iter__(self):
+        for g, key in enumerate(self._keys):
+            for row in self._group(g):
+                yield DfcCounterexample(*key, *row)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} DFC counterexamples>"
+
+
 @dataclass(frozen=True)
 class DfcReport:
     formula_text: str
     pairs_tested: tuple[tuple[str, str], ...]
     skipped: tuple[tuple[str, str], ...]
-    counterexamples: tuple[DfcCounterexample, ...]
+    counterexamples: Sequence[DfcCounterexample]
 
     @property
     def ok(self) -> bool:
-        return not self.counterexamples
+        return len(self.counterexamples) == 0
 
     @property
     def status(self) -> str:
@@ -124,8 +199,10 @@ def verify_dfc(
     Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
     estimate, checked against eval_cap, is the sum of |M|^(2+nb) over
     (member, side) plus the sum of (|A||B|)^2 over tested pairs.
-    Mismatches are data, not errors.  Both orders of every pool pair are
-    tested because the two coordinates play different roles.
+    Mismatches are data, not errors: the report counts them at once and
+    builds them, in sorted order, only as they are read (see
+    DfcCounterexamples).  Both orders of every pool pair are tested because
+    the two coordinates play different roles.
     """
     algebras = ctx.pool_algebras
     if not algebras:
@@ -194,11 +271,12 @@ def verify_dfc(
     # the cells (b, d) of B whose truth value differs from a == c, keyed by
     # (signature of (a, c), a == c, B)
     mismatches: dict = {}
-    rows = []
+    groups: dict = {}  # (left name, right name) -> [(a, c, cells)]
     for i, j in tested:
         a, b = algebras[i], algebras[j]
         rel_a, rel_b = left[i], right[j]
         na, nb = a.size, b.size
+        entries = groups.setdefault((a.name, b.name), [])
         for ea in range(na):
             for ec in range(na):
                 expected = ea == ec
@@ -210,17 +288,13 @@ def verify_dfc(
                         for bd, sb in enumerate(rel_b)
                         if holds(sa, sb) != expected
                     ]
-                direction = "<=" if expected else "=>"
-                rows.extend(
-                    (a.name, b.name, ea, eb, ec, ed, direction)
-                    for eb, ed in cells
-                )
-    rows.sort()  # the order of DfcCounterexample.as_tuple
+                if cells:
+                    entries.append((ea, ec, cells))
     return DfcReport(
         phi.text(),
         tuple((algebras[i].name, algebras[j].name) for i, j in tested),
         skipped,
-        tuple(DfcCounterexample(*r) for r in rows),
+        DfcCounterexamples(groups),
     )
 
 

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .core import FiniteAlgebra, direct_product, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
@@ -37,17 +38,25 @@ MAX_VECTOR_CELLS = 10_000_000
 
 @dataclass(frozen=True)
 class FreeAlgebra:
+    """The carrier as vectors and witness terms.  The carrier algebra's
+    operation tables are built by `build_algebra` on the first read of
+    `algebra`."""
+
     base: FiniteAlgebra
     rank: int
     var_names: tuple[str, ...]
-    algebra: FiniteAlgebra
+    build_algebra: Callable[[], FiniteAlgebra] = field(repr=False, compare=False)
     vectors: tuple[tuple[int, ...], ...]
     witnesses: tuple[Term, ...]
     generators: tuple[int, ...]
 
+    @cached_property
+    def algebra(self) -> FiniteAlgebra:
+        return self.build_algebra()
+
     @property
     def size(self) -> int:
-        return self.algebra.size
+        return len(self.vectors)
 
     def element_term(self, e: int) -> Term:
         """Minimal-depth witness term for carrier element e."""
@@ -133,8 +142,8 @@ def free_algebra(
     least one element new in the previous round, in lexicographic order, one
     row kernel call per prefix (see the module docstring: one
     `bytes.translate` per result when n**arity <= 256, else a per-point
-    loop).  The carrier tables are then built by the same kernel, a row at a
-    time.
+    loop).  The carrier tables are built by the same kernel, a row at a
+    time, on the first read of `FreeAlgebra.algebra`.
 
     Raises ResourceBoundError, reporting the partial carrier size, as soon as
     the closure exceeds the budget or carrier size x n**rank exceeds
@@ -214,23 +223,27 @@ def free_algebra(
                         add(key, App(sym, tuple(witnesses[a] for a in args)))
         prev = snapshot
 
-    size = len(keys)
-    tables = []
-    for sym, arity in base.signature.symbols:
-        if arity == 0:
-            tables.append((constants[sym],))
-            continue
-        row = rows[sym]
-        table: list[int] = []
-        try:
-            for prefix in itertools.product(range(size), repeat=arity - 1):
-                table += [index[key] for key in row(prefix, 0, size)]
-        except KeyError:
-            raise InternalCheckError("carrier is not closed under operations") from None
-        tables.append(tuple(table))
-    carrier = FiniteAlgebra(
-        base.signature, size, tuple(tables), f"F{rank}({base.name})"
-    )
+    def carrier() -> FiniteAlgebra:
+        size = len(keys)
+        tables = []
+        for sym, arity in base.signature.symbols:
+            if arity == 0:
+                tables.append((constants[sym],))
+                continue
+            row = rows[sym]
+            table: list[int] = []
+            try:
+                for prefix in itertools.product(range(size), repeat=arity - 1):
+                    table += [index[key] for key in row(prefix, 0, size)]
+            except KeyError:
+                raise InternalCheckError(
+                    "carrier is not closed under operations"
+                ) from None
+            tables.append(tuple(table))
+        return FiniteAlgebra(
+            base.signature, size, tuple(tables), f"F{rank}({base.name})"
+        )
+
     vectors = tuple(tuple(key) for key in keys)
     return FreeAlgebra(
         base, rank, names, carrier, vectors, tuple(witnesses), generators

@@ -13,12 +13,18 @@ product table and one witness search per product cell.
 `free_algebra_pointwise` is the free-algebra closure as it was before it ran
 row by row on carrier vectors: one Python loop over the points per operation
 application, in the closure and again in the carrier tables.
+Congruence joins, meets and the decomposition along a factor pair, which only
+the tests use, are built here from the union-find above and the library's
+validating constructors.
 """
 import itertools
+from dataclasses import dataclass
 
 from factorlab import (
+    Congruence,
     DnfEvaluator,
     ExistentialDnf,
+    FactorPair,
     FiniteAlgebra,
     PositiveExistential,
     ResourceBoundError,
@@ -26,7 +32,9 @@ from factorlab import (
     VarietyContext,
     direct_product,
     eval_term,
+    is_homomorphism,
     pair_index,
+    quotient,
 )
 from factorlab.dfc import (
     DEFAULT_EVAL_CAP,
@@ -208,6 +216,55 @@ def compose(t1, t2):
                 if t2.rep[z] == r2:
                     pairs.add((x, z))
     return frozenset(pairs)
+
+
+def _check_owner(t1, t2):
+    if t1.algebra != t2.algebra:
+        raise ValidationError("congruences belong to different algebras")
+
+
+def congruence_join(t1: Congruence, t2: Congruence) -> Congruence:
+    """The transitive closure of the union, which is again a congruence."""
+    _check_owner(t1, t2)
+    uf = UnionFind(t1.algebra.size)
+    for i, (r1, r2) in enumerate(zip(t1.rep, t2.rep)):
+        uf.union(i, r1)
+        uf.union(i, r2)
+    return Congruence(t1.algebra, uf.rep_tuple())
+
+
+def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
+    """The intersection: classes are the pairs of a t1-class and a t2-class."""
+    _check_owner(t1, t2)
+    first: dict[tuple[int, int], int] = {}
+    rep = tuple(first.setdefault(key, i) for i, key in enumerate(zip(t1.rep, t2.rep)))
+    return Congruence(t1.algebra, rep)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    left: FiniteAlgebra
+    right: FiniteAlgebra
+    iso: tuple[int, ...]
+    proj_left: tuple[int, ...]
+    proj_right: tuple[int, ...]
+
+
+def decomposition_from_pair(algebra: FiniteAlgebra, pair: FactorPair) -> Decomposition:
+    """Split the algebra along a factor pair; asserts the map is a bijective
+    homomorphism onto the product of the two quotients."""
+    a1, p1 = quotient(algebra, pair.theta)
+    a2, p2 = quotient(algebra, pair.theta_c)
+    iso = tuple(pair_index(p1[c], p2[c], a2.size) for c in range(algebra.size))
+    if len(set(iso)) != algebra.size or a1.size * a2.size != algebra.size:
+        raise InternalCheckError(
+            f"factor pair of '{algebra.name}' does not induce a bijection"
+        )
+    if not is_homomorphism(algebra, direct_product(a1, a2), iso):
+        raise InternalCheckError(
+            f"factor pair of '{algebra.name}' does not induce a homomorphism"
+        )
+    return Decomposition(a1, a2, iso, tuple(p1), tuple(p2))
 
 
 def ring_idempotents(algebra):
@@ -437,5 +494,6 @@ def free_algebra_pointwise(
         base.signature, size, tuple(tables), f"F{rank}({base.name})"
     )
     return FreeAlgebra(
-        base, rank, names, carrier, tuple(vectors), tuple(witnesses), generators
+        base, rank, names, lambda: carrier, tuple(vectors), tuple(witnesses),
+        generators,
     )

@@ -12,7 +12,6 @@ from factorlab import (
     all_congruences,
     central_elements,
     check_preservation,
-    decomposition_from_pair,
     factor_pairs,
     free_algebra,
     parse_formula,
@@ -31,6 +30,7 @@ from factorlab.fixtures import (
 from factorlab.terms import App
 from oracles import (
     congruence_reps_bruteforce,
+    decomposition_from_pair,
     ring_idempotents,
     set_partitions,
     term_function_vectors,

@@ -265,6 +265,31 @@ def test_dfc_verify_fail_exits_5(capsys):
     assert "direction <=" in out
 
 
+def test_dfc_verify_builds_only_the_counterexamples_it_prints(capsys, monkeypatch):
+    dfc = importlib.import_module("factorlab.dfc")
+    original = dfc.DfcCounterexample
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(dfc, "DfcCounterexample", counting)
+    argv = ("dfc", "verify", FIXTURES / "lattices.ctx",
+            FIXTURES / "formulas" / "not_dfc.fm", "--pool-depth", "3",
+            "--max-size", "16")
+    # text mode prints the first counterexample and the next five
+    code, out = run_cli(capsys, *argv)
+    assert code == 5
+    assert out.count("also: ") == 5
+    assert 1 <= len(built) <= 6
+    built.clear()
+    code, out = run_cli(capsys, *argv, "--format", "machine")
+    assert code == 5
+    assert json.loads(out)["counterexample_count"] == 105254
+    assert len(built) <= 1
+
+
 def test_central_list(capsys):
     code, out = run_cli(capsys, "central", "list", FIXTURES / "rings_z6.ctx")
     assert code == 0

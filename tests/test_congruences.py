@@ -11,9 +11,6 @@ from factorlab import (
     all_congruences,
     compactness_report,
     congruence_from_partition,
-    congruence_join,
-    congruence_meet,
-    decomposition_from_pair,
     factor_pairs,
     identity_congruence,
     partition_text,
@@ -25,7 +22,10 @@ import factorlab.congruences as congruences
 from factorlab.fixtures import cyclic_ring
 from oracles import (
     compose,
+    congruence_join,
+    congruence_meet,
     congruence_reps_bruteforce,
+    decomposition_from_pair,
     is_compatible_table_scan,
     principal_rep_table_scan,
     rep_of_partition,

@@ -85,6 +85,8 @@ def test_verify_dfc_equality_fails_with_back_direction(rings_z6_ctx):
     assert ce.direction == "<="
     # formula false although the first coordinates agree
     assert ce.a == ce.c and ce.b != ce.d
+    with pytest.raises(IndexError, match="counterexample index out of range"):
+        report.counterexamples[len(report.counterexamples)]
 
 
 def test_verify_dfc_forward_direction_counterexample(rings_z6_ctx):

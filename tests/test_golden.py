@@ -16,5 +16,5 @@ def test_cli_output_matches_golden_file(capsys, monkeypatch):
         out = capsys.readouterr().out
         if (code, out) != (case["exit"], case["stdout"]):
             mismatches.append(" ".join(case["argv"]))
-    assert len(cases) == 102
+    assert len(cases) == 104
     assert mismatches == []

@@ -13,7 +13,6 @@ from factorlab import (
     PoolEntry,
     Signature,
     VarietyContext,
-    congruence_meet,
     direct_product,
     eval_term,
     pair_index,
@@ -31,7 +30,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var, term_text
-from oracles import verify_dfc_materialized, witnesses_naive
+from oracles import congruence_meet, verify_dfc_materialized, witnesses_naive
 
 Z6 = cyclic_ring(6)
 N5 = pentagon_lattice()
@@ -251,3 +250,32 @@ def test_verify_dfc_matches_materialized_products(members, phi):
         report = verify_dfc(phi, ctx, pair_cap=cap)
         assert report == verify_dfc_materialized(phi, ctx, pair_cap=cap)
         assert bool(report.skipped) == (cap < largest)
+
+
+@given(
+    st.lists(st.tuples(dfc_members(), st.sampled_from(["M0", "M1"])),
+             min_size=1, max_size=3),
+    dfc_formulas(),
+    st.integers(0, 10**6),
+)
+# two members named M1 and M0, in that order: two pairs share each name group
+@example([(TWO, "M1"), (TWO, "M0")], parse_formula("x = z1", DFC_SIG, 1), 7)
+def test_counterexample_reads_match_materialized(named, phi, k):
+    pool = tuple(
+        PoolEntry(dataclasses.replace(m, name=name), "drawn") for m, name in named
+    )
+    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+    lazy = verify_dfc(phi, ctx).counterexamples
+    full = verify_dfc_materialized(phi, ctx).counterexamples
+    # the head first, so that rows are built one name group at a time
+    assert len(lazy) == len(full)
+    if full:
+        assert lazy[0] == full[0]
+    assert lazy[:6] == full[:6]
+    if full:
+        k %= len(full)
+        assert lazy[k] == full[k]
+        assert lazy[-1] == full[-1]
+    assert lazy[2:5] == full[2:5]
+    assert tuple(lazy) == full
+    assert lazy == full

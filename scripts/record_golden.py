@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Record the exact stdout and exit code of a fixed list of fast CLI
+"""Record the exact stdout, stderr and exit code of a fixed list of fast CLI
 invocations into tests/golden_cli.json.
 
     python3 scripts/record_golden.py
@@ -81,6 +81,10 @@ def invocations() -> list[list[str]]:
         out.append(["correspondence", _ctx(ctx), _fm(fm)])
     out += [
         ["positivize", _ctx("rings"), _fm("not_dfc")],  # no witness: exit 4
+        # every one of the 3 bound variables is tried: exit 4
+        ["positivize", _ctx("rings"), _fm("ring_no_witness3")],
+        # the benchmark's free-witness formula, a single deep witness
+        ["positivize", _ctx("rings"), "perfbench/w4.fm", "--all-witnesses"],
         ["dfc", "verify", _ctx("lattices"), _fm("not_dfc")],  # exit 5
         ["dfc", "verify", _ctx("rings"), _fm("not_dfc")],  # exit 5
         ["pipeline", _ctx("rings"), _fm("not_dfc")],  # exit 5
@@ -104,15 +108,14 @@ def invocations() -> list[list[str]]:
 
 
 def run(argv: list[str]) -> dict:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), \
-            contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
 
 
 def record() -> list[dict]:
-    os.environ.pop("FACTORLAB_BUDGET", None)
     os.chdir(ROOT)
     return [run(argv) for argv in invocations()]
 

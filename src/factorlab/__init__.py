@@ -20,11 +20,9 @@ from .core import (
     Signature,
     direct_product,
     eval_term,
-    is_homomorphism,
     pair_index,
     pair_split,
     subalgebra_generated,
-    surjective_homomorphisms,
 )
 from .dfc import (
     CentralElement,
@@ -56,8 +54,6 @@ from .formulas import (
 from .freealg import FreeAlgebra, FreePairContext, free_algebra, free_pair_context
 from .positivize import (
     PositivizeResult,
-    PreservationReport,
-    check_preservation,
     enumerate_witnesses,
     positivize,
 )

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -56,7 +55,6 @@ EXIT_INTERNAL = 6
 
 @dataclass(frozen=True)
 class RunConfig:
-    subcommand: str
     fmt: str
     pool_depth: int
     max_size: int
@@ -67,28 +65,8 @@ class RunConfig:
             raise ValidationError("caps must be positive")
 
 
-def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("FACTORLAB_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(
-                f"FACTORLAB_BUDGET must be an integer, got {env!r}"
-            ) from None
-    return DEFAULT_BUDGET
-
-
 def _config(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.command,
-        fmt=args.format,
-        pool_depth=args.pool_depth,
-        max_size=args.max_size,
-        budget=_resolve_budget(args),
-    )
+    return RunConfig(args.format, args.pool_depth, args.max_size, args.budget)
 
 
 def _emit(cfg: RunConfig, machine: dict, text_lines: list[str]) -> None:
@@ -449,9 +427,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "machine"), default="text")
     common.add_argument("--pool-depth", type=int, default=2, metavar="N")
     common.add_argument("--max-size", type=int, default=8, metavar="N")
-    common.add_argument("--budget", type=int, default=None, metavar="N",
-                        help="free-algebra closure budget "
-                             "(default from FACTORLAB_BUDGET or 100000)")
+    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                        metavar="N", help="free-algebra closure budget "
+                                          "(default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="factorlab",
@@ -464,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     algebra_sub = p_algebra.add_subparsers(dest="algebra_command", required=True)
     p_show = algebra_sub.add_parser("show", parents=[common])
     p_show.add_argument("path")
-    p_show.set_defaults(func=cmd_algebra_show, command="algebra show")
+    p_show.set_defaults(func=cmd_algebra_show)
 
     p_cong = sub.add_parser("cong", parents=[common],
                             help="congruence lattice and factor pairs")
@@ -475,48 +453,48 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--compactness", metavar="SPEC",
                        help="'a,b' for a principal congruence or a "
                             "partition like '0,3|1,4|2,5'")
-    p_cong.set_defaults(func=cmd_cong, command="cong")
+    p_cong.set_defaults(func=cmd_cong)
 
     p_free = sub.add_parser("freealg", help="free algebra operations")
     free_sub = p_free.add_subparsers(dest="freealg_command", required=True)
     p_dump = free_sub.add_parser("dump", parents=[common])
     p_dump.add_argument("ctx")
     p_dump.add_argument("--rank", type=int, default=1)
-    p_dump.set_defaults(func=cmd_freealg_dump, command="freealg dump")
+    p_dump.set_defaults(func=cmd_freealg_dump)
 
     p_pos = sub.add_parser("positivize", parents=[common],
                            help="replace a verified formula by a positive one")
     p_pos.add_argument("ctx")
     p_pos.add_argument("formula")
     p_pos.add_argument("--all-witnesses", action="store_true")
-    p_pos.set_defaults(func=cmd_positivize, command="positivize")
+    p_pos.set_defaults(func=cmd_positivize)
 
     p_dfc = sub.add_parser("dfc", help="first-coordinate definability checks")
     dfc_sub = p_dfc.add_subparsers(dest="dfc_command", required=True)
     p_verify = dfc_sub.add_parser("verify", parents=[common])
     p_verify.add_argument("ctx")
     p_verify.add_argument("formula")
-    p_verify.set_defaults(func=cmd_dfc_verify, command="dfc verify")
+    p_verify.set_defaults(func=cmd_dfc_verify)
 
     p_central = sub.add_parser("central", help="central element operations")
     central_sub = p_central.add_subparsers(dest="central_command", required=True)
     p_list = central_sub.add_parser("list", parents=[common])
     p_list.add_argument("ctx")
     p_list.add_argument("--algebra", default=None)
-    p_list.set_defaults(func=cmd_central_list, command="central list")
+    p_list.set_defaults(func=cmd_central_list)
 
     p_corr = sub.add_parser("correspondence", parents=[common],
                             help="central elements vs factor congruences")
     p_corr.add_argument("ctx")
     p_corr.add_argument("formula")
     p_corr.add_argument("--algebra", default=None)
-    p_corr.set_defaults(func=cmd_correspondence, command="correspondence")
+    p_corr.set_defaults(func=cmd_correspondence)
 
     p_pipe = sub.add_parser("pipeline", parents=[common],
                             help="verify, positivize, re-verify, correspondence")
     p_pipe.add_argument("ctx")
     p_pipe.add_argument("formula")
-    p_pipe.set_defaults(func=cmd_pipeline, command="pipeline")
+    p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser
 

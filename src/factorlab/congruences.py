@@ -12,10 +12,9 @@ class into one class.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, _images
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 
 DEFAULT_SIZE_BOUND = 8
@@ -282,17 +281,12 @@ def quotient(
     reps = sorted(set(theta.rep))
     index = {r: i for i, r in enumerate(reps)}
     proj = tuple(index[theta.rep[e]] for e in range(algebra.size))
-    m = len(reps)
-    tables = []
-    for sym, arity in algebra.signature.symbols:
-        table = []
-        for args in itertools.product(reps, repeat=arity):
-            table.append(proj[algebra.apply(sym, args)])
-        tables.append(tuple(table))
-    quot = FiniteAlgebra(
-        algebra.signature, m, tuple(tables), f"{algebra.name}/{partition_text(theta)}"
+    tables = tuple(
+        tuple([proj[v] for v in _images(table, arity, reps, algebra.size)])
+        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
     )
-    return quot, proj
+    name = f"{algebra.name}/{partition_text(theta)}"
+    return FiniteAlgebra(algebra.signature, len(reps), tables, name), proj
 
 
 # -- compactness diagnostics ---------------------------------------------------

@@ -1,5 +1,5 @@
 """Finite algebras over a shared signature: dense operation tables, term
-evaluation, direct products, generated subalgebras and homomorphism checks.
+evaluation, direct products and generated subalgebras.
 
 Universe elements are plain ints 0..n-1.  Operation tables are flat row-major
 tuples: for arity k the entry for arguments (a1, .., ak) sits at index
@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import EvalError, ResourceBoundError, ValidationError
+from .errors import EvalError, ValidationError
 from .terms import Term, Var
 
 
@@ -177,7 +177,7 @@ def direct_product(
     )
 
 
-# -- subalgebras and homomorphisms -------------------------------------------
+# -- subalgebras -------------------------------------------------------------
 
 
 def _images(
@@ -242,62 +242,3 @@ def subalgebra_generated(
         algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
     )
     return sub, embedding
-
-
-def is_homomorphism(
-    a: FiniteAlgebra, b: FiniteAlgebra, h: Sequence[int]
-) -> bool:
-    """True iff h (total map on A's universe into B's) commutes with every table."""
-    if a.signature != b.signature:
-        raise ValidationError("signature mismatch")
-    if len(h) != a.size:
-        raise ValidationError(f"map has {len(h)} entries for universe of {a.size}")
-    if any(not 0 <= v < b.size for v in h):
-        raise ValidationError("map image outside codomain universe")
-    for sym, arity in a.signature.symbols:
-        for args in itertools.product(range(a.size), repeat=arity):
-            if h[a.apply(sym, args)] != b.apply(sym, [h[x] for x in args]):
-                return False
-    return True
-
-
-def surjective_homomorphisms(
-    a: FiniteAlgebra, b: FiniteAlgebra, max_candidates: int = 200_000
-) -> list[tuple[int, ...]]:
-    """All surjective homomorphisms A -> B by brute enumeration.
-
-    Raises ResourceBoundError when |B|^|A| exceeds max_candidates.
-    """
-    if a.signature != b.signature:
-        raise ValidationError("signature mismatch")
-    total = b.size**a.size
-    if total > max_candidates:
-        raise ResourceBoundError(
-            f"{total} candidate maps {a.name} -> {b.name} exceed cap {max_candidates}"
-        )
-    ops = [
-        (a.signature.index(sym), arity)
-        for sym, arity in a.signature.symbols
-    ]
-    out = []
-    rng_a = range(a.size)
-    for h in itertools.product(range(b.size), repeat=a.size):
-        if len(set(h)) != b.size:
-            continue
-        ok = True
-        for sym_i, arity in ops:
-            ta = a.tables[sym_i]
-            tb = b.tables[sym_i]
-            for args in itertools.product(rng_a, repeat=arity):
-                ia = ib = 0
-                for x in args:
-                    ia = ia * a.size + x
-                    ib = ib * b.size + h[x]
-                if h[ta[ia]] != tb[ib]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(h)
-    return out

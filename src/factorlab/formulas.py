@@ -410,8 +410,9 @@ class DnfEvaluator:
     prefix.  Witnesses come disjunct by disjunct in input order;
     `first_witness` and `satisfied` stop at the first.  `failure_masks` runs
     the same search over the same instructions with the positive literals
-    only and reports which negative literals fail.  Instances are safe to
-    share.
+    only and reports which negative literals fail; `masked_witnesses` yields
+    each witness of that search with its failure mask.  Instances are safe
+    to share.
     """
 
     def __init__(self, algebra: FiniteAlgebra, phi: ExistentialDnf | PositiveExistential):
@@ -581,3 +582,15 @@ class DnfEvaluator:
                     mask |= bit
             found[k].add(mask)
         return tuple(map(frozenset, found))
+
+    def masked_witnesses(self, x: int, y: int, zs: tuple[int, ...]):
+        """Yield (disjunct index, failure mask, bound-variable assignment) at
+        each assignment whose mask `failure_masks` collects, in search order."""
+        base, top = self._base, self._top
+        negatives = self._negatives
+        for k, env in self._search(self._positive_programs, x, y, zs):
+            mask = 0
+            for lhs, rhs, bit in negatives[k]:
+                if env[lhs] == env[rhs]:
+                    mask |= bit
+            yield k, mask, tuple(env[base:top])

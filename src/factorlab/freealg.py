@@ -26,7 +26,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .core import FiniteAlgebra, direct_product, pair_index, pair_split
+from .core import FiniteAlgebra, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import App, Term, Var
 from .variety import VarietyContext
@@ -252,22 +252,18 @@ def free_algebra(
 
 @dataclass(frozen=True)
 class FreePairContext:
-    """The rank-1 and rank-2 free algebras with their direct product and the
-    distinguished elements x -> (x, x), y -> (x, y), z_i -> (zero_i, one_i)."""
+    """The rank-1 and rank-2 free algebras with the distinguished elements
+    x -> (x, x), y -> (x, y), z_i -> (zero_i, one_i) of their direct product,
+    as product indices u * |F2| + v.  The product itself is never built."""
 
     f1: FreeAlgebra
     f2: FreeAlgebra
-    product: FiniteAlgebra
     x: int
     y: int
     z: tuple[int, ...]
 
-    @property
-    def b_size(self) -> int:
-        return self.f2.size
-
     def split(self, p: int) -> tuple[int, int]:
-        return pair_split(p, self.b_size)
+        return pair_split(p, self.f2.size)
 
 
 def free_pair_context(
@@ -275,11 +271,10 @@ def free_pair_context(
 ) -> FreePairContext:
     f1 = free_algebra(ctx.generator, 1, ("x",), budget)
     f2 = free_algebra(ctx.generator, 2, ("x", "y"), budget)
-    product = direct_product(f1.algebra, f2.algebra)
     x = pair_index(f1.generators[0], f2.generators[0], f2.size)
     y = pair_index(f1.generators[0], f2.generators[1], f2.size)
     z = tuple(
         pair_index(zero, one, f2.size)
         for zero, one in zip(ctx.zero_values(f1.algebra), ctx.one_values(f2.algebra))
     )
-    return FreePairContext(f1, f2, product, x, y, z)
+    return FreePairContext(f1, f2, x, y, z)

@@ -2,13 +2,17 @@
 into a positive one: locate the satisfied disjunct at the distinguished
 assignment in the product of the rank-1 and rank-2 free algebras, extract term
 witnesses for the bound variables, and keep only the positive literals.
+
+F(x) x F(x,y) is never built: as in `verify_dfc`, a disjunct holds in a
+product at a pair of witnesses exactly when both satisfy its positive
+literals and no negative literal fails at both (Feferman-Vaught).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .core import FiniteAlgebra, direct_product, eval_term, pair_index, surjective_homomorphisms
+from .core import FiniteAlgebra, eval_term, pair_index
 from .errors import InternalCheckError, NoWitnessError, ResourceBoundError
 from .formulas import (
     DnfEvaluator,
@@ -20,6 +24,12 @@ from .formulas import (
 from .freealg import DEFAULT_BUDGET, FreePairContext, free_pair_context
 from .terms import Term, term_text
 from .variety import VarietyContext
+
+# Cap on the candidate tuples of both factors' witness searches and on the
+# witnesses of a combined list (the value of verify_dfc's DEFAULT_EVAL_CAP).
+SEARCH_CAP = 10_000_000
+# A factor of a product with its x, y and z values.
+Factor = tuple[FiniteAlgebra, tuple[int, int, tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -48,13 +58,88 @@ def _distinguished_diagnostics(fpc: FreePairContext) -> dict:
     ux, vx = fpc.split(fpc.x)
     uy, vy = fpc.split(fpc.y)
     return {
-        "product_size": fpc.product.size,
+        "product_size": fpc.f1.size * fpc.f2.size,
         "x": {"index": fpc.x, "left": term_text(fpc.f1.witnesses[ux]),
               "right": term_text(fpc.f2.witnesses[vx])},
         "y": {"index": fpc.y, "left": term_text(fpc.f1.witnesses[uy]),
               "right": term_text(fpc.f2.witnesses[vy])},
         "z": list(fpc.z),
     }
+
+
+def _rectangles(
+    phi: ExistentialDnf, left: Factor, right: Factor, keep_all: bool
+) -> list[tuple[int, list, list]]:
+    """(disjunct, left witnesses, right witnesses) for every pair of failure
+    masks, one per factor, with no bit in common.  Each factor is searched
+    once; each list is in lexicographic order, and holds only its first
+    witness unless keep_all.  Raises ResourceBoundError before searching when
+    disjuncts x (|left|^nb + |right|^nb) exceeds SEARCH_CAP."""
+    nb = len(phi.bound_vars)
+    estimate = len(phi.disjuncts) * (left[0].size**nb + right[0].size**nb)
+    if estimate > SEARCH_CAP:
+        raise ResourceBoundError(
+            f"positivize: estimated {estimate} witness candidates exceed cap "
+            f"{SEARCH_CAP}"
+        )
+    sides = []
+    for algebra, roles in (left, right):
+        found = [{} for _ in phi.disjuncts]  # per disjunct, mask -> witnesses
+        for k, mask, ws in DnfEvaluator(algebra, phi).masked_witnesses(*roles):
+            listed = found[k].setdefault(mask, [])
+            if keep_all or not listed:
+                listed.append(ws)
+        sides.append(found)
+    return [
+        (k, us, vs)
+        for k, (left_masks, right_masks) in enumerate(zip(*sides))
+        for fu, us in left_masks.items()
+        for fv, vs in right_masks.items()
+        if fu & fv == 0
+    ]
+
+
+def first_product_witness(
+    phi: ExistentialDnf, left: Factor, right: Factor
+) -> tuple[int, tuple[int, ...]] | None:
+    """`DnfEvaluator(direct_product(A, B), phi).first_witness` at the paired
+    role values, without building A x B.  Witnesses are product indices
+    u * |B| + v, so their lexicographic order is that of the interleaved
+    (u1, v1, u2, v2, ...), and the least witness of a rectangle pairs its
+    two sides' first witnesses."""
+    n = right[0].size
+    return min(
+        ((k, tuple(pair_index(a, b, n) for a, b in zip(us[0], vs[0])))
+         for k, us, vs in _rectangles(phi, left, right, False)),
+        default=None,
+    )
+
+
+def product_witnesses(
+    phi: ExistentialDnf, left: Factor, right: Factor
+) -> list[tuple[int, tuple[int, ...]]]:
+    """`DnfEvaluator(direct_product(A, B), phi).all_witnesses` at the paired
+    role values, without building A x B: the sorted union of the rectangles.
+    Raises ResourceBoundError before building the list when it would exceed
+    SEARCH_CAP."""
+    rectangles = _rectangles(phi, left, right, True)
+    size = sum(len(us) * len(vs) for _, us, vs in rectangles)
+    if size > SEARCH_CAP:
+        raise ResourceBoundError(
+            f"positivize: {size} combined witnesses exceed cap {SEARCH_CAP}"
+        )
+    n = right[0].size
+    return sorted(
+        (k, tuple(pair_index(a, b, n) for a, b in zip(u, v)))
+        for k, us, vs in rectangles for u in us for v in vs
+    )
+
+
+def _factors(fpc: FreePairContext) -> tuple[Factor, Factor]:
+    """F(x) with its roles (x, x, zero) and F(x,y) with (x, y, one)."""
+    left, right = zip(*map(fpc.split, (fpc.x, fpc.y, *fpc.z)))
+    return ((fpc.f1.algebra, (*left[:2], left[2:])),
+            (fpc.f2.algebra, (*right[:2], right[2:])))
 
 
 def enumerate_witnesses(
@@ -68,7 +153,7 @@ def enumerate_witnesses(
     as `fpc`."""
     if fpc is None:
         fpc = free_pair_context(ctx, budget)
-    return DnfEvaluator(fpc.product, phi).all_witnesses(fpc.x, fpc.y, fpc.z)
+    return product_witnesses(phi, *_factors(fpc))
 
 
 def positivize(
@@ -80,7 +165,8 @@ def positivize(
     """Bundle the chosen disjunct, its positive part and term witnesses.
 
     The disjunct and witness are the first satisfying every literal of that
-    disjunct at (x,x), (x,y), (zero, one) in the free-pair product.  The
+    disjunct at (x,x), (x,y), (zero, one) in the free-pair product, found
+    factor by factor (see `first_product_witness`).  The
     witness for each bound variable decodes into a pair of terms: one over
     {x} from the rank-1 coordinate and one over {x, y} from the rank-2
     coordinate.  Before returning, the substitution identities those terms
@@ -90,7 +176,7 @@ def positivize(
     """
     if fpc is None:
         fpc = free_pair_context(ctx, budget)
-    found = DnfEvaluator(fpc.product, phi).first_witness(fpc.x, fpc.y, fpc.z)
+    found = first_product_witness(phi, *_factors(fpc))
     if found is None:
         raise NoWitnessError(
             "no disjunct is satisfiable at the distinguished assignment over "
@@ -150,122 +236,3 @@ def _recheck_substitution(result: PositivizeResult, ctx: VarietyContext) -> None
                             f"{side}-side substitution identity failed in "
                             f"'{algebra.name}' at {at}: {lit.text()}"
                         )
-
-
-# -- preservation harness -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreservationViolation:
-    kind: str  # "homomorphic-image" | "direct-product"
-    source: str
-    target: str
-    assignment: tuple[int, ...]
-    detail: str
-
-
-@dataclass(frozen=True)
-class PreservationReport:
-    """Positive existential formulas survive surjective images and products;
-    any violation reported here indicates an evaluator bug or a negative
-    literal smuggled past the type."""
-
-    formula_text: str
-    homs_checked: int
-    products_checked: int
-    assignments_checked: int
-    skipped: tuple[str, ...]
-    violations: tuple[PreservationViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_preservation(
-    psi: PositiveExistential,
-    ctx: VarietyContext,
-    hom_candidate_cap: int = 200_000,
-    pair_cap: int = 64,
-) -> PreservationReport:
-    algebras = ctx.pool_algebras or (ctx.generator,)
-    l = psi.l
-    violations: list[PreservationViolation] = []
-    skipped: list[str] = []
-    homs_checked = 0
-    products_checked = 0
-    assignments = 0
-
-    def role_envs(algebra: FiniteAlgebra):
-        n = algebra.size
-        for x in range(n):
-            for y in range(n):
-                for zs in itertools.product(range(n), repeat=l):
-                    yield x, y, zs
-
-    for a in algebras:
-        ev_a = DnfEvaluator(a, psi)
-        for b in algebras:
-            try:
-                homs = surjective_homomorphisms(a, b, hom_candidate_cap)
-            except ResourceBoundError:
-                skipped.append(f"homs {a.name} -> {b.name}")
-                continue
-            ev_b = DnfEvaluator(b, psi)
-            for h in homs:
-                homs_checked += 1
-                for x, y, zs in role_envs(a):
-                    assignments += 1
-                    if ev_a.satisfied(x, y, zs) and not ev_b.satisfied(
-                        h[x], h[y], tuple(h[z] for z in zs)
-                    ):
-                        violations.append(
-                            PreservationViolation(
-                                "homomorphic-image",
-                                a.name,
-                                b.name,
-                                (x, y, *zs),
-                                f"holds at ({x},{y},{zs}) in {a.name} but not "
-                                f"at the image in {b.name}",
-                            )
-                        )
-
-    for a in algebras:
-        ev_a = DnfEvaluator(a, psi)
-        sat_a = [s for s in role_envs(a) if ev_a.satisfied(*s)]
-        for b in algebras:
-            if a.size * b.size > pair_cap:
-                skipped.append(f"product {a.name} x {b.name}")
-                continue
-            products_checked += 1
-            p = direct_product(a, b)
-            ev_p = DnfEvaluator(p, psi)
-            ev_b = DnfEvaluator(b, psi)
-            sat_b = [s for s in role_envs(b) if ev_b.satisfied(*s)]
-            for xa, ya, za in sat_a:
-                for xb, yb, zb in sat_b:
-                    assignments += 1
-                    x = pair_index(xa, xb, b.size)
-                    y = pair_index(ya, yb, b.size)
-                    zs = tuple(
-                        pair_index(z1, z2, b.size) for z1, z2 in zip(za, zb)
-                    )
-                    if not ev_p.satisfied(x, y, zs):
-                        violations.append(
-                            PreservationViolation(
-                                "direct-product",
-                                a.name,
-                                b.name,
-                                (x, y, *zs),
-                                f"holds in both coordinates but not in the "
-                                f"product at ({x},{y},{zs})",
-                            )
-                        )
-    return PreservationReport(
-        psi.text(),
-        homs_checked,
-        products_checked,
-        assignments,
-        tuple(skipped),
-        tuple(violations),
-    )

@@ -15,9 +15,14 @@ row by row on carrier vectors: one Python loop over the points per operation
 application, in the closure and again in the carrier tables.
 Congruence joins, meets and the decomposition along a factor pair, which only
 the tests use, are built here from the union-find above and the library's
-validating constructors.
+validating constructors.  So are the homomorphism checks and the
+preservation harness for positive formulas, which only the tests use too.
+`free_pair_witnesses_materialized` is the witness search of `positivize` as
+it was before it went factor by factor: one search over the materialized
+F(x) x F(x,y).
 """
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from factorlab import (
@@ -32,7 +37,6 @@ from factorlab import (
     VarietyContext,
     direct_product,
     eval_term,
-    is_homomorphism,
     pair_index,
     quotient,
 )
@@ -239,6 +243,68 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     first: dict[tuple[int, int], int] = {}
     rep = tuple(first.setdefault(key, i) for i, key in enumerate(zip(t1.rep, t2.rep)))
     return Congruence(t1.algebra, rep)
+
+
+# -- homomorphisms ------------------------------------------------------------
+
+
+def is_homomorphism(
+    a: FiniteAlgebra, b: FiniteAlgebra, h: Sequence[int]
+) -> bool:
+    """True iff h (total map on A's universe into B's) commutes with every table."""
+    if a.signature != b.signature:
+        raise ValidationError("signature mismatch")
+    if len(h) != a.size:
+        raise ValidationError(f"map has {len(h)} entries for universe of {a.size}")
+    if any(not 0 <= v < b.size for v in h):
+        raise ValidationError("map image outside codomain universe")
+    for sym, arity in a.signature.symbols:
+        for args in itertools.product(range(a.size), repeat=arity):
+            if h[a.apply(sym, args)] != b.apply(sym, [h[x] for x in args]):
+                return False
+    return True
+
+
+def surjective_homomorphisms(
+    a: FiniteAlgebra, b: FiniteAlgebra, max_candidates: int = 200_000
+) -> list[tuple[int, ...]]:
+    """All surjective homomorphisms A -> B by brute enumeration.
+
+    Raises ResourceBoundError when |B|^|A| exceeds max_candidates.
+    """
+    if a.signature != b.signature:
+        raise ValidationError("signature mismatch")
+    total = b.size**a.size
+    if total > max_candidates:
+        raise ResourceBoundError(
+            f"{total} candidate maps {a.name} -> {b.name} exceed cap {max_candidates}"
+        )
+    ops = [
+        (a.signature.index(sym), arity)
+        for sym, arity in a.signature.symbols
+    ]
+    out = []
+    rng_a = range(a.size)
+    for h in itertools.product(range(b.size), repeat=a.size):
+        if len(set(h)) != b.size:
+            continue
+        ok = True
+        for sym_i, arity in ops:
+            ta = a.tables[sym_i]
+            tb = b.tables[sym_i]
+            for args in itertools.product(rng_a, repeat=arity):
+                ia = ib = 0
+                for x in args:
+                    ia = ia * a.size + x
+                    ib = ib * b.size + h[x]
+                if h[ta[ia]] != tb[ib]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(h)
+    return out
 
 
 @dataclass(frozen=True)
@@ -496,4 +562,134 @@ def free_algebra_pointwise(
     return FreeAlgebra(
         base, rank, names, lambda: carrier, tuple(vectors), tuple(witnesses),
         generators,
+    )
+
+
+# -- the free-pair product and the preservation harness ------------------------
+
+
+def free_pair_witnesses_materialized(phi, fpc):
+    """(first witness, all witnesses) of phi at the distinguished assignment,
+    searched over the materialized F(x) x F(x,y): the route `positivize` and
+    `enumerate_witnesses` took before they went factor by factor."""
+    ev = DnfEvaluator(direct_product(fpc.f1.algebra, fpc.f2.algebra), phi)
+    return (
+        ev.first_witness(fpc.x, fpc.y, fpc.z),
+        ev.all_witnesses(fpc.x, fpc.y, fpc.z),
+    )
+
+
+@dataclass(frozen=True)
+class PreservationViolation:
+    kind: str  # "homomorphic-image" | "direct-product"
+    source: str
+    target: str
+    assignment: tuple[int, ...]
+    detail: str
+
+
+@dataclass(frozen=True)
+class PreservationReport:
+    """Positive existential formulas survive surjective images and products;
+    any violation reported here indicates an evaluator bug or a negative
+    literal smuggled past the type."""
+
+    formula_text: str
+    homs_checked: int
+    products_checked: int
+    assignments_checked: int
+    skipped: tuple[str, ...]
+    violations: tuple[PreservationViolation, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_preservation(
+    psi: PositiveExistential,
+    ctx: VarietyContext,
+    hom_candidate_cap: int = 200_000,
+    pair_cap: int = 64,
+) -> PreservationReport:
+    algebras = ctx.pool_algebras or (ctx.generator,)
+    l = psi.l
+    violations: list[PreservationViolation] = []
+    skipped: list[str] = []
+    homs_checked = 0
+    products_checked = 0
+    assignments = 0
+
+    def role_envs(algebra: FiniteAlgebra):
+        n = algebra.size
+        for x in range(n):
+            for y in range(n):
+                for zs in itertools.product(range(n), repeat=l):
+                    yield x, y, zs
+
+    for a in algebras:
+        ev_a = DnfEvaluator(a, psi)
+        for b in algebras:
+            try:
+                homs = surjective_homomorphisms(a, b, hom_candidate_cap)
+            except ResourceBoundError:
+                skipped.append(f"homs {a.name} -> {b.name}")
+                continue
+            ev_b = DnfEvaluator(b, psi)
+            for h in homs:
+                homs_checked += 1
+                for x, y, zs in role_envs(a):
+                    assignments += 1
+                    if ev_a.satisfied(x, y, zs) and not ev_b.satisfied(
+                        h[x], h[y], tuple(h[z] for z in zs)
+                    ):
+                        violations.append(
+                            PreservationViolation(
+                                "homomorphic-image",
+                                a.name,
+                                b.name,
+                                (x, y, *zs),
+                                f"holds at ({x},{y},{zs}) in {a.name} but not "
+                                f"at the image in {b.name}",
+                            )
+                        )
+
+    for a in algebras:
+        ev_a = DnfEvaluator(a, psi)
+        sat_a = [s for s in role_envs(a) if ev_a.satisfied(*s)]
+        for b in algebras:
+            if a.size * b.size > pair_cap:
+                skipped.append(f"product {a.name} x {b.name}")
+                continue
+            products_checked += 1
+            p = direct_product(a, b)
+            ev_p = DnfEvaluator(p, psi)
+            ev_b = DnfEvaluator(b, psi)
+            sat_b = [s for s in role_envs(b) if ev_b.satisfied(*s)]
+            for xa, ya, za in sat_a:
+                for xb, yb, zb in sat_b:
+                    assignments += 1
+                    x = pair_index(xa, xb, b.size)
+                    y = pair_index(ya, yb, b.size)
+                    zs = tuple(
+                        pair_index(z1, z2, b.size) for z1, z2 in zip(za, zb)
+                    )
+                    if not ev_p.satisfied(x, y, zs):
+                        violations.append(
+                            PreservationViolation(
+                                "direct-product",
+                                a.name,
+                                b.name,
+                                (x, y, *zs),
+                                f"holds in both coordinates but not in the "
+                                f"product at ({x},{y},{zs})",
+                            )
+                        )
+    return PreservationReport(
+        psi.text(),
+        homs_checked,
+        products_checked,
+        assignments,
+        tuple(skipped),
+        tuple(violations),
     )

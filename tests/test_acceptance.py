@@ -11,7 +11,6 @@ from factorlab import (
     VarietyContext,
     all_congruences,
     central_elements,
-    check_preservation,
     factor_pairs,
     free_algebra,
     parse_formula,
@@ -29,6 +28,7 @@ from factorlab.fixtures import (
 )
 from factorlab.terms import App
 from oracles import (
+    check_preservation,
     congruence_reps_bruteforce,
     decomposition_from_pair,
     ring_idempotents,

@@ -154,13 +154,7 @@ def test_freealg_dump_huge_rank_exits_3_before_the_grid(capsys):
     assert "over the cap 10000000" in err
 
 
-def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("FACTORLAB_BUDGET", "100")
-    code = main(["freealg", "dump", str(FIXTURES / "rings_z6.ctx"), "--rank", "2"])
-    capsys.readouterr()
-    assert code == 3
-    # explicit flag wins over the environment
-    monkeypatch.setenv("FACTORLAB_BUDGET", "100")
+def test_budget_flag(capsys):
     code, out = run_cli(
         capsys, "freealg", "dump", FIXTURES / "rings_z6.ctx",
         "--rank", "1", "--budget", "200",
@@ -228,6 +222,54 @@ def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+# the only negative literal compares a term with itself, so it fails at every
+# assignment of the bound variables and no witness exists
+FOUR_VARIABLES = (
+    "exists u v w t . (z1 * x = z1 * y and ((u * v) * w) * t != "
+    "((u * v) * w) * t)"
+)
+SIX_VARIABLES = (
+    "exists u v w t s r . (z1 * x = z1 * y and "
+    "((((u * v) * w) * t) * s) * r != ((((u * v) * w) * t) * s) * r)"
+)
+
+
+def test_positivize_four_variables_without_witness_exits_4(capsys, tmp_path):
+    # 4**4 + 16**4 candidates over F(x) and F(x,y), not 64**4 over their
+    # product
+    path = tmp_path / "four.fm"
+    path.write_text(FOUR_VARIABLES, encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["positivize", str(FIXTURES / "rings.ctx"), str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 4
+    assert "distinguished assignment" in capsys.readouterr().err
+    assert elapsed < 3.0
+
+
+def test_positivize_six_variables_exits_3_before_searching(
+    capsys, monkeypatch, tmp_path
+):
+    from factorlab.formulas import DnfEvaluator
+
+    def no_search(*args):
+        raise AssertionError("searched past the estimate")
+
+    monkeypatch.setattr(DnfEvaluator, "masked_witnesses", no_search)
+    path = tmp_path / "six.fm"
+    path.write_text(SIX_VARIABLES, encoding="utf-8")
+    start = time.perf_counter()
+    code = main(["positivize", str(FIXTURES / "rings.ctx"), str(path)])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    # 1 disjunct x (4**6 + 16**6)
+    assert capsys.readouterr().err == (
+        "error: positivize: estimated 16781312 witness candidates exceed cap "
+        "10000000\n"
+    )
+    assert elapsed < 1.0
 
 
 def test_positivize_no_witness_exits_4(capsys):

@@ -7,7 +7,6 @@ from factorlab import (
     ValidationError,
     direct_product,
     eval_term,
-    is_homomorphism,
     pair_index,
     pair_split,
     subalgebra_generated,
@@ -20,6 +19,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var
+from oracles import is_homomorphism
 
 
 def test_table_validation_lengths():

@@ -1,19 +1,28 @@
 import dataclasses
+import importlib
 
 import pytest
 
+from conftest import FIXTURES, REPO
 from factorlab import (
     InternalCheckError,
     NoWitnessError,
-    check_preservation,
+    ResourceBoundError,
     enumerate_witnesses,
+    free_pair_context,
     parse_formula,
     positivize,
     strip_to_positive,
     verify_dfc,
 )
+from factorlab.fileio import load_context, load_formula
 from factorlab.positivize import _recheck_substitution
 from factorlab.terms import App, term_text
+from oracles import check_preservation, free_pair_witnesses_materialized
+from test_dfc import _count_direct_products
+
+# the package re-exports the function `positivize` under the module's name
+POSITIVIZE_MODULE = importlib.import_module("factorlab.positivize")
 
 RING_MIXED = "exists w . (z1 * x = z1 * y and w != z1) or (z1 = w and x = y)"
 LATTICE_MIXED = (
@@ -116,6 +125,66 @@ def test_enumerate_witnesses_includes_first(rings_ctx):
     # disjunct 0 admits every element except the parameter itself
     fpc_size = 64
     assert sum(1 for kk, _ in allw if kk == 0) == fpc_size - 1
+
+
+# (context, formula) runs, each formula under 3 bound variables, so that the
+# materialized product search of the oracle stays small
+WITNESS_RUNS = [
+    ("rings", FIXTURES / "formulas" / "ring_mixed.fm"),
+    ("rings", FIXTURES / "formulas" / "not_dfc.fm"),
+    ("rings", REPO / "perfbench" / "w4.fm"),
+    ("rings", "exists u v . (z1 * u = v and u != x) or (u * v != 1 and 0 != 1)"),
+    ("rings", "exists u v . (u + v = z1 and u != v and x + 1 != y)"),
+    ("lattices", FIXTURES / "formulas" / "lattice_mixed.fm"),
+    ("lattices", r"exists u v . (u \/ v = z1 and u != x) or (x /\ u = y and v != u)"),
+    ("boolean", FIXTURES / "formulas" / "lattice_mixed.fm"),
+    ("boolean", r"exists u . (x \/ u = y \/ u and u != z1 and u != x)"),
+]
+
+
+@pytest.mark.parametrize("ctx_name, formula", WITNESS_RUNS)
+def test_witnesses_match_the_materialized_free_pair_product(ctx_name, formula):
+    ctx = load_context(str(FIXTURES / f"{ctx_name}.ctx")).populated()
+    if isinstance(formula, str):
+        phi = parse_formula(formula, ctx.signature, ctx.l)
+    else:
+        phi = load_formula(str(formula), ctx.signature, ctx.l)
+    fpc = free_pair_context(ctx)
+    first, everything = free_pair_witnesses_materialized(phi, fpc)
+    assert enumerate_witnesses(phi, ctx, fpc=fpc) == everything
+    if first is None:
+        with pytest.raises(NoWitnessError):
+            positivize(phi, ctx, fpc=fpc)
+    else:
+        cert = positivize(phi, ctx, fpc=fpc).certificate
+        assert (cert.disjunct, cert.witness_indices) == first
+
+
+def test_positivize_builds_no_product(monkeypatch, rings_ctx):
+    phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
+    calls = _count_direct_products(monkeypatch)
+    positivize(phi, rings_ctx)
+    assert len(enumerate_witnesses(phi, rings_ctx)) == 63
+    assert calls == []
+
+
+def test_witness_search_caps(monkeypatch, rings_ctx):
+    # 2 disjuncts x (|F(x)| + |F(x,y)|) = 2 x (4 + 16) candidates, and 63
+    # witnesses in the combined list
+    phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
+    monkeypatch.setattr(POSITIVIZE_MODULE, "SEARCH_CAP", 39)
+    with pytest.raises(
+        ResourceBoundError,
+        match="^positivize: estimated 40 witness candidates exceed cap 39$",
+    ):
+        positivize(phi, rings_ctx)
+    monkeypatch.setattr(POSITIVIZE_MODULE, "SEARCH_CAP", 62)
+    assert positivize(phi, rings_ctx).k == 0
+    with pytest.raises(
+        ResourceBoundError,
+        match="^positivize: 63 combined witnesses exceed cap 62$",
+    ):
+        enumerate_witnesses(phi, rings_ctx)
 
 
 def test_verdicts_agree_for_input_and_output(rings_ctx, lattices_ctx):

@@ -29,6 +29,7 @@ from factorlab.fixtures import (
     pentagon_lattice,
     ring_context,
 )
+from factorlab.positivize import first_product_witness, product_witnesses
 from factorlab.terms import App, Var, term_text
 from oracles import congruence_meet, verify_dfc_materialized, witnesses_naive
 
@@ -207,13 +208,17 @@ def dfc_members(draw):
     )
 
 
+CLOSED_TERMS = [App("0"), App("1"), App("f", (App("0"),)),
+                App("g", (App("1"), App("0")))]
+
+
 @st.composite
-def dfc_formulas(draw):
-    n_bound = draw(st.integers(0, 2))
+def dfc_formulas(draw, max_bound=2, max_disjuncts=2, closed_negatives=False):
+    n_bound = draw(st.integers(0, max_bound))
     bound = tuple(f"w{i}" for i in range(n_bound))
     strat = terms_for(DFC_SIG, ["x", "y", "z1", *bound])
     disjuncts = []
-    for _ in range(draw(st.integers(1, 2))):
+    for _ in range(draw(st.integers(1, max_disjuncts))):
         lits = [
             Literal(draw(strat), draw(strat), draw(st.booleans()))
             for _ in range(draw(st.integers(1, 3)))
@@ -225,6 +230,9 @@ def dfc_formulas(draw):
             lits.append(Literal(
                 draw(st.sampled_from([w, App("f", (w,))])), draw(strat), False
             ))
+        if closed_negatives and draw(st.booleans()):
+            closed = st.sampled_from(CLOSED_TERMS)
+            lits.append(Literal(draw(closed), draw(closed), False))
         disjuncts.append(tuple(lits))
     return ExistentialDnf(bound, tuple(disjuncts), 1)
 
@@ -279,3 +287,39 @@ def test_counterexample_reads_match_materialized(named, phi, k):
     assert lazy[2:5] == full[2:5]
     assert tuple(lazy) == full
     assert lazy == full
+
+
+# -- witnesses in a product, factor by factor ----------------------------------
+
+ROLE_VALUES = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+@given(dfc_members(), dfc_members(),
+       dfc_formulas(max_bound=3, max_disjuncts=3, closed_negatives=True),
+       ROLE_VALUES, ROLE_VALUES)
+# 0 != 1 fails in ONE, so on both sides of ONE x ONE: no witness
+@example(ONE, ONE, parse_formula("exists w0 . x = w0 and 0 != 1", DFC_SIG, 1),
+         (0, 0, 0), (0, 0, 0))
+# the least left witness, (0, 0), pairs with right witnesses from (1, 0) on,
+# and (0, 1) pairs with (0, 0): the least product witness is (0, 2), outside
+# the rectangle of the least left witness
+@example(FiniteAlgebra(DFC_SIG, 2, ((1, 0), (0, 0, 0, 0), (0,), (0,))),
+         FiniteAlgebra(DFC_SIG, 2, ((0, 0), (0, 0, 0, 0), (0,), (0,))),
+         parse_formula("exists w0 w1 . 0 != f(0) and w0 != f(f(w1))",
+                       DFC_SIG, 1),
+         (0, 0, 0), (0, 0, 0))
+def test_coordinatewise_witnesses_match_materialized_product(
+    left, right, phi, left_values, right_values
+):
+    left_roles = (left_values[0] % left.size, left_values[1] % left.size,
+                  (left_values[2] % left.size,))
+    right_roles = (right_values[0] % right.size, right_values[1] % right.size,
+                   (right_values[2] % right.size,))
+    n = right.size
+    x = pair_index(left_roles[0], right_roles[0], n)
+    y = pair_index(left_roles[1], right_roles[1], n)
+    zs = (pair_index(left_roles[2][0], right_roles[2][0], n),)
+    ev = DnfEvaluator(direct_product(left, right), phi)
+    factors = (left, left_roles), (right, right_roles)
+    assert first_product_witness(phi, *factors) == ev.first_witness(x, y, zs)
+    assert product_witnesses(phi, *factors) == ev.all_witnesses(x, y, zs)

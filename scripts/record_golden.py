@@ -88,6 +88,9 @@ def invocations() -> list[list[str]]:
         ["dfc", "verify", _ctx("lattices"), _fm("not_dfc")],  # exit 5
         ["dfc", "verify", _ctx("rings"), _fm("not_dfc")],  # exit 5
         ["pipeline", _ctx("rings"), _fm("not_dfc")],  # exit 5
+        ["correspondence", _ctx("rings"), _fm("not_dfc")],  # MISMATCH: exit 5
+        ["correspondence", _ctx("lattices"), _fm("not_dfc"),
+         "--algebra", "fixtures/l2x2.alg"],  # MISMATCH: exit 5
         ["correspondence", _ctx("rings"), _fm("ring_dfc"),
          "--algebra", "fixtures/z2xz2.alg"],
         ["correspondence", _ctx("lattices"), _fm("lattice_dfc"),
@@ -103,6 +106,7 @@ def invocations() -> list[list[str]]:
         ["dfc", "verify", _ctx("lattices"), _fm("not_dfc"),
          "--pool-depth", "3", "--max-size", "16"],
         ["pipeline", _ctx("rings"), _fm("not_dfc")],
+        ["correspondence", _ctx("rings"), _fm("not_dfc")],  # exit 5
     ]
     return machine + text
 

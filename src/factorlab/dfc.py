@@ -13,7 +13,13 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .congruences import Congruence, FactorPair, factor_pairs
+from .congruences import (
+    Congruence,
+    FactorPair,
+    _respects_translations,
+    _trusted,
+    factor_pairs,
+)
 from .core import FiniteAlgebra
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
@@ -325,42 +331,20 @@ def congruence_of_central(
     ev = DnfEvaluator(algebra, phi)
     n = algebra.size
     rel = [[ev.satisfied(a, c, ce.e) for c in range(n)] for a in range(n)]
-    note = (
-        "convention: the element is zero-side for pair.theta, and the relation "
-        "defined by the formula is compared against pair.theta"
-    )
-    for a in range(n):
-        if not rel[a][a]:
-            return CentralCongruenceReport(
-                ce.e, False, False, None, ce.pair.theta, "relation is not reflexive"
-            )
-        for c in range(n):
-            if rel[a][c] != rel[c][a]:
-                return CentralCongruenceReport(
-                    ce.e, False, False, None, ce.pair.theta,
-                    "relation is not symmetric",
-                )
-    # build class representatives, then let the congruence validator check
-    # transitivity-compatibility in one go
-    rep = []
-    for a in range(n):
-        rep.append(min(c for c in range(n) if rel[a][c]))
-    try:
-        theta = Congruence(algebra, tuple(rep))
-    except ValidationError as exc:
+    # rel is an equivalence iff it is the kernel of a -> least c with rel(a, c)
+    rep = tuple(row.index(True) if True in row else -1 for row in rel)
+    if any(rel[a][c] != (rep[a] == rep[c]) for a in range(n) for c in range(n)):
+        note = "relation is not an equivalence"
+    elif not _respects_translations(algebra, rep):
+        note = "equivalence is not compatible with the operations"
+    else:
         return CentralCongruenceReport(
-            ce.e, False, False, None, ce.pair.theta, f"not a congruence: {exc}"
+            ce.e, True, rep == ce.pair.theta.rep, _trusted(algebra, rep),
+            ce.pair.theta,
+            "convention: the element is zero-side for pair.theta, and the "
+            "relation defined by the formula is compared against pair.theta",
         )
-    for a in range(n):
-        for c in range(n):
-            if rel[a][c] != theta.related(a, c):
-                return CentralCongruenceReport(
-                    ce.e, False, False, None, ce.pair.theta,
-                    "relation is not transitive",
-                )
-    return CentralCongruenceReport(
-        ce.e, True, theta.rep == ce.pair.theta.rep, theta, ce.pair.theta, note
-    )
+    return CentralCongruenceReport(ce.e, False, False, None, ce.pair.theta, note)
 
 
 @dataclass(frozen=True)

@@ -379,8 +379,8 @@ def parse_term_text(text: str, signature: Signature) -> Term:
 
 
 def _run(code, env: list[int], n: int) -> bool:
-    """Execute one level's instructions, then check its literals."""
-    instructions, literals = code
+    """Execute one level's instructions, then check its positive literals."""
+    instructions, checks = code
     for out, table, args in instructions:
         if len(args) == 2:
             env[out] = table[env[args[0]] * n + env[args[1]]]
@@ -391,8 +391,8 @@ def _run(code, env: list[int], n: int) -> bool:
             for a in args:
                 i = i * n + env[a]
             env[out] = table[i]
-    for lhs, rhs, positive in literals:
-        if (env[lhs] == env[rhs]) != positive:
+    for lhs, rhs in checks:
+        if env[lhs] != env[rhs]:
             return False
     return True
 
@@ -400,19 +400,26 @@ def _run(code, env: list[int], n: int) -> bool:
 class DnfEvaluator:
     """Compiled evaluator for one formula over one algebra.
 
-    Each disjunct compiles to instructions (output slot, table, argument
-    slots) and literal checks over one slot list: x, y, z1..zl, w1..w_nb, then
-    one slot per distinct compound subterm.  Both sit at level j when w_j is
-    the last bound variable they mention, at level 0 when they mention none;
-    closed subterms and closed literals are evaluated here, once.  One search
-    binds w1..w_nb depth first in lexicographic order and runs level j as
-    soon as w_j is bound, so a false literal prunes every extension of the
-    prefix.  Witnesses come disjunct by disjunct in input order;
-    `first_witness` and `satisfied` stop at the first.  `failure_masks` runs
-    the same search over the same instructions with the positive literals
-    only and reports which negative literals fail; `masked_witnesses` yields
-    each witness of that search with its failure mask.  Instances are safe
-    to share.
+    Each disjunct compiles to one program: instructions (output slot, table,
+    argument slots) and positive-literal checks over one slot list: x, y,
+    z1..zl, w1..w_nb, then one slot per distinct compound subterm.  Both sit
+    at level j when w_j is the last bound variable they mention, at level 0
+    when they mention none; closed subterms and closed literals are evaluated
+    here, once, and a false closed positive literal drops its disjunct.  One
+    search binds w1..w_nb depth first in lexicographic order and runs level j
+    as soon as w_j is bound, so a false positive literal prunes every
+    extension of the prefix.  Each assignment that passes every level is a
+    hit, disjunct by disjunct in input order, and carries the failure mask
+    of the disjunct's negative literals: bit j when the j-th one fails
+    there, closed ones included.
+
+    In a direct product a positive literal holds when it holds in every
+    factor and a negative literal when it holds in some factor
+    (Feferman-Vaught), so a disjunct holds at paired arguments exactly when
+    the factors offer hits whose masks have no bit in common.  One algebra
+    is the one-factor case: the disjunct holds at a hit whose mask is 0.
+    `satisfied` stops at the first such hit; `failure_masks` and
+    `masked_witnesses` report every hit.  Instances are safe to share.
     """
 
     def __init__(self, algebra: FiniteAlgebra, phi: ExistentialDnf | PositiveExistential):
@@ -429,52 +436,36 @@ class DnfEvaluator:
             self._vars[w] = (self._base + j, j + 1)
         # the slot list a search starts from: unbound w slots hold -1
         self._frame = [0] * self._base + [-1] * len(phi.bound_vars)
-        self._programs = []  # (k, levels): every literal prunes
-        self._positive_programs = []  # (k, levels): positive literals prune
-        self._negatives = {}  # k -> ((lhs slot, rhs slot, bit), ...)
+        self._programs = []  # (k, levels, negatives)
         for k, conj in enumerate(phi.disjuncts):
-            levels, positive_levels, negatives = self._compile(conj)
-            if levels is not None:
-                self._programs.append((k, levels))
-            if positive_levels is not None:
-                self._positive_programs.append((k, positive_levels))
-                self._negatives[k] = negatives
+            compiled = self._compile(conj)
+            if compiled is not None:
+                self._programs.append((k, *compiled))
 
     def _compile(self, conj: tuple[Literal, ...]):
-        """Two programs of one disjunct over shared instructions.
-
-        Returns the levels with every literal check (None if a closed literal
-        is false), the levels with the positive checks only (None if a closed
-        positive literal is false), and the negative literals as
-        (lhs slot, rhs slot, bit), bit j for the j-th negative literal.
-        """
+        """The program of one disjunct: the levels with their positive checks
+        and the negative literals as (lhs slot, rhs slot, bit), bit j for the
+        j-th negative literal.  None if a closed positive literal is false."""
         n_levels = len(self.bound) + 1
         instructions = [[] for _ in range(n_levels)]
         checks = [[] for _ in range(n_levels)]
         negatives = []
         memo: dict[Term, tuple[int, int]] = {}
-        all_hold = positives_hold = True
+        holds = True
         for lit in conj:
             lhs, lhs_level = self._term(lit.lhs, instructions, memo)
             rhs, rhs_level = self._term(lit.rhs, instructions, memo)
             level = max(lhs_level, rhs_level)
             if not lit.positive:
                 negatives.append((lhs, rhs, 1 << len(negatives)))
-            if level >= 0:
-                checks[level].append((lhs, rhs, lit.positive))
-            elif (self._frame[lhs] == self._frame[rhs]) != lit.positive:
-                all_hold = False
-                positives_hold = positives_hold and not lit.positive
-        instructions = [tuple(i) for i in instructions]
-        levels = [(i, tuple(c)) for i, c in zip(instructions, checks)]
-        positive_levels = [
-            (i, tuple(c for c in cs if c[2])) for i, cs in zip(instructions, checks)
-        ]
-        return (
-            levels if all_hold else None,
-            positive_levels if positives_hold else None,
-            tuple(negatives),
-        )
+            elif level >= 0:
+                checks[level].append((lhs, rhs))
+            elif self._frame[lhs] != self._frame[rhs]:
+                holds = False
+        if not holds:
+            return None
+        levels = [(tuple(i), tuple(c)) for i, c in zip(instructions, checks)]
+        return levels, tuple(negatives)
 
     def _term(self, t: Term, instructions, memo) -> tuple[int, int]:
         """(slot, level) of a term, emitting the instructions it needs."""
@@ -507,9 +498,8 @@ class DnfEvaluator:
         memo[t] = (out, level)
         return out, level
 
-    def _search(self, programs, x: int, y: int, zs: tuple[int, ...]):
-        """Yield (disjunct index, slot list) at every bound-variable
-        assignment that passes every level of that disjunct's program, in
+    def _search(self, x: int, y: int, zs: tuple[int, ...]):
+        """Yield (disjunct index, failure mask, slot list) at every hit, in
         search order.  The slot list is live: read it before resuming."""
         if len(zs) != self._l:
             raise EvalError(f"expected {self._l} z-arguments, got {len(zs)}")
@@ -520,14 +510,20 @@ class DnfEvaluator:
         env[0] = x
         env[1] = y
         env[2:base] = zs
-        for k, levels in programs:
+        for k, levels, negatives in self._programs:
             if not _run(levels[0], env, n):
                 continue
-            if top == base:
-                yield k, env
-                continue
-            slot = base  # the bound variable being advanced
-            while slot >= base:
+            slot = base  # the bound variable being advanced; top on a hit
+            while True:
+                if slot == top:
+                    mask = 0
+                    for lhs, rhs, bit in negatives:
+                        if env[lhs] == env[rhs]:
+                            mask |= bit
+                    yield k, mask, env
+                    slot -= 1
+                if slot < base:
+                    break
                 v = env[slot] + 1
                 if v == n:
                     env[slot] = -1
@@ -535,62 +531,27 @@ class DnfEvaluator:
                     continue
                 env[slot] = v
                 if _run(levels[slot - base + 1], env, n):
-                    if slot + 1 == top:
-                        yield k, env
-                    else:
-                        slot += 1
-
-    def first_witness(
-        self, x: int, y: int, zs: tuple[int, ...]
-    ) -> tuple[int, tuple[int, ...]] | None:
-        """First (disjunct index, bound-variable assignment) satisfying every
-        literal of that disjunct, or None."""
-        for k, env in self._search(self._programs, x, y, zs):
-            return k, tuple(env[self._base:self._top])
-        return None
+                    slot += 1
 
     def satisfied(self, x: int, y: int, zs: tuple[int, ...]) -> bool:
-        return next(self._search(self._programs, x, y, zs), None) is not None
-
-    def all_witnesses(
-        self, x: int, y: int, zs: tuple[int, ...]
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        base, top = self._base, self._top
-        return [
-            (k, tuple(env[base:top]))
-            for k, env in self._search(self._programs, x, y, zs)
-        ]
+        """True iff some disjunct holds: some hit has mask 0."""
+        for _, mask, _ in self._search(x, y, zs):
+            if not mask:
+                return True
+        return False
 
     def failure_masks(
         self, x: int, y: int, zs: tuple[int, ...]
     ) -> tuple[frozenset[int], ...]:
-        """Per disjunct, the set over bound-variable assignments satisfying
-        its positive literals of the masks of its negative literals that fail
-        there (bit j for its j-th negative literal).
-
-        In a direct product a positive literal holds when it holds in every
-        factor and a negative literal when it holds in some factor, so a
-        disjunct holds at paired arguments exactly when the two factors offer
-        masks with no bit in common.
-        """
+        """Per disjunct, the set of the masks of its hits."""
         found = [set() for _ in range(self._n_disjuncts)]
-        negatives = self._negatives
-        for k, env in self._search(self._positive_programs, x, y, zs):
-            mask = 0
-            for lhs, rhs, bit in negatives[k]:
-                if env[lhs] == env[rhs]:
-                    mask |= bit
+        for k, mask, _ in self._search(x, y, zs):
             found[k].add(mask)
         return tuple(map(frozenset, found))
 
     def masked_witnesses(self, x: int, y: int, zs: tuple[int, ...]):
         """Yield (disjunct index, failure mask, bound-variable assignment) at
-        each assignment whose mask `failure_masks` collects, in search order."""
+        every hit, in search order."""
         base, top = self._base, self._top
-        negatives = self._negatives
-        for k, env in self._search(self._positive_programs, x, y, zs):
-            mask = 0
-            for lhs, rhs, bit in negatives[k]:
-                if env[lhs] == env[rhs]:
-                    mask |= bit
+        for k, mask, env in self._search(x, y, zs):
             yield k, mask, tuple(env[base:top])

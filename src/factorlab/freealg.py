@@ -58,12 +58,6 @@ class FreeAlgebra:
     def size(self) -> int:
         return len(self.vectors)
 
-    def element_term(self, e: int) -> Term:
-        """Minimal-depth witness term for carrier element e."""
-        if not 0 <= e < self.size:
-            raise ValidationError(f"element {e} outside carrier of size {self.size}")
-        return self.witnesses[e]
-
 
 def _default_var_names(rank: int) -> tuple[str, ...]:
     if rank == 1:

@@ -34,15 +34,11 @@ Factor = tuple[FiniteAlgebra, tuple[int, int, tuple[int, ...]]]
 
 @dataclass(frozen=True)
 class WitnessCertificate:
-    """What was satisfied where: the chosen disjunct, the witness elements in
-    the free-pair product, and the distinguished assignment that was used."""
+    """What was satisfied where: the chosen disjunct and the witness elements
+    in the free-pair product."""
 
     disjunct: int
     witness_indices: tuple[int, ...]
-    x_index: int
-    y_index: int
-    z_indices: tuple[int, ...]
-    literal_texts: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -196,16 +192,8 @@ def positivize(
             "chosen disjunct has no positive literals; the positive formula is "
             "constantly true and will fail first-coordinate verification"
         )
-    certificate = WitnessCertificate(
-        disjunct=k,
-        witness_indices=ws,
-        x_index=fpc.x,
-        y_index=fpc.y,
-        z_indices=fpc.z,
-        literal_texts=tuple(lit.text() for lit in phi.disjuncts[k]),
-    )
-    result = PositivizeResult(k, phi_prime, tuple(witnesses), certificate,
-                              tuple(warnings))
+    result = PositivizeResult(k, phi_prime, tuple(witnesses),
+                              WitnessCertificate(k, ws), tuple(warnings))
     _recheck_substitution(result, ctx)
     return result
 

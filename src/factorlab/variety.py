@@ -64,12 +64,9 @@ class VarietyContext:
     def with_pool(self, entries: tuple[PoolEntry, ...]) -> "VarietyContext":
         return replace(self, pool=entries)
 
-    def populated(
-        self, max_size: int = 8, depth: int = 2, cong_bound: int | None = None
-    ) -> "VarietyContext":
+    def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
         return self.with_pool(
-            tuple(generate_pool(self, max_size=max_size, depth=depth,
-                                cong_bound=cong_bound))
+            tuple(generate_pool(self, max_size=max_size, depth=depth))
         )
 
 
@@ -78,10 +75,7 @@ def _fingerprint(a: FiniteAlgebra) -> tuple:
 
 
 def generate_pool(
-    ctx: VarietyContext,
-    max_size: int = 8,
-    depth: int = 2,
-    cong_bound: int | None = None,
+    ctx: VarietyContext, max_size: int = 8, depth: int = 2
 ) -> list[PoolEntry]:
     """Close {generator} under quotients, small generated subalgebras and
     binary products for `depth` rounds, discarding constructions larger than
@@ -89,7 +83,7 @@ def generate_pool(
     tables are pruned; no isomorphism testing is attempted.
     """
     gen = ctx.generator
-    bound = cong_bound if cong_bound is not None else max(max_size, gen.size)
+    bound = max(max_size, gen.size)
     entries = [PoolEntry(gen, "generator")]
     seen = {_fingerprint(gen)}
 
@@ -107,10 +101,9 @@ def generate_pool(
         snapshot = list(entries)
         for entry in snapshot:
             a = entry.algebra
-            if a.size <= bound:
-                for theta in all_congruences(a, bound=bound):
-                    q, _ = quotient(a, theta)
-                    add(q, f"quotient({a.name}, {theta})", fresh)
+            for theta in all_congruences(a, bound=bound):
+                q, _ = quotient(a, theta)
+                add(q, f"quotient({a.name}, {theta})", fresh)
             seeds = [()] + [(s,) for s in range(a.size)] + [
                 pair for pair in itertools.combinations(range(a.size), 2)
             ]

@@ -7,7 +7,9 @@ vectors.  The table-scan principal closure, its compatibility check and the
 relational composition are the congruence layer's earlier implementation,
 kept as references for the translation-based one.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
-A x B through the materialized product table.  `verify_dfc_materialized` is
+A x B through the materialized product table.  `first_witness` and
+`all_witnesses` read the evaluator's hits whose failure mask is 0, the
+witness queries only the tests ask.  `verify_dfc_materialized` is
 the first-coordinate harness as it was before it went coordinatewise: one
 product table and one witness search per product cell.
 `free_algebra_pointwise` is the free-algebra closure as it was before it ran
@@ -382,6 +384,42 @@ def witnesses_naive(algebra, phi, x, y, zs):
     return out
 
 
+def all_witnesses(ev: DnfEvaluator, x, y, zs):
+    """Every (disjunct index, bound-variable assignment) of `ev` satisfying
+    all literals of that disjunct, in search order: the hits of
+    `masked_witnesses` whose mask is 0."""
+    return [(k, ws) for k, mask, ws in ev.masked_witnesses(x, y, zs) if not mask]
+
+
+def first_witness(ev: DnfEvaluator, x, y, zs):
+    """The head of `all_witnesses`, found without searching further, or None."""
+    for k, mask, ws in ev.masked_witnesses(x, y, zs):
+        if not mask:
+            return k, ws
+    return None
+
+
+def masked_witnesses_naive(algebra, phi, x, y, zs):
+    """Yield (disjunct index, failure mask, bound-variable assignment) at
+    every assignment satisfying the positive literals of that disjunct, in
+    the order of `witnesses_naive`; bit j of the mask is set when the j-th
+    negative literal of the disjunct fails there."""
+    env = {"x": x, "y": y, **{f"z{i + 1}": z for i, z in enumerate(zs)}}
+    for k, conj in enumerate(phi.disjuncts):
+        negatives = [lit for lit in conj if not lit.positive]
+        for w in itertools.product(range(algebra.size), repeat=len(phi.bound_vars)):
+            env.update(zip(phi.bound_vars, w))
+            if all(
+                eval_term(algebra, lit.lhs, env) == eval_term(algebra, lit.rhs, env)
+                for lit in conj if lit.positive
+            ):
+                yield k, sum(
+                    1 << j for j, lit in enumerate(negatives)
+                    if eval_term(algebra, lit.lhs, env)
+                    == eval_term(algebra, lit.rhs, env)
+                ), w
+
+
 def eval_in_product(product, b_size, phi, ab, cd, z_pairs):
     """The formula over the materialized product A x B, with |B| = b_size, at
     paired arguments under the fixed encoding; z_pairs gives, per z-role,
@@ -574,8 +612,8 @@ def free_pair_witnesses_materialized(phi, fpc):
     `enumerate_witnesses` took before they went factor by factor."""
     ev = DnfEvaluator(direct_product(fpc.f1.algebra, fpc.f2.algebra), phi)
     return (
-        ev.first_witness(fpc.x, fpc.y, fpc.z),
-        ev.all_witnesses(fpc.x, fpc.y, fpc.z),
+        first_witness(ev, fpc.x, fpc.y, fpc.z),
+        all_witnesses(ev, fpc.x, fpc.y, fpc.z),
     )
 
 

@@ -471,3 +471,14 @@ def test_deeply_nested_formula_exits_2(capsys, tmp_path):
     code = main(["dfc", "verify", str(FIXTURES / "rings.ctx"), str(deep)])
     assert code == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_scripts_run_against_the_public_api():
+    # both scripts import the package directly; a name they use that leaves
+    # the API fails here rather than at a user's shell
+    for script in ("survey_corpus.py", "demo_pipeline.py"):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / script)],
+            capture_output=True, text=True, cwd=REPO, timeout=60,
+        )
+        assert proc.returncode == 0, f"{script}: {proc.stderr}"

@@ -206,6 +206,23 @@ def test_congruence_of_central_mismatch_reported(z6, rings_z6_ctx):
     assert any(r.is_congruence and not r.matches_pair for r in reports)
 
 
+@pytest.mark.parametrize("algebra, text", [
+    (chain_lattice(3), "x != y"),  # not reflexive
+    (chain_lattice(3), r"x \/ y = y"),  # x <= y: not symmetric
+    # the kernel of squaring, {0} and {1, 2}: an equivalence, but 1 + 1 = 2
+    # and 2 + 1 = 0 are not related
+    (cyclic_ring(3), "x * x = y * y"),
+])
+def test_congruence_of_central_rejects_non_congruences(algebra, text):
+    ctx = (ring_context if algebra.signature.has("*") else lattice_context)(algebra)
+    phi = parse_formula(text, ctx.signature, 1)
+    for ce in central_elements(algebra, ctx):
+        report = congruence_of_central(algebra, phi, ce)
+        assert not report.is_congruence
+        assert report.computed is None
+        assert not report.ok
+
+
 def test_correspondence_z6(z6, rings_z6_ctx):
     phi = parse_formula(RING_PHI, rings_z6_ctx.signature, 1)
     report = correspondence_check(z6, phi, rings_z6_ctx)

@@ -107,7 +107,7 @@ def test_witness_terms_reproduce_vectors(z2):
         fa = free_algebra(base, rank)
         points = list(itertools.product(range(base.size), repeat=rank))
         for e in range(fa.size):
-            term = fa.element_term(e)
+            term = fa.witnesses[e]
             computed = tuple(
                 eval_term(base, term, dict(zip(fa.var_names, pt)))
                 for pt in points
@@ -166,7 +166,7 @@ def test_universality_sampled(z2, rings_ctx):
         for image in itertools.product(range(b.size), repeat=fa.rank):
             env = dict(zip(fa.var_names, image))
             h = tuple(
-                eval_term(b, fa.element_term(e), env) for e in range(fa.size)
+                eval_term(b, fa.witnesses[e], env) for e in range(fa.size)
             )
             assert is_homomorphism(fa.algebra, b, h)
 

@@ -18,7 +18,12 @@ from factorlab import (
 from factorlab.fileio import load_context, load_formula
 from factorlab.positivize import _recheck_substitution
 from factorlab.terms import App, term_text
-from oracles import check_preservation, free_pair_witnesses_materialized
+from oracles import (
+    all_witnesses,
+    check_preservation,
+    first_witness,
+    free_pair_witnesses_materialized,
+)
 from test_dfc import _count_direct_products
 
 # the package re-exports the function `positivize` under the module's name
@@ -220,7 +225,7 @@ def test_explicit_witness_values_satisfy_positive_literals(rings_ctx):
                     for dd in range(b.size):
                         x = pair_index(aa, bb, b.size)
                         y = pair_index(aa, dd, b.size)
-                        found = ev.first_witness(x, y, zs)
+                        found = first_witness(ev, x, y, zs)
                         assert found is not None
                         # explicit witnesses: u(a) on the left, v(b, d) right
                         for u, v in result.witnesses:
@@ -228,7 +233,7 @@ def test_explicit_witness_values_satisfy_positive_literals(rings_ctx):
                             vbd = eval_term(b, v, {"x": bb, "y": dd})
                             env_w = pair_index(ua, vbd, b.size)
                             # the explicit pair is itself a witness
-                            assert (0, (env_w,)) in ev.all_witnesses(x, y, zs)
+                            assert (0, (env_w,)) in all_witnesses(ev, x, y, zs)
 
 
 def test_recheck_rejects_a_wrong_witness_term(rings_ctx):

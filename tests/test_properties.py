@@ -31,7 +31,14 @@ from factorlab.fixtures import (
 )
 from factorlab.positivize import first_product_witness, product_witnesses
 from factorlab.terms import App, Var, term_text
-from oracles import congruence_meet, verify_dfc_materialized, witnesses_naive
+from oracles import (
+    all_witnesses,
+    congruence_meet,
+    first_witness,
+    masked_witnesses_naive,
+    verify_dfc_materialized,
+    witnesses_naive,
+)
 
 Z6 = cyclic_ring(6)
 N5 = pentagon_lattice()
@@ -174,8 +181,8 @@ def test_lattice_pool_members_inherit_generator_identities(data):
                        RING_SIG, 1), 0, 4, 0)
 def test_evaluator_agrees_with_all_witnesses(phi, x, y, z):
     ev = DnfEvaluator(Z6, phi)
-    first = ev.first_witness(x, y, (z,))
-    everything = ev.all_witnesses(x, y, (z,))
+    first = first_witness(ev, x, y, (z,))
+    everything = all_witnesses(ev, x, y, (z,))
     # the whole list, disjunct-major and then lexicographic, as plain
     # recursive evaluation over every assignment finds it
     assert everything == witnesses_naive(Z6, phi, x, y, (z,))
@@ -190,6 +197,24 @@ def test_evaluator_agrees_with_all_witnesses(phi, x, y, z):
 def test_compiled_evaluator_matches_naive_route(phi, x, y, z):
     compiled = DnfEvaluator(Z6, phi).satisfied(x, y, (z,))
     assert compiled == bool(witnesses_naive(Z6, phi, x, y, (z,)))
+
+
+@given(random_formulas(),
+       st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+# the negative literal fails at w = x: a hit with bit 0 set, not a pruned one
+@example(parse_formula("exists w . w + 0 = w and w != x", RING_SIG, 1), 3, 0, 0)
+# a false closed negative literal sets its bit at every hit of its disjunct:
+# hits, but none with mask 0, so the formula fails
+@example(parse_formula("exists w . w = x and 0 != 0", RING_SIG, 1), 3, 3, 0)
+def test_masks_match_naive_evaluation(phi, x, y, z):
+    ev = DnfEvaluator(Z6, phi)
+    naive = list(masked_witnesses_naive(Z6, phi, x, y, (z,)))
+    assert list(ev.masked_witnesses(x, y, (z,))) == naive
+    masks = [set() for _ in phi.disjuncts]
+    for k, mask, _ in naive:
+        masks[k].add(mask)
+    assert ev.failure_masks(x, y, (z,)) == tuple(map(frozenset, masks))
+    assert ev.satisfied(x, y, (z,)) == any(mask == 0 for _, mask, _ in naive)
 
 
 # -- first-coordinate harness against materialized products --------------------
@@ -321,5 +346,5 @@ def test_coordinatewise_witnesses_match_materialized_product(
     zs = (pair_index(left_roles[2][0], right_roles[2][0], n),)
     ev = DnfEvaluator(direct_product(left, right), phi)
     factors = (left, left_roles), (right, right_roles)
-    assert first_product_witness(phi, *factors) == ev.first_witness(x, y, zs)
-    assert product_witnesses(phi, *factors) == ev.all_witnesses(x, y, zs)
+    assert first_product_witness(phi, *factors) == first_witness(ev, x, y, zs)
+    assert product_witnesses(phi, *factors) == all_witnesses(ev, x, y, zs)

@@ -24,7 +24,7 @@ from factorlab.fixtures import (
 )
 from factorlab.formulas import MAX_NESTING
 from factorlab.terms import App, Var, term_text
-from oracles import eval_in_product
+from oracles import eval_in_product, first_witness
 
 SIG = ring_signature()
 LSIG = lattice_signature()
@@ -175,7 +175,7 @@ def test_eval_dnf_witness_search(z6):
 
 def test_first_witness_is_lexicographic(z6):
     phi = parse_formula("exists w u . w + u = x and x = y", SIG, 1)
-    found = DnfEvaluator(z6, phi).first_witness(3, 3, (0,))
+    found = first_witness(DnfEvaluator(z6, phi), 3, 3, (0,))
     assert found == (0, (0, 3))
 
 
@@ -201,7 +201,7 @@ def test_witness_search_checks_each_literal_once_its_variables_are_bound(z6):
         + " and ".join(f"{w} + 0 = x" for w in names),
         SIG, 1,
     )
-    assert DnfEvaluator(counted, phi).first_witness(5, 0, (0,)) == (0, (5,) * 6)
+    assert first_witness(DnfEvaluator(counted, phi), 5, 0, (0,)) == (0, (5,) * 6)
 
 
 def test_nesting_depth_is_bounded():

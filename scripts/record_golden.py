@@ -95,6 +95,11 @@ def invocations() -> list[list[str]]:
          "--algebra", "fixtures/z2xz2.alg"],
         ["correspondence", _ctx("lattices"), _fm("lattice_dfc"),
          "--algebra", "fixtures/l2x2.alg"],
+        # the depth-3/max-27 lattice pool, which reaches C3xC3xC3
+        ["correspondence", _ctx("lattices"), _fm("lattice_dfc"),
+         "--pool-depth", "3", "--max-size", "27"],
+        ["dfc", "verify", _ctx("lattices"), _fm("lattice_mixed"),
+         "--pool-depth", "3", "--max-size", "27"],
     ]
     machine = [argv + ["--format", "machine"] for argv in out]
     # a few in text mode as well

@@ -9,11 +9,9 @@ from .congruences import (
     compactness_report,
     congruence_from_partition,
     factor_pairs,
-    identity_congruence,
     partition_text,
     principal_congruence,
     quotient,
-    total_congruence,
 )
 from .core import (
     FiniteAlgebra,

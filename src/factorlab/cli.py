@@ -228,7 +228,8 @@ def cmd_positivize(args) -> int:
     ctx = _load_populated_context(args.ctx, cfg)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     fpc = free_pair_context(ctx, cfg.budget)
-    result = positivize(phi, ctx, fpc=fpc)
+    allw = enumerate_witnesses(phi, ctx, fpc=fpc) if args.all_witnesses else None
+    result = positivize(phi, ctx, fpc=fpc, witnesses=allw)
     lam = phi.positive_indices(result.k)
     lines = [
         f"chosen disjunct k = {result.k}",
@@ -243,7 +244,6 @@ def cmd_positivize(args) -> int:
     machine = {"command": "positivize", "status": "ok",
                "lambda_k": list(lam), **_positivize_payload(result)}
     if args.all_witnesses:
-        allw = enumerate_witnesses(phi, ctx, fpc=fpc)
         lines.append(f"all valid (disjunct, witness) pairs: {len(allw)}")
         for k, w in allw:
             lines.append(f"  k={k} w={list(w)}")

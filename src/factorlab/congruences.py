@@ -9,10 +9,20 @@ Everything here works through the basic translations a -> f(c1,..,a,..,ck)
 (R. Freese, "Computing congruences efficiently", Algebra Universalis 59,
 2008): an equivalence is a congruence iff every basic translation maps each
 class into one class.
+
+The lattice closes its principals under generating translations: T less
+every c = t1 o t2 with t1, t2 in T whose images are both strictly larger
+than c's.  By induction on image size each dropped c lies in the monoid of
+the kept ones, so a closure under them is a closure under T.  The join
+closure is incremental: each distinct principal, keyed by a generating pair
+(a, b) and taken finest first, is skipped if already found and otherwise
+joined with each found r with r[a] != r[b].  The found set stays closed
+under joins after every step, so it ends as the whole lattice.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import FiniteAlgebra, _images
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
@@ -33,6 +43,20 @@ def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
                     found.add(table[base : base + n * stride : stride])
     found.discard(tuple(range(n)))
     return tuple(found)
+
+
+def _generators(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The basic translations less those the module docstring drops."""
+    translations = _translations(algebra)
+    image = {t: len(set(t)) for t in translations}
+    dropped = set()
+    for t2 in translations:
+        compose = itemgetter(*t2)  # t1 o t2; a tuple, as t2 is no identity
+        for t1 in translations:
+            c = compose(t1)
+            if c in image and image[c] < min(image[t1], image[t2]):
+                dropped.add(c)
+    return tuple(t for t in translations if t not in dropped)
 
 
 def _close(parent: list[int], translations: tuple, pending: list) -> tuple[int, ...]:
@@ -112,9 +136,6 @@ class Congruence:
     def is_identity(self) -> bool:
         return all(r == i for i, r in enumerate(self.rep))
 
-    def is_total(self) -> bool:
-        return self.n_classes == 1
-
     def __str__(self) -> str:
         return partition_text(self)
 
@@ -130,14 +151,6 @@ def _trusted(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> Congruence:
 def partition_text(theta: Congruence) -> str:
     """Compact class-list rendering, e.g. {0,3|1,4|2,5}."""
     return "{" + "|".join(",".join(map(str, c)) for c in theta.classes()) + "}"
-
-
-def identity_congruence(algebra: FiniteAlgebra) -> Congruence:
-    return _trusted(algebra, tuple(range(algebra.size)))
-
-
-def total_congruence(algebra: FiniteAlgebra) -> Congruence:
-    return _trusted(algebra, (0,) * algebra.size)
 
 
 def congruence_from_partition(
@@ -179,40 +192,32 @@ def _check_owner(t1: Congruence, t2: Congruence) -> None:
         raise ValidationError("congruences belong to different algebras")
 
 
+def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
+    """Each pair's principal congruence, closed under the generators."""
+    generators = _generators(algebra)
+    return {p: _close(list(range(algebra.size)), generators, [p]) for p in pairs}
+
+
 def all_congruences(
     algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[Congruence]:
-    """The full congruence lattice.
-
-    The basic translations are computed once; each principal congruence is
-    the union-find closure of one pair under them.  Every congruence is a
-    join of principal ones, so closing {identity} and the principals under
-    joins with a principal reaches the whole lattice.  Sorted by (number of
-    classes, rep array), so the total congruence comes first and the
-    identity last.
+    """The full congruence lattice by the incremental join closure of the
+    principals (see the module docstring).  Sorted by (number of classes,
+    rep array), so the total congruence comes first and the identity last.
     """
     n = algebra.size
     if n > bound:
         raise ResourceBoundError(
             f"size {n} exceeds congruence enumeration bound {bound}"
         )
-    translations = _translations(algebra)
-    principals = {
-        _close(list(range(n)), translations, [(a, b)])
-        for a in range(n)
-        for b in range(a + 1, n)
-    }
-    found = {tuple(range(n))} | principals
-    frontier = list(principals)
-    while frontier:
-        fresh = []
-        for rep in frontier:
-            for p in principals:
-                j = _join_rep(rep, p)
-                if j not in found:
-                    found.add(j)
-                    fresh.append(j)
-        frontier = fresh
+    keyed: dict[tuple[int, ...], tuple[int, int]] = {}
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for pair, rep in _principal_reps(algebra, pairs).items():
+        keyed.setdefault(rep, pair)
+    found = {tuple(range(n))}
+    for p, (a, b) in sorted(keyed.items(), key=lambda kv: -len(set(kv[0]))):
+        if p not in found:
+            found.update([_join_rep(r, p) for r in found if r[a] != r[b]])
     return [
         _trusted(algebra, rep)
         for rep in sorted(found, key=lambda r: (len(set(r)), r))
@@ -313,15 +318,9 @@ def compactness_report(
         raise ValidationError("congruence belongs to a different algebra")
     if theta.is_identity():
         return CompactnessReport(theta, 0, (), True)
-    candidates = [
-        (a, b)
-        for a in range(algebra.size)
-        for b in range(a + 1, algebra.size)
-        if theta.related(a, b)
-    ]
     n = algebra.size
-    translations = _translations(algebra)
-    principals = {p: _close(list(range(n)), translations, [p]) for p in candidates}
+    candidates = [(a, b) for a in range(n) for b in range(a + 1, n) if theta.related(a, b)]
+    principals = _principal_reps(algebra, candidates)
     for p in candidates:
         if principals[p] == theta.rep:
             return CompactnessReport(theta, 1, (p,), True)

@@ -157,6 +157,7 @@ def positivize(
     ctx: VarietyContext,
     budget: int = DEFAULT_BUDGET,
     fpc: FreePairContext | None = None,
+    witnesses: list[tuple[int, tuple[int, ...]]] | None = None,
 ) -> PositivizeResult:
     """Bundle the chosen disjunct, its positive part and term witnesses.
 
@@ -168,11 +169,15 @@ def positivize(
     coordinate.  Before returning, the substitution identities those terms
     must satisfy are re-verified over the whole pool; a failure there is a
     bug, not an input error.  A caller that already holds
-    `free_pair_context(ctx, budget)` passes it as `fpc`.
+    `free_pair_context(ctx, budget)` passes it as `fpc`, and one holding
+    `enumerate_witnesses` passes it as `witnesses`, whose head is the witness.
     """
     if fpc is None:
         fpc = free_pair_context(ctx, budget)
-    found = first_product_witness(phi, *_factors(fpc))
+    if witnesses is None:
+        found = first_product_witness(phi, *_factors(fpc))
+    else:
+        found = witnesses[0] if witnesses else None
     if found is None:
         raise NoWitnessError(
             "no disjunct is satisfiable at the distinguished assignment over "

@@ -61,17 +61,9 @@ class VarietyContext:
     def one_values(self, algebra: FiniteAlgebra) -> tuple[int, ...]:
         return tuple(eval_term(algebra, t, {}) for t in self.one_terms)
 
-    def with_pool(self, entries: tuple[PoolEntry, ...]) -> "VarietyContext":
-        return replace(self, pool=entries)
-
     def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
-        return self.with_pool(
-            tuple(generate_pool(self, max_size=max_size, depth=depth))
-        )
-
-
-def _fingerprint(a: FiniteAlgebra) -> tuple:
-    return (a.size, a.tables)
+        pool = generate_pool(self, max_size=max_size, depth=depth)
+        return replace(self, pool=tuple(pool))
 
 
 def generate_pool(
@@ -80,26 +72,28 @@ def generate_pool(
     """Close {generator} under quotients, small generated subalgebras and
     binary products for `depth` rounds, discarding constructions larger than
     max_size.  The generator itself always stays in the pool.  Exact duplicate
-    tables are pruned; no isomorphism testing is attempted.
+    tables are pruned; no isomorphism testing is attempted.  A round expands
+    only the members the previous one added, and multiplies only pairs with
+    one of them: what older members alone build is already seen.
     """
     gen = ctx.generator
     bound = max(max_size, gen.size)
     entries = [PoolEntry(gen, "generator")]
-    seen = {_fingerprint(gen)}
+    seen = {(gen.size, gen.tables)}
 
     def add(algebra: FiniteAlgebra, recipe: str, out: list[PoolEntry]) -> None:
         if algebra.size > max_size:
             return
-        fp = _fingerprint(algebra)
+        fp = (algebra.size, algebra.tables)
         if fp in seen:
             return
         seen.add(fp)
         out.append(PoolEntry(algebra, recipe))
 
+    new = list(entries)
     for _ in range(depth):
         fresh: list[PoolEntry] = []
-        snapshot = list(entries)
-        for entry in snapshot:
+        for entry in new:
             a = entry.algebra
             for theta in all_congruences(a, bound=bound):
                 q, _ = quotient(a, theta)
@@ -112,8 +106,9 @@ def generate_pool(
                     continue
                 sub, _ = subalgebra_generated(a, seed)
                 add(sub, f"subalgebra({a.name}, {list(seed)})", fresh)
-        for e1 in snapshot:
-            for e2 in snapshot:
+        old = len(entries) - len(new)  # the new members are the tail
+        for i, e1 in enumerate(entries):
+            for e2 in entries[old if i < old else 0 :]:
                 if e1.algebra.size * e2.algebra.size > max_size:
                     continue
                 p = direct_product(e1.algebra, e2.algebra)
@@ -121,6 +116,7 @@ def generate_pool(
         if not fresh:
             break
         entries.extend(fresh)
+        new = fresh
     return entries
 
 

@@ -5,7 +5,13 @@ found by filtering all set partitions with a full-tuple compatibility scan,
 and free-algebra carriers by a plain set-based fixpoint over pointwise
 vectors.  The table-scan principal closure, its compatibility check and the
 relational composition are the congruence layer's earlier implementation,
-kept as references for the translation-based one.  Formulas are evaluated by
+kept as references for the translation-based one.  `all_congruences_pairwise`
+is the lattice as it was before the incremental join closure: principals
+closed under every basic translation, each joined with every lattice
+element.  `generate_pool_rescan` is the pool as it was before each member
+was expanded once: every round rescans every member and every pair.
+`identity_congruence` and `total_congruence` are the lattice's two ends,
+which only the tests build.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
 A x B through the materialized product table.  `first_witness` and
 `all_witnesses` read the evaluator's hits whose failure mask is 0, the
@@ -33,14 +39,17 @@ from factorlab import (
     ExistentialDnf,
     FactorPair,
     FiniteAlgebra,
+    PoolEntry,
     PositiveExistential,
     ResourceBoundError,
     ValidationError,
     VarietyContext,
+    all_congruences,
     direct_product,
     eval_term,
     pair_index,
     quotient,
+    subalgebra_generated,
 )
 from factorlab.dfc import (
     DEFAULT_EVAL_CAP,
@@ -48,6 +57,7 @@ from factorlab.dfc import (
     DfcCounterexample,
     DfcReport,
 )
+import factorlab.congruences as congruences
 from factorlab.errors import InternalCheckError
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import App, Term, Var
@@ -224,6 +234,46 @@ def compose(t1, t2):
     return frozenset(pairs)
 
 
+def identity_congruence(algebra: FiniteAlgebra) -> Congruence:
+    return Congruence(algebra, tuple(range(algebra.size)))
+
+
+def total_congruence(algebra: FiniteAlgebra) -> Congruence:
+    return Congruence(algebra, (0,) * algebra.size)
+
+
+def all_congruences_pairwise(algebra: FiniteAlgebra, bound: int = 8) -> list:
+    """The lattice as `all_congruences` built it before the incremental
+    join closure: every principal, closed under all basic translations, is
+    joined with every lattice element until no join is new."""
+    n = algebra.size
+    if n > bound:
+        raise ResourceBoundError(
+            f"size {n} exceeds congruence enumeration bound {bound}"
+        )
+    translations = congruences._translations(algebra)
+    principals = {
+        congruences._close(list(range(n)), translations, [(a, b)])
+        for a in range(n)
+        for b in range(a + 1, n)
+    }
+    found = {tuple(range(n))} | principals
+    frontier = list(principals)
+    while frontier:
+        fresh = []
+        for rep in frontier:
+            for p in principals:
+                j = congruences._join_rep(rep, p)
+                if j not in found:
+                    found.add(j)
+                    fresh.append(j)
+        frontier = fresh
+    return [
+        congruences._trusted(algebra, rep)
+        for rep in sorted(found, key=lambda r: (len(set(r)), r))
+    ]
+
+
 def _check_owner(t1, t2):
     if t1.algebra != t2.algebra:
         raise ValidationError("congruences belong to different algebras")
@@ -245,6 +295,54 @@ def congruence_meet(t1: Congruence, t2: Congruence) -> Congruence:
     first: dict[tuple[int, int], int] = {}
     rep = tuple(first.setdefault(key, i) for i, key in enumerate(zip(t1.rep, t2.rep)))
     return Congruence(t1.algebra, rep)
+
+
+def generate_pool_rescan(
+    ctx: VarietyContext, max_size: int = 8, depth: int = 2
+) -> list[PoolEntry]:
+    """`generate_pool` as it was before each member was expanded once: every
+    round takes the quotients and subalgebras of every member so far, and
+    the products of every pair of them."""
+    gen = ctx.generator
+    bound = max(max_size, gen.size)
+    entries = [PoolEntry(gen, "generator")]
+    seen = {(gen.size, gen.tables)}
+
+    def add(algebra, recipe, out):
+        if algebra.size > max_size:
+            return
+        fp = (algebra.size, algebra.tables)
+        if fp in seen:
+            return
+        seen.add(fp)
+        out.append(PoolEntry(algebra, recipe))
+
+    for _ in range(depth):
+        fresh = []
+        snapshot = list(entries)
+        for entry in snapshot:
+            a = entry.algebra
+            for theta in all_congruences(a, bound=bound):
+                q, _ = quotient(a, theta)
+                add(q, f"quotient({a.name}, {theta})", fresh)
+            seeds = [()] + [(s,) for s in range(a.size)] + [
+                pair for pair in itertools.combinations(range(a.size), 2)
+            ]
+            for seed in seeds:
+                if not seed and not a.signature.constants:
+                    continue
+                sub, _ = subalgebra_generated(a, seed)
+                add(sub, f"subalgebra({a.name}, {list(seed)})", fresh)
+        for e1 in snapshot:
+            for e2 in snapshot:
+                if e1.algebra.size * e2.algebra.size > max_size:
+                    continue
+                p = direct_product(e1.algebra, e2.algebra)
+                add(p, f"product({e1.algebra.name}, {e2.algebra.name})", fresh)
+        if not fresh:
+            break
+        entries.extend(fresh)
+    return entries
 
 
 # -- homomorphisms ------------------------------------------------------------

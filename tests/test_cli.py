@@ -224,6 +224,58 @@ def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
     assert len(calls) == 1
 
 
+def test_positivize_all_witnesses_searches_each_factor_once(capsys, monkeypatch):
+    # one witness search per factor, F(x) and F(x,y); the first witness is
+    # the head of the enumerated list
+    from factorlab import DnfEvaluator
+
+    original = DnfEvaluator.masked_witnesses
+    calls = []
+
+    def counting(self, *args):
+        calls.append(self.algebra.size)
+        return original(self, *args)
+
+    monkeypatch.setattr(DnfEvaluator, "masked_witnesses", counting)
+    code, out = run_cli(
+        capsys, "positivize", FIXTURES / "rings.ctx", REPO / "perfbench" / "w4.fm",
+        "--all-witnesses", "--format", "machine",
+    )
+    assert code == 0
+    assert json.loads(out)["all_witnesses"] == [{"k": 0, "w": [1, 63, 63, 63]}]
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("formula, cap, code", [
+    ("not_dfc", None, 4),  # no witness
+    ("ring_mixed", 39, 3),  # 40 candidates estimated
+])
+def test_positivize_all_witnesses_fails_as_without(capsys, monkeypatch, formula,
+                                                    cap, code):
+    if cap is not None:
+        monkeypatch.setattr(importlib.import_module("factorlab.positivize"),
+                            "SEARCH_CAP", cap)
+    argv = ["positivize", str(FIXTURES / "rings.ctx"),
+            str(FIXTURES / "formulas" / f"{formula}.fm"), "--format", "machine"]
+    outcomes = []
+    for extra in ([], ["--all-witnesses"]):
+        outcomes.append((main(argv + extra), *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == code
+
+
+def test_positivize_all_witnesses_over_cap_exits_3(capsys, monkeypatch):
+    # 63 witnesses in the combined list; the first witness alone fits
+    monkeypatch.setattr(importlib.import_module("factorlab.positivize"),
+                        "SEARCH_CAP", 62)
+    argv = ["positivize", str(FIXTURES / "rings.ctx"),
+            str(FIXTURES / "formulas" / "ring_mixed.fm"), "--format", "machine"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--all-witnesses"]) == 3
+    assert "63 combined witnesses exceed cap 62" in capsys.readouterr().err
+
+
 # the only negative literal compares a term with itself, so it fails at every
 # assignment of the bound variables and no witness exists
 FOUR_VARIABLES = (

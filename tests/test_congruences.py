@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from factorlab import (
@@ -12,24 +14,28 @@ from factorlab import (
     compactness_report,
     congruence_from_partition,
     factor_pairs,
-    identity_congruence,
+    generate_pool,
     partition_text,
     principal_congruence,
     quotient,
-    total_congruence,
 )
 import factorlab.congruences as congruences
+from conftest import FIXTURES
+from factorlab.fileio import load_context
 from factorlab.fixtures import cyclic_ring
 from oracles import (
+    all_congruences_pairwise,
     compose,
     congruence_join,
     congruence_meet,
     congruence_reps_bruteforce,
     decomposition_from_pair,
+    identity_congruence,
     is_compatible_table_scan,
     principal_rep_table_scan,
     rep_of_partition,
     set_partitions,
+    total_congruence,
 )
 
 MOD2 = (0, 1, 0, 1, 0, 1)
@@ -86,7 +92,7 @@ def test_all_congruences_z6(z6):
         tuple(range(6)), MOD2, MOD3, (0,) * 6
     }
     # sorted by (class count, rep): total first, identity last
-    assert cons[0].is_total()
+    assert cons[0].n_classes == 1
     assert cons[-1].is_identity()
 
 
@@ -160,7 +166,7 @@ def test_factor_pairs_z6(z6):
 def test_factor_pairs_z4_only_trivial(z4):
     pairs = factor_pairs(z4)
     assert len(pairs) == 2
-    assert all(p.theta.is_identity() or p.theta.is_total() for p in pairs)
+    assert all(p.theta.is_identity() or p.theta.n_classes == 1 for p in pairs)
 
 
 def test_factor_pairs_simple(z5):
@@ -216,7 +222,7 @@ def test_decomposition_trivial_pairs(z6):
         if p.theta.is_identity():
             dec = decomposition_from_pair(z6, p)
             assert dec.left.size == 6 and dec.right.size == 1
-        if p.theta.is_total():
+        if p.theta.n_classes == 1:
             dec = decomposition_from_pair(z6, p)
             assert dec.left.size == 1 and dec.right.size == 6
 
@@ -278,6 +284,56 @@ def test_translation_closure_matches_table_scan(algebra):
         rep = rep_of_partition(n, classes)
         assert congruences._respects_translations(algebra, rep) == (
             is_compatible_table_scan(algebra, rep)
+        )
+
+
+def _reps(cons):
+    return [c.rep for c in cons]
+
+
+@st.composite
+def small_algebras(draw):
+    """Size <= 6 with 1-3 operations of arity 0-3.  Each table is random,
+    constant, or x1 + ... + xk mod n through a permutation, whose basic
+    translations are all bijective."""
+    n = draw(st.integers(1, 6))
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    tables = []
+    for arity in arities:
+        cells = n**arity
+        kind = draw(st.sampled_from(["random", "constant", "bijective"]))
+        if kind == "constant":
+            tables.append((draw(st.integers(0, n - 1)),) * cells)
+        elif kind == "bijective":
+            perm = draw(st.permutations(range(n)))
+            tables.append(tuple(
+                perm[sum(args) % n]
+                for args in itertools.product(range(n), repeat=arity)
+            ))
+        else:
+            tables.append(tuple(draw(st.lists(
+                st.integers(0, n - 1), min_size=cells, max_size=cells))))
+    signature = Signature(tuple((f"f{i}", a) for i, a in enumerate(arities)))
+    return FiniteAlgebra(signature, n, tuple(tables), "R")
+
+
+@given(small_algebras())
+@example(FiniteAlgebra(Signature((("f", 1),)), 3, ((1, 2, 0),), "C3 rotation"))
+@example(FiniteAlgebra(Signature((("f", 1),)), 4, ((1, 2, 3, 3),), "descent"))
+def test_lattice_matches_pairwise_closure(algebra):
+    assert _reps(all_congruences(algebra)) == _reps(all_congruences_pairwise(algebra))
+
+
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 27), ("boolean", 3, 32),
+    ("rings_z6", 2, 36),
+])
+def test_pool_lattices_match_pairwise_closure(name, depth, max_size):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    for entry in generate_pool(ctx, max_size=max_size, depth=depth):
+        a = entry.algebra
+        assert _reps(all_congruences(a, bound=a.size)) == _reps(
+            all_congruences_pairwise(a, bound=a.size)
         )
 
 

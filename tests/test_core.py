@@ -1,5 +1,7 @@
 import pytest
 
+import factorlab.variety
+from conftest import FIXTURES
 from factorlab import (
     EvalError,
     FiniteAlgebra,
@@ -7,11 +9,13 @@ from factorlab import (
     ValidationError,
     direct_product,
     eval_term,
+    generate_pool,
     pair_index,
     pair_split,
     subalgebra_generated,
     verify_zero_one_condition,
 )
+from factorlab.fileio import load_context
 from factorlab.fixtures import (
     chain_lattice,
     cyclic_ring,
@@ -19,7 +23,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var
-from oracles import is_homomorphism
+from oracles import generate_pool_rescan, is_homomorphism
 
 
 def test_table_validation_lengths():
@@ -206,3 +210,41 @@ def test_pool_generation_is_deterministic(z6):
     assert [(e.recipe, e.algebra) for e in first.pool] == [
         (e.recipe, e.algebra) for e in second.pool
     ]
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("lattices", (8, 27)), ("rings", (8, 27)), ("boolean", (8, 32)),
+    ("rings_z6", (12, 36)),
+])
+def test_pool_matches_rescanning_rounds(name, sizes):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    for max_size in sizes:
+        for depth in (1, 2, 3):
+            assert [
+                (e.algebra, e.recipe)
+                for e in generate_pool(ctx, max_size=max_size, depth=depth)
+            ] == [
+                (e.algebra, e.recipe)
+                for e in generate_pool_rescan(ctx, max_size=max_size, depth=depth)
+            ]
+
+
+def test_pool_expands_each_member_once(monkeypatch):
+    ctx = load_context(str(FIXTURES / "lattices.ctx"))
+    lattices, products = [], []
+    for name, calls in (("all_congruences", lattices),
+                        ("direct_product", products)):
+        original = getattr(factorlab.variety, name)
+
+        def counting(*args, _original=original, _calls=calls, **kwargs):
+            _calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(factorlab.variety, name, counting)
+    pool = generate_pool(ctx, max_size=27, depth=3)
+    assert len(pool) == 63
+    # one lattice per member added before the last round, where
+    # generate_pool_rescan computes 19
+    assert len(lattices) == len(set(lattices)) == 14
+    # a pair of two members from earlier rounds was multiplied before
+    assert len(products) == len(set(products))

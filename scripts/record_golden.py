@@ -95,6 +95,10 @@ def invocations() -> list[list[str]]:
          "--algebra", "fixtures/z2xz2.alg"],
         ["correspondence", _ctx("lattices"), _fm("lattice_dfc"),
          "--algebra", "fixtures/l2x2.alg"],
+        # Z12 is larger than the default --max-size 8, which bounds only the
+        # pool, not the checked algebra
+        ["correspondence", _ctx("rings"), _fm("ring_dfc"),
+         "--algebra", "fixtures/z12.alg"],
         # the depth-3/max-27 lattice pool, which reaches C3xC3xC3
         ["correspondence", _ctx("lattices"), _fm("lattice_dfc"),
          "--pool-depth", "3", "--max-size", "27"],

@@ -29,9 +29,7 @@ if __name__ == "__main__":
             continue
         ctx = CONTEXT_FOR[stem](algebra)
         cons = all_congruences(algebra)
-        pairs = factor_pairs(algebra, lattice=cons)
-        central = sorted(
-            ce.e[0] for ce in central_elements(algebra, ctx, pairs=pairs)
-        )
+        pairs = factor_pairs(algebra)
+        central = sorted(ce.e[0] for ce in central_elements(algebra, ctx))
         print(f"{algebra.name:>8} {algebra.size:>4} {len(cons):>11} "
               f"{len(pairs):>12} {str(central):>20}")

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import fileio
 from .congruences import (
@@ -53,40 +52,23 @@ EXIT_DFC_FAIL = 5
 EXIT_INTERNAL = 6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    fmt: str
-    pool_depth: int
-    max_size: int
-    budget: int
-
-    def __post_init__(self):
-        if self.pool_depth < 0 or self.max_size < 1 or self.budget < 1:
-            raise ValidationError("caps must be positive")
-
-
-def _config(args) -> RunConfig:
-    return RunConfig(args.format, args.pool_depth, args.max_size, args.budget)
-
-
-def _emit(cfg: RunConfig, machine: dict, text_lines: list[str]) -> None:
-    if cfg.fmt == "machine":
+def _emit(args, machine: dict, text_lines: list[str]) -> None:
+    if args.format == "machine":
         print(json.dumps(machine, sort_keys=True, separators=(",", ":")))
     else:
         for line in text_lines:
             print(line)
 
 
-def _load_populated_context(path: str, cfg: RunConfig) -> VarietyContext:
+def _load_populated_context(path: str, args) -> VarietyContext:
     ctx = fileio.load_context(path)
-    return ctx.populated(max_size=cfg.max_size, depth=cfg.pool_depth)
+    return ctx.populated(max_size=args.max_size, depth=args.pool_depth)
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
 def cmd_algebra_show(args) -> int:
-    cfg = _config(args)
     algebra = fileio.load_algebra(args.path)
     lines = [
         f"{algebra.name}: size {algebra.size}, "
@@ -104,8 +86,8 @@ def cmd_algebra_show(args) -> int:
             for r in range(shown):
                 row = table[r * n ** (arity - 1): (r + 1) * n ** (arity - 1)]
                 lines.append(f"    {r}: {list(row)}")
-    _emit(cfg, {"command": "algebra-show", "status": "ok",
-                "algebra": fileio.algebra_to_dict(algebra)}, lines)
+    _emit(args, {"command": "algebra-show", "status": "ok",
+                 "algebra": fileio.algebra_to_dict(algebra)}, lines)
     return EXIT_OK
 
 
@@ -135,9 +117,7 @@ def _parse_theta_spec(algebra: FiniteAlgebra, spec: str):
 
 
 def cmd_cong(args) -> int:
-    cfg = _config(args)
     algebra = fileio.load_algebra(args.path)
-    bound = cfg.max_size
     if args.compactness is not None:
         theta = _parse_theta_spec(algebra, args.compactness)
         rep = compactness_report(algebra, theta)
@@ -153,10 +133,10 @@ def cmd_cong(args) -> int:
             "m": rep.m, "pairs": [list(p) for p in rep.generating_pairs],
             "exhaustive": rep.exhaustive,
         }
-        _emit(cfg, machine, lines)
+        _emit(args, machine, lines)
         return EXIT_OK
     if args.factor_pairs:
-        pairs = factor_pairs(algebra, bound)
+        pairs = factor_pairs(algebra, args.max_size)
         lines = [f"{algebra.name}: {len(pairs)} ordered factor pair(s)"]
         rows = []
         for p in pairs:
@@ -173,23 +153,22 @@ def cmd_cong(args) -> int:
                 "sizes": sizes,
                 "generators": [list(g) for g in gen.generating_pairs],
             })
-        _emit(cfg, {"command": "cong-factor-pairs", "status": "ok",
-                    "algebra": algebra.name, "count": len(pairs),
-                    "pairs": rows}, lines)
+        _emit(args, {"command": "cong-factor-pairs", "status": "ok",
+                     "algebra": algebra.name, "count": len(pairs),
+                     "pairs": rows}, lines)
         return EXIT_OK
-    cons = all_congruences(algebra, bound)
+    cons = all_congruences(algebra, args.max_size)
     lines = [f"{algebra.name}: {len(cons)} congruence(s)"]
     lines += [f"  {partition_text(c)} ({c.n_classes} classes)" for c in cons]
-    _emit(cfg, {"command": "cong-lattice", "status": "ok",
-                "algebra": algebra.name, "count": len(cons),
-                "congruences": [partition_text(c) for c in cons]}, lines)
+    _emit(args, {"command": "cong-lattice", "status": "ok",
+                 "algebra": algebra.name, "count": len(cons),
+                 "congruences": [partition_text(c) for c in cons]}, lines)
     return EXIT_OK
 
 
 def cmd_freealg_dump(args) -> int:
-    cfg = _config(args)
     ctx = fileio.load_context(args.ctx)
-    fa = free_algebra(ctx.generator, args.rank, budget=cfg.budget)
+    fa = free_algebra(ctx.generator, args.rank, budget=args.budget)
     lines = [
         f"free algebra of rank {fa.rank} over {fa.base.name}: "
         f"{fa.size} element(s)",
@@ -206,7 +185,7 @@ def cmd_freealg_dump(args) -> int:
         "generators": list(fa.generators),
         "terms": [term_text(t) for t in fa.witnesses],
     }
-    _emit(cfg, machine, lines)
+    _emit(args, machine, lines)
     return EXIT_OK
 
 
@@ -224,10 +203,9 @@ def _positivize_payload(result) -> dict:
 
 
 def cmd_positivize(args) -> int:
-    cfg = _config(args)
-    ctx = _load_populated_context(args.ctx, cfg)
+    ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
-    fpc = free_pair_context(ctx, cfg.budget)
+    fpc = free_pair_context(ctx, args.budget)
     allw = enumerate_witnesses(phi, ctx, fpc=fpc) if args.all_witnesses else None
     result = positivize(phi, ctx, fpc=fpc, witnesses=allw)
     lam = phi.positive_indices(result.k)
@@ -250,7 +228,7 @@ def cmd_positivize(args) -> int:
         machine["all_witnesses"] = [
             {"k": k, "w": list(w)} for k, w in allw
         ]
-    _emit(cfg, machine, lines)
+    _emit(args, machine, lines)
     return EXIT_OK
 
 
@@ -269,8 +247,7 @@ def _dfc_payload(report) -> dict:
 
 
 def cmd_dfc_verify(args) -> int:
-    cfg = _config(args)
-    ctx = _load_populated_context(args.ctx, cfg)
+    ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     report = verify_dfc(phi, ctx)
     lines = [
@@ -280,7 +257,7 @@ def cmd_dfc_verify(args) -> int:
         f"status: {report.status}",
     ]
     # machine output reads only the first counterexample
-    if report.counterexamples and cfg.fmt != "machine":
+    if report.counterexamples and args.format != "machine":
         first = report.counterexamples[0]
         lines.append(
             f"first counterexample: A={first.left} B={first.right} "
@@ -290,15 +267,14 @@ def cmd_dfc_verify(args) -> int:
         for ce in report.counterexamples[1:6]:
             lines.append(f"  also: {ce.as_tuple()}")
     machine = {"command": "dfc-verify", **_dfc_payload(report)}
-    _emit(cfg, machine, lines)
+    _emit(args, machine, lines)
     return EXIT_OK if report.ok else EXIT_DFC_FAIL
 
 
 def cmd_central_list(args) -> int:
-    cfg = _config(args)
     ctx = fileio.load_context(args.ctx)
     algebra = fileio.load_algebra(args.algebra, l=ctx.l) if args.algebra else ctx.generator
-    ces = central_elements(algebra, ctx, bound=max(cfg.max_size, algebra.size))
+    ces = central_elements(algebra, ctx)
     lines = [f"{algebra.name}: {len(ces)} central element(s)"]
     rows = []
     for ce in ces:
@@ -314,9 +290,9 @@ def cmd_central_list(args) -> int:
             "theta_c": partition_text(ce.pair.theta_c),
             "factor_sizes": [ce.pair.theta.n_classes, ce.pair.theta_c.n_classes],
         })
-    _emit(cfg, {"command": "central-list", "status": "ok",
-                "algebra": algebra.name, "count": len(ces),
-                "central": rows}, lines)
+    _emit(args, {"command": "central-list", "status": "ok",
+                 "algebra": algebra.name, "count": len(ces),
+                 "central": rows}, lines)
     return EXIT_OK
 
 
@@ -333,13 +309,10 @@ def _correspondence_payload(report) -> dict:
 
 
 def cmd_correspondence(args) -> int:
-    cfg = _config(args)
-    ctx = _load_populated_context(args.ctx, cfg)
+    ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     algebra = fileio.load_algebra(args.algebra, l=ctx.l) if args.algebra else ctx.generator
-    report = correspondence_check(
-        algebra, phi, ctx, bound=max(cfg.max_size, algebra.size)
-    )
+    report = correspondence_check(algebra, phi, ctx)
     lines = [
         f"{report.algebra_name}: {report.n_central} central element(s) for "
         f"{report.n_pairs} ordered factor pair(s)",
@@ -354,14 +327,13 @@ def cmd_correspondence(args) -> int:
     if report.idempotent_check is not None:
         lines.append(f"ring idempotent cross-check: {report.idempotent_check}")
     lines.append(f"status: {'pass' if report.ok else 'fail'}")
-    _emit(cfg, {"command": "correspondence",
-                **_correspondence_payload(report)}, lines)
+    _emit(args, {"command": "correspondence",
+                 **_correspondence_payload(report)}, lines)
     return EXIT_OK if report.ok else EXIT_DFC_FAIL
 
 
 def cmd_pipeline(args) -> int:
-    cfg = _config(args)
-    ctx = _load_populated_context(args.ctx, cfg)
+    ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     stages = []
     lines = []
@@ -372,12 +344,12 @@ def cmd_pipeline(args) -> int:
                    **_dfc_payload(report_in)})
     lines.append(f"stage 1 verify-input: {report_in.status}")
     if not report_in.ok:
-        _emit(cfg, {"command": "pipeline", "status": "fail",
-                    "failed_stage": "verify-input", "stages": stages,
-                    "zero_one_ok": zero_one.ok}, lines)
+        _emit(args, {"command": "pipeline", "status": "fail",
+                     "failed_stage": "verify-input", "stages": stages,
+                     "zero_one_ok": zero_one.ok}, lines)
         return EXIT_DFC_FAIL
 
-    result = positivize(phi, ctx, budget=cfg.budget)
+    result = positivize(phi, ctx, budget=args.budget)
     stages.append({"name": "positivize", "status": "ok",
                    **_positivize_payload(result)})
     lines.append(
@@ -390,18 +362,15 @@ def cmd_pipeline(args) -> int:
                    **_dfc_payload(report_out)})
     lines.append(f"stage 3 verify-positive: {report_out.status}")
     if not report_out.ok:
-        _emit(cfg, {"command": "pipeline", "status": "fail",
-                    "failed_stage": "verify-positive", "stages": stages,
-                    "zero_one_ok": zero_one.ok}, lines)
+        _emit(args, {"command": "pipeline", "status": "fail",
+                     "failed_stage": "verify-positive", "stages": stages,
+                     "zero_one_ok": zero_one.ok}, lines)
         return EXIT_DFC_FAIL
 
     member_reports = []
     all_ok = True
     for entry in ctx.pool:
-        rep = correspondence_check(
-            entry.algebra, result.phi_prime, ctx,
-            bound=max(cfg.max_size, entry.algebra.size),
-        )
+        rep = correspondence_check(entry.algebra, result.phi_prime, ctx)
         member_reports.append(_correspondence_payload(rep))
         all_ok = all_ok and rep.ok
         lines.append(
@@ -413,9 +382,9 @@ def cmd_pipeline(args) -> int:
                    "members": member_reports})
     status = "pass" if all_ok else "fail"
     lines.append(f"pipeline: {status}")
-    _emit(cfg, {"command": "pipeline", "status": status,
-                "failed_stage": None if all_ok else "correspondence",
-                "stages": stages, "zero_one_ok": zero_one.ok}, lines)
+    _emit(args, {"command": "pipeline", "status": status,
+                 "failed_stage": None if all_ok else "correspondence",
+                 "stages": stages, "zero_one_ok": zero_one.ok}, lines)
     return EXIT_OK if all_ok else EXIT_DFC_FAIL
 
 
@@ -503,6 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.pool_depth < 0 or args.max_size < 1 or args.budget < 1:
+            raise ValidationError("caps must be positive")
         return args.func(args)
     except NoWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)

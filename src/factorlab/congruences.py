@@ -1,6 +1,12 @@
 """Congruences as compatible partitions: principal generation, the full
 lattice at desk scale, factor pairs and quotients.
 
+`all_congruences` owns each algebra's lattice: it builds it once and keeps
+the sorted rep tuples in a weak-keyed memo, so pool generation, factor
+pairs, central elements and the correspondence check all read one build per
+algebra.  Value-equal algebras share an entry, and an entry dies with the
+algebra it was stored under, since the tuples refer to no algebra.
+
 A congruence is stored as its canonical representative array rep[0..n-1] with
 rep[i] = least element of i's class, so equality is tuple equality and sorted
 output is deterministic.
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
+from weakref import WeakKeyDictionary
 
 from .core import FiniteAlgebra, _images
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
@@ -187,15 +194,13 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
     return _trusted(algebra, _close(list(range(n)), _translations(algebra), [(a, b)]))
 
 
-def _check_owner(t1: Congruence, t2: Congruence) -> None:
-    if t1.algebra != t2.algebra:
-        raise ValidationError("congruences belong to different algebras")
-
-
 def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     """Each pair's principal congruence, closed under the generators."""
     generators = _generators(algebra)
     return {p: _close(list(range(algebra.size)), generators, [p]) for p in pairs}
+
+
+_LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
 
 
 def all_congruences(
@@ -210,18 +215,20 @@ def all_congruences(
         raise ResourceBoundError(
             f"size {n} exceeds congruence enumeration bound {bound}"
         )
-    keyed: dict[tuple[int, ...], tuple[int, int]] = {}
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for pair, rep in _principal_reps(algebra, pairs).items():
-        keyed.setdefault(rep, pair)
-    found = {tuple(range(n))}
-    for p, (a, b) in sorted(keyed.items(), key=lambda kv: -len(set(kv[0]))):
-        if p not in found:
-            found.update([_join_rep(r, p) for r in found if r[a] != r[b]])
-    return [
-        _trusted(algebra, rep)
-        for rep in sorted(found, key=lambda r: (len(set(r)), r))
-    ]
+    reps = _LATTICES.get(algebra)
+    if reps is None:
+        keyed: dict[tuple[int, ...], tuple[int, int]] = {}
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        for pair, rep in _principal_reps(algebra, pairs).items():
+            keyed.setdefault(rep, pair)
+        found = {tuple(range(n))}
+        for p, (a, b) in sorted(keyed.items(), key=lambda kv: -len(set(kv[0]))):
+            if p not in found:
+                found.update([_join_rep(r, p) for r in found if r[a] != r[b]])
+        reps = _LATTICES[algebra] = tuple(
+            sorted(found, key=lambda r: (len(set(r)), r))
+        )
+    return [_trusted(algebra, rep) for rep in reps]
 
 
 # -- factor pairs and quotients ----------------------------------------------
@@ -234,39 +241,27 @@ def _meet_is_identity(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
 @dataclass(frozen=True)
 class FactorPair:
     """An ordered complementary pair: the meet is the identity and the
-    composition theta o theta_c is total.
-
-    The test is "meet is the identity and |A/theta| * |A/theta_c| = |A|".
-    Meet identity makes a -> (a/theta, a/theta_c) injective from A into
-    A/theta x A/theta_c; equal cardinalities make it onto as well, and onto
-    says that every theta-class meets every theta_c-class, which is exactly
-    theta o theta_c = theta_c o theta = total.
-    """
+    composition theta o theta_c is total.  Built only by `factor_pairs`."""
 
     theta: Congruence
     theta_c: Congruence
 
-    def __post_init__(self):
-        _check_owner(self.theta, self.theta_c)
-        if not _meet_is_identity(self.theta.rep, self.theta_c.rep):
-            raise ValidationError("factor pair meet is not the identity")
-        if self.theta.n_classes * self.theta_c.n_classes != self.theta.algebra.size:
-            raise ValidationError("factor pair composition is not total")
-
 
 def factor_pairs(
-    algebra: FiniteAlgebra,
-    bound: int = DEFAULT_SIZE_BOUND,
-    lattice: list[Congruence] | None = None,
+    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[FactorPair]:
     """All ordered pairs (theta, theta*) with meet identity and composition total.
 
+    The test is "meet is the identity and |A/theta| * |A/theta*| = |A|".
+    Meet identity makes a -> (a/theta, a/theta*) injective from A into
+    A/theta x A/theta*; equal cardinalities make it onto as well, and onto
+    says that every theta-class meets every theta*-class, which is exactly
+    theta o theta* = theta* o theta = total.
+
     Both orientations are returned: the central element attached to a pair
-    depends on which side carries the zero tuple.  A caller that already
-    holds `all_congruences(algebra, bound)` passes it as `lattice` so that it
-    is not built again.
+    depends on which side carries the zero tuple.
     """
-    cons = all_congruences(algebra, bound) if lattice is None else lattice
+    cons = all_congruences(algebra, bound)
     n = algebra.size
     counts = [c.n_classes for c in cons]
     return [

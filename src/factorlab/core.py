@@ -159,19 +159,14 @@ def direct_product(
         )
     nb = b.size
     n = a.size * nb
+    # argument tuples over the product, read through each coordinate
+    left = [p // nb for p in range(n)]
+    right = [p % nb for p in range(n)]
     tables = []
-    for (sym, arity), ta, tb in zip(a.signature.symbols, a.tables, b.tables):
-        if arity == 0:
-            tables.append((pair_index(ta[0], tb[0], nb),))
-            continue
-        table = []
-        for args in itertools.product(range(n), repeat=arity):
-            ia = ib = 0
-            for p in args:
-                ia = ia * a.size + p // nb
-                ib = ib * nb + p % nb
-            table.append(pair_index(ta[ia], tb[ib], nb))
-        tables.append(tuple(table))
+    for (_, arity), ta, tb in zip(a.signature.symbols, a.tables, b.tables):
+        xs = _images(ta, arity, left, a.size)
+        ys = _images(tb, arity, right, nb)
+        tables.append(tuple([x * nb + y for x, y in zip(xs, ys)]))
     return FiniteAlgebra(
         a.signature, n, tuple(tables), name or f"{a.name}x{b.name}"
     )

@@ -37,23 +37,19 @@ class CentralElement:
 
 
 def central_elements(
-    algebra: FiniteAlgebra,
-    ctx: VarietyContext,
-    bound: int = 8,
-    pairs: list[FactorPair] | None = None,
+    algebra: FiniteAlgebra, ctx: VarietyContext
 ) -> list[CentralElement]:
     """One central tuple per ordered factor pair.
 
     The tuple exists and is unique because every theta-class meets every
-    theta*-class in exactly one element.  A caller that already holds
-    `factor_pairs(algebra, bound)` passes it as `pairs`.
+    theta*-class in exactly one element.  No size bound applies: the caller
+    chose the algebra, and its lattice is built once (see `all_congruences`).
     """
     if algebra.signature != ctx.signature:
         raise ValidationError("algebra signature differs from the context")
     zero = ctx.zero_values(algebra)
     one = ctx.one_values(algebra)
-    if pairs is None:
-        pairs = factor_pairs(algebra, bound)
+    pairs = factor_pairs(algebra, algebra.size)
     out = []
     for pair in pairs:
         e = []
@@ -379,15 +375,14 @@ def correspondence_check(
     algebra: FiniteAlgebra,
     phi: ExistentialDnf | PositiveExistential,
     ctx: VarietyContext,
-    bound: int = 8,
 ) -> CorrespondenceReport:
     """Central elements must map bijectively, via the relation the formula
     defines, onto the zero-side kernels of the ordered factor pairs.  Ring
     fixtures are additionally cross-checked against the idempotent oracle."""
-    pairs = factor_pairs(algebra, bound)
-    ces = central_elements(algebra, ctx, bound, pairs)
+    ces = central_elements(algebra, ctx)
     reports = tuple(congruence_of_central(algebra, phi, ce) for ce in ces)
-    # one element per pair by construction, so only distinctness can fail
+    # one element per ordered pair by construction, so len(ces) counts the
+    # pairs and only distinctness can fail
     bijection_ok = len({ce.e for ce in ces}) == len(ces)
     idem = None
     if _ring_like(algebra) and ctx.l == 1:
@@ -409,5 +404,5 @@ def correspondence_check(
             "complements_ok": complements_ok,
         }
     return CorrespondenceReport(
-        algebra.name, len(ces), len(pairs), reports, bijection_ok, idem
+        algebra.name, len(ces), len(ces), reports, bijection_ok, idem
     )

@@ -77,7 +77,6 @@ def generate_pool(
     one of them: what older members alone build is already seen.
     """
     gen = ctx.generator
-    bound = max(max_size, gen.size)
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
@@ -95,7 +94,7 @@ def generate_pool(
         fresh: list[PoolEntry] = []
         for entry in new:
             a = entry.algebra
-            for theta in all_congruences(a, bound=bound):
+            for theta in all_congruences(a, a.size):
                 q, _ = quotient(a, theta)
                 add(q, f"quotient({a.name}, {theta})", fresh)
             seeds = [()] + [(s,) for s in range(a.size)] + [

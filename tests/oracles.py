@@ -10,6 +10,8 @@ is the lattice as it was before the incremental join closure: principals
 closed under every basic translation, each joined with every lattice
 element.  `generate_pool_rescan` is the pool as it was before each member
 was expanded once: every round rescans every member and every pair.
+`direct_product_cellwise` is the product as it was before it read its
+tables through `core._images`: one index computation per cell.
 `identity_congruence` and `total_congruence` are the lattice's two ends,
 which only the tests build.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
@@ -343,6 +345,32 @@ def generate_pool_rescan(
             break
         entries.extend(fresh)
     return entries
+
+
+def direct_product_cellwise(
+    a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None
+) -> FiniteAlgebra:
+    """`direct_product` as it was before it read its tables through
+    `core._images`: each cell splits its argument tuple into the two
+    coordinates' table indices."""
+    nb = b.size
+    n = a.size * nb
+    tables = []
+    for (_, arity), ta, tb in zip(a.signature.symbols, a.tables, b.tables):
+        if arity == 0:
+            tables.append((pair_index(ta[0], tb[0], nb),))
+            continue
+        table = []
+        for args in itertools.product(range(n), repeat=arity):
+            ia = ib = 0
+            for p in args:
+                ia = ia * a.size + p // nb
+                ib = ib * nb + p % nb
+            table.append(pair_index(ta[ia], tb[ib], nb))
+        tables.append(tuple(table))
+    return FiniteAlgebra(
+        a.signature, n, tuple(tables), name or f"{a.name}x{b.name}"
+    )
 
 
 # -- homomorphisms ------------------------------------------------------------

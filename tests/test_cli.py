@@ -154,6 +154,26 @@ def test_freealg_dump_huge_rank_exits_3_before_the_grid(capsys):
     assert "over the cap 10000000" in err
 
 
+@pytest.mark.parametrize(
+    "cap", [["--max-size", "0"], ["--pool-depth", "-1"], ["--budget", "0"]],
+    ids=["max-size", "pool-depth", "budget"],
+)
+def test_nonpositive_cap_exits_2(capsys, cap):
+    ctx, fm = FIXTURES / "rings.ctx", FIXTURES / "formulas" / "ring_dfc.fm"
+    for argv in (
+        ["algebra", "show", FIXTURES / "z6.alg"],
+        ["cong", FIXTURES / "z6.alg"],
+        ["freealg", "dump", ctx],
+        ["positivize", ctx, fm],
+        ["dfc", "verify", ctx, fm],
+        ["central", "list", ctx],
+        ["correspondence", ctx, fm],
+        ["pipeline", ctx, fm],
+    ):
+        assert main([str(a) for a in argv + cap]) == 2, argv
+        assert capsys.readouterr() == ("", "error: caps must be positive\n")
+
+
 def test_budget_flag(capsys):
     code, out = run_cli(
         capsys, "freealg", "dump", FIXTURES / "rings_z6.ctx",

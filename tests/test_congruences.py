@@ -1,4 +1,6 @@
+import gc
 import itertools
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given
@@ -21,6 +23,7 @@ from factorlab import (
 )
 import factorlab.congruences as congruences
 from conftest import FIXTURES
+from factorlab.cli import main
 from factorlab.fileio import load_context
 from factorlab.fixtures import cyclic_ring
 from oracles import (
@@ -353,3 +356,39 @@ def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch)
     with pytest.raises(ValidationError, match="incompatible"):
         congruence_from_partition(z6, [[0, 1], [2, 3], [4, 5]])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("ctx, formula, members", [
+    ("lattices", "lattice_mixed", 11), ("rings", "ring_mixed", 5),
+])
+def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
+                                           members):
+    # a fresh memo, so that algebras left alive by other tests do not count
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    built = []
+    original = congruences._principal_reps
+
+    def counting(algebra, pairs):
+        built.append(algebra)
+        return original(algebra, pairs)
+
+    monkeypatch.setattr(congruences, "_principal_reps", counting)
+    code = main(["pipeline", str(FIXTURES / f"{ctx}.ctx"),
+                 str(FIXTURES / "formulas" / f"{formula}.fm"),
+                 "--max-size", "16", "--format", "machine"])
+    capsys.readouterr()
+    assert code == 0
+    # one build per pool member, where pool generation and the
+    # correspondence stage used to build some twice
+    assert len(built) == len(set(built)) == members
+
+
+def test_lattice_memo_entry_dies_with_its_algebra():
+    # value-equal algebras share an entry, so the name must be unique
+    name = "memo probe, used by no other test"
+    algebra = FiniteAlgebra(Signature((("f", 1),)), 4, ((1, 0, 3, 2),), name)
+    assert len(all_congruences(algebra)) == 7
+    assert algebra in congruences._LATTICES
+    del algebra
+    gc.collect()
+    assert name not in {a.name for a in congruences._LATTICES.keys()}

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import factorlab.variety
 from conftest import FIXTURES
@@ -23,7 +25,7 @@ from factorlab.fixtures import (
     ring_context,
 )
 from factorlab.terms import App, Var
-from oracles import generate_pool_rescan, is_homomorphism
+from oracles import direct_product_cellwise, generate_pool_rescan, is_homomorphism
 
 
 def test_table_validation_lengths():
@@ -93,6 +95,43 @@ def test_product_pair_encoding_round_trip():
 def test_product_signature_mismatch():
     with pytest.raises(ValidationError, match="signature mismatch"):
         direct_product(cyclic_ring(2), chain_lattice(2))
+
+
+@st.composite
+def algebra_pairs(draw):
+    """Two algebras of size <= 4 over one signature of 1-3 operations of
+    arity 0-3, each table random."""
+    arities = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    signature = Signature(tuple((f"f{i}", a) for i, a in enumerate(arities)))
+    pair = []
+    for name in "AB":
+        n = draw(st.integers(1, 4))
+        tables = tuple(
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
+            for k in arities
+        )
+        pair.append(FiniteAlgebra(signature, n, tables, name))
+    return pair
+
+
+_CONST_TERNARY = Signature((("c", 0), ("t", 3)))
+
+
+@given(algebra_pairs())
+@example([FiniteAlgebra(_CONST_TERNARY, 2, ((1,), (0, 1) * 4), "A"),
+          FiniteAlgebra(_CONST_TERNARY, 3, ((2,), tuple(range(3)) * 9), "B")])
+def test_product_matches_cellwise_tables(pair):
+    a, b = pair
+    assert direct_product(a, b) == direct_product_cellwise(a, b)
+
+
+def test_pool_products_match_cellwise_tables():
+    ctx = load_context(str(FIXTURES / "lattices.ctx"))
+    members = [e.algebra for e in generate_pool(ctx, max_size=27, depth=3)]
+    pairs = [(a, b) for a in members for b in members if a.size * b.size <= 27]
+    assert len(pairs) == 223
+    for a, b in pairs:
+        assert direct_product(a, b) == direct_product_cellwise(a, b)
 
 
 def test_z2xz3_isomorphic_to_z6(z6):

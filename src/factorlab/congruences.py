@@ -4,8 +4,9 @@ lattice at desk scale, factor pairs and quotients.
 `all_congruences` owns each algebra's lattice: it builds it once and keeps
 the sorted rep tuples in a weak-keyed memo, so pool generation, factor
 pairs, central elements and the correspondence check all read one build per
-algebra.  Value-equal algebras share an entry, and an entry dies with the
-algebra it was stored under, since the tuples refer to no algebra.
+algebra.  The basic translations are memoised the same way.  Value-equal
+algebras share an entry, and an entry dies with the algebra it was stored
+under, since the tuples refer to no algebra.
 
 A congruence is stored as its canonical representative array rep[0..n-1] with
 rep[i] = least element of i's class, so equality is tuple equality and sorted
@@ -27,29 +28,37 @@ under joins after every step, so it ends as the whole lattice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .core import FiniteAlgebra, _images
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
+from .terms import _Record
 
 DEFAULT_SIZE_BOUND = 8
 
 
+_LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
+_TRANSLATIONS: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> tables
+
+
 def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The distinct non-identity basic translations, each as its value table."""
-    n = algebra.size
-    found: set[tuple[int, ...]] = set()
-    for (_, arity), table in zip(algebra.signature.symbols, algebra.tables):
-        for pos in range(arity):
-            # entries that vary only in argument `pos` lie `stride` apart
-            stride = n ** (arity - 1 - pos)
-            for base in range(len(table)):
-                if base // stride % n == 0:
-                    found.add(table[base : base + n * stride : stride])
-    found.discard(tuple(range(n)))
-    return tuple(found)
+    """The distinct non-identity basic translations, each as its value table,
+    computed once per algebra."""
+    memo = _TRANSLATIONS.get(algebra)
+    if memo is None:
+        n = algebra.size
+        found: set[tuple[int, ...]] = set()
+        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables):
+            for pos in range(arity):
+                # entries that vary only in argument `pos` lie `stride` apart
+                stride = n ** (arity - 1 - pos)
+                for base in range(len(table)):
+                    if base // stride % n == 0:
+                        found.add(table[base : base + n * stride : stride])
+        found.discard(tuple(range(n)))
+        memo = _TRANSLATIONS[algebra] = tuple(found)
+    return memo
 
 
 def _generators(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
@@ -107,25 +116,24 @@ def _respects_translations(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> bool
     )
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(_Record):
     """A congruence as its canonical rep array.  The constructor validates;
     congruences computed here are correct by construction and skip it."""
 
-    algebra: FiniteAlgebra
-    rep: tuple[int, ...]
+    __slots__ = ("algebra", "rep")
 
-    def __post_init__(self):
-        n = self.algebra.size
-        if len(self.rep) != n:
-            raise ValidationError(f"rep array length {len(self.rep)} for size {n}")
-        for i, r in enumerate(self.rep):
+    def __init__(self, algebra: FiniteAlgebra, rep: tuple[int, ...]):
+        n = algebra.size
+        if len(rep) != n:
+            raise ValidationError(f"rep array length {len(rep)} for size {n}")
+        for i, r in enumerate(rep):
             if not 0 <= r <= i:
                 raise ValidationError(f"rep[{i}]={r} is not the least class member")
-            if self.rep[r] != r:
-                raise ValidationError(f"rep[{i}]={r} but rep[{r}]={self.rep[r]}")
-        if not _respects_translations(self.algebra, self.rep):
+            if rep[r] != r:
+                raise ValidationError(f"rep[{i}]={r} but rep[{r}]={rep[r]}")
+        if not _respects_translations(algebra, rep):
             raise ValidationError("incompatible partition rejected")
+        super().__init__(algebra, rep)
 
     def related(self, a: int, b: int) -> bool:
         return self.rep[a] == self.rep[b]
@@ -147,12 +155,8 @@ class Congruence:
         return partition_text(self)
 
 
-def _trusted(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> Congruence:
-    """A Congruence for a rep array that is a congruence by construction."""
-    theta = object.__new__(Congruence)
-    object.__setattr__(theta, "algebra", algebra)
-    object.__setattr__(theta, "rep", rep)
-    return theta
+# A Congruence for a rep array that is a congruence by construction.
+_trusted = Congruence._trusted
 
 
 def partition_text(theta: Congruence) -> str:
@@ -200,9 +204,6 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     return {p: _close(list(range(algebra.size)), generators, [p]) for p in pairs}
 
 
-_LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
-
-
 def all_congruences(
     algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[Congruence]:
@@ -238,13 +239,14 @@ def _meet_is_identity(r1: tuple[int, ...], r2: tuple[int, ...]) -> bool:
     return len(set(zip(r1, r2))) == len(r1)
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(_Record):
     """An ordered complementary pair: the meet is the identity and the
     composition theta o theta_c is total.  Built only by `factor_pairs`."""
 
-    theta: Congruence
-    theta_c: Congruence
+    __slots__ = ("theta", "theta_c")
+
+    def __init__(self, theta: Congruence, theta_c: Congruence):
+        super().__init__(theta, theta_c)
 
 
 def factor_pairs(
@@ -286,24 +288,24 @@ def quotient(
         for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
     )
     name = f"{algebra.name}/{partition_text(theta)}"
-    return FiniteAlgebra(algebra.signature, len(reps), tables, name), proj
+    return FiniteAlgebra._trusted(algebra.signature, len(reps), tables, name), proj
 
 
 # -- compactness diagnostics ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CompactnessReport:
+class CompactnessReport(_Record):
     """How many principal congruences are needed to generate theta.
 
     Finite algebras always admit some finite generating set; the search below
     is exhaustive for m <= 2 and falls back to a greedy cover beyond that.
     """
 
-    theta: Congruence
-    m: int
-    generating_pairs: tuple[tuple[int, int], ...]
-    exhaustive: bool
+    __slots__ = ("theta", "m", "generating_pairs", "exhaustive")
+
+    def __init__(self, theta: Congruence, m: int,
+                 generating_pairs: tuple[tuple[int, int], ...], exhaustive: bool):
+        super().__init__(theta, m, generating_pairs, exhaustive)
 
 
 def compactness_report(

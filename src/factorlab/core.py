@@ -10,41 +10,33 @@ evaluate across algebras and assignments concurrently.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import EvalError, ValidationError
-from .terms import Term, Var
+from .terms import Term, Var, _Record
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Record):
     """Ordered operation symbols (name, arity) plus the 0/1 tuple length l."""
 
-    symbols: tuple[tuple[str, int], ...]
-    l: int = 1
+    __slots__ = ("symbols", "l", "_index")
 
-    def __post_init__(self):
-        names = [name for name, _ in self.symbols]
+    def __init__(self, symbols: tuple[tuple[str, int], ...], l: int = 1):
+        names = [name for name, _ in symbols]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate symbol names in signature: {names}")
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if not name:
                 raise ValidationError("empty symbol name")
             if arity < 0:
                 raise ValidationError(f"negative arity for symbol '{name}'")
-        if self.l < 1:
+        if l < 1:
             raise ValidationError("tuple length l must be positive")
-        object.__setattr__(self, "_arity", dict(self.symbols))
-        object.__setattr__(
-            self, "_index", {name: i for i, (name, _) in enumerate(self.symbols)}
-        )
+        super().__init__(symbols, l)
+        object.__setattr__(self, "_index", {s: i for i, (s, _) in enumerate(symbols)})
 
     def arity(self, symbol: str) -> int:
-        try:
-            return self._arity[symbol]
-        except KeyError:
-            raise EvalError(f"unknown symbol '{symbol}'") from None
+        return self.symbols[self.index(symbol)][1]
 
     def index(self, symbol: str) -> int:
         try:
@@ -53,44 +45,46 @@ class Signature:
             raise EvalError(f"unknown symbol '{symbol}'") from None
 
     def has(self, symbol: str) -> bool:
-        return symbol in self._arity
+        return symbol in self._index
 
     @property
     def constants(self) -> tuple[str, ...]:
         return tuple(name for name, k in self.symbols if k == 0)
 
 
-@dataclass(frozen=True)
-class FiniteAlgebra:
-    """Universe {0..size-1} with one flat row-major table per symbol."""
+class FiniteAlgebra(_Record):
+    """Universe {0..size-1} with one flat row-major table per symbol.
 
-    signature: Signature
-    size: int
-    tables: tuple[tuple[int, ...], ...]
-    name: str = "A"
+    The constructor validates; algebras built from valid ones (products,
+    subalgebras, quotients, free algebras) are valid by construction and
+    skip it through `_trusted`."""
 
-    def __post_init__(self):
-        n = self.size
+    __slots__ = ("signature", "size", "tables", "name", "__weakref__")
+
+    def __init__(self, signature: Signature, size: int,
+                 tables: tuple[tuple[int, ...], ...], name: str = "A"):
+        n = size
         if n < 1:
-            raise ValidationError(f"algebra '{self.name}': size must be positive")
-        if len(self.tables) != len(self.signature.symbols):
+            raise ValidationError(f"algebra '{name}': size must be positive")
+        if len(tables) != len(signature.symbols):
             raise ValidationError(
-                f"algebra '{self.name}': {len(self.tables)} tables for "
-                f"{len(self.signature.symbols)} symbols"
+                f"algebra '{name}': {len(tables)} tables for "
+                f"{len(signature.symbols)} symbols"
             )
-        for (sym, arity), table in zip(self.signature.symbols, self.tables):
+        for (sym, arity), table in zip(signature.symbols, tables):
             expected = n**arity
             if len(table) != expected:
                 raise ValidationError(
-                    f"algebra '{self.name}': table for '{sym}' has length "
+                    f"algebra '{name}': table for '{sym}' has length "
                     f"{len(table)}, expected {expected}"
                 )
             for idx, v in enumerate(table):
                 if not 0 <= v < n:
                     raise ValidationError(
-                        f"algebra '{self.name}': entry {v} out of range at index "
+                        f"algebra '{name}': entry {v} out of range at index "
                         f"{idx} in table for '{sym}'"
                     )
+        super().__init__(signature, size, tables, name)
 
     @classmethod
     def from_ops(
@@ -167,9 +161,8 @@ def direct_product(
         xs = _images(ta, arity, left, a.size)
         ys = _images(tb, arity, right, nb)
         tables.append(tuple([x * nb + y for x, y in zip(xs, ys)]))
-    return FiniteAlgebra(
-        a.signature, n, tuple(tables), name or f"{a.name}x{b.name}"
-    )
+    name = name or f"{a.name}x{b.name}"
+    return FiniteAlgebra._trusted(a.signature, n, tuple(tables), name)
 
 
 # -- subalgebras -------------------------------------------------------------
@@ -233,7 +226,7 @@ def subalgebra_generated(
         tuple([back[v] for v in _images(table, arity, embedding, n)])
         for table, arity in ops
     )
-    sub = FiniteAlgebra(
+    sub = FiniteAlgebra._trusted(
         algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
     )
     return sub, embedding

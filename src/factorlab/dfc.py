@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .congruences import (
     Congruence,
@@ -23,17 +22,18 @@ from .congruences import (
 from .core import FiniteAlgebra
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
+from .terms import _Record
 from .variety import VarietyContext
 
 DEFAULT_PAIR_CAP = 64
 DEFAULT_EVAL_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class CentralElement:
-    algebra: FiniteAlgebra
-    e: tuple[int, ...]
-    pair: FactorPair
+class CentralElement(_Record):
+    __slots__ = ("algebra", "e", "pair")
+
+    def __init__(self, algebra: FiniteAlgebra, e: tuple[int, ...], pair: FactorPair):
+        super().__init__(algebra, e, pair)
 
 
 def central_elements(
@@ -72,18 +72,16 @@ def central_elements(
 # -- exhaustive verification -----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DfcCounterexample:
-    left: str
-    right: str
-    a: int
-    b: int
-    c: int
-    d: int
-    direction: str  # "=>": formula true but a != c; "<=": formula false but a == c
+class DfcCounterexample(_Record):
+    __slots__ = ("left", "right", "a", "b", "c", "d", "direction")
+
+    # direction "=>": formula true but a != c; "<=": formula false but a == c
+    def __init__(self, left: str, right: str, a: int, b: int, c: int, d: int,
+                 direction: str):
+        super().__init__(left, right, a, b, c, d, direction)
 
     def as_tuple(self) -> tuple:
-        return (self.left, self.right, self.a, self.b, self.c, self.d, self.direction)
+        return self._values()
 
 
 class DfcCounterexamples(Sequence):
@@ -159,12 +157,13 @@ class DfcCounterexamples(Sequence):
         return f"<{len(self)} DFC counterexamples>"
 
 
-@dataclass(frozen=True)
-class DfcReport:
-    formula_text: str
-    pairs_tested: tuple[tuple[str, str], ...]
-    skipped: tuple[tuple[str, str], ...]
-    counterexamples: Sequence[DfcCounterexample]
+class DfcReport(_Record):
+    __slots__ = ("formula_text", "pairs_tested", "skipped", "counterexamples")
+
+    def __init__(self, formula_text: str, pairs_tested: tuple[tuple[str, str], ...],
+                 skipped: tuple[tuple[str, str], ...],
+                 counterexamples: Sequence[DfcCounterexample]):
+        super().__init__(formula_text, pairs_tested, skipped, counterexamples)
 
     @property
     def ok(self) -> bool:
@@ -303,14 +302,14 @@ def verify_dfc(
 # -- formula / central-element correspondence -------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralCongruenceReport:
-    element: tuple[int, ...]
-    is_congruence: bool
-    matches_pair: bool
-    computed: Congruence | None
-    expected: Congruence
-    note: str
+class CentralCongruenceReport(_Record):
+    __slots__ = ("element", "is_congruence", "matches_pair", "computed", "expected",
+                 "note")
+
+    def __init__(self, element: tuple[int, ...], is_congruence: bool,
+                 matches_pair: bool, computed: Congruence | None,
+                 expected: Congruence, note: str):
+        super().__init__(element, is_congruence, matches_pair, computed, expected, note)
 
     @property
     def ok(self) -> bool:
@@ -343,14 +342,15 @@ def congruence_of_central(
     return CentralCongruenceReport(ce.e, False, False, None, ce.pair.theta, note)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
-    algebra_name: str
-    n_central: int
-    n_pairs: int
-    element_reports: tuple[CentralCongruenceReport, ...]
-    bijection_ok: bool
-    idempotent_check: dict | None
+class CorrespondenceReport(_Record):
+    __slots__ = ("algebra_name", "n_central", "n_pairs", "element_reports",
+                 "bijection_ok", "idempotent_check")
+
+    def __init__(self, algebra_name: str, n_central: int, n_pairs: int,
+                 element_reports: tuple[CentralCongruenceReport, ...],
+                 bijection_ok: bool, idempotent_check: dict | None):
+        super().__init__(algebra_name, n_central, n_pairs, element_reports,
+                         bijection_ok, idempotent_check)
 
     @property
     def ok(self) -> bool:

@@ -19,11 +19,10 @@ and universal quantifiers are rejected rather than normalized away.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import FiniteAlgebra, Signature
 from .errors import EvalError, FormulaSyntaxError, ValidationError
-from .terms import App, Term, Var, free_vars, term_text
+from .terms import App, Term, Var, _Record, free_vars, term_text
 
 ROLE_X = "x"
 ROLE_Y = "y"
@@ -34,11 +33,11 @@ def z_roles(l: int) -> tuple[str, ...]:
     return tuple(f"z{i + 1}" for i in range(l))
 
 
-@dataclass(frozen=True)
-class Literal:
-    lhs: Term
-    rhs: Term
-    positive: bool = True
+class Literal(_Record):
+    __slots__ = ("lhs", "rhs", "positive")
+
+    def __init__(self, lhs: Term, rhs: Term, positive: bool = True):
+        super().__init__(lhs, rhs, positive)
 
     def text(self) -> str:
         op = "=" if self.positive else "!="
@@ -59,25 +58,24 @@ def _formula_text(bound_vars: tuple[str, ...], disjuncts) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class ExistentialDnf:
+class ExistentialDnf(_Record):
     """exists w-vector, disjunction of conjunctions of literals."""
 
-    bound_vars: tuple[str, ...]
-    disjuncts: tuple[tuple[Literal, ...], ...]
-    l: int = 1
+    __slots__ = ("bound_vars", "disjuncts", "l")
 
-    def __post_init__(self):
-        if not self.disjuncts or any(not d for d in self.disjuncts):
+    def __init__(self, bound_vars: tuple[str, ...],
+                 disjuncts: tuple[tuple[Literal, ...], ...], l: int = 1):
+        if not disjuncts or any(not d for d in disjuncts):
             raise ValidationError("formula needs at least one literal per disjunct")
-        allowed = {ROLE_X, ROLE_Y, *z_roles(self.l), *self.bound_vars}
-        for conj in self.disjuncts:
+        allowed = {ROLE_X, ROLE_Y, *z_roles(l), *bound_vars}
+        for conj in disjuncts:
             for lit in conj:
                 extra = lit.variables() - allowed
                 if extra:
                     raise ValidationError(
                         f"free variables {sorted(extra)} outside roles and bound list"
                     )
+        super().__init__(bound_vars, disjuncts, l)
 
     def positive_indices(self, k: int) -> tuple[int, ...]:
         """Indices of the non-negated literals of disjunct k (recomputed)."""
@@ -87,18 +85,17 @@ class ExistentialDnf:
         return _formula_text(self.bound_vars, self.disjuncts)
 
 
-@dataclass(frozen=True)
-class PositiveExistential:
+class PositiveExistential(_Record):
     """exists w-vector, one conjunction of positive literals."""
 
-    bound_vars: tuple[str, ...]
-    literals: tuple[Literal, ...]
-    l: int = 1
+    __slots__ = ("bound_vars", "literals", "l")
 
-    def __post_init__(self):
-        for lit in self.literals:
+    def __init__(self, bound_vars: tuple[str, ...], literals: tuple[Literal, ...],
+                 l: int = 1):
+        for lit in literals:
             if not lit.positive:
                 raise ValidationError("negative literal in positive formula")
+        super().__init__(bound_vars, literals, l)
 
     @property
     def is_trivially_true(self) -> bool:
@@ -141,11 +138,11 @@ _INFIX_ALIASES = {"*": ("*", "·"), "·": ("·", "*")}
 _INFIX_TOKENS = ("+", "*", "·", "/\\", "\\/")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "ident" | "op" | "eof"
-    text: str
-    pos: int
+class _Tok(_Record):
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):  # kind: ident, op or eof
+        super().__init__(kind, text, pos)
 
 
 def _tokenize(text: str) -> list[_Tok]:

@@ -23,12 +23,10 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
 
 from .core import FiniteAlgebra, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
-from .terms import App, Term, Var
+from .terms import App, Term, Var, _Record
 from .variety import VarietyContext
 
 DEFAULT_BUDGET = 100_000
@@ -36,23 +34,26 @@ DEFAULT_BUDGET = 100_000
 MAX_VECTOR_CELLS = 10_000_000
 
 
-@dataclass(frozen=True)
-class FreeAlgebra:
+class FreeAlgebra(_Record):
     """The carrier as vectors and witness terms.  The carrier algebra's
     operation tables are built by `build_algebra` on the first read of
-    `algebra`."""
+    `algebra`; neither takes part in equality or the repr."""
 
-    base: FiniteAlgebra
-    rank: int
-    var_names: tuple[str, ...]
-    build_algebra: Callable[[], FiniteAlgebra] = field(repr=False, compare=False)
-    vectors: tuple[tuple[int, ...], ...]
-    witnesses: tuple[Term, ...]
-    generators: tuple[int, ...]
+    __slots__ = ("base", "rank", "var_names", "vectors", "witnesses", "generators",
+                 "_build_algebra", "_algebra")
 
-    @cached_property
+    def __init__(self, base: FiniteAlgebra, rank: int, var_names: tuple[str, ...],
+                 build_algebra: Callable[[], FiniteAlgebra],
+                 vectors: tuple[tuple[int, ...], ...], witnesses: tuple[Term, ...],
+                 generators: tuple[int, ...]):
+        super().__init__(base, rank, var_names, vectors, witnesses, generators)
+        object.__setattr__(self, "_build_algebra", build_algebra)
+
+    @property
     def algebra(self) -> FiniteAlgebra:
-        return self.build_algebra()
+        if not hasattr(self, "_algebra"):
+            object.__setattr__(self, "_algebra", self._build_algebra())
+        return self._algebra
 
     @property
     def size(self) -> int:
@@ -234,9 +235,8 @@ def free_algebra(
                     "carrier is not closed under operations"
                 ) from None
             tables.append(tuple(table))
-        return FiniteAlgebra(
-            base.signature, size, tuple(tables), f"F{rank}({base.name})"
-        )
+        name = f"F{rank}({base.name})"
+        return FiniteAlgebra._trusted(base.signature, size, tuple(tables), name)
 
     vectors = tuple(tuple(key) for key in keys)
     return FreeAlgebra(
@@ -244,17 +244,16 @@ def free_algebra(
     )
 
 
-@dataclass(frozen=True)
-class FreePairContext:
+class FreePairContext(_Record):
     """The rank-1 and rank-2 free algebras with the distinguished elements
     x -> (x, x), y -> (x, y), z_i -> (zero_i, one_i) of their direct product,
     as product indices u * |F2| + v.  The product itself is never built."""
 
-    f1: FreeAlgebra
-    f2: FreeAlgebra
-    x: int
-    y: int
-    z: tuple[int, ...]
+    __slots__ = ("f1", "f2", "x", "y", "z")
+
+    def __init__(self, f1: FreeAlgebra, f2: FreeAlgebra, x: int, y: int,
+                 z: tuple[int, ...]):
+        super().__init__(f1, f2, x, y, z)
 
     def split(self, p: int) -> tuple[int, int]:
         return pair_split(p, self.f2.size)

@@ -10,7 +10,6 @@ literals and no negative literal fails at both (Feferman-Vaught).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import FiniteAlgebra, eval_term, pair_index
 from .errors import InternalCheckError, NoWitnessError, ResourceBoundError
@@ -22,7 +21,7 @@ from .formulas import (
     z_roles,
 )
 from .freealg import DEFAULT_BUDGET, FreePairContext, free_pair_context
-from .terms import Term, term_text
+from .terms import Term, _Record, term_text
 from .variety import VarietyContext
 
 # Cap on the candidate tuples of both factors' witness searches and on the
@@ -32,22 +31,23 @@ SEARCH_CAP = 10_000_000
 Factor = tuple[FiniteAlgebra, tuple[int, int, tuple[int, ...]]]
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(_Record):
     """What was satisfied where: the chosen disjunct and the witness elements
     in the free-pair product."""
 
-    disjunct: int
-    witness_indices: tuple[int, ...]
+    __slots__ = ("disjunct", "witness_indices")
+
+    def __init__(self, disjunct: int, witness_indices: tuple[int, ...]):
+        super().__init__(disjunct, witness_indices)
 
 
-@dataclass(frozen=True)
-class PositivizeResult:
-    k: int
-    phi_prime: PositiveExistential
-    witnesses: tuple[tuple[Term, Term], ...]
-    certificate: WitnessCertificate
-    warnings: tuple[str, ...] = ()
+class PositivizeResult(_Record):
+    __slots__ = ("k", "phi_prime", "witnesses", "certificate", "warnings")
+
+    def __init__(self, k: int, phi_prime: PositiveExistential,
+                 witnesses: tuple[tuple[Term, Term], ...],
+                 certificate: WitnessCertificate, warnings: tuple[str, ...] = ()):
+        super().__init__(k, phi_prime, witnesses, certificate, warnings)
 
 
 def _distinguished_diagnostics(fpc: FreePairContext) -> dict:

@@ -5,43 +5,41 @@ subalgebras and binary products (so membership holds by construction).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from .congruences import all_congruences, quotient
 from .core import FiniteAlgebra, Signature, direct_product, eval_term, subalgebra_generated
 from .errors import ValidationError
-from .terms import Term, is_closed
+from .terms import Term, _Record, is_closed
 
 
-@dataclass(frozen=True)
-class PoolEntry:
-    algebra: FiniteAlgebra
-    recipe: str
+class PoolEntry(_Record):
+    __slots__ = ("algebra", "recipe")
+
+    def __init__(self, algebra: FiniteAlgebra, recipe: str):
+        super().__init__(algebra, recipe)
 
 
-@dataclass(frozen=True)
-class VarietyContext:
-    generator: FiniteAlgebra
-    zero_terms: tuple[Term, ...]
-    one_terms: tuple[Term, ...]
-    pool: tuple[PoolEntry, ...] = ()
+class VarietyContext(_Record):
+    __slots__ = ("generator", "zero_terms", "one_terms", "pool")
 
-    def __post_init__(self):
-        l = self.signature.l
-        if len(self.zero_terms) != l or len(self.one_terms) != l:
+    def __init__(self, generator: FiniteAlgebra, zero_terms: tuple[Term, ...],
+                 one_terms: tuple[Term, ...], pool: tuple[PoolEntry, ...] = ()):
+        l = generator.signature.l
+        if len(zero_terms) != l or len(one_terms) != l:
             raise ValidationError(
                 f"zero/one term tuples must have length l={l}, got "
-                f"{len(self.zero_terms)}/{len(self.one_terms)}"
+                f"{len(zero_terms)}/{len(one_terms)}"
             )
-        for t in self.zero_terms + self.one_terms:
+        for t in zero_terms + one_terms:
             if not is_closed(t):
                 raise ValidationError("zero/one terms must be closed (variable-free)")
-            eval_term(self.generator, t, {})  # raises on unknown symbols
-        for entry in self.pool:
-            if entry.algebra.signature != self.signature:
+            eval_term(generator, t, {})  # raises on unknown symbols
+        for entry in pool:
+            if entry.algebra.signature != generator.signature:
                 raise ValidationError(
                     f"pool member '{entry.algebra.name}' has a different signature"
                 )
+        super().__init__(generator, zero_terms, one_terms, pool)
 
     @property
     def signature(self) -> Signature:
@@ -62,8 +60,8 @@ class VarietyContext:
         return tuple(eval_term(algebra, t, {}) for t in self.one_terms)
 
     def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
-        pool = generate_pool(self, max_size=max_size, depth=depth)
-        return replace(self, pool=tuple(pool))
+        pool = tuple(generate_pool(self, max_size=max_size, depth=depth))
+        return VarietyContext(self.generator, self.zero_terms, self.one_terms, pool)
 
 
 def generate_pool(
@@ -119,15 +117,17 @@ def generate_pool(
     return entries
 
 
-@dataclass(frozen=True)
-class ZeroOneReport:
+class ZeroOneReport(_Record):
     """Sampled check that equal zero/one tuples only happen in trivial algebras.
 
     A pass is evidence over the pool, not a proof for the whole variety.
     """
 
-    entries: tuple[tuple[str, tuple[int, ...], tuple[int, ...], bool], ...]
-    note: str = "sampled verification over the pool, not a proof"
+    __slots__ = ("entries", "note")
+
+    def __init__(self, entries: tuple[tuple[str, tuple, tuple, bool], ...],
+                 note: str = "sampled verification over the pool, not a proof"):
+        super().__init__(entries, note)
 
     @property
     def ok(self) -> bool:

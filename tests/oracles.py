@@ -30,10 +30,13 @@ preservation harness for positive formulas, which only the tests use too.
 `free_pair_witnesses_materialized` is the witness search of `positivize` as
 it was before it went factor by factor: one search over the materialized
 F(x) x F(x,y).
+`RECORD_TWINS` holds the package's record classes as they were declared
+with `@dataclass(frozen=True)` before `terms._Record` replaced the
+decorator, the reference for their equality, hashing, repr and immutability.
 """
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field, make_dataclass
 
 from factorlab import (
     Congruence,
@@ -857,3 +860,51 @@ def check_preservation(
         tuple(skipped),
         tuple(violations),
     )
+
+
+# -- dataclass twins of the record classes ---------------------------------------
+
+
+def _twin(name, *fields, **options):
+    """A frozen dataclass named like the record class, so that reprs compare
+    as text.  A field is a name, or (name, type, field(...))."""
+    return make_dataclass(name, fields, frozen=True, **options)
+
+
+def _opt(name, default):
+    return (name, object, field(default=default))
+
+
+RECORD_TWINS = {twin.__name__: twin for twin in (
+    _twin("Var", "name"),
+    _twin("App", "symbol", _opt("args", ())),
+    _twin("Signature", "symbols", _opt("l", 1)),
+    _twin("FiniteAlgebra", "signature", "size", "tables", _opt("name", "A")),
+    _twin("Congruence", "algebra", "rep"),
+    _twin("FactorPair", "theta", "theta_c"),
+    _twin("CompactnessReport", "theta", "m", "generating_pairs", "exhaustive"),
+    _twin("Literal", "lhs", "rhs", _opt("positive", True)),
+    _twin("ExistentialDnf", "bound_vars", "disjuncts", _opt("l", 1)),
+    _twin("PositiveExistential", "bound_vars", "literals", _opt("l", 1)),
+    _twin("_Tok", "kind", "text", "pos"),
+    _twin("PoolEntry", "algebra", "recipe"),
+    _twin("VarietyContext", "generator", "zero_terms", "one_terms",
+          _opt("pool", ())),
+    _twin("ZeroOneReport", "entries",
+          _opt("note", "sampled verification over the pool, not a proof")),
+    _twin("CentralElement", "algebra", "e", "pair"),
+    _twin("DfcCounterexample", "left", "right", "a", "b", "c", "d", "direction",
+          slots=True),
+    _twin("DfcReport", "formula_text", "pairs_tested", "skipped", "counterexamples"),
+    _twin("CentralCongruenceReport", "element", "is_congruence", "matches_pair",
+          "computed", "expected", "note"),
+    _twin("CorrespondenceReport", "algebra_name", "n_central", "n_pairs",
+          "element_reports", "bijection_ok", "idempotent_check"),
+    _twin("FreeAlgebra", "base", "rank", "var_names",
+          ("build_algebra", object, field(repr=False, compare=False)),
+          "vectors", "witnesses", "generators"),
+    _twin("FreePairContext", "f1", "f2", "x", "y", "z"),
+    _twin("WitnessCertificate", "disjunct", "witness_indices"),
+    _twin("PositivizeResult", "k", "phi_prime", "witnesses", "certificate",
+          _opt("warnings", ())),
+)}

@@ -383,12 +383,33 @@ def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
     assert len(built) == len(set(built)) == members
 
 
+def test_pipeline_computes_each_algebras_translations_once(capsys, monkeypatch):
+    stored = []
+
+    class Counting(WeakKeyDictionary):
+        def __setitem__(self, algebra, translations):
+            stored.append(algebra)
+            super().__setitem__(algebra, translations)
+
+    monkeypatch.setattr(congruences, "_TRANSLATIONS", Counting())
+    code = main(["pipeline", str(FIXTURES / "rings.ctx"),
+                 str(FIXTURES / "formulas" / "ring_mixed.fm"),
+                 "--max-size", "16", "--format", "machine"])
+    capsys.readouterr()
+    assert code == 0
+    # once per pool member, where every lattice build and every central
+    # element's compatibility check used to recompute them
+    assert len(stored) == len(set(stored)) == 5
+
+
 def test_lattice_memo_entry_dies_with_its_algebra():
     # value-equal algebras share an entry, so the name must be unique
     name = "memo probe, used by no other test"
     algebra = FiniteAlgebra(Signature((("f", 1),)), 4, ((1, 0, 3, 2),), name)
     assert len(all_congruences(algebra)) == 7
     assert algebra in congruences._LATTICES
+    assert algebra in congruences._TRANSLATIONS
     del algebra
     gc.collect()
-    assert name not in {a.name for a in congruences._LATTICES.keys()}
+    for memo in (congruences._LATTICES, congruences._TRANSLATIONS):
+        assert name not in {a.name for a in memo.keys()}

@@ -268,6 +268,30 @@ def test_pool_matches_rescanning_rounds(name, sizes):
             ]
 
 
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 27), ("boolean", 3, 32),
+    ("rings_z6", 2, 36),
+])
+def test_pool_members_pass_the_validating_constructor(monkeypatch, name, depth,
+                                                      max_size):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    checked = []
+    check = FiniteAlgebra.__init__
+
+    def counting(self, *args):
+        checked.append(args)
+        check(self, *args)
+
+    monkeypatch.setattr(FiniteAlgebra, "__init__", counting)
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    # products, quotients and subalgebras are built unchecked
+    assert checked == []
+    for entry in pool:
+        a = entry.algebra
+        assert FiniteAlgebra(a.signature, a.size, a.tables, a.name) == a
+    assert len(checked) == len(pool)
+
+
 def test_pool_expands_each_member_once(monkeypatch):
     ctx = load_context(str(FIXTURES / "lattices.ctx"))
     lattices, products = [], []

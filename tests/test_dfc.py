@@ -265,12 +265,11 @@ def test_complement_duality_ring_fixture(z6, rings_z6_ctx):
 
 def test_l2_context_machinery(z6):
     # duplicated zero/one terms exercise tuple plumbing beyond length one
-    from factorlab import VarietyContext
+    from factorlab import FiniteAlgebra, Signature, VarietyContext
     from factorlab.terms import App
-    import dataclasses
 
-    sig = dataclasses.replace(z6.signature, l=2)
-    z6_l2 = dataclasses.replace(z6, signature=sig)
+    sig = Signature(z6.signature.symbols, l=2)
+    z6_l2 = FiniteAlgebra(sig, z6.size, z6.tables, z6.name)
     ctx = VarietyContext(
         z6_l2, (App("1"), App("1")), (App("0"), App("0"))
     ).populated(max_size=6, depth=1)

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 
 import pytest
@@ -7,6 +6,7 @@ from conftest import FIXTURES, REPO
 from factorlab import (
     InternalCheckError,
     NoWitnessError,
+    PositivizeResult,
     ResourceBoundError,
     enumerate_witnesses,
     free_pair_context,
@@ -252,7 +252,9 @@ def test_recheck_rejects_a_wrong_witness_term(rings_ctx):
         ((x, App("1")), f"one-side substitution identity failed in '{name}' "
                         f"at x=0, y=0: w = x"),
     ]:
-        wrong = dataclasses.replace(result, witnesses=(pair,))
+        wrong = PositivizeResult(
+            result.k, result.phi_prime, (pair,), result.certificate, result.warnings
+        )
         with pytest.raises(InternalCheckError) as err:
             _recheck_substitution(wrong, rings_ctx)
         assert str(err.value) == expected

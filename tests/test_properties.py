@@ -1,5 +1,4 @@
 """Property-based checks of the structural invariants."""
-import dataclasses
 import itertools
 
 from hypothesis import example, given, settings
@@ -274,7 +273,7 @@ ONE = FiniteAlgebra(DFC_SIG, 1, ((0,), (0,), (0,), (0,)))
 @example([TWO], parse_formula("x = z1", DFC_SIG, 1))
 def test_verify_dfc_matches_materialized_products(members, phi):
     pool = tuple(
-        PoolEntry(dataclasses.replace(m, name=f"M{i}"), "drawn")
+        PoolEntry(FiniteAlgebra(m.signature, m.size, m.tables, f"M{i}"), "drawn")
         for i, m in enumerate(members)
     )
     ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
@@ -295,7 +294,8 @@ def test_verify_dfc_matches_materialized_products(members, phi):
 @example([(TWO, "M1"), (TWO, "M0")], parse_formula("x = z1", DFC_SIG, 1), 7)
 def test_counterexample_reads_match_materialized(named, phi, k):
     pool = tuple(
-        PoolEntry(dataclasses.replace(m, name=name), "drawn") for m, name in named
+        PoolEntry(FiniteAlgebra(m.signature, m.size, m.tables, name), "drawn")
+        for m, name in named
     )
     ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
     lazy = verify_dfc(phi, ctx).counterexamples

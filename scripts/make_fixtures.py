@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Regenerate the fixtures/ corpus from the builders in factorlab.fixtures."""
+"""Regenerate the fixtures/ corpus from the builders in tests/corpus.py.
+
+    python3 scripts/make_fixtures.py [OUTPUT_DIR]
+
+OUTPUT_DIR defaults to the repository's fixtures/ directory."""
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from factorlab import fileio
-from factorlab.fixtures import (
+from corpus import (
     boolean_context,
     corpus,
+    dump_algebra,
+    dump_context,
     lattice_context,
     ring_context,
 )
@@ -34,6 +40,11 @@ FORMULAS = {
         "# fails: plain equality also pins the second coordinate\n"
         "x = y\n"
     ),
+    "ring_no_witness3.fm": (
+        "# no witness: the disequation compares a term with itself, so it fails at\n"
+        "# every assignment of the 3 bound variables and the search tries them all\n"
+        "exists u v w . (z1 * x = z1 * y and (u * v) * w != (u * v) * w)\n"
+    ),
 }
 
 CONTEXTS = {
@@ -44,15 +55,14 @@ CONTEXTS = {
 }
 
 
-def main() -> None:
-    root = Path(__file__).resolve().parent.parent / "fixtures"
+def main(root: Path) -> None:
     root.mkdir(exist_ok=True)
     algebras = corpus()
     for stem, algebra in algebras.items():
-        fileio.dump_algebra(algebra, root / f"{stem}.alg")
+        dump_algebra(algebra, root / f"{stem}.alg")
     for name, (builder, stem, gen_path) in CONTEXTS.items():
         ctx = builder(algebras[stem])
-        fileio.dump_context(ctx, root / name, generator_path=gen_path)
+        dump_context(ctx, root / name, generator_path=gen_path)
     formulas = root / "formulas"
     formulas.mkdir(exist_ok=True)
     for name, text in FORMULAS.items():
@@ -62,4 +72,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "fixtures")

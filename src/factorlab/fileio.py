@@ -22,7 +22,7 @@ from pathlib import Path
 from .core import FiniteAlgebra, Signature
 from .errors import ValidationError
 from .formulas import ExistentialDnf, parse_formula, parse_term_text
-from .terms import Term, term_text
+from .terms import Term
 from .variety import VarietyContext
 
 
@@ -99,12 +99,6 @@ def load_algebra(path: str | Path, l: int = 1) -> FiniteAlgebra:
     return algebra_from_dict(_read_json(p), l=l, origin=str(p))
 
 
-def dump_algebra(algebra: FiniteAlgebra, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(algebra_to_dict(algebra), indent=2) + "\n", encoding="utf-8"
-    )
-
-
 def _terms(texts, what: str, signature: Signature) -> tuple[Term, ...]:
     out = []
     for i, t in enumerate(_list(texts, what)):
@@ -131,24 +125,6 @@ def load_context(path: str | Path) -> VarietyContext:
     zero = _terms(data["zero"], f"{p}: 'zero'", generator.signature)
     one = _terms(data["one"], f"{p}: 'one'", generator.signature)
     return VarietyContext(generator, zero, one)
-
-
-def context_to_dict(ctx: VarietyContext, generator_path: str | None = None) -> dict:
-    return {
-        "generator": generator_path or algebra_to_dict(ctx.generator),
-        "l": ctx.l,
-        "zero": [term_text(t) for t in ctx.zero_terms],
-        "one": [term_text(t) for t in ctx.one_terms],
-    }
-
-
-def dump_context(
-    ctx: VarietyContext, path: str | Path, generator_path: str | None = None
-) -> None:
-    Path(path).write_text(
-        json.dumps(context_to_dict(ctx, generator_path), indent=2) + "\n",
-        encoding="utf-8",
-    )
 
 
 def load_formula(path: str | Path, signature: Signature, l: int) -> ExistentialDnf:

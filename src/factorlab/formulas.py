@@ -22,7 +22,7 @@ import re
 
 from .core import FiniteAlgebra, Signature
 from .errors import EvalError, FormulaSyntaxError, ValidationError
-from .terms import App, Term, Var, _Record, free_vars, term_text
+from .terms import INFIX_SYMBOLS, App, Term, Var, _Record, free_vars, term_text
 
 ROLE_X = "x"
 ROLE_Y = "y"
@@ -135,7 +135,6 @@ _TOKEN_RE = re.compile(
 MAX_NESTING = 100
 
 _INFIX_ALIASES = {"*": ("*", "·"), "·": ("·", "*")}
-_INFIX_TOKENS = ("+", "*", "·", "/\\", "\\/")
 
 
 class _Tok(_Record):
@@ -260,7 +259,7 @@ class _Parser:
                 self.i = save  # parenthesized term, not a group
             else:
                 nxt = self.peek()
-                if nxt.kind == "op" and nxt.text in ("=", "!=", *_INFIX_TOKENS):
+                if nxt.kind == "op" and nxt.text in ("=", "!=", *INFIX_SYMBOLS):
                     self.i = save  # "(term)" followed by an operator
                 else:
                     return tuple(lits)
@@ -281,12 +280,12 @@ class _Parser:
     def parse_term(self) -> Term:
         left = self.parse_atom()
         tok = self.peek()
-        if tok.kind == "op" and tok.text in _INFIX_TOKENS:
+        if tok.kind == "op" and tok.text in INFIX_SYMBOLS:
             self.next()
             sym = self._resolve_infix(tok)
             right = self.parse_atom()
             after = self.peek()
-            if after.kind == "op" and after.text in _INFIX_TOKENS:
+            if after.kind == "op" and after.text in INFIX_SYMBOLS:
                 raise FormulaSyntaxError(
                     "parentheses required for nested infix terms", after.pos
                 )

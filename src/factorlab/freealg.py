@@ -125,10 +125,7 @@ def _row_kernel(
 
 
 def free_algebra(
-    base: FiniteAlgebra,
-    rank: int,
-    var_names: tuple[str, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    base: FiniteAlgebra, rank: int, budget: int = DEFAULT_BUDGET
 ) -> FreeAlgebra:
     """Closure of the rank projection vectors (plus constants) under all
     operations, computed pointwise over the index space base^rank.
@@ -148,9 +145,7 @@ def free_algebra(
     if rank < 0:
         raise ValidationError("rank must be nonnegative")
     n_points = _grid_points(base, rank)
-    names = var_names if var_names is not None else _default_var_names(rank)
-    if len(names) != rank:
-        raise ValidationError(f"{len(names)} variable names for rank {rank}")
+    names = _default_var_names(rank)
     n = base.size
     points = list(itertools.product(range(n), repeat=rank))
     if rank == 0 and not base.signature.constants:
@@ -262,8 +257,8 @@ class FreePairContext(_Record):
 def free_pair_context(
     ctx: VarietyContext, budget: int = DEFAULT_BUDGET
 ) -> FreePairContext:
-    f1 = free_algebra(ctx.generator, 1, ("x",), budget)
-    f2 = free_algebra(ctx.generator, 2, ("x", "y"), budget)
+    f1 = free_algebra(ctx.generator, 1, budget)
+    f2 = free_algebra(ctx.generator, 2, budget)
     x = pair_index(f1.generators[0], f2.generators[0], f2.size)
     y = pair_index(f1.generators[0], f2.generators[1], f2.size)
     z = tuple(

@@ -98,11 +98,11 @@ def _rectangles(
 def first_product_witness(
     phi: ExistentialDnf, left: Factor, right: Factor
 ) -> tuple[int, tuple[int, ...]] | None:
-    """`DnfEvaluator(direct_product(A, B), phi).first_witness` at the paired
-    role values, without building A x B.  Witnesses are product indices
-    u * |B| + v, so their lexicographic order is that of the interleaved
-    (u1, v1, u2, v2, ...), and the least witness of a rectangle pairs its
-    two sides' first witnesses."""
+    """`tests/oracles.first_witness` of the evaluator over
+    direct_product(A, B) at the paired role values, without building A x B.
+    Witnesses are product indices u * |B| + v, so their lexicographic order
+    is that of the interleaved (u1, v1, u2, v2, ...), and the least witness
+    of a rectangle pairs its two sides' first witnesses."""
     n = right[0].size
     return min(
         ((k, tuple(pair_index(a, b, n) for a, b in zip(us[0], vs[0])))
@@ -114,10 +114,10 @@ def first_product_witness(
 def product_witnesses(
     phi: ExistentialDnf, left: Factor, right: Factor
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """`DnfEvaluator(direct_product(A, B), phi).all_witnesses` at the paired
-    role values, without building A x B: the sorted union of the rectangles.
-    Raises ResourceBoundError before building the list when it would exceed
-    SEARCH_CAP."""
+    """`tests/oracles.all_witnesses` of the evaluator over
+    direct_product(A, B) at the paired role values, without building A x B:
+    the sorted union of the rectangles.  Raises ResourceBoundError before
+    building the list when it would exceed SEARCH_CAP."""
     rectangles = _rectangles(phi, left, right, True)
     size = sum(len(us) * len(vs) for _, us, vs in rectangles)
     if size > SEARCH_CAP:

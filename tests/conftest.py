@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from factorlab.fixtures import (
+from corpus import (
     chain_lattice,
     corpus,
     cyclic_ring,

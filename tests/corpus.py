@@ -1,14 +1,18 @@
-"""The in-repo fixture corpus: cyclic rings, bounded lattices and the
-two-element Boolean algebra, plus variety-context builders for each class.
+"""The fixture corpus: cyclic rings, bounded lattices and the two-element
+Boolean algebra, variety-context builders for each class, and the writers
+that `scripts/make_fixtures.py` uses to store them in the formats
+`factorlab.fileio` reads.
 """
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
-from .core import FiniteAlgebra, Signature, direct_product
-from .errors import ValidationError
-from .terms import App
-from .variety import VarietyContext
+from factorlab import FiniteAlgebra, Signature, VarietyContext, direct_product
+from factorlab.errors import ValidationError
+from factorlab.fileio import algebra_to_dict
+from factorlab.terms import App, term_text
 
 
 def ring_signature() -> Signature:
@@ -147,3 +151,27 @@ def corpus() -> dict[str, FiniteAlgebra]:
         "m3": m3_lattice(),
         "b2": boolean_algebra2(),
     }
+
+
+def dump_algebra(algebra: FiniteAlgebra, path: str | Path) -> None:
+    Path(path).write_text(
+        json.dumps(algebra_to_dict(algebra), indent=2) + "\n", encoding="utf-8"
+    )
+
+
+def context_to_dict(ctx: VarietyContext, generator_path: str | None = None) -> dict:
+    return {
+        "generator": generator_path or algebra_to_dict(ctx.generator),
+        "l": ctx.l,
+        "zero": [term_text(t) for t in ctx.zero_terms],
+        "one": [term_text(t) for t in ctx.one_terms],
+    }
+
+
+def dump_context(
+    ctx: VarietyContext, path: str | Path, generator_path: str | None = None
+) -> None:
+    Path(path).write_text(
+        json.dumps(context_to_dict(ctx, generator_path), indent=2) + "\n",
+        encoding="utf-8",
+    )

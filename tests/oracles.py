@@ -30,9 +30,13 @@ preservation harness for positive formulas, which only the tests use too.
 `free_pair_witnesses_materialized` is the witness search of `positivize` as
 it was before it went factor by factor: one search over the materialized
 F(x) x F(x,y).
-`RECORD_TWINS` holds the package's record classes as they were declared
-with `@dataclass(frozen=True)` before `terms._Record` replaced the
-decorator, the reference for their equality, hashing, repr and immutability.
+`congruence_of_central_classified` is the correspondence check per central
+element as it was before it compared with the factor congruence directly:
+the relation is first classified as an equivalence and a congruence.
+`RECORD_TWINS` holds the package's record classes declared with
+`@dataclass(frozen=True)`, as they were before `terms._Record` replaced the
+decorator, with the same fields as today's classes: the reference for their
+equality, hashing, repr and immutability.
 """
 import itertools
 from collections.abc import Sequence
@@ -464,6 +468,47 @@ def decomposition_from_pair(algebra: FiniteAlgebra, pair: FactorPair) -> Decompo
     return Decomposition(a1, a2, iso, tuple(p1), tuple(p2))
 
 
+@dataclass(frozen=True)
+class ClassifiedCentralReport:
+    element: tuple[int, ...]
+    is_congruence: bool
+    matches_pair: bool
+    computed: Congruence | None
+    expected: Congruence
+    note: str
+
+    @property
+    def ok(self) -> bool:
+        return self.is_congruence and self.matches_pair
+
+
+def congruence_of_central_classified(
+    algebra: FiniteAlgebra,
+    phi: ExistentialDnf | PositiveExistential,
+    ce,
+) -> ClassifiedCentralReport:
+    """The relation {(a, c) : formula holds at (a, c, e)}, classified before it
+    is compared with the zero-side factor congruence pair.theta: is it an
+    equivalence, is it compatible, and is it pair.theta."""
+    ev = DnfEvaluator(algebra, phi)
+    n = algebra.size
+    rel = [[ev.satisfied(a, c, ce.e) for c in range(n)] for a in range(n)]
+    # rel is an equivalence iff it is the kernel of a -> least c with rel(a, c)
+    rep = tuple(row.index(True) if True in row else -1 for row in rel)
+    if any(rel[a][c] != (rep[a] == rep[c]) for a in range(n) for c in range(n)):
+        note = "relation is not an equivalence"
+    elif not congruences._respects_translations(algebra, rep):
+        note = "equivalence is not compatible with the operations"
+    else:
+        return ClassifiedCentralReport(
+            ce.e, True, rep == ce.pair.theta.rep,
+            congruences._trusted(algebra, rep), ce.pair.theta,
+            "convention: the element is zero-side for pair.theta, and the "
+            "relation defined by the formula is compared against pair.theta",
+        )
+    return ClassifiedCentralReport(ce.e, False, False, None, ce.pair.theta, note)
+
+
 def ring_idempotents(algebra):
     return sorted(e for e in range(algebra.size) if algebra.apply("*", (e, e)) == e)
 
@@ -645,10 +690,7 @@ def _pointwise(
 
 
 def free_algebra_pointwise(
-    base: FiniteAlgebra,
-    rank: int,
-    var_names: tuple[str, ...] | None = None,
-    budget: int = DEFAULT_BUDGET,
+    base: FiniteAlgebra, rank: int, budget: int = DEFAULT_BUDGET
 ) -> FreeAlgebra:
     """Closure of the rank projection vectors (plus constants) under all
     operations, computed pointwise over the index space base^rank.
@@ -658,9 +700,7 @@ def free_algebra_pointwise(
     """
     if rank < 0:
         raise ValidationError("rank must be nonnegative")
-    names = var_names if var_names is not None else _default_var_names(rank)
-    if len(names) != rank:
-        raise ValidationError(f"{len(names)} variable names for rank {rank}")
+    names = _default_var_names(rank)
     n = base.size
     points = list(itertools.product(range(n), repeat=rank))
     if rank == 0 and not base.signature.constants:
@@ -896,10 +936,9 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("DfcCounterexample", "left", "right", "a", "b", "c", "d", "direction",
           slots=True),
     _twin("DfcReport", "formula_text", "pairs_tested", "skipped", "counterexamples"),
-    _twin("CentralCongruenceReport", "element", "is_congruence", "matches_pair",
-          "computed", "expected", "note"),
-    _twin("CorrespondenceReport", "algebra_name", "n_central", "n_pairs",
-          "element_reports", "bijection_ok", "idempotent_check"),
+    _twin("CentralCongruenceReport", "element", "expected", "ok"),
+    _twin("CorrespondenceReport", "algebra_name", "element_reports",
+          "bijection_ok", "idempotent_check"),
     _twin("FreeAlgebra", "base", "rank", "var_names",
           ("build_algebra", object, field(repr=False, compare=False)),
           "vectors", "witnesses", "generators"),

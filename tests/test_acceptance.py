@@ -20,7 +20,7 @@ from factorlab import (
     verify_dfc,
 )
 from factorlab.cli import main
-from factorlab.fixtures import (
+from corpus import (
     boolean_algebra2,
     chain_lattice,
     cyclic_ring,

@@ -25,7 +25,7 @@ import factorlab.congruences as congruences
 from conftest import FIXTURES
 from factorlab.cli import main
 from factorlab.fileio import load_context
-from factorlab.fixtures import cyclic_ring
+from corpus import cyclic_ring
 from oracles import (
     all_congruences_pairwise,
     compose,
@@ -384,6 +384,9 @@ def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
 
 
 def test_pipeline_computes_each_algebras_translations_once(capsys, monkeypatch):
+    # a fresh lattice memo too: translations are computed only by lattice
+    # builds, which a memo left warm by other tests would skip
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
     stored = []
 
     class Counting(WeakKeyDictionary):

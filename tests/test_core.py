@@ -18,7 +18,7 @@ from factorlab import (
     verify_zero_one_condition,
 )
 from factorlab.fileio import load_context
-from factorlab.fixtures import (
+from corpus import (
     chain_lattice,
     cyclic_ring,
     lattice_context,

@@ -15,9 +15,9 @@ from factorlab import (
     verify_dfc,
 )
 from factorlab.fileio import load_context
-from factorlab.fixtures import chain_lattice, cyclic_ring, lattice_context, ring_context
+from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
 from conftest import FIXTURES
-from oracles import ring_idempotents
+from oracles import congruence_of_central_classified, ring_idempotents
 
 RING_PHI = "z1 * x = z1 * y"
 LATTICE_PHI = r"x \/ z1 = y \/ z1"
@@ -178,13 +178,18 @@ def test_congruence_of_central_z6(z6, rings_z6_ctx):
     for ce in central_elements(z6, rings_z6_ctx):
         report = congruence_of_central(z6, phi, ce)
         assert report.ok
-        assert report.computed.rep == ce.pair.theta.rep
+        assert report.expected == ce.pair.theta
+        classified = congruence_of_central_classified(z6, phi, ce)
+        assert classified.computed.rep == ce.pair.theta.rep
     # the idempotent 3 defines the two-class congruence it is zero-side for
     three = [
         ce for ce in central_elements(z6, rings_z6_ctx) if ce.e == (3,)
     ][0]
     rep = congruence_of_central(z6, phi, three)
-    assert partition_text(rep.computed) == "{0,2,4|1,3,5}"
+    assert rep.ok
+    assert partition_text(rep.expected) == "{0,2,4|1,3,5}"
+    classified = congruence_of_central_classified(z6, phi, three)
+    assert partition_text(classified.computed) == "{0,2,4|1,3,5}"
 
 
 def test_congruence_of_central_boundary_elements(z6, rings_z6_ctx):
@@ -193,8 +198,14 @@ def test_congruence_of_central_boundary_elements(z6, rings_z6_ctx):
     zero_side = rings_z6_ctx.zero_values(z6)[0]
     one_side = rings_z6_ctx.one_values(z6)[0]
     # zero-side element defines the identity relation's pair, one-side the total
-    assert congruence_of_central(z6, phi, ces[zero_side]).computed.is_identity()
-    assert congruence_of_central(z6, phi, ces[one_side]).computed.n_classes == 1
+    zero_report = congruence_of_central(z6, phi, ces[zero_side])
+    one_report = congruence_of_central(z6, phi, ces[one_side])
+    assert zero_report.ok and zero_report.expected.is_identity()
+    assert one_report.ok and one_report.expected.n_classes == 1
+    assert congruence_of_central_classified(
+        z6, phi, ces[zero_side]).computed.is_identity()
+    assert congruence_of_central_classified(
+        z6, phi, ces[one_side]).computed.n_classes == 1
 
 
 def test_congruence_of_central_mismatch_reported(z6, rings_z6_ctx):
@@ -203,7 +214,10 @@ def test_congruence_of_central_mismatch_reported(z6, rings_z6_ctx):
     phi = parse_formula("0 = 0", rings_z6_ctx.signature, 1)
     ces = central_elements(z6, rings_z6_ctx)
     reports = [congruence_of_central(z6, phi, ce) for ce in ces]
-    assert any(r.is_congruence and not r.matches_pair for r in reports)
+    classified = [congruence_of_central_classified(z6, phi, ce) for ce in ces]
+    assert any(not r.ok for r in reports)
+    assert any(r.is_congruence and not r.matches_pair for r in classified)
+    assert [r.ok for r in reports] == [r.ok for r in classified]
 
 
 @pytest.mark.parametrize("algebra, text", [
@@ -218,16 +232,18 @@ def test_congruence_of_central_rejects_non_congruences(algebra, text):
     phi = parse_formula(text, ctx.signature, 1)
     for ce in central_elements(algebra, ctx):
         report = congruence_of_central(algebra, phi, ce)
-        assert not report.is_congruence
-        assert report.computed is None
         assert not report.ok
+        assert report.expected == ce.pair.theta
+        classified = congruence_of_central_classified(algebra, phi, ce)
+        assert not classified.is_congruence
+        assert classified.computed is None
 
 
 def test_correspondence_z6(z6, rings_z6_ctx):
     phi = parse_formula(RING_PHI, rings_z6_ctx.signature, 1)
     report = correspondence_check(z6, phi, rings_z6_ctx)
     assert report.ok
-    assert report.n_central == report.n_pairs == 4
+    assert report.n_central == 4
     assert report.idempotent_check["ok"]
     assert report.idempotent_check["complements_ok"]
 

@@ -1,20 +1,22 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 from factorlab import ValidationError
 from factorlab.fileio import (
     algebra_to_dict,
-    context_to_dict,
-    dump_algebra,
     load_algebra,
     load_context,
     load_formula,
 )
-from factorlab.fixtures import (
+from corpus import (
     boolean_context,
+    context_to_dict,
     corpus,
+    dump_algebra,
     lattice_context,
     ring_context,
 )
@@ -44,6 +46,23 @@ def test_context_files_match_builders():
         assert on_disk.generator.tables == ctx.generator.tables
         assert on_disk.zero_terms == ctx.zero_terms
         assert on_disk.one_terms == ctx.one_terms
+
+
+def test_make_fixtures_regenerates_every_fixture_file(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_fixtures.py"), str(tmp_path)],
+        capture_output=True, text=True, cwd=REPO, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    shipped, written = files(FIXTURES), files(tmp_path)
+    assert sorted(written) == sorted(shipped)
+    for name, data in shipped.items():
+        assert written[name] == data, name
 
 
 def test_algebra_round_trip(tmp_path, z6):

@@ -15,7 +15,7 @@ from factorlab import (
     free_pair_context,
     pair_index,
 )
-from factorlab.fixtures import boolean_algebra2, chain_lattice, cyclic_ring
+from corpus import boolean_algebra2, chain_lattice, cyclic_ring
 from factorlab.terms import Var, is_closed, term_text
 from oracles import free_algebra_pointwise, is_homomorphism, term_function_vectors
 

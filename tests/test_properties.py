@@ -12,6 +12,8 @@ from factorlab import (
     PoolEntry,
     Signature,
     VarietyContext,
+    central_elements,
+    congruence_of_central,
     direct_product,
     eval_term,
     pair_index,
@@ -20,7 +22,7 @@ from factorlab import (
     subalgebra_generated,
     verify_dfc,
 )
-from factorlab.fixtures import (
+from corpus import (
     chain_lattice,
     cyclic_ring,
     diamond_lattice,
@@ -28,11 +30,14 @@ from factorlab.fixtures import (
     pentagon_lattice,
     ring_context,
 )
+from factorlab.fileio import load_context, load_formula
 from factorlab.positivize import first_product_witness, product_witnesses
 from factorlab.terms import App, Var, term_text
+from conftest import FIXTURES
 from oracles import (
     all_witnesses,
     congruence_meet,
+    congruence_of_central_classified,
     first_witness,
     masked_witnesses_naive,
     verify_dfc_materialized,
@@ -237,10 +242,12 @@ CLOSED_TERMS = [App("0"), App("1"), App("f", (App("0"),)),
 
 
 @st.composite
-def dfc_formulas(draw, max_bound=2, max_disjuncts=2, closed_negatives=False):
+def dfc_formulas(draw, max_bound=2, max_disjuncts=2, closed_negatives=False,
+                 signature=DFC_SIG):
     n_bound = draw(st.integers(0, max_bound))
     bound = tuple(f"w{i}" for i in range(n_bound))
-    strat = terms_for(DFC_SIG, ["x", "y", "z1", *bound])
+    strat = terms_for(signature, ["x", "y", "z1", *bound])
+    unary = [sym for sym, k in signature.symbols if k == 1]
     disjuncts = []
     for _ in range(draw(st.integers(1, max_disjuncts))):
         lits = [
@@ -252,7 +259,8 @@ def dfc_formulas(draw, max_bound=2, max_disjuncts=2, closed_negatives=False):
             # coordinates' failure masks must be combined
             w = Var(draw(st.sampled_from(bound)))
             lits.append(Literal(
-                draw(st.sampled_from([w, App("f", (w,))])), draw(strat), False
+                draw(st.sampled_from([w] + [App(f, (w,)) for f in unary])),
+                draw(strat), False,
             ))
         if closed_negatives and draw(st.booleans()):
             closed = st.sampled_from(CLOSED_TERMS)
@@ -348,3 +356,46 @@ def test_coordinatewise_witnesses_match_materialized_product(
     factors = (left, left_roles), (right, right_roles)
     assert first_product_witness(phi, *factors) == first_witness(ev, x, y, zs)
     assert product_witnesses(phi, *factors) == all_witnesses(ev, x, y, zs)
+
+
+# -- the correspondence check against the classifying oracle -------------------
+
+FIXTURE_POOLS = {
+    name: load_context(FIXTURES / f"{name}.ctx").populated(depth=2)
+    for name in ("rings", "rings_z6", "lattices", "boolean")
+}
+
+
+@st.composite
+def pool_members_and_formulas(draw):
+    ctx = FIXTURE_POOLS[draw(st.sampled_from(sorted(FIXTURE_POOLS)))]
+    member = draw(st.sampled_from(ctx.pool_algebras))
+    return ctx, member, draw(dfc_formulas(signature=ctx.signature))
+
+
+def _fixture_formula_case(pool, formula):
+    # the pool member with the most central elements, the largest on a tie
+    ctx = FIXTURE_POOLS[pool]
+    member = max(ctx.pool_algebras,
+                 key=lambda a: (len(central_elements(a, ctx)), a.size))
+    phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
+    return ctx, member, phi
+
+
+@given(pool_members_and_formulas())
+@example(_fixture_formula_case("rings", "ring_dfc"))
+@example(_fixture_formula_case("rings_z6", "ring_dfc"))
+@example(_fixture_formula_case("rings_z6", "ring_mixed"))
+@example(_fixture_formula_case("lattices", "lattice_dfc"))
+@example(_fixture_formula_case("lattices", "lattice_mixed"))
+@example(_fixture_formula_case("boolean", "lattice_dfc"))
+@example(_fixture_formula_case("rings", "not_dfc"))
+@example(_fixture_formula_case("lattices", "not_dfc"))
+def test_congruence_of_central_matches_classifying_oracle(case):
+    ctx, member, phi = case
+    for ce in central_elements(member, ctx):
+        report = congruence_of_central(member, phi, ce)
+        oracle = congruence_of_central_classified(member, phi, ce)
+        assert report.element == oracle.element
+        assert report.expected == oracle.expected
+        assert report.ok == oracle.ok

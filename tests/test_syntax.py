@@ -16,7 +16,7 @@ from factorlab import (
     parse_term_text,
     strip_to_positive,
 )
-from factorlab.fixtures import (
+from corpus import (
     chain_lattice,
     cyclic_ring,
     lattice_signature,
@@ -119,7 +119,7 @@ def test_parse_nested_infix_requires_parens():
 
 
 def test_parse_prefix_application():
-    from factorlab.fixtures import boolean_signature
+    from corpus import boolean_signature
 
     phi = parse_formula("not(x) = z1", boolean_signature(), 1)
     assert phi.disjuncts[0][0].lhs == App("not", (Var("x"),))

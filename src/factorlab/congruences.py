@@ -17,14 +17,23 @@ Everything here works through the basic translations a -> f(c1,..,a,..,ck)
 2008): an equivalence is a congruence iff every basic translation maps each
 class into one class.
 
-The lattice closes its principals under generating translations: T less
-every c = t1 o t2 with t1, t2 in T whose images are both strictly larger
-than c's.  By induction on image size each dropped c lies in the monoid of
-the kept ones, so a closure under them is a closure under T.  The join
-closure is incremental: each distinct principal, keyed by a generating pair
-(a, b) and taken finest first, is skipped if already found and otherwise
-joined with each found r with r[a] != r[b].  The found set stays closed
-under joins after every step, so it ends as the whole lattice.
+The principals come from generating translations G: T less every
+c = t1 o t2 with t1, t2 in T whose images are both strictly larger than c's.
+By induction on image size each dropped c lies in the monoid of the kept
+ones, so a closure under G is a closure under T.  They are found in one pass
+over the pair graph, whose nodes are the pairs a<b, with an edge
+{a,b} -> {t(a),t(b)} for each t in G with t(a) != t(b).  Since
+Cg(a,b) = Eq{(a,b)} v V_t Cg(t(a),t(b)), all pairs of a strongly connected
+component share one principal: the equivalence join of the component's own
+pairs with its successors' principals, which needs no closure under G, as
+every t in G maps each of those pairs into the join.  An iterative Tarjan
+pass (R. Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
+Comput. 1, 1972) finishes each component after every component it reaches,
+so one union-find call per component gives its principal.  The join closure
+is incremental: each distinct principal, keyed by a generating pair (a, b)
+and taken finest first, is skipped if already found and otherwise joined
+with each found r with r[a] != r[b].  The found set stays closed under joins
+after every step, so it ends as the whole lattice.
 """
 from __future__ import annotations
 
@@ -199,9 +208,82 @@ def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
 
 
 def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
-    """Each pair's principal congruence, closed under the generators."""
-    generators = _generators(algebra)
-    return {p: _close(list(range(algebra.size)), generators, [p]) for p in pairs}
+    """Each pair's principal congruence, by one pass over the part of the
+    pair graph that `pairs` reach (see the module docstring).  The pair a<b
+    is node a*n + b, and each component's principal is one `_close` call
+    with no translations.
+    """
+    n = algebra.size
+    images = list(zip(*_generators(algebra))) or [()] * n  # images[a][i] = t_i(a)
+    order = [0] * (n * n)  # discovery number, 0 while unseen
+    low = [0] * (n * n)
+    comp = [-1] * (n * n)  # component number once finished
+    succ: list = [None] * (n * n)  # successor nodes, as a tuple
+    reps: list[tuple[int, ...]] = []  # component number -> principal,
+    keys: list[tuple[int, int]] = []  # a pair it is generated by,
+    classes: list[int] = []  # and its number of classes
+    stack: list[int] = []
+    seen = 0
+
+    def visit(v: int) -> tuple:
+        nonlocal seen
+        seen += 1
+        order[v] = low[v] = seen
+        stack.append(v)
+        a, b = divmod(v, n)
+        succ[v] = out = tuple({
+            x * n + y if x < y else y * n + x
+            for x, y in zip(images[a], images[b]) if x != y
+        })
+        return (v, iter(out))
+
+    for a, b in pairs:
+        if order[a * n + b]:
+            continue
+        path = [visit(a * n + b)]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not order[w]:
+                    path.append(visit(w))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is still open
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] < order[v]:
+                    continue
+                k = len(stack) - 1
+                while stack[k] != v:
+                    k -= 1
+                members = stack[k:]
+                del stack[k:]
+                c = len(reps)
+                for m in members:
+                    comp[m] = c
+                # a successor's principal is Cg(x, y) for its key pair (x, y),
+                # so it adds nothing once a joined principal relates x and y
+                below = {comp[w] for m in members for w in succ[m]}
+                below.discard(c)
+                joined: list[tuple[int, ...]] = []
+                for d in sorted(below, key=classes.__getitem__):
+                    x, y = keys[d]
+                    if all(r[x] != r[y] for r in joined):
+                        joined.append(reps[d])
+                base = joined[0] if joined else range(n)
+                pending = [divmod(m, n) for m in members]
+                for rep in joined[1:]:  # as merges of base's classes
+                    pending += {
+                        (base[i], base[r]) for i, r in enumerate(rep)
+                        if base[i] != base[r]
+                    }
+                rep = _close(list(base), (), pending)
+                reps.append(rep)
+                keys.append(divmod(v, n))
+                classes.append(len(set(rep)))
+    return {(a, b): reps[comp[a * n + b]] for a, b in pairs}
 
 
 def all_congruences(

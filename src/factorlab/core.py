@@ -210,22 +210,16 @@ def subalgebra_generated(
         raise ValidationError(
             "empty subuniverse: no constants in signature and empty seed"
         )
-    changed = True
-    while changed:
-        changed = False
-        snapshot = sorted(current)
-        for table, arity in ops:
-            if arity == 0:
-                continue
-            size = len(current)
-            current.update(_images(table, arity, snapshot, n))
-            changed = changed or len(current) != size
-    embedding = tuple(sorted(current))
+    while True:  # the pass that adds nothing reads the subalgebra's tables
+        embedding = tuple(sorted(current))
+        images = [_images(table, arity, embedding, n) for table, arity in ops]
+        size = len(current)
+        for values in images:
+            current.update(values)
+        if len(current) == size:
+            break
     back = {old: new for new, old in enumerate(embedding)}
-    tables = tuple(
-        tuple([back[v] for v in _images(table, arity, embedding, n)])
-        for table, arity in ops
-    )
+    tables = tuple(tuple([back[v] for v in values]) for values in images)
     sub = FiniteAlgebra._trusted(
         algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
     )

@@ -312,9 +312,14 @@ def congruence_of_central(
     congruence pair.theta on the zero side of the element's pair.  A relation
     equal to theta is a congruence, so it is compared with theta cell by cell
     and never checked for being one."""
-    ev = DnfEvaluator(algebra, phi)
+    return _central_report(DnfEvaluator(algebra, phi), ce)
+
+
+def _central_report(ev: DnfEvaluator, ce: CentralElement) -> CentralCongruenceReport:
+    """`congruence_of_central` with the formula already compiled over the
+    algebra, so that one compilation serves all of its central elements."""
     rep = ce.pair.theta.rep
-    n = algebra.size
+    n = len(rep)
     ok = all(
         ev.satisfied(a, c, ce.e) == (rep[a] == rep[c])
         for a in range(n) for c in range(n)
@@ -366,7 +371,8 @@ def correspondence_check(
     defines, onto the zero-side kernels of the ordered factor pairs.  Ring
     fixtures are additionally cross-checked against the idempotent oracle."""
     ces = central_elements(algebra, ctx)
-    reports = tuple(congruence_of_central(algebra, phi, ce) for ce in ces)
+    ev = DnfEvaluator(algebra, phi)
+    reports = tuple(_central_report(ev, ce) for ce in ces)
     # one element per ordered pair by construction, so len(ces) counts the
     # pairs and only distinctness can fail
     bijection_ok = len({ce.e for ce in ces}) == len(ces)

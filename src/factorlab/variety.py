@@ -72,29 +72,33 @@ def generate_pool(
     max_size.  The generator itself always stays in the pool.  Exact duplicate
     tables are pruned; no isomorphism testing is attempted.  A round expands
     only the members the previous one added, and multiplies only pairs with
-    one of them: what older members alone build is already seen.
+    one of them: what older members alone build is already seen.  Nor does
+    it build the quotient by the identity or a product with a one-element
+    factor, whose tables are those of a member, and it writes a recipe only
+    for a construction that enters the pool.
     """
     gen = ctx.generator
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
-    def add(algebra: FiniteAlgebra, recipe: str, out: list[PoolEntry]) -> None:
+    def add(algebra: FiniteAlgebra, op: str, source: FiniteAlgebra, arg: object,
+            out: list[PoolEntry]) -> None:
         if algebra.size > max_size:
             return
         fp = (algebra.size, algebra.tables)
         if fp in seen:
             return
         seen.add(fp)
-        out.append(PoolEntry(algebra, recipe))
+        out.append(PoolEntry(algebra, f"{op}({source.name}, {arg})"))
 
     new = list(entries)
     for _ in range(depth):
         fresh: list[PoolEntry] = []
         for entry in new:
             a = entry.algebra
-            for theta in all_congruences(a, a.size):
+            for theta in all_congruences(a, a.size)[:-1]:  # the identity is last
                 q, _ = quotient(a, theta)
-                add(q, f"quotient({a.name}, {theta})", fresh)
+                add(q, "quotient", a, theta, fresh)
             seeds = [()] + [(s,) for s in range(a.size)] + [
                 pair for pair in itertools.combinations(range(a.size), 2)
             ]
@@ -102,14 +106,15 @@ def generate_pool(
                 if not seed and not a.signature.constants:
                     continue
                 sub, _ = subalgebra_generated(a, seed)
-                add(sub, f"subalgebra({a.name}, {list(seed)})", fresh)
+                add(sub, "subalgebra", a, list(seed), fresh)
         old = len(entries) - len(new)  # the new members are the tail
         for i, e1 in enumerate(entries):
             for e2 in entries[old if i < old else 0 :]:
-                if e1.algebra.size * e2.algebra.size > max_size:
+                sizes = (e1.algebra.size, e2.algebra.size)
+                if sizes[0] * sizes[1] > max_size or 1 in sizes:
                     continue
                 p = direct_product(e1.algebra, e2.algebra)
-                add(p, f"product({e1.algebra.name}, {e2.algebra.name})", fresh)
+                add(p, "product", e1.algebra, e2.algebra.name, fresh)
         if not fresh:
             break
         entries.extend(fresh)

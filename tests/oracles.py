@@ -12,6 +12,10 @@ element.  `generate_pool_rescan` is the pool as it was before each member
 was expanded once: every round rescans every member and every pair.
 `direct_product_cellwise` is the product as it was before it read its
 tables through `core._images`: one index computation per cell.
+`principal_reps_per_pair` is the principal step as it was before the pass
+over the pair graph: one closure under the generating translations per
+pair.  `subalgebra_generated_rounds` is the subalgebra closure as it was
+before its last pass doubled as the table build.
 `identity_congruence` and `total_congruence` are the lattice's two ends,
 which only the tests build.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
@@ -67,6 +71,7 @@ from factorlab.dfc import (
     DfcReport,
 )
 import factorlab.congruences as congruences
+from factorlab.core import _images
 from factorlab.errors import InternalCheckError
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import App, Term, Var
@@ -281,6 +286,50 @@ def all_congruences_pairwise(algebra: FiniteAlgebra, bound: int = 8) -> list:
         congruences._trusted(algebra, rep)
         for rep in sorted(found, key=lambda r: (len(set(r)), r))
     ]
+
+
+def principal_reps_per_pair(algebra: FiniteAlgebra, pairs: list) -> dict:
+    """`congruences._principal_reps` as it was before the pass over the pair
+    graph: each pair's principal closed from scratch under the generating
+    translations."""
+    generators = congruences._generators(algebra)
+    return {
+        p: congruences._close(list(range(algebra.size)), generators, [p])
+        for p in pairs
+    }
+
+
+def subalgebra_generated_rounds(
+    algebra: FiniteAlgebra, seed
+) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    """`subalgebra_generated` as it was before its last closure pass doubled
+    as the table build: rounds until one adds nothing, then the tables."""
+    n = algebra.size
+    ops = [
+        (table, arity)
+        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
+    ]
+    current = set(seed) | {table[0] for table, arity in ops if arity == 0}
+    changed = True
+    while changed:
+        changed = False
+        snapshot = sorted(current)
+        for table, arity in ops:
+            if arity == 0:
+                continue
+            size = len(current)
+            current.update(_images(table, arity, snapshot, n))
+            changed = changed or len(current) != size
+    embedding = tuple(sorted(current))
+    back = {old: new for new, old in enumerate(embedding)}
+    tables = tuple(
+        tuple([back[v] for v in _images(table, arity, embedding, n)])
+        for table, arity in ops
+    )
+    sub = FiniteAlgebra(
+        algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
+    )
+    return sub, embedding
 
 
 def _check_owner(t1, t2):

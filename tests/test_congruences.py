@@ -1,5 +1,7 @@
 import gc
+import inspect
 import itertools
+import sys
 from weakref import WeakKeyDictionary
 
 import pytest
@@ -15,17 +17,19 @@ from factorlab import (
     all_congruences,
     compactness_report,
     congruence_from_partition,
+    direct_product,
     factor_pairs,
     generate_pool,
     partition_text,
     principal_congruence,
     quotient,
+    subalgebra_generated,
 )
 import factorlab.congruences as congruences
 from conftest import FIXTURES
 from factorlab.cli import main
 from factorlab.fileio import load_context
-from corpus import cyclic_ring
+from corpus import chain_lattice, cyclic_ring
 from oracles import (
     all_congruences_pairwise,
     compose,
@@ -36,6 +40,7 @@ from oracles import (
     identity_congruence,
     is_compatible_table_scan,
     principal_rep_table_scan,
+    principal_reps_per_pair,
     rep_of_partition,
     set_partitions,
     total_congruence,
@@ -416,3 +421,119 @@ def test_lattice_memo_entry_dies_with_its_algebra():
     gc.collect()
     for memo in (congruences._LATTICES, congruences._TRANSLATIONS):
         assert name not in {a.name for a in memo.keys()}
+
+
+def _all_pairs(algebra):
+    n = algebra.size
+    return [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def _power(algebra, k):
+    out = algebra
+    for _ in range(k - 1):
+        out = direct_product(out, algebra)
+    return out
+
+
+@given(small_algebras())
+@example(_power(cyclic_ring(2), 4))
+@example(_power(chain_lattice(3), 2))
+def test_principal_reps_match_per_pair_closure(algebra):
+    pairs = _all_pairs(algebra)
+    expected = principal_reps_per_pair(algebra, pairs)
+    assert congruences._principal_reps(algebra, pairs) == expected
+    # a pass from one root reaches only part of the pair graph
+    for p in pairs:
+        assert congruences._principal_reps(algebra, [p]) == {p: expected[p]}
+
+
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 27), ("boolean", 3, 32),
+    ("rings_z6", 2, 36),
+])
+def test_pool_principal_reps_match_per_pair_closure(monkeypatch, name, depth,
+                                                   max_size):
+    # the pool is built on the oracle, so that a wrong pass fails here and
+    # cannot derail pool generation
+    principal_reps = congruences._principal_reps
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_principal_reps", principal_reps_per_pair)
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    for entry in generate_pool(ctx, max_size=max_size, depth=depth):
+        pairs = _all_pairs(entry.algebra)
+        assert principal_reps(entry.algebra, pairs) == (
+            principal_reps_per_pair(entry.algebra, pairs)
+        )
+
+
+def _count_principal_closures(monkeypatch):
+    """Count the `_close` calls made inside `_principal_reps`, and record the
+    algebras whose principals it computes."""
+    counts = {"closures": 0, "algebras": []}
+    close, principal_reps = congruences._close, congruences._principal_reps
+
+    def counting_close(*args):
+        if inside:
+            counts["closures"] += 1
+        return close(*args)
+
+    def counting_reps(algebra, pairs):
+        nonlocal inside
+        counts["algebras"].append(algebra)
+        inside = True
+        try:
+            return principal_reps(algebra, pairs)
+        finally:
+            inside = False
+
+    inside = False
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_close", counting_close)
+    monkeypatch.setattr(congruences, "_principal_reps", counting_reps)
+    return counts
+
+
+@pytest.mark.parametrize("algebra, closures, pairs", [
+    (_power(chain_lattice(3), 3), 171, 351), (_power(cyclic_ring(6), 2), 15, 630),
+])
+def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
+                                              pairs):
+    counts = _count_principal_closures(monkeypatch)
+    all_congruences(algebra, bound=algebra.size)
+    # one per strongly connected component, where closing every pair from
+    # scratch took one per pair
+    assert counts["closures"] == closures
+    assert len(_all_pairs(algebra)) == pairs
+
+
+def test_pool_principal_closures_are_pinned(monkeypatch):
+    counts = _count_principal_closures(monkeypatch)
+    generate_pool(load_context(str(FIXTURES / "lattices.ctx")), max_size=27, depth=3)
+    assert len(counts["algebras"]) == 14
+    assert counts["closures"] == 404
+    # closing every pair from scratch takes one closure per pair
+    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 774
+
+
+def test_pair_graph_pass_needs_no_recursion():
+    # C4^3, a member of the lattices pool at depth 4, max size 64: a pair
+    # graph of 2,016 nodes
+    c3 = chain_lattice(3)
+    c4, _ = subalgebra_generated(direct_product(c3, c3), [1, 2])
+    member = direct_product(c4, direct_product(c4, c4))
+    assert member.name == "C3xC3|[1, 2]xC3xC3|[1, 2]xC3xC3|[1, 2]"
+    assert member.size == 64
+    # lattices are congruence distributive, so Con(C4^3) = Con(C4)^3 = 8^3
+    assert len(all_congruences(member, bound=64)) == 512
+    # x -> x + 1 on 400 elements: the pass from (0, 1) runs down one path of
+    # 400 pairs, which a recursive search could not stack under this limit
+    n = 400
+    cycle = FiniteAlgebra(Signature((("f", 1),)), n,
+                          (tuple((x + 1) % n for x in range(n)),), "Z400 successor")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        reps = congruences._principal_reps(cycle, [(0, 1)])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert reps == {(0, 1): (0,) * n}

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import factorlab.congruences
 import factorlab.variety
 from conftest import FIXTURES
 from factorlab import (
@@ -25,7 +26,12 @@ from corpus import (
     ring_context,
 )
 from factorlab.terms import App, Var
-from oracles import direct_product_cellwise, generate_pool_rescan, is_homomorphism
+from oracles import (
+    direct_product_cellwise,
+    generate_pool_rescan,
+    is_homomorphism,
+    subalgebra_generated_rounds,
+)
 
 
 def test_table_validation_lengths():
@@ -181,6 +187,21 @@ def test_subalgebra_proper(z6):
     assert sub.size == 2
 
 
+@st.composite
+def seeded_algebras(draw):
+    a = draw(algebra_pairs())[0]
+    return a, draw(st.lists(st.integers(0, a.size - 1), min_size=1, max_size=a.size))
+
+
+@given(seeded_algebras())
+@example((chain_lattice(3), [1]))
+@example((direct_product(chain_lattice(3), chain_lattice(3)), [1, 5]))
+@example((cyclic_ring(6), [2]))
+def test_subalgebra_matches_closure_rounds(case):
+    algebra, seed = case
+    assert subalgebra_generated(algebra, seed) == subalgebra_generated_rounds(algebra, seed)
+
+
 def test_is_homomorphism_identity(z6):
     assert is_homomorphism(z6, z6, tuple(range(6)))
 
@@ -311,3 +332,32 @@ def test_pool_expands_each_member_once(monkeypatch):
     assert len(lattices) == len(set(lattices)) == 14
     # a pair of two members from earlier rounds was multiplied before
     assert len(products) == len(set(products))
+
+
+def test_pool_builds_no_copy_of_a_member(monkeypatch):
+    ctx = load_context(str(FIXTURES / "lattices.ctx"))
+    products, quotients, recipes = [], [], []
+    for name, calls in (("direct_product", products), ("quotient", quotients)):
+        original = getattr(factorlab.variety, name)
+
+        def counting(*args, _original=original, _calls=calls):
+            _calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(factorlab.variety, name, counting)
+    partition_text = factorlab.congruences.partition_text
+
+    def formatting(theta):
+        recipes.append(theta)
+        return partition_text(theta)
+
+    monkeypatch.setattr(factorlab.congruences, "partition_text", formatting)
+    pool = generate_pool(ctx, max_size=27, depth=3)
+    assert len(pool) == 63
+    # a product with a one-element factor, or the quotient by the identity,
+    # has the tables of a member already in the pool
+    assert products and all(a.size > 1 and b.size > 1 for a, b in products)
+    assert quotients and not any(theta.is_identity() for _, theta in quotients)
+    # each quotient names itself; a recipe is written only for a new member
+    quotient_members = sum(e.recipe.startswith("quotient(") for e in pool)
+    assert len(recipes) == len(quotients) + quotient_members

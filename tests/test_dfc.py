@@ -3,6 +3,7 @@ import sys
 import pytest
 
 import factorlab.core
+import factorlab.dfc
 from factorlab import (
     ResourceBoundError,
     central_elements,
@@ -153,6 +154,28 @@ def test_correspondence_check_builds_no_product(monkeypatch):
     assert calls == []
     assert all(r.ok for r in reports)
     assert sum(r.n_central for r in reports) > len(ctx.pool)
+
+
+def test_correspondence_check_compiles_the_formula_once(monkeypatch):
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(max_size=16)
+    phi = parse_formula(LATTICE_PHI, ctx.signature, 1)
+    compiled = []
+
+    class Counting(factorlab.dfc.DnfEvaluator):
+        def __init__(self, algebra, phi):
+            compiled.append(algebra)
+            super().__init__(algebra, phi)
+
+    monkeypatch.setattr(factorlab.dfc, "DnfEvaluator", Counting)
+    reports = [correspondence_check(a, phi, ctx) for a in ctx.pool_algebras]
+    assert all(r.ok for r in reports)
+    # one compilation per algebra, where each central element had its own
+    assert compiled == list(ctx.pool_algebras)
+    assert len(compiled) == 11 and sum(r.n_central for r in reports) == 29
+    # the single-element entry point still compiles for itself
+    ce = central_elements(ctx.generator, ctx)[0]
+    assert congruence_of_central(ctx.generator, phi, ce).ok
+    assert compiled[-1] is ctx.generator and len(compiled) == len(reports) + 1
 
 
 def test_dfc_relation_is_first_projection_kernel(z6, rings_z6_ctx):

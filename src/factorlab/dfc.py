@@ -181,24 +181,33 @@ def verify_dfc(
     Existential truth in a product decomposes into truth in the factors
     (Feferman-Vaught): a disjunct holds when some witness pair satisfies
     every positive literal in both coordinates and every negative literal in
-    at least one.  So each member M is evaluated once per side it is used on
-    (zero values on the left, one values on the right): at every (a, c) in
-    M^2, `DnfEvaluator.failure_masks` gives per disjunct the sets of
-    negative literals that fail together at some witness satisfying its
-    positive literals.  Equal results are interned to one signature; a
-    table over left and right signatures, filled once per signature pair
-    that occurs, records whether some disjunct has a left and a right mask
-    with no failure in common, and each pair reads its (|A||B|)^2 cells
-    from that table.
+    at least one.  So each member M gets one relation per side it is used
+    on (zero values on the left, one values on the right): at every (a, c)
+    in M^2, per disjunct, the set of the masks of negative literals that
+    fail together at some witness satisfying its positive literals.  Equal
+    results are interned to one signature per side.  A member that is not
+    a recorded product is searched, one `DnfEvaluator.failure_masks` call
+    per (a, c).  A product P = A x B of the pool is never searched: zero and
+    one values are coordinatewise, so its set at ((a1, a2), (c1, c2)) is,
+    per disjunct, {fa & fb} over A's set at (a1, c1) and B's at (a2, c2),
+    composed once per pair of signatures and read from the factors'
+    relations.  A table over left
+    and right signatures, filled once per signature pair that occurs,
+    records whether some disjunct has a left and a right mask with no
+    failure in common, and each pair reads its (|A||B|)^2 cells from that
+    table.
 
     Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
-    estimate, checked against eval_cap, is the sum of |M|^(2+nb) over
-    (member, side) plus the sum of (|A||B|)^2 over tested pairs.
+    estimate, checked against eval_cap, is the sum over sides of |M|^(2+nb)
+    for each searched member and |P|^2 signature reads for each product,
+    plus the sum of (|A||B|)^2 over tested pairs.  A factor is never larger
+    than its product, so it is used on every side its product is.
     Mismatches are data, not errors: the report counts them at once and
     builds them, in sorted order, only as they are read (see
     DfcCounterexamples).  Both orders of every pool pair are tested because
     the two coordinates play different roles.
     """
+    pool = ctx.pool
     algebras = ctx.pool_algebras
     if not algebras:
         raise ValidationError("pool is empty; populate the context first")
@@ -217,37 +226,68 @@ def verify_dfc(
     lefts = sorted({i for i, _ in tested})
     rights = sorted({j for _, j in tested})
     per_member = len(phi.bound_vars) + 2
-    estimate = (
-        sum(algebras[i].size ** per_member for i in lefts)
-        + sum(algebras[j].size ** per_member for j in rights)
-        + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
-    )
+    estimate = sum(
+        algebras[k].size ** (per_member if pool[k].factors is None else 2)
+        for k in lefts + rights
+    ) + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
     if estimate > eval_cap:
         raise ResourceBoundError(
             f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
         )
 
-    def relation(algebra, zs, signatures):
-        """Signature ids of every (a, c), at index a*|M| + c."""
-        ev = DnfEvaluator(algebra, phi)
-        n = algebra.size
-        return [
-            signatures.setdefault(ev.failure_masks(a, c, zs), len(signatures))
-            for a in range(n)
-            for c in range(n)
-        ]
+    def side(values, used):
+        """The relations of the members used on one side, by pool index, and
+        the side's signatures by id.  A relation lists the signature ids of
+        every (a, c), at index a*|M| + c."""
+        signatures: dict = {}  # signature -> id
+        by_id: list = []
+        composed: dict = {}  # (id in A, id in B) -> id in A x B
 
-    left_sigs: dict = {}
-    right_sigs: dict = {}
-    left = {
-        i: relation(algebras[i], ctx.zero_values(algebras[i]), left_sigs)
-        for i in lefts
-    }
-    right = {
-        j: relation(algebras[j], ctx.one_values(algebras[j]), right_sigs)
-        for j in rights
-    }
-    left_by_id, right_by_id = list(left_sigs), list(right_sigs)
+        def intern(signature):
+            found = signatures.get(signature)
+            if found is None:
+                found = signatures[signature] = len(by_id)
+                by_id.append(signature)
+            return found
+
+        def compose(sa, sb):
+            found = composed.get((sa, sb))
+            if found is None:
+                found = composed[sa, sb] = intern(tuple(
+                    frozenset([fa & fb for fa in masks_a for fb in masks_b])
+                    for masks_a, masks_b in zip(by_id[sa], by_id[sb])
+                ))
+            return found
+
+        # a factor comes before its product in the pool and is used on every
+        # side the product is, so in index order it is built first
+        relations: dict = {}
+        for k in used:
+            algebra, factors = pool[k].algebra, pool[k].factors
+            if factors is None:
+                ev = DnfEvaluator(algebra, phi)
+                zs = values(algebra)
+                n = algebra.size
+                rel = [
+                    intern(ev.failure_masks(a, c, zs))
+                    for a in range(n)
+                    for c in range(n)
+                ]
+            else:
+                # (a1, a2) is a1*|B| + a2, so row (a1, a2) runs over c1, then c2
+                rel_a, rel_b = relations[factors[0]], relations[factors[1]]
+                na, nb = algebras[factors[0]].size, algebras[factors[1]].size
+                rows_b = [rel_b[a2 * nb:(a2 + 1) * nb] for a2 in range(nb)]
+                rel = []
+                for a1 in range(na):
+                    row_a = rel_a[a1 * na:(a1 + 1) * na]
+                    for row_b in rows_b:
+                        rel += [compose(sa, sb) for sa in row_a for sb in row_b]
+            relations[k] = rel
+        return relations, by_id
+
+    left, left_by_id = side(ctx.zero_values, lefts)
+    right, right_by_id = side(ctx.one_values, rights)
     table: dict = {}  # (left id, right id) -> does the formula hold
 
     def holds(sa, sb):
@@ -369,8 +409,16 @@ def correspondence_check(
 ) -> CorrespondenceReport:
     """Central elements must map bijectively, via the relation the formula
     defines, onto the zero-side kernels of the ordered factor pairs.  Ring
-    fixtures are additionally cross-checked against the idempotent oracle."""
+    fixtures are additionally cross-checked against the idempotent oracle.
+    The pre-flight estimate, checked against DEFAULT_EVAL_CAP once the
+    central elements are known, is their number times |M|^(2+nb)."""
     ces = central_elements(algebra, ctx)
+    estimate = len(ces) * algebra.size ** (len(phi.bound_vars) + 2)
+    if estimate > DEFAULT_EVAL_CAP:
+        raise ResourceBoundError(
+            f"correspondence_check: estimated {estimate} evaluations exceed "
+            f"cap {DEFAULT_EVAL_CAP}"
+        )
     ev = DnfEvaluator(algebra, phi)
     reports = tuple(_central_report(ev, ce) for ce in ces)
     # one element per ordered pair by construction, so len(ces) counts the

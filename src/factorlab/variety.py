@@ -13,10 +13,17 @@ from .terms import Term, _Record, is_closed
 
 
 class PoolEntry(_Record):
-    __slots__ = ("algebra", "recipe")
+    """A pool member and how it was built.  `factors` is (i, j) when the
+    member is `direct_product` of the pool's entries i and j, in that order,
+    and None otherwise.  Both factors come before the product in the pool:
+    `generate_pool` records only products of members it already has, and
+    `verify_dfc` builds the factors' relations first."""
 
-    def __init__(self, algebra: FiniteAlgebra, recipe: str):
-        super().__init__(algebra, recipe)
+    __slots__ = ("algebra", "recipe", "factors")
+
+    def __init__(self, algebra: FiniteAlgebra, recipe: str,
+                 factors: tuple[int, int] | None = None):
+        super().__init__(algebra, recipe, factors)
 
 
 class VarietyContext(_Record):
@@ -75,21 +82,22 @@ def generate_pool(
     one of them: what older members alone build is already seen.  Nor does
     it build the quotient by the identity or a product with a one-element
     factor, whose tables are those of a member, and it writes a recipe only
-    for a construction that enters the pool.
+    for a construction that enters the pool.  A product records the indices
+    of its two factors.
     """
     gen = ctx.generator
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
     def add(algebra: FiniteAlgebra, op: str, source: FiniteAlgebra, arg: object,
-            out: list[PoolEntry]) -> None:
+            out: list[PoolEntry], factors: tuple[int, int] | None = None) -> None:
         if algebra.size > max_size:
             return
         fp = (algebra.size, algebra.tables)
         if fp in seen:
             return
         seen.add(fp)
-        out.append(PoolEntry(algebra, f"{op}({source.name}, {arg})"))
+        out.append(PoolEntry(algebra, f"{op}({source.name}, {arg})", factors))
 
     new = list(entries)
     for _ in range(depth):
@@ -109,12 +117,13 @@ def generate_pool(
                 add(sub, "subalgebra", a, list(seed), fresh)
         old = len(entries) - len(new)  # the new members are the tail
         for i, e1 in enumerate(entries):
-            for e2 in entries[old if i < old else 0 :]:
+            for j in range(old if i < old else 0, len(entries)):
+                e2 = entries[j]
                 sizes = (e1.algebra.size, e2.algebra.size)
                 if sizes[0] * sizes[1] > max_size or 1 in sizes:
                     continue
                 p = direct_product(e1.algebra, e2.algebra)
-                add(p, "product", e1.algebra, e2.algebra.name, fresh)
+                add(p, "product", e1.algebra, e2.algebra.name, fresh, (i, j))
         if not fresh:
             break
         entries.extend(fresh)

@@ -24,6 +24,9 @@ A x B through the materialized product table.  `first_witness` and
 witness queries only the tests ask.  `verify_dfc_materialized` is
 the first-coordinate harness as it was before it went coordinatewise: one
 product table and one witness search per product cell.
+`verify_dfc_searched` is the harness as it was before it composed the
+relations of recorded products from their factors: every member is searched
+on every side it is used on.
 `free_algebra_pointwise` is the free-algebra closure as it was before it ran
 row by row on carrier vectors: one Python loop over the points per operation
 application, in the closure and again in the carrier tables.
@@ -68,6 +71,7 @@ from factorlab.dfc import (
     DEFAULT_EVAL_CAP,
     DEFAULT_PAIR_CAP,
     DfcCounterexample,
+    DfcCounterexamples,
     DfcReport,
 )
 import factorlab.congruences as congruences
@@ -720,6 +724,104 @@ def verify_dfc_materialized(
     )
 
 
+def verify_dfc_searched(
+    phi: ExistentialDnf | PositiveExistential,
+    ctx: VarietyContext,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    eval_cap: int = DEFAULT_EVAL_CAP,
+) -> DfcReport:
+    """`verify_dfc` with one `failure_masks` call per (a, c) of every member
+    used on a side, recorded products included, and the estimate that
+    counts |M|^(2+nb) for each of them."""
+    algebras = ctx.pool_algebras
+    if not algebras:
+        raise ValidationError("pool is empty; populate the context first")
+    tested = [
+        (i, j)
+        for i, a in enumerate(algebras)
+        for j, b in enumerate(algebras)
+        if a.size * b.size <= pair_cap
+    ]
+    skipped = tuple(
+        (a.name, b.name)
+        for a in algebras
+        for b in algebras
+        if a.size * b.size > pair_cap
+    )
+    lefts = sorted({i for i, _ in tested})
+    rights = sorted({j for _, j in tested})
+    per_member = len(phi.bound_vars) + 2
+    estimate = (
+        sum(algebras[i].size ** per_member for i in lefts)
+        + sum(algebras[j].size ** per_member for j in rights)
+        + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
+    )
+    if estimate > eval_cap:
+        raise ResourceBoundError(
+            f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
+        )
+
+    def relation(algebra, zs, signatures):
+        ev = DnfEvaluator(algebra, phi)
+        n = algebra.size
+        return [
+            signatures.setdefault(ev.failure_masks(a, c, zs), len(signatures))
+            for a in range(n)
+            for c in range(n)
+        ]
+
+    left_sigs: dict = {}
+    right_sigs: dict = {}
+    left = {
+        i: relation(algebras[i], ctx.zero_values(algebras[i]), left_sigs)
+        for i in lefts
+    }
+    right = {
+        j: relation(algebras[j], ctx.one_values(algebras[j]), right_sigs)
+        for j in rights
+    }
+    left_by_id, right_by_id = list(left_sigs), list(right_sigs)
+    table: dict = {}
+
+    def holds(sa, sb):
+        found = table.get((sa, sb))
+        if found is None:
+            found = table[sa, sb] = any(
+                fa & fb == 0
+                for masks_a, masks_b in zip(left_by_id[sa], right_by_id[sb])
+                for fa in masks_a
+                for fb in masks_b
+            )
+        return found
+
+    mismatches: dict = {}
+    groups: dict = {}
+    for i, j in tested:
+        a, b = algebras[i], algebras[j]
+        rel_a, rel_b = left[i], right[j]
+        na, nb = a.size, b.size
+        entries = groups.setdefault((a.name, b.name), [])
+        for ea in range(na):
+            for ec in range(na):
+                expected = ea == ec
+                sa = rel_a[ea * na + ec]
+                cells = mismatches.get((sa, expected, j))
+                if cells is None:
+                    cells = mismatches[sa, expected, j] = [
+                        divmod(bd, nb)
+                        for bd, sb in enumerate(rel_b)
+                        if holds(sa, sb) != expected
+                    ]
+                if cells:
+                    entries.append((ea, ec, cells))
+    return DfcReport(
+        phi.text(),
+        tuple((algebras[i].name, algebras[j].name) for i, j in tested),
+        skipped,
+        DfcCounterexamples(groups),
+    )
+
+
 def _pointwise(
     table: tuple[int, ...], vecs: list[tuple[int, ...]], n: int, n_points: int
 ) -> tuple[int, ...]:
@@ -976,7 +1078,7 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("ExistentialDnf", "bound_vars", "disjuncts", _opt("l", 1)),
     _twin("PositiveExistential", "bound_vars", "literals", _opt("l", 1)),
     _twin("_Tok", "kind", "text", "pos"),
-    _twin("PoolEntry", "algebra", "recipe"),
+    _twin("PoolEntry", "algebra", "recipe", _opt("factors", None)),
     _twin("VarietyContext", "generator", "zero_terms", "one_terms",
           _opt("pool", ())),
     _twin("ZeroOneReport", "entries",

@@ -313,6 +313,26 @@ def test_pool_members_pass_the_validating_constructor(monkeypatch, name, depth,
     assert len(checked) == len(pool)
 
 
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 27), ("boolean", 3, 32),
+    ("rings_z6", 2, 36),
+])
+def test_pool_products_record_their_factors(name, depth, max_size):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    products = [(k, e) for k, e in enumerate(pool) if e.factors is not None]
+    assert products
+    assert all(
+        e.recipe.startswith("product(") == (e.factors is not None) for e in pool
+    )
+    for k, entry in products:
+        i, j = entry.factors
+        a, b = pool[i].algebra, pool[j].algebra
+        assert i < k and j < k
+        assert entry.algebra == direct_product(a, b)
+        assert entry.recipe == f"product({a.name}, {b.name})"
+
+
 def test_pool_expands_each_member_once(monkeypatch):
     ctx = load_context(str(FIXTURES / "lattices.ctx"))
     lattices, products = [], []

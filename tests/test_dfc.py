@@ -5,6 +5,7 @@ import pytest
 import factorlab.core
 import factorlab.dfc
 from factorlab import (
+    DnfEvaluator,
     ResourceBoundError,
     central_elements,
     congruence_of_central,
@@ -15,10 +16,14 @@ from factorlab import (
     partition_text,
     verify_dfc,
 )
-from factorlab.fileio import load_context
+from factorlab.fileio import load_context, load_formula
 from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
 from conftest import FIXTURES
-from oracles import congruence_of_central_classified, ring_idempotents
+from oracles import (
+    congruence_of_central_classified,
+    ring_idempotents,
+    verify_dfc_searched,
+)
 
 RING_PHI = "z1 * x = z1 * y"
 LATTICE_PHI = r"x \/ z1 = y \/ z1"
@@ -114,6 +119,47 @@ def test_verify_dfc_eval_cap(rings_z6_ctx):
         ResourceBoundError, match=r"^verify_dfc: estimated \d+ evaluations exceed cap 10$"
     ):
         verify_dfc(phi, rings_z6_ctx, eval_cap=10)
+
+
+def test_verify_dfc_searches_no_product_member(monkeypatch):
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(
+        max_size=16, depth=3)
+    phi = load_formula(FIXTURES / "formulas" / "not_dfc.fm", ctx.signature, 1)
+    searched = []
+    failure_masks = DnfEvaluator.failure_masks
+
+    def counting(self, *args):
+        searched.append(self.algebra)
+        return failure_masks(self, *args)
+
+    monkeypatch.setattr(DnfEvaluator, "failure_masks", counting)
+    report = verify_dfc(phi, ctx)
+    products = [e.algebra for e in ctx.pool if e.factors is not None]
+    members = [e.algebra for e in ctx.pool if e.factors is None]
+    assert (len(ctx.pool), len(products)) == (33, 23)
+    assert not any(a in products for a in searched)
+    # every other member once per (a, c) and side, where searching every
+    # member made 7,618 calls
+    assert len(searched) == 2 * sum(a.size ** 2 for a in members) == 408
+    assert len(report.counterexamples) == 105254
+
+
+FIXTURE_FORMULAS = {
+    "lattices": ("lattice_dfc", "lattice_mixed", "not_dfc"),
+    "boolean": ("lattice_dfc", "lattice_mixed", "not_dfc"),
+    "rings": ("ring_dfc", "ring_mixed", "ring_no_witness3", "not_dfc"),
+    "rings_z6": ("ring_dfc", "ring_mixed", "ring_no_witness3", "not_dfc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
+def test_verify_dfc_matches_searching_every_member(name):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
+    assert any(e.factors is not None for e in ctx.pool)
+    for formula in FIXTURE_FORMULAS[name]:
+        phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
+        # equal reports have equal counterexample tuples
+        assert verify_dfc(phi, ctx) == verify_dfc_searched(phi, ctx)
 
 
 def _count_direct_products(monkeypatch) -> list:
@@ -260,6 +306,20 @@ def test_congruence_of_central_rejects_non_congruences(algebra, text):
         classified = congruence_of_central_classified(algebra, phi, ce)
         assert not classified.is_congruence
         assert classified.computed is None
+
+
+def test_correspondence_check_eval_cap(z6, rings_z6_ctx, monkeypatch):
+    # 4 central elements, 6^(2+1) cells and witnesses each
+    phi = parse_formula("exists w . z1 * x = z1 * y and w = w",
+                        rings_z6_ctx.signature, 1)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 864)
+    assert correspondence_check(z6, phi, rings_z6_ctx).ok
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 863)
+    with pytest.raises(
+        ResourceBoundError,
+        match=r"^correspondence_check: estimated 864 evaluations exceed cap 863$",
+    ):
+        correspondence_check(z6, phi, rings_z6_ctx)
 
 
 def test_correspondence_z6(z6, rings_z6_ctx):

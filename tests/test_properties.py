@@ -41,6 +41,7 @@ from oracles import (
     first_witness,
     masked_witnesses_naive,
     verify_dfc_materialized,
+    verify_dfc_searched,
     witnesses_naive,
 )
 
@@ -290,6 +291,64 @@ def test_verify_dfc_matches_materialized_products(members, phi):
         report = verify_dfc(phi, ctx, pair_cap=cap)
         assert report == verify_dfc_materialized(phi, ctx, pair_cap=cap)
         assert bool(report.skipped) == (cap < largest)
+
+
+@st.composite
+def pools_with_products(draw, max_product=8):
+    """1-3 drawn members, then 1-3 recorded products of earlier entries,
+    products among them, each of at most max_product elements."""
+    pool = [
+        PoolEntry(FiniteAlgebra(m.signature, m.size, m.tables, f"M{k}"), "drawn")
+        for k, m in enumerate(draw(st.lists(dfc_members(), min_size=1, max_size=3)))
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        index = st.integers(0, len(pool) - 1)
+        i, j = draw(index), draw(index)
+        a, b = pool[i].algebra, pool[j].algebra
+        if a.size * b.size <= max_product:
+            product = direct_product(a, b, name=f"M{len(pool)}")
+            pool.append(PoolEntry(product, "drawn", (i, j)))
+    return tuple(pool)
+
+
+def _nested_pool(*members):
+    """members, then M0 x M1 and (M0 x M1) x M0."""
+    pool = [PoolEntry(FiniteAlgebra(m.signature, m.size, m.tables, f"M{k}"),
+                      "drawn") for k, m in enumerate(members)]
+    for i, j in ((0, 1), (len(members), 0)):
+        a, b = pool[i].algebra, pool[j].algebra
+        pool.append(PoolEntry(direct_product(a, b, name=f"M{len(pool)}"),
+                              "drawn", (i, j)))
+    return tuple(pool)
+
+
+@given(pools_with_products(),
+       dfc_formulas(max_disjuncts=3, closed_negatives=True),
+       st.integers(0, 2))
+# w0 != z1 holds at w0 = 1 in TWO only: the products' masks come through
+# the TWO coordinate
+@example(_nested_pool(TWO, ONE),
+         parse_formula("exists w0 . x = x and w0 != z1", DFC_SIG, 1), 0)
+# z1 is 0 on the left and 1 on the right, and 0 != 0 fails everywhere
+@example(_nested_pool(TWO, TWO),
+         parse_formula("x = z1 or (y = z1 and 0 != 0)", DFC_SIG, 1), 1)
+# the factors differ in the value of 1, which shows the order of the factors
+@example(_nested_pool(FiniteAlgebra(DFC_SIG, 2, ((0, 1), (0, 0, 1, 1), (0,), (0,))),
+                      TWO),
+         parse_formula("1 != x", DFC_SIG, 1), 0)
+def test_verify_dfc_composes_products_like_searching_them(pool, phi, cut):
+    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+    # every pair, or all but those of the `cut` largest size products: a
+    # product and its factors then meet in fewer tested pairs
+    cells = sorted({a.size * b.size for a in ctx.pool_algebras
+                    for b in ctx.pool_algebras})
+    cap = cells[-1 - min(cut, len(cells) - 1)]
+    report = verify_dfc(phi, ctx, pair_cap=cap)
+    oracle = verify_dfc_searched(phi, ctx, pair_cap=cap)
+    assert report.pairs_tested == oracle.pairs_tested
+    assert report.skipped == oracle.skipped
+    assert len(report.counterexamples) == len(oracle.counterexamples)
+    assert tuple(report.counterexamples) == tuple(oracle.counterexamples)
 
 
 @given(

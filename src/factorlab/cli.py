@@ -246,6 +246,26 @@ def _dfc_payload(report) -> dict:
     }
 
 
+def _counterexample_text(ce) -> str:
+    return (f"A={ce.left} B={ce.right} a={ce.a} b={ce.b} c={ce.c} d={ce.d} "
+            f"direction {ce.direction}")
+
+
+def _verify_stage_text(report) -> str:
+    """A verify stage's status, with the cause of a failure and the count of
+    pairs skipped over the cap when there is one."""
+    notes = []
+    if report.counterexamples:
+        count = len(report.counterexamples)
+        notes.append(
+            f"{count} counterexample{'s' if count > 1 else ''}; first: "
+            f"{_counterexample_text(report.counterexamples[0])}"
+        )
+    if report.skipped:
+        notes.append(f"skipped over cap: {len(report.skipped)}")
+    return report.status + (f" ({'; '.join(notes)})" if notes else "")
+
+
 def cmd_dfc_verify(args) -> int:
     ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
@@ -258,11 +278,8 @@ def cmd_dfc_verify(args) -> int:
     ]
     # machine output reads only the first counterexample
     if report.counterexamples and args.format != "machine":
-        first = report.counterexamples[0]
         lines.append(
-            f"first counterexample: A={first.left} B={first.right} "
-            f"a={first.a} b={first.b} c={first.c} d={first.d} "
-            f"direction {first.direction}"
+            f"first counterexample: {_counterexample_text(report.counterexamples[0])}"
         )
         for ce in report.counterexamples[1:6]:
             lines.append(f"  also: {ce.as_tuple()}")
@@ -342,7 +359,7 @@ def cmd_pipeline(args) -> int:
     report_in = verify_dfc(phi, ctx)
     stages.append({"name": "verify-input", "status": report_in.status,
                    **_dfc_payload(report_in)})
-    lines.append(f"stage 1 verify-input: {report_in.status}")
+    lines.append(f"stage 1 verify-input: {_verify_stage_text(report_in)}")
     if not report_in.ok:
         _emit(args, {"command": "pipeline", "status": "fail",
                      "failed_stage": "verify-input", "stages": stages,
@@ -360,7 +377,7 @@ def cmd_pipeline(args) -> int:
     report_out = verify_dfc(result.phi_prime, ctx)
     stages.append({"name": "verify-positive", "status": report_out.status,
                    **_dfc_payload(report_out)})
-    lines.append(f"stage 3 verify-positive: {report_out.status}")
+    lines.append(f"stage 3 verify-positive: {_verify_stage_text(report_out)}")
     if not report_out.ok:
         _emit(args, {"command": "pipeline", "status": "fail",
                      "failed_stage": "verify-positive", "stages": stages,

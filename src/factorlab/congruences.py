@@ -362,6 +362,17 @@ def quotient(
     """Quotient algebra on theta-classes plus the projection map."""
     if theta.algebra != algebra:
         raise ValidationError("congruence belongs to a different algebra")
+    size, tables, proj = _quotient_tables(algebra, theta)
+    return FiniteAlgebra._trusted(
+        algebra.signature, size, tables, _quotient_name(algebra, theta)
+    ), proj
+
+
+def _quotient_tables(
+    algebra: FiniteAlgebra, theta: Congruence
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Size, operation tables and projection map of algebra/theta, for a
+    theta of `algebra`: `quotient` without the name."""
     reps = sorted(set(theta.rep))
     index = {r: i for i, r in enumerate(reps)}
     proj = tuple(index[theta.rep[e]] for e in range(algebra.size))
@@ -369,8 +380,11 @@ def quotient(
         tuple([proj[v] for v in _images(table, arity, reps, algebra.size)])
         for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
     )
-    name = f"{algebra.name}/{partition_text(theta)}"
-    return FiniteAlgebra._trusted(algebra.signature, len(reps), tables, name), proj
+    return len(reps), tables, proj
+
+
+def _quotient_name(algebra: FiniteAlgebra, theta: Congruence) -> str:
+    return f"{algebra.name}/{partition_text(theta)}"
 
 
 # -- compactness diagnostics ---------------------------------------------------

@@ -194,10 +194,23 @@ def subalgebra_generated(
     Returns (sub, embedding) where embedding[i] is the element of `algebra`
     that sub-element i stands for.
     """
-    current: set[int] = set(seed)
-    for e in current:
+    elements = set(seed)
+    for e in elements:
         if not 0 <= e < algebra.size:
             raise ValidationError(f"seed element {e} outside universe")
+    size, tables, embedding = _subalgebra_tables(algebra, elements)
+    sub = FiniteAlgebra._trusted(
+        algebra.signature, size, tables, _subalgebra_name(algebra, seed)
+    )
+    return sub, embedding
+
+
+def _subalgebra_tables(
+    algebra: FiniteAlgebra, seed: Iterable[int]
+) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Size, operation tables and embedding of the subalgebra generated by a
+    seed inside the universe: `subalgebra_generated` without the name."""
+    current: set[int] = set(seed)
     n = algebra.size
     ops = [
         (table, arity)
@@ -220,7 +233,8 @@ def subalgebra_generated(
             break
     back = {old: new for new, old in enumerate(embedding)}
     tables = tuple(tuple([back[v] for v in values]) for values in images)
-    sub = FiniteAlgebra._trusted(
-        algebra.signature, len(embedding), tables, f"{algebra.name}|{sorted(seed)}"
-    )
-    return sub, embedding
+    return len(embedding), tables, embedding
+
+
+def _subalgebra_name(algebra: FiniteAlgebra, seed: Iterable[int]) -> str:
+    return f"{algebra.name}|{sorted(seed)}"

@@ -9,6 +9,12 @@ witness term per element: the first one discovered breadth-first by term
 depth, with ties broken by signature order, so witnesses are minimal and
 deterministic.
 
+The carrier lies inside the whole power base^(n^rank), so once it has
+n**(n**rank) elements nothing new can appear and the closure stops, even in
+the middle of a row.  For a primal base, such as the two-element Boolean
+algebra or the ring Z2, every rank reaches the whole power; then the stop
+skips most of the last round.
+
 Operations are applied one row at a time.  A row fixes an operation f and
 its first arity-1 arguments, the prefix, and yields f(prefix, v) for a range
 of last arguments v.  While the base has at most 256 elements each carrier
@@ -86,6 +92,18 @@ def _grid_points(base: FiniteAlgebra, rank: int) -> int:
     return points
 
 
+def _full_power(n: int, n_points: int) -> int | None:
+    """n**n_points, the size of the whole power, or None when it is over
+    MAX_VECTOR_CELLS, where the cell cap stops the carrier first.  As in
+    `_grid_points`, the power is multiplied up only until it passes the cap."""
+    full = 1
+    for _ in range(n_points):
+        full *= n
+        if full > MAX_VECTOR_CELLS:
+            return None
+    return full
+
+
 def _row_kernel(
     table: tuple[int, ...], arity: int, n: int, n_points: int,
     keys: list, codes: list[int],
@@ -134,8 +152,11 @@ def free_algebra(
     least one element new in the previous round, in lexicographic order, one
     row kernel call per prefix (see the module docstring: one
     `bytes.translate` per result when n**arity <= 256, else a per-point
-    loop).  The carrier tables are built by the same kernel, a row at a
-    time, on the first read of `FreeAlgebra.algebra`.
+    loop).  The closure stops as soon as the carrier is the whole power
+    base^(n^rank), checked before the first round and after each new vector:
+    nothing later could add an element or change a witness.  The carrier
+    tables are built by the same kernel, a row at a time, on the first read
+    of `FreeAlgebra.algebra`.
 
     Raises ResourceBoundError, reporting the partial carrier size, as soon as
     the closure exceeds the budget or carrier size x n**rank exceeds
@@ -198,20 +219,28 @@ def free_algebra(
         for sym, arity in ops
     }
 
-    prev = 0
-    while len(keys) > prev:
-        snapshot = len(keys)
-        for sym, arity in ops:
-            row = rows[sym]
-            for prefix in itertools.product(range(snapshot), repeat=arity - 1):
-                # tuples whose arguments all predate the last round were
-                # applied in an earlier round
-                lo = prev if max(prefix, default=-1) < prev else 0
-                for v, key in enumerate(row(prefix, lo, snapshot), lo):
-                    if key not in index:
-                        args = (*prefix, v)
-                        add(key, App(sym, tuple(witnesses[a] for a in args)))
-        prev = snapshot
+    full = _full_power(n, n_points)
+
+    def close() -> None:
+        prev = 0
+        while len(keys) > prev:
+            snapshot = len(keys)
+            for sym, arity in ops:
+                row = rows[sym]
+                for prefix in itertools.product(range(snapshot), repeat=arity - 1):
+                    # tuples whose arguments all predate the last round were
+                    # applied in an earlier round
+                    lo = prev if max(prefix, default=-1) < prev else 0
+                    for v, key in enumerate(row(prefix, lo, snapshot), lo):
+                        if key not in index:
+                            args = (*prefix, v)
+                            add(key, App(sym, tuple(witnesses[a] for a in args)))
+                            if len(keys) == full:  # the whole power
+                                return
+            prev = snapshot
+
+    if len(keys) != full:
+        close()
 
     def carrier() -> FiniteAlgebra:
         size = len(keys)

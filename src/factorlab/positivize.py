@@ -205,10 +205,16 @@ def positivize(
 
 def _recheck_substitution(result: PositivizeResult, ctx: VarietyContext) -> None:
     """The positive literals of the chosen disjunct must hold, in every pool
-    algebra, at (x, x, zero, u(x)) and at (x, y, one, v(x, y))."""
+    algebra, at (x, x, zero, u(x)) and at (x, y, one, v(x, y)).
+
+    Product members are skipped.  Zero and one values and term values are
+    coordinatewise in A x B, so an identity holds there exactly when it holds
+    in A and in B.  Both factors come before the product in the pool, so a
+    failure is met, and reported, at a factor first."""
     psi = result.phi_prime
     zs = z_roles(psi.l)
-    for algebra in ctx.pool_algebras or (ctx.generator,):
+    members = [e.algebra for e in ctx.pool if e.factors is None]
+    for algebra in members or (ctx.generator,):
         elements = algebra.elements()
         sides = (  # (side, z values, witness coordinate, (x, y) points)
             ("zero", ctx.zero_values(algebra), 0, [(a, a) for a in elements]),

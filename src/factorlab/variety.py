@@ -6,8 +6,15 @@ from __future__ import annotations
 
 import itertools
 
-from .congruences import all_congruences, quotient
-from .core import FiniteAlgebra, Signature, direct_product, eval_term, subalgebra_generated
+from .congruences import _quotient_name, _quotient_tables, all_congruences
+from .core import (
+    FiniteAlgebra,
+    Signature,
+    _subalgebra_name,
+    _subalgebra_tables,
+    direct_product,
+    eval_term,
+)
 from .errors import ValidationError
 from .terms import Term, _Record, is_closed
 
@@ -81,23 +88,25 @@ def generate_pool(
     only the members the previous one added, and multiplies only pairs with
     one of them: what older members alone build is already seen.  Nor does
     it build the quotient by the identity or a product with a one-element
-    factor, whose tables are those of a member, and it writes a recipe only
-    for a construction that enters the pool.  A product records the indices
-    of its two factors.
+    factor, whose tables are those of a member.  Quotients and subalgebras
+    are built as bare tables; a name and a recipe are formatted only for a
+    construction that enters the pool.  A product records the indices of its
+    two factors.
     """
     gen = ctx.generator
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
-    def add(algebra: FiniteAlgebra, op: str, source: FiniteAlgebra, arg: object,
-            out: list[PoolEntry], factors: tuple[int, int] | None = None) -> None:
-        if algebra.size > max_size:
-            return
-        fp = (algebra.size, algebra.tables)
+    def enters(size: int, tables: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether a construction is small enough and new; if so, it is now
+        seen."""
+        if size > max_size:
+            return False
+        fp = (size, tables)
         if fp in seen:
-            return
+            return False
         seen.add(fp)
-        out.append(PoolEntry(algebra, f"{op}({source.name}, {arg})", factors))
+        return True
 
     new = list(entries)
     for _ in range(depth):
@@ -105,16 +114,22 @@ def generate_pool(
         for entry in new:
             a = entry.algebra
             for theta in all_congruences(a, a.size)[:-1]:  # the identity is last
-                q, _ = quotient(a, theta)
-                add(q, "quotient", a, theta, fresh)
+                size, tables, _ = _quotient_tables(a, theta)
+                if enters(size, tables):
+                    q = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _quotient_name(a, theta))
+                    fresh.append(PoolEntry(q, f"quotient({a.name}, {theta})"))
             seeds = [()] + [(s,) for s in range(a.size)] + [
                 pair for pair in itertools.combinations(range(a.size), 2)
             ]
             for seed in seeds:
                 if not seed and not a.signature.constants:
                     continue
-                sub, _ = subalgebra_generated(a, seed)
-                add(sub, "subalgebra", a, list(seed), fresh)
+                size, tables, _ = _subalgebra_tables(a, seed)
+                if enters(size, tables):
+                    sub = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _subalgebra_name(a, seed))
+                    fresh.append(PoolEntry(sub, f"subalgebra({a.name}, {list(seed)})"))
         old = len(entries) - len(new)  # the new members are the tail
         for i, e1 in enumerate(entries):
             for j in range(old if i < old else 0, len(entries)):
@@ -123,7 +138,9 @@ def generate_pool(
                 if sizes[0] * sizes[1] > max_size or 1 in sizes:
                     continue
                 p = direct_product(e1.algebra, e2.algebra)
-                add(p, "product", e1.algebra, e2.algebra.name, fresh, (i, j))
+                if enters(p.size, p.tables):
+                    fresh.append(PoolEntry(
+                        p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
         if not fresh:
             break
         entries.extend(fresh)

@@ -36,7 +36,8 @@ validating constructors.  So are the homomorphism checks and the
 preservation harness for positive formulas, which only the tests use too.
 `free_pair_witnesses_materialized` is the witness search of `positivize` as
 it was before it went factor by factor: one search over the materialized
-F(x) x F(x,y).
+F(x) x F(x,y).  `recheck_substitution_every_member` is its substitution
+re-check as it was before it skipped recorded products.
 `congruence_of_central_classified` is the correspondence check per central
 element as it was before it compared with the factor congruence directly:
 the relation is first classified as an equivalence and a congruence.
@@ -77,6 +78,7 @@ from factorlab.dfc import (
 import factorlab.congruences as congruences
 from factorlab.core import _images
 from factorlab.errors import InternalCheckError
+from factorlab.formulas import z_roles
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import App, Term, Var
 
@@ -935,6 +937,36 @@ def free_pair_witnesses_materialized(phi, fpc):
         first_witness(ev, fpc.x, fpc.y, fpc.z),
         all_witnesses(ev, fpc.x, fpc.y, fpc.z),
     )
+
+
+def recheck_substitution_every_member(result, ctx: VarietyContext) -> None:
+    """`positivize._recheck_substitution` as it was before it skipped
+    recorded products: the positive literals of the chosen disjunct are
+    checked, in every pool algebra, at (x, x, zero, u(x)) and at
+    (x, y, one, v(x, y))."""
+    psi = result.phi_prime
+    zs = z_roles(psi.l)
+    for algebra in ctx.pool_algebras or (ctx.generator,):
+        elements = algebra.elements()
+        sides = (  # (side, z values, witness coordinate, (x, y) points)
+            ("zero", ctx.zero_values(algebra), 0, [(a, a) for a in elements]),
+            ("one", ctx.one_values(algebra), 1,
+             itertools.product(elements, repeat=2)),
+        )
+        for side, z_values, coord, points in sides:
+            for a, b in points:
+                env = {"x": a, "y": b, **dict(zip(zs, z_values))}
+                for pair, w in zip(result.witnesses, psi.bound_vars):
+                    env[w] = eval_term(algebra, pair[coord], {"x": a, "y": b})
+                for lit in psi.literals:
+                    if eval_term(algebra, lit.lhs, env) != eval_term(
+                        algebra, lit.rhs, env
+                    ):
+                        at = f"x={a}" if coord == 0 else f"x={a}, y={b}"
+                        raise InternalCheckError(
+                            f"{side}-side substitution identity failed in "
+                            f"'{algebra.name}' at {at}: {lit.text()}"
+                        )
 
 
 @dataclass(frozen=True)

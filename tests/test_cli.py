@@ -451,6 +451,24 @@ def test_pipeline_sabotaged_formula_short_circuits(capsys):
     assert [s["name"] for s in data["stages"]] == ["verify-input"]
 
 
+def test_pipeline_text_gives_cause_and_coverage(capsys):
+    # at depth 3, max 16, the pairs of 642 size products over 64 are skipped
+    deep = ("--pool-depth", "3", "--max-size", "16")
+    code, out = run_cli(capsys, "pipeline", FIXTURES / "lattices.ctx",
+                        FIXTURES / "formulas" / "not_dfc.fm", *deep)
+    assert code == 5
+    assert out == (
+        "stage 1 verify-input: fail (105254 counterexamples; first: A=C3 B=C3 "
+        "a=0 b=0 c=0 d=1 direction <=; skipped over cap: 642)\n"
+    )
+    code, out = run_cli(capsys, "pipeline", FIXTURES / "lattices.ctx",
+                        FIXTURES / "formulas" / "lattice_dfc.fm", *deep)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "stage 1 verify-input: pass (skipped over cap: 642)"
+    assert lines[2] == "stage 3 verify-positive: pass (skipped over cap: 642)"
+
+
 def _run_pipeline_subprocess(fmt="machine"):
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(

@@ -356,8 +356,10 @@ def test_pool_expands_each_member_once(monkeypatch):
 
 def test_pool_builds_no_copy_of_a_member(monkeypatch):
     ctx = load_context(str(FIXTURES / "lattices.ctx"))
-    products, quotients, recipes = [], [], []
-    for name, calls in (("direct_product", products), ("quotient", quotients)):
+    products, quotients, subalgebras, recipes = [], [], [], []
+    for name, calls in (("direct_product", products),
+                        ("_quotient_tables", quotients),
+                        ("_subalgebra_name", subalgebras)):
         original = getattr(factorlab.variety, name)
 
         def counting(*args, _original=original, _calls=calls):
@@ -378,6 +380,9 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     # has the tables of a member already in the pool
     assert products and all(a.size > 1 and b.size > 1 for a, b in products)
     assert quotients and not any(theta.is_identity() for _, theta in quotients)
-    # each quotient names itself; a recipe is written only for a new member
+    # a name and a recipe, each with the partition's text, are formatted only
+    # for a new member, and so is a subalgebra's name
     quotient_members = sum(e.recipe.startswith("quotient(") for e in pool)
-    assert len(recipes) == len(quotients) + quotient_members
+    assert len(quotients) > quotient_members > 0
+    assert len(recipes) == 2 * quotient_members
+    assert len(subalgebras) == sum(e.recipe.startswith("subalgebra(") for e in pool) > 0

@@ -15,7 +15,9 @@ from factorlab import (
     free_pair_context,
     pair_index,
 )
+from conftest import FIXTURES
 from corpus import boolean_algebra2, chain_lattice, cyclic_ring
+from factorlab.fileio import load_context
 from factorlab.terms import Var, is_closed, term_text
 from oracles import free_algebra_pointwise, is_homomorphism, term_function_vectors
 
@@ -241,6 +243,9 @@ Z17_MINUS = FiniteAlgebra.from_ops(
 )
 
 
+NAND2 = FiniteAlgebra(Signature((("nand", 2),)), 2, ((1, 1, 1, 0),), "NAND")
+
+
 @given(base=small_bases(), rank=st.integers(0, 2), budget=st.integers(1, 60))
 # 17**2 > 256, so the binary operations take the per-point kernel and rev
 # the byte kernel.  The closures have 4 and 82 elements over C17, and 17 over
@@ -248,7 +253,70 @@ Z17_MINUS = FiniteAlgebra.from_ops(
 @example(base=CHAIN17_MAX, rank=1, budget=1000)
 @example(base=CHAIN17_MAX, rank=2, budget=1000)
 @example(base=Z17_MINUS, rank=1, budget=1000)
+# Primal bases reach the whole power, where the closure stops: B2 at rank 0
+# with its constants alone, in the middle of a round at rank 3, and Z2 and
+# NAND (no constants) likewise.  At rank 3 the 256th element is exactly the
+# budget 256; one less raises the budget error before the stop.
+@example(base=boolean_algebra2(), rank=0, budget=1000)
+@example(base=boolean_algebra2(), rank=3, budget=256)
+@example(base=boolean_algebra2(), rank=3, budget=255)
+@example(base=cyclic_ring(2), rank=3, budget=1000)
+@example(base=NAND2, rank=2, budget=1000)
 def test_free_algebra_matches_pointwise_closure(base, rank, budget):
     expected = _outcome(free_algebra_pointwise, base, rank, budget)
     assert _outcome(free_algebra, base, rank, budget) == expected
 
+
+
+# Row-kernel results free_algebra computes, each one bytes.translate, at
+# ranks 0-3.  B2 and Z2 are primal, so every rank reaches the whole power
+# 2**(2**rank) and the closure stops there; closed to the end, the counts
+# were 10 / 36 / 528 / 131,328 and 8 / 32 / 512 / 131,072.
+KERNEL_WORK = {"boolean": (0, 21, 240, 59_414), "rings": (0, 3, 112, 9_350)}
+
+
+@pytest.mark.parametrize("ctx_name", sorted(KERNEL_WORK))
+def test_row_kernel_work_is_pinned(ctx_name, monkeypatch):
+    count = [0]
+    make = factorlab.freealg._row_kernel
+
+    def counting(*args):
+        row = make(*args)
+
+        def counted(prefix, lo, hi):
+            count[0] += hi - lo
+            return row(prefix, lo, hi)
+
+        return counted
+
+    monkeypatch.setattr(factorlab.freealg, "_row_kernel", counting)
+    base = load_context(str(FIXTURES / f"{ctx_name}.ctx")).generator
+    work = []
+    for rank in range(4):
+        count[0] = 0
+        assert free_algebra(base, rank).size == 2 ** 2**rank
+        work.append(count[0])
+    assert tuple(work) == KERNEL_WORK[ctx_name]
+
+
+def test_full_power_stop_comes_after_both_caps(monkeypatch):
+    # the 256th element of F3(B2) completes the power; adding it is still
+    # checked against the budget and the cell cap (256 x 8 = 2048 cells)
+    b2 = boolean_algebra2()
+    assert free_algebra(b2, 3, budget=256).size == 256
+    with pytest.raises(ResourceBoundError) as info:
+        free_algebra(b2, 3, budget=255)
+    assert str(info.value) == (
+        "free algebra closure over 'B2' exceeded budget 255 (partial carrier "
+        "size 255); shrink the base algebra or raise the budget"
+    )
+    monkeypatch.setattr(factorlab.freealg, "MAX_VECTOR_CELLS", 2048)
+    assert free_algebra(b2, 3).size == 256
+    monkeypatch.setattr(factorlab.freealg, "MAX_VECTOR_CELLS", 2047)
+    with pytest.raises(ResourceBoundError) as info:
+        free_algebra(b2, 3)
+    assert str(info.value) == (
+        "free_algebra: 256 carrier vectors over 'B2' need 2048 vector cells, "
+        "over the cap 2047 (partial carrier size 255); lower the rank or "
+        "shrink the base algebra"
+    )

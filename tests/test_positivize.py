@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import pytest
 
@@ -16,13 +17,14 @@ from factorlab import (
     verify_dfc,
 )
 from factorlab.fileio import load_context, load_formula
-from factorlab.positivize import _recheck_substitution
-from factorlab.terms import App, term_text
+from factorlab.positivize import WitnessCertificate, _recheck_substitution
+from factorlab.terms import App, Var, term_text
 from oracles import (
     all_witnesses,
     check_preservation,
     first_witness,
     free_pair_witnesses_materialized,
+    recheck_substitution_every_member,
 )
 from test_dfc import _count_direct_products
 
@@ -258,6 +260,78 @@ def test_recheck_rejects_a_wrong_witness_term(rings_ctx):
         with pytest.raises(InternalCheckError) as err:
             _recheck_substitution(wrong, rings_ctx)
         assert str(err.value) == expected
+
+
+def _recheck_outcome(recheck, result, ctx):
+    try:
+        recheck(result, ctx)
+    except InternalCheckError as exc:
+        return str(exc)
+    return None
+
+
+def _small_terms(signature, names):
+    """The variables and constants, then every operation applied to them."""
+    atoms = [Var(v) for v in names]
+    atoms += [App(sym) for sym, arity in signature.symbols if arity == 0]
+    return atoms + [
+        App(sym, args)
+        for sym, arity in signature.symbols if arity > 0
+        for args in itertools.product(atoms[:len(names)], repeat=arity)
+    ]
+
+
+# two positive formulas per family, each with one bound variable w, whose
+# substitution identities hold for some witness pairs and fail for others
+RECHECK_FORMULAS = {
+    "ring": ("exists w . (z1 * x = z1 * y and w = x)",
+             "exists w . (w * w = x * w and w + z1 = x + z1)"),
+    "lattice": (r"exists w . (x \/ z1 = y \/ z1 and w = x)",
+                r"exists w . (w /\ x = w and w \/ z1 = x \/ z1)"),
+}
+
+
+@pytest.mark.parametrize("ctx_name, family", [
+    ("rings", "ring"), ("rings_z6", "ring"),
+    ("lattices", "lattice"), ("boolean", "lattice"),
+])
+def test_recheck_matches_checking_every_member(ctx_name, family):
+    # every pair of small witness terms, right and wrong, over the depth-2
+    # pool: the same InternalCheckError text, or none, as checking the
+    # products too
+    ctx = load_context(str(FIXTURES / f"{ctx_name}.ctx")).populated()
+    sig = ctx.signature
+    outcomes = set()
+    for text in RECHECK_FORMULAS[family]:
+        psi = strip_to_positive(parse_formula(text, sig, 1), 0)
+        for pair in itertools.product(_small_terms(sig, ["x"]),
+                                      _small_terms(sig, ["x", "y"])):
+            result = PositivizeResult(0, psi, (pair,), WitnessCertificate(0, ()))
+            outcome = _recheck_outcome(_recheck_substitution, result, ctx)
+            assert outcome == _recheck_outcome(
+                recheck_substitution_every_member, result, ctx)
+            outcomes.add(outcome)
+    assert None in outcomes and len(outcomes) > 2
+
+
+def test_recheck_evaluates_no_product_member(monkeypatch):
+    # the depth-3/max-16 lattice pool: 33 members, 23 of them products
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(16, 3)
+    phi = load_formula(str(FIXTURES / "formulas" / "lattice_mixed.fm"),
+                       ctx.signature, ctx.l)
+    result = positivize(phi, ctx)
+    evaluated = set()
+    eval_term = POSITIVIZE_MODULE.eval_term
+
+    def recording(algebra, term, env):
+        evaluated.add(id(algebra))
+        return eval_term(algebra, term, env)
+
+    monkeypatch.setattr(POSITIVIZE_MODULE, "eval_term", recording)
+    _recheck_substitution(result, ctx)
+    products = {id(e.algebra) for e in ctx.pool if e.factors is not None}
+    assert len(ctx.pool) == 33 and len(products) == 23
+    assert evaluated == {id(a) for a in ctx.pool_algebras} - products
 
 
 # -- preservation harness --------------------------------------------------------

@@ -31,15 +31,24 @@ from corpus import (
     ring_context,
 )
 from factorlab.fileio import load_context, load_formula
-from factorlab.positivize import first_product_witness, product_witnesses
+from factorlab.formulas import strip_to_positive
+from factorlab.positivize import (
+    PositivizeResult,
+    WitnessCertificate,
+    _recheck_substitution,
+    first_product_witness,
+    product_witnesses,
+)
 from factorlab.terms import App, Var, term_text
 from conftest import FIXTURES
+from test_positivize import _recheck_outcome
 from oracles import (
     all_witnesses,
     congruence_meet,
     congruence_of_central_classified,
     first_witness,
     masked_witnesses_naive,
+    recheck_substitution_every_member,
     verify_dfc_materialized,
     verify_dfc_searched,
     witnesses_naive,
@@ -349,6 +358,30 @@ def test_verify_dfc_composes_products_like_searching_them(pool, phi, cut):
     assert report.skipped == oracle.skipped
     assert len(report.counterexamples) == len(oracle.counterexamples)
     assert tuple(report.counterexamples) == tuple(oracle.counterexamples)
+
+
+WITNESS_PAIRS = st.lists(
+    st.tuples(terms_for(DFC_SIG, ["x"]), terms_for(DFC_SIG, ["x", "y"])),
+    min_size=2, max_size=2,
+)
+WRONG_PAIR = [(App("0"), Var("x"))] * 2
+
+
+@given(pools_with_products(), dfc_formulas(max_disjuncts=1), WITNESS_PAIRS)
+# ONE satisfies every identity and TWO does not: the first failure is in M1,
+# past the generator, and the products after it fail too
+@example(_nested_pool(ONE, TWO), parse_formula("x = y", DFC_SIG, 1), WRONG_PAIR)
+@example(_nested_pool(ONE, TWO),
+         parse_formula("exists w0 . w0 = x", DFC_SIG, 1), WRONG_PAIR)
+def test_recheck_skips_products_like_checking_them(pool, phi, pairs):
+    # drawn members share no variety, so an identity can fail first at any
+    # member; a product fails only after one of its factors
+    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+    psi = strip_to_positive(phi, 0)
+    witnesses = tuple(pairs[:len(psi.bound_vars)])
+    result = PositivizeResult(0, psi, witnesses, WitnessCertificate(0, ()))
+    assert _recheck_outcome(_recheck_substitution, result, ctx) == (
+        _recheck_outcome(recheck_substitution_every_member, result, ctx))
 
 
 @given(

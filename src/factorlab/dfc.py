@@ -10,6 +10,7 @@ index = a*|B| + b.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Sequence
 
 from .congruences import Congruence, FactorPair, factor_pairs
@@ -82,22 +83,22 @@ class DfcCounterexamples(Sequence):
     """The counterexamples of one `verify_dfc` run in `as_tuple` order, built
     only as far as they are read.
 
-    `groups` maps (left name, right name) to (a, c, cells) entries, one per
-    tested pair with those names and (a, c) whose mismatch cells (b, d) are
-    non-empty.  The length is the number of cells.  Reading a row by index
-    sorts the rows of its name group once, as plain tuples, and wraps that
-    row in DfcCounterexample once.  Equality and hashing are those of the
-    tuple of all rows.
+    `counts` maps (left name, right name) to the number of rows of that name
+    group, and `build(key)` gives the group's rows (a, b, c, d, direction) in
+    any order.  The length is known at once.  Reading a row by index builds
+    and sorts its group once, as plain tuples, and wraps that row in
+    DfcCounterexample once.  Equality and hashing are those of the tuple of
+    all rows.
     """
 
-    __slots__ = ("_keys", "_entries", "_starts", "_rows", "_read")
+    __slots__ = ("_keys", "_build", "_starts", "_rows", "_read")
 
-    def __init__(self, groups: dict):
-        self._keys = sorted(key for key, entries in groups.items() if entries)
-        self._entries = [groups[key] for key in self._keys]
+    def __init__(self, counts: dict, build):
+        self._keys = sorted(key for key, count in counts.items() if count)
+        self._build = build
         starts = [0]  # the index of the first row of each group, then the length
-        for entries in self._entries:
-            starts.append(starts[-1] + sum(len(cells) for _, _, cells in entries))
+        for key in self._keys:
+            starts.append(starts[-1] + counts[key])
         self._starts = starts
         self._rows: list = [None] * len(self._keys)
         self._read: dict[int, DfcCounterexample] = {}
@@ -106,11 +107,13 @@ class DfcCounterexamples(Sequence):
         """Group g's rows (a, b, c, d, direction), sorted."""
         rows = self._rows[g]
         if rows is None:
-            rows = self._rows[g] = sorted(
-                (a, b, c, d, "<=" if a == c else "=>")
-                for a, c, cells in self._entries[g]
-                for b, d in cells
-            )
+            rows = sorted(self._build(self._keys[g]))
+            if len(rows) != self._starts[g + 1] - self._starts[g]:
+                raise InternalCheckError(
+                    f"counterexamples of {self._keys[g]}: {len(rows)} rows "
+                    f"built, {self._starts[g + 1] - self._starts[g]} counted"
+                )
+            self._rows[g] = rows
         return rows
 
     def _at(self, k: int) -> DfcCounterexample:
@@ -168,6 +171,157 @@ class DfcReport(_Record):
         return "pass" if self.ok else "fail"
 
 
+class _Side:
+    """The signatures of the pool members used on one side of `verify_dfc`,
+    with `values` giving a member's z tuple: its zero values on the left and
+    its one values on the right.
+
+    A member's signature at (a, c) is, per disjunct, the set of the masks of
+    negative literals that fail together at some witness satisfying its
+    positive literals.  Equal signatures share one id, and `by_id` lists
+    them.  A member's relation lists the id at every (a, c), at index
+    a*|M| + c.  Its histogram counts its cells per (id, flag), where the flag
+    is a == c if `diagonal` and False otherwise, so that without it the
+    counts are per signature.
+
+    A member that is not a recorded product is searched, one
+    `DnfEvaluator.failure_masks` call per (a, c).  A product P = A x B is
+    never searched: zero and one values are coordinatewise, so its signature
+    at ((a1, a2), (c1, c2)) is, per disjunct, {fa & fb} over A's at (a1, c1)
+    and B's at (a2, c2), composed once per pair of ids.  Its histogram is
+    composed from the factors': each pair of entries adds the product of
+    their counts to (the composed id, both flags).  Its relation is composed
+    from theirs only when `relation` asks for it.
+    """
+
+    __slots__ = ("by_id", "histograms", "_pool", "_ids", "_composed",
+                 "_relations")
+
+    def __init__(self, phi, pool, values, used, diagonal: bool):
+        self.by_id: list = []
+        self.histograms: dict = {}  # pool index -> {(id, flag): cells}
+        self._pool = pool
+        self._ids: dict = {}  # signature -> id
+        self._composed: dict = {}  # (id in A, id in B) -> id in A x B
+        self._relations: dict = {}  # pool index -> relation
+        # a factor comes before its product in the pool and is used on every
+        # side the product is, so in index order its histogram is built first
+        for k in used:
+            algebra, factors = pool[k].algebra, pool[k].factors
+            if factors is None:
+                ev = DnfEvaluator(algebra, phi)
+                zs = values(algebra)
+                n = algebra.size
+                rel = self._relations[k] = [
+                    self._intern(ev.failure_masks(a, c, zs))
+                    for a in range(n)
+                    for c in range(n)
+                ]
+                flags = [diagonal and a == c for a in range(n) for c in range(n)]
+                self.histograms[k] = Counter(zip(rel, flags))
+            else:
+                hist = self.histograms[k] = Counter()
+                hist_b = self.histograms[factors[1]].items()
+                for (sa, ea), na in self.histograms[factors[0]].items():
+                    for (sb, eb), nb in hist_b:
+                        hist[self._compose(sa, sb), ea and eb] += na * nb
+
+    def _intern(self, signature) -> int:
+        found = self._ids.get(signature)
+        if found is None:
+            found = self._ids[signature] = len(self.by_id)
+            self.by_id.append(signature)
+        return found
+
+    def _compose(self, sa: int, sb: int) -> int:
+        found = self._composed.get((sa, sb))
+        if found is None:
+            found = self._composed[sa, sb] = self._intern(tuple(
+                frozenset([fa & fb for fa in masks_a for fb in masks_b])
+                for masks_a, masks_b in zip(self.by_id[sa], self.by_id[sb])
+            ))
+        return found
+
+    def relation(self, k: int) -> list:
+        """Member k's relation; a product's is composed the first time."""
+        rel = self._relations.get(k)
+        if rel is None:
+            rel = self._relations[k] = self._compose_relation(*self._pool[k].factors)
+        return rel
+
+    def _compose_relation(self, i: int, j: int) -> list:
+        """The relation of the product of members i and j."""
+        # (a1, a2) is a1*|B| + a2, so row (a1, a2) runs over c1, then c2
+        rel_a, rel_b = self.relation(i), self.relation(j)
+        na, nb = self._pool[i].algebra.size, self._pool[j].algebra.size
+        rows_b = [rel_b[a2 * nb:(a2 + 1) * nb] for a2 in range(nb)]
+        rel = []
+        for a1 in range(na):
+            row_a = rel_a[a1 * na:(a1 + 1) * na]
+            for row_b in rows_b:
+                rel += [self._compose(sa, sb) for sa in row_a for sb in row_b]
+        return rel
+
+
+class _Holds(dict):
+    """(left id, right id) -> whether the formula holds there: some disjunct
+    offers a left and a right mask with no failing negative literal in
+    common.  Filled as it is read."""
+
+    __slots__ = ("_left", "_right")
+
+    def __init__(self, left: list, right: list):
+        super().__init__()
+        self._left, self._right = left, right
+
+    def __missing__(self, key):
+        sa, sb = key
+        found = self[key] = any(
+            fa & fb == 0
+            for masks_a, masks_b in zip(self._left[sa], self._right[sb])
+            for fa in masks_a
+            for fb in masks_b
+        )
+        return found
+
+
+def _pair_count(hist_a: dict, hist_b: dict, holds: _Holds) -> int:
+    """The counterexamples of a pair from its left and right histograms: the
+    sum of count_A(s, e) * count_B(t) where holds(s, t) differs from e."""
+    return sum(
+        na * nb
+        for (sa, expected), na in hist_a.items()
+        for (sb, _), nb in hist_b.items()
+        if holds[sa, sb] != expected
+    )
+
+
+def _mismatch_rows(pairs: list, algebras, left: _Side, right: _Side,
+                   holds: _Holds) -> list:
+    """The rows (a, b, c, d, direction) of the tested pairs (i, j), read from
+    their relations cell by cell."""
+    rows = []
+    for i, j in pairs:
+        rel_a, rel_b = left.relation(i), right.relation(j)
+        na, nb = algebras[i].size, algebras[j].size
+        # the cells (b, d) whose truth value differs from a == c, keyed by
+        # (signature of (a, c), a == c)
+        mismatches: dict = {}
+        for ac, sa in enumerate(rel_a):
+            a, c = divmod(ac, na)
+            expected = a == c
+            cells = mismatches.get((sa, expected))
+            if cells is None:
+                cells = mismatches[sa, expected] = [
+                    divmod(bd, nb)
+                    for bd, sb in enumerate(rel_b)
+                    if holds[sa, sb] != expected
+                ]
+            direction = "<=" if expected else "=>"
+            rows += [(a, b, c, d, direction) for b, d in cells]
+    return rows
+
+
 def verify_dfc(
     phi: ExistentialDnf | PositiveExistential,
     ctx: VarietyContext,
@@ -181,31 +335,26 @@ def verify_dfc(
     Existential truth in a product decomposes into truth in the factors
     (Feferman-Vaught): a disjunct holds when some witness pair satisfies
     every positive literal in both coordinates and every negative literal in
-    at least one.  So each member M gets one relation per side it is used
-    on (zero values on the left, one values on the right): at every (a, c)
-    in M^2, per disjunct, the set of the masks of negative literals that
-    fail together at some witness satisfying its positive literals.  Equal
-    results are interned to one signature per side.  A member that is not
-    a recorded product is searched, one `DnfEvaluator.failure_masks` call
-    per (a, c).  A product P = A x B of the pool is never searched: zero and
-    one values are coordinatewise, so its set at ((a1, a2), (c1, c2)) is,
-    per disjunct, {fa & fb} over A's set at (a1, c1) and B's at (a2, c2),
-    composed once per pair of signatures and read from the factors'
-    relations.  A table over left
-    and right signatures, filled once per signature pair that occurs,
-    records whether some disjunct has a left and a right mask with no
-    failure in common, and each pair reads its (|A||B|)^2 cells from that
-    table.
+    at least one.  So the formula's truth at ((a,b), (c,d)) is a function of
+    A's left signature at (a, c) and B's right signature at (b, d) (see
+    _Side: a member is searched once per side it is used on, except a
+    recorded product, which is composed from its factors).  A pair's
+    counterexample count is therefore the sum of count_A(s, e) * count_B(t)
+    over the entries of A's left histogram and B's right histogram where
+    holds(s, t) differs from e = (a == c); the truth of each pair of
+    signatures is worked out once, when first read.
 
     Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
     estimate, checked against eval_cap, is the sum over sides of |M|^(2+nb)
-    for each searched member and |P|^2 signature reads for each product,
-    plus the sum of (|A||B|)^2 over tested pairs.  A factor is never larger
-    than its product, so it is used on every side its product is.
-    Mismatches are data, not errors: the report counts them at once and
-    builds them, in sorted order, only as they are read (see
-    DfcCounterexamples).  Both orders of every pool pair are tested because
-    the two coordinates play different roles.
+    for each searched member and |P|^2 for each product, plus the sum of
+    (|A||B|)^2 over tested pairs.  It is an upper bound of the work: a
+    histogram has at most |M|^2 entries.  A factor is never larger than its
+    product, so it is used on every side its product is.
+    Mismatches are data, not errors: the report counts them at once.  A name
+    group's rows are built from the pairs' relations cell by cell, composing
+    a product's from its factors', and sorted only when one of its rows is
+    read (see DfcCounterexamples).  Both orders of every pool pair are tested
+    because the two coordinates play different roles.
     """
     pool = ctx.pool
     algebras = ctx.pool_algebras
@@ -234,102 +383,25 @@ def verify_dfc(
         raise ResourceBoundError(
             f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
         )
-
-    def side(values, used):
-        """The relations of the members used on one side, by pool index, and
-        the side's signatures by id.  A relation lists the signature ids of
-        every (a, c), at index a*|M| + c."""
-        signatures: dict = {}  # signature -> id
-        by_id: list = []
-        composed: dict = {}  # (id in A, id in B) -> id in A x B
-
-        def intern(signature):
-            found = signatures.get(signature)
-            if found is None:
-                found = signatures[signature] = len(by_id)
-                by_id.append(signature)
-            return found
-
-        def compose(sa, sb):
-            found = composed.get((sa, sb))
-            if found is None:
-                found = composed[sa, sb] = intern(tuple(
-                    frozenset([fa & fb for fa in masks_a for fb in masks_b])
-                    for masks_a, masks_b in zip(by_id[sa], by_id[sb])
-                ))
-            return found
-
-        # a factor comes before its product in the pool and is used on every
-        # side the product is, so in index order it is built first
-        relations: dict = {}
-        for k in used:
-            algebra, factors = pool[k].algebra, pool[k].factors
-            if factors is None:
-                ev = DnfEvaluator(algebra, phi)
-                zs = values(algebra)
-                n = algebra.size
-                rel = [
-                    intern(ev.failure_masks(a, c, zs))
-                    for a in range(n)
-                    for c in range(n)
-                ]
-            else:
-                # (a1, a2) is a1*|B| + a2, so row (a1, a2) runs over c1, then c2
-                rel_a, rel_b = relations[factors[0]], relations[factors[1]]
-                na, nb = algebras[factors[0]].size, algebras[factors[1]].size
-                rows_b = [rel_b[a2 * nb:(a2 + 1) * nb] for a2 in range(nb)]
-                rel = []
-                for a1 in range(na):
-                    row_a = rel_a[a1 * na:(a1 + 1) * na]
-                    for row_b in rows_b:
-                        rel += [compose(sa, sb) for sa in row_a for sb in row_b]
-            relations[k] = rel
-        return relations, by_id
-
-    left, left_by_id = side(ctx.zero_values, lefts)
-    right, right_by_id = side(ctx.one_values, rights)
-    table: dict = {}  # (left id, right id) -> does the formula hold
-
-    def holds(sa, sb):
-        found = table.get((sa, sb))
-        if found is None:
-            # some disjunct offers a left and a right mask with no failing
-            # negative literal in common
-            found = table[sa, sb] = any(
-                fa & fb == 0
-                for masks_a, masks_b in zip(left_by_id[sa], right_by_id[sb])
-                for fa in masks_a
-                for fb in masks_b
-            )
-        return found
-
-    # the cells (b, d) of B whose truth value differs from a == c, keyed by
-    # (signature of (a, c), a == c, B)
-    mismatches: dict = {}
-    groups: dict = {}  # (left name, right name) -> [(a, c, cells)]
+    left = _Side(phi, pool, ctx.zero_values, lefts, diagonal=True)
+    right = _Side(phi, pool, ctx.one_values, rights, diagonal=False)
+    holds = _Holds(left.by_id, right.by_id)
+    counts: dict = {}  # (left name, right name) -> counterexamples
+    groups: dict = {}  # (left name, right name) -> [(i, j)] with some
     for i, j in tested:
-        a, b = algebras[i], algebras[j]
-        rel_a, rel_b = left[i], right[j]
-        na, nb = a.size, b.size
-        entries = groups.setdefault((a.name, b.name), [])
-        for ea in range(na):
-            for ec in range(na):
-                expected = ea == ec
-                sa = rel_a[ea * na + ec]
-                cells = mismatches.get((sa, expected, j))
-                if cells is None:
-                    cells = mismatches[sa, expected, j] = [
-                        divmod(bd, nb)
-                        for bd, sb in enumerate(rel_b)
-                        if holds(sa, sb) != expected
-                    ]
-                if cells:
-                    entries.append((ea, ec, cells))
+        count = _pair_count(left.histograms[i], right.histograms[j], holds)
+        if count:
+            key = algebras[i].name, algebras[j].name
+            counts[key] = counts.get(key, 0) + count
+            groups.setdefault(key, []).append((i, j))
     return DfcReport(
         phi.text(),
         tuple((algebras[i].name, algebras[j].name) for i, j in tested),
         skipped,
-        DfcCounterexamples(groups),
+        DfcCounterexamples(
+            counts,
+            lambda key: _mismatch_rows(groups[key], algebras, left, right, holds),
+        ),
     )
 
 

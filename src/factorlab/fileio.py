@@ -13,6 +13,7 @@ where term texts use the formula grammar and generator paths are resolved
 relative to the context file.
 
 Formula files are plain text in the formula grammar; '#' starts a comment.
+Every file is read as UTF-8.
 """
 from __future__ import annotations
 
@@ -26,13 +27,18 @@ from .terms import Term
 from .variety import VarietyContext
 
 
+def _read_text(path: Path) -> str:
+    """The file's text; a file that cannot be read or is not UTF-8 is a
+    validation error naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read '{path}': {exc}") from exc
+
+
 def _read_json(path: Path) -> dict:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read '{path}': {exc}") from exc
-    try:
-        data = json.loads(text)
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"'{path}' is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -58,6 +64,9 @@ def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> Finit
     for key in ("name", "size", "ops"):
         if key not in data:
             raise ValidationError(f"{origin}: missing '{key}'")
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ValidationError(f"{origin}: 'name' must be a string, got {name!r}")
     ops = data["ops"]
     if not isinstance(ops, dict) or not ops:
         raise ValidationError(f"{origin}: 'ops' must be a non-empty object")
@@ -76,8 +85,7 @@ def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> Finit
         ]
     signature = Signature(tuple(symbols), l=l)
     return FiniteAlgebra.from_ops(
-        signature, _int(data["size"], f"{origin}: 'size'"), tables,
-        str(data["name"]),
+        signature, _int(data["size"], f"{origin}: 'size'"), tables, name,
     )
 
 
@@ -128,9 +136,4 @@ def load_context(path: str | Path) -> VarietyContext:
 
 
 def load_formula(path: str | Path, signature: Signature, l: int) -> ExistentialDnf:
-    p = Path(path)
-    try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read '{p}': {exc}") from exc
-    return parse_formula(text, signature, l)
+    return parse_formula(_read_text(Path(path)), signature, l)

@@ -24,7 +24,7 @@ class PoolEntry(_Record):
     member is `direct_product` of the pool's entries i and j, in that order,
     and None otherwise.  Both factors come before the product in the pool:
     `generate_pool` records only products of members it already has, and
-    `verify_dfc` builds the factors' relations first."""
+    `verify_dfc` builds the factors' histograms first."""
 
     __slots__ = ("algebra", "recipe", "factors")
 

@@ -26,7 +26,10 @@ the first-coordinate harness as it was before it went coordinatewise: one
 product table and one witness search per product cell.
 `verify_dfc_searched` is the harness as it was before it composed the
 relations of recorded products from their factors: every member is searched
-on every side it is used on.
+on every side it is used on.  `verify_dfc_cells` is the harness as it was
+before it counted from signature histograms: every product's relation is
+composed cell by cell, and every tested pair reads all of its cells and
+builds all of its rows.
 `free_algebra_pointwise` is the free-algebra closure as it was before it ran
 row by row on carrier vectors: one Python loop over the points per operation
 application, in the closure and again in the carrier tables.
@@ -72,7 +75,6 @@ from factorlab.dfc import (
     DEFAULT_EVAL_CAP,
     DEFAULT_PAIR_CAP,
     DfcCounterexample,
-    DfcCounterexamples,
     DfcReport,
 )
 import factorlab.congruences as congruences
@@ -726,15 +728,11 @@ def verify_dfc_materialized(
     )
 
 
-def verify_dfc_searched(
-    phi: ExistentialDnf | PositiveExistential,
-    ctx: VarietyContext,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    eval_cap: int = DEFAULT_EVAL_CAP,
-) -> DfcReport:
-    """`verify_dfc` with one `failure_masks` call per (a, c) of every member
-    used on a side, recorded products included, and the estimate that
-    counts |M|^(2+nb) for each of them."""
+def _tested_pairs(ctx, pair_cap, eval_cap, cost):
+    """The harness's tested pairs (i, j), skipped name pairs, and members
+    used on the left and on the right, after the pre-flight check:
+    `cost(k)` is member k's cost on one side, and every tested pair adds
+    (|A||B|)^2."""
     algebras = ctx.pool_algebras
     if not algebras:
         raise ValidationError("pool is empty; populate the context first")
@@ -752,16 +750,78 @@ def verify_dfc_searched(
     )
     lefts = sorted({i for i, _ in tested})
     rights = sorted({j for _, j in tested})
-    per_member = len(phi.bound_vars) + 2
-    estimate = (
-        sum(algebras[i].size ** per_member for i in lefts)
-        + sum(algebras[j].size ** per_member for j in rights)
-        + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
+    estimate = sum(cost(k) for k in lefts + rights) + sum(
+        (algebras[i].size * algebras[j].size) ** 2 for i, j in tested
     )
     if estimate > eval_cap:
         raise ResourceBoundError(
             f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
         )
+    return tested, skipped, lefts, rights
+
+
+def _report_cell_by_cell(phi, ctx, tested, skipped, left, left_by_id, right,
+                         right_by_id) -> DfcReport:
+    """The report of the harness from the relations of both sides, by pool
+    index, read (|A||B|)^2 cells per tested pair, every row built and
+    sorted."""
+    algebras = ctx.pool_algebras
+    table: dict = {}
+
+    def holds(sa, sb):
+        found = table.get((sa, sb))
+        if found is None:
+            found = table[sa, sb] = any(
+                fa & fb == 0
+                for masks_a, masks_b in zip(left_by_id[sa], right_by_id[sb])
+                for fa in masks_a
+                for fb in masks_b
+            )
+        return found
+
+    mismatches: dict = {}
+    rows = []
+    for i, j in tested:
+        a, b = algebras[i], algebras[j]
+        rel_a, rel_b = left[i], right[j]
+        na, nb = a.size, b.size
+        for ea in range(na):
+            for ec in range(na):
+                expected = ea == ec
+                sa = rel_a[ea * na + ec]
+                cells = mismatches.get((sa, expected, j))
+                if cells is None:
+                    cells = mismatches[sa, expected, j] = [
+                        divmod(bd, nb)
+                        for bd, sb in enumerate(rel_b)
+                        if holds(sa, sb) != expected
+                    ]
+                rows += [
+                    (a.name, b.name, ea, eb, ec, ed, "<=" if expected else "=>")
+                    for eb, ed in cells
+                ]
+    rows.sort()
+    return DfcReport(
+        phi.text(),
+        tuple((algebras[i].name, algebras[j].name) for i, j in tested),
+        skipped,
+        tuple(DfcCounterexample(*row) for row in rows),
+    )
+
+
+def verify_dfc_searched(
+    phi: ExistentialDnf | PositiveExistential,
+    ctx: VarietyContext,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    eval_cap: int = DEFAULT_EVAL_CAP,
+) -> DfcReport:
+    """`verify_dfc` with one `failure_masks` call per (a, c) of every member
+    used on a side, recorded products included, the estimate that counts
+    |M|^(2+nb) for each of them, and the pair loop of `verify_dfc_cells`."""
+    algebras = ctx.pool_algebras
+    per_member = len(phi.bound_vars) + 2
+    tested, skipped, lefts, rights = _tested_pairs(
+        ctx, pair_cap, eval_cap, lambda k: algebras[k].size ** per_member)
 
     def relation(algebra, zs, signatures):
         ev = DnfEvaluator(algebra, phi)
@@ -782,46 +842,76 @@ def verify_dfc_searched(
         j: relation(algebras[j], ctx.one_values(algebras[j]), right_sigs)
         for j in rights
     }
-    left_by_id, right_by_id = list(left_sigs), list(right_sigs)
-    table: dict = {}
+    return _report_cell_by_cell(phi, ctx, tested, skipped, left,
+                                list(left_sigs), right, list(right_sigs))
 
-    def holds(sa, sb):
-        found = table.get((sa, sb))
-        if found is None:
-            found = table[sa, sb] = any(
-                fa & fb == 0
-                for masks_a, masks_b in zip(left_by_id[sa], right_by_id[sb])
-                for fa in masks_a
-                for fb in masks_b
-            )
-        return found
 
-    mismatches: dict = {}
-    groups: dict = {}
-    for i, j in tested:
-        a, b = algebras[i], algebras[j]
-        rel_a, rel_b = left[i], right[j]
-        na, nb = a.size, b.size
-        entries = groups.setdefault((a.name, b.name), [])
-        for ea in range(na):
-            for ec in range(na):
-                expected = ea == ec
-                sa = rel_a[ea * na + ec]
-                cells = mismatches.get((sa, expected, j))
-                if cells is None:
-                    cells = mismatches[sa, expected, j] = [
-                        divmod(bd, nb)
-                        for bd, sb in enumerate(rel_b)
-                        if holds(sa, sb) != expected
-                    ]
-                if cells:
-                    entries.append((ea, ec, cells))
-    return DfcReport(
-        phi.text(),
-        tuple((algebras[i].name, algebras[j].name) for i, j in tested),
-        skipped,
-        DfcCounterexamples(groups),
-    )
+def verify_dfc_cells(
+    phi: ExistentialDnf | PositiveExistential,
+    ctx: VarietyContext,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    eval_cap: int = DEFAULT_EVAL_CAP,
+) -> DfcReport:
+    """`verify_dfc` as it was before it counted from signature histograms:
+    every member's relation is built, a product's composed from its
+    factors' cell by cell, and each tested pair reads its (|A||B|)^2 cells
+    and builds every row."""
+    pool = ctx.pool
+    algebras = ctx.pool_algebras
+    per_member = len(phi.bound_vars) + 2
+    tested, skipped, lefts, rights = _tested_pairs(
+        ctx, pair_cap, eval_cap,
+        lambda k: algebras[k].size ** (per_member if pool[k].factors is None else 2))
+
+    def side(values, used):
+        signatures: dict = {}  # signature -> id
+        by_id: list = []
+        composed: dict = {}  # (id in A, id in B) -> id in A x B
+
+        def intern(signature):
+            found = signatures.get(signature)
+            if found is None:
+                found = signatures[signature] = len(by_id)
+                by_id.append(signature)
+            return found
+
+        def compose(sa, sb):
+            found = composed.get((sa, sb))
+            if found is None:
+                found = composed[sa, sb] = intern(tuple(
+                    frozenset([fa & fb for fa in masks_a for fb in masks_b])
+                    for masks_a, masks_b in zip(by_id[sa], by_id[sb])
+                ))
+            return found
+
+        relations: dict = {}
+        for k in used:
+            algebra, factors = pool[k].algebra, pool[k].factors
+            n = algebra.size
+            if factors is None:
+                ev = DnfEvaluator(algebra, phi)
+                zs = values(algebra)
+                relations[k] = [
+                    intern(ev.failure_masks(a, c, zs))
+                    for a in range(n)
+                    for c in range(n)
+                ]
+            else:
+                # ((a1, a2), (c1, c2)) at index (a1*|B| + a2)*n + c1*|B| + c2
+                rel_a, rel_b = relations[factors[0]], relations[factors[1]]
+                na, nb = algebras[factors[0]].size, algebras[factors[1]].size
+                relations[k] = [
+                    compose(rel_a[(x // nb) * na + y // nb],
+                            rel_b[(x % nb) * nb + y % nb])
+                    for x in range(n)
+                    for y in range(n)
+                ]
+        return relations, by_id
+
+    left, left_by_id = side(ctx.zero_values, lefts)
+    right, right_by_id = side(ctx.one_values, rights)
+    return _report_cell_by_cell(phi, ctx, tested, skipped, left, left_by_id,
+                                right, right_by_id)
 
 
 def _pointwise(

@@ -525,14 +525,17 @@ def test_internal_check_failure_exits_6(capsys, monkeypatch):
         ("table", "0110", "op 'f' table"),
         ("size", 2.0, "'size'"),
         ("arity", False, "op 'f' arity"),
+        ("name", 5, "'name' must be a string, got 5"),
+        ("name", None, "'name' must be a string, got None"),
     ],
-    ids=["float-entry", "string-table", "float-size", "bool-arity"],
+    ids=["float-entry", "string-table", "float-size", "bool-arity", "int-name",
+         "null-name"],
 )
 def test_coerced_algebra_field_exits_2(capsys, tmp_path, field, value, named):
     data = {"name": "bad", "size": 2,
             "ops": {"f": {"arity": 2, "table": [0, 1, 1, 0]}}}
-    if field == "size":
-        data["size"] = value
+    if field in ("size", "name"):
+        data[field] = value
     else:
         data["ops"]["f"][field] = value
     bad = tmp_path / "bad.alg"
@@ -553,6 +556,32 @@ def test_coerced_context_field_exits_2(capsys, tmp_path, field, value, named):
     bad.write_text(json.dumps(data))
     assert main(["central", "list", str(bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["alg", "ctx", "generator", "fm"])
+def test_non_utf8_file_exits_2(tmp_path, kind):
+    bad = tmp_path / f"bad.{'alg' if kind == 'generator' else kind}"
+    bad.write_bytes(b"\xff\xfe")
+    if kind == "generator":
+        ctx = tmp_path / "gen.ctx"
+        ctx.write_text(json.dumps(
+            {"generator": bad.name, "l": 1, "zero": ["1"], "one": ["0"]}))
+        argv = ["central", "list", str(ctx)]
+    else:
+        argv = {
+            "alg": ["algebra", "show", str(bad)],
+            "ctx": ["central", "list", str(bad)],
+            "fm": ["dfc", "verify", str(FIXTURES / "rings.ctx"), str(bad)],
+        }[kind]
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorlab", *argv],
+        capture_output=True, text=True, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: cannot read '{bad}': ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_deeply_nested_formula_exits_2(capsys, tmp_path):

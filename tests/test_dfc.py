@@ -22,6 +22,7 @@ from conftest import FIXTURES
 from oracles import (
     congruence_of_central_classified,
     ring_idempotents,
+    verify_dfc_cells,
     verify_dfc_searched,
 )
 
@@ -160,6 +161,53 @@ def test_verify_dfc_matches_searching_every_member(name):
         phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
         # equal reports have equal counterexample tuples
         assert verify_dfc(phi, ctx) == verify_dfc_searched(phi, ctx)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
+def test_verify_dfc_matches_reading_every_cell(name):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
+    for formula in FIXTURE_FORMULAS[name]:
+        phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
+        report, oracle = verify_dfc(phi, ctx), verify_dfc_cells(phi, ctx)
+        assert len(report.counterexamples) == len(oracle.counterexamples)
+        assert report.counterexamples[:1] == oracle.counterexamples[:1]
+        assert report == oracle
+
+
+def test_verify_dfc_counts_from_histograms_and_builds_rows_on_demand(monkeypatch):
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(
+        max_size=16, depth=3)
+    phi = load_formula(FIXTURES / "formulas" / "not_dfc.fm", ctx.signature, 1)
+    entry_pairs = []
+    pair_count = factorlab.dfc._pair_count
+
+    def counting_pairs(hist_a, hist_b, holds):
+        entry_pairs.append(len(hist_a) * len(hist_b))
+        return pair_count(hist_a, hist_b, holds)
+
+    composed = []
+    compose_relation = factorlab.dfc._Side._compose_relation
+
+    def counting_relations(self, i, j):
+        composed.append((i, j))
+        return compose_relation(self, i, j)
+
+    monkeypatch.setattr(factorlab.dfc, "_pair_count", counting_pairs)
+    monkeypatch.setattr(factorlab.dfc._Side, "_compose_relation",
+                        counting_relations)
+    report = verify_dfc(phi, ctx)
+    ces = report.counterexamples
+    # one read per tested pair, of 1,657 histogram entry pairs in all, where
+    # the cell loop read 723,608 cells
+    assert len(entry_pairs) == len(report.pairs_tested) == 447
+    assert sum(entry_pairs) == 1657
+    assert len(ces) == 105254
+    # the first row's group is (C3, C3): no product relation is composed
+    assert (ces[0].left, ces[0].right) == ("C3", "C3")
+    assert composed == []
+    # every row: each of the 23 products once per side
+    assert len(tuple(ces)) == 105254
+    assert len(composed) == 2 * 23
 
 
 def _count_direct_products(monkeypatch) -> list:

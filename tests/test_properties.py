@@ -49,6 +49,7 @@ from oracles import (
     first_witness,
     masked_witnesses_naive,
     recheck_substitution_every_member,
+    verify_dfc_cells,
     verify_dfc_materialized,
     verify_dfc_searched,
     witnesses_naive,
@@ -358,6 +359,37 @@ def test_verify_dfc_composes_products_like_searching_them(pool, phi, cut):
     assert report.skipped == oracle.skipped
     assert len(report.counterexamples) == len(oracle.counterexamples)
     assert tuple(report.counterexamples) == tuple(oracle.counterexamples)
+
+
+@given(pools_with_products(),
+       dfc_formulas(max_disjuncts=3, closed_negatives=True),
+       st.integers(0, 2),
+       st.integers(0, 10**6))
+# z1 is 0 on the left and 1 on the right: both directions fail, in the
+# products as in their factors
+@example(_nested_pool(TWO, TWO), parse_formula("x = z1", DFC_SIG, 1), 0, 7)
+def test_verify_dfc_counts_like_reading_every_cell(pool, phi, cut, k):
+    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+    cells = sorted({a.size * b.size for a in ctx.pool_algebras
+                    for b in ctx.pool_algebras})
+    cap = cells[-1 - min(cut, len(cells) - 1)]
+    report = verify_dfc(phi, ctx, pair_cap=cap)
+    oracle = verify_dfc_cells(phi, ctx, pair_cap=cap)
+    assert report.pairs_tested == oracle.pairs_tested
+    assert report.skipped == oracle.skipped
+    lazy, full = report.counterexamples, oracle.counterexamples
+    assert len(lazy) == len(full)
+    # the head first, so that its name group is built alone
+    if full:
+        assert lazy[0] == full[0]
+        k %= len(full)
+        assert lazy[k] == full[k]
+        assert lazy[-1] == full[-1]
+        assert lazy[-1 - k] == full[-1 - k]
+    assert lazy[:6] == full[:6]
+    assert lazy[k:k + 5] == full[k:k + 5]
+    assert lazy[::-3] == full[::-3]
+    assert tuple(lazy) == full
 
 
 WITNESS_PAIRS = st.lists(

@@ -1,14 +1,17 @@
 """Command-line surface.
 
-Subcommands:
+Subcommands, each with `--format text|machine` and only the caps its
+handler reads:
     algebra show PATH
-    cong PATH [--lattice | --factor-pairs | --compactness SPEC]
-    freealg dump CTX [--rank N]
-    positivize CTX FORMULA [--all-witnesses]
-    dfc verify CTX FORMULA
+    cong PATH [--lattice | --factor-pairs | --compactness SPEC] [--max-size N]
+    freealg dump CTX [--rank N] [--budget N]
+    positivize CTX FORMULA [--all-witnesses] [--pool-depth N] [--max-size N]
+        [--budget N]
+    dfc verify CTX FORMULA [--pool-depth N] [--max-size N]
     central list CTX [--algebra PATH]
-    correspondence CTX FORMULA [--algebra PATH]
-    pipeline CTX FORMULA
+    correspondence CTX FORMULA [--algebra PATH] [--pool-depth N] [--max-size N]
+    pipeline CTX FORMULA [--pool-depth N] [--max-size N] [--budget N]
+A flag the subcommand does not take exits 2 as an unrecognized argument.
 
 Exit codes: 0 ok, 2 validation error, 3 resource bound exceeded,
 4 no witness, 5 first-coordinate verification failed, 6 internal check
@@ -408,15 +411,29 @@ def cmd_pipeline(args) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "machine"), default="text")
-    common.add_argument("--pool-depth", type=int, default=2, metavar="N")
-    common.add_argument("--max-size", type=int, default=8, metavar="N")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        metavar="N", help="free-algebra closure budget "
-                                          "(default %(default)s)")
+# The caps a subcommand may take: the least value each accepts, and its
+# argparse settings.
+_CAPS = {
+    "--pool-depth": (0, dict(dest="pool_depth", type=int, default=2, metavar="N")),
+    "--max-size": (1, dict(dest="max_size", type=int, default=8, metavar="N")),
+    "--budget": (1, dict(dest="budget", type=int, default=DEFAULT_BUDGET,
+                         metavar="N", help="free-algebra closure budget "
+                                           "(default %(default)s)")),
+}
 
+
+def _add_leaf(sub, name: str, func, *caps: str, **kwargs) -> argparse.ArgumentParser:
+    """A subcommand parser with --format and the caps `func` reads."""
+    leaf = sub.add_parser(name, **kwargs)
+    leaf.add_argument("--format", choices=("text", "machine"), default="text")
+    for cap in caps:
+        leaf.add_argument(cap, **_CAPS[cap][1])
+    leaf.set_defaults(func=func)
+    return leaf
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    pool = ("--pool-depth", "--max-size")
     parser = argparse.ArgumentParser(
         prog="factorlab",
         description="factor congruences, central elements and "
@@ -426,12 +443,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_algebra = sub.add_parser("algebra", help="algebra file operations")
     algebra_sub = p_algebra.add_subparsers(dest="algebra_command", required=True)
-    p_show = algebra_sub.add_parser("show", parents=[common])
+    p_show = _add_leaf(algebra_sub, "show", cmd_algebra_show)
     p_show.add_argument("path")
-    p_show.set_defaults(func=cmd_algebra_show)
 
-    p_cong = sub.add_parser("cong", parents=[common],
-                            help="congruence lattice and factor pairs")
+    p_cong = _add_leaf(sub, "cong", cmd_cong, "--max-size",
+                       help="congruence lattice and factor pairs")
     p_cong.add_argument("path")
     group = p_cong.add_mutually_exclusive_group()
     group.add_argument("--lattice", action="store_true")
@@ -439,48 +455,41 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--compactness", metavar="SPEC",
                        help="'a,b' for a principal congruence or a "
                             "partition like '0,3|1,4|2,5'")
-    p_cong.set_defaults(func=cmd_cong)
 
     p_free = sub.add_parser("freealg", help="free algebra operations")
     free_sub = p_free.add_subparsers(dest="freealg_command", required=True)
-    p_dump = free_sub.add_parser("dump", parents=[common])
+    p_dump = _add_leaf(free_sub, "dump", cmd_freealg_dump, "--budget")
     p_dump.add_argument("ctx")
     p_dump.add_argument("--rank", type=int, default=1)
-    p_dump.set_defaults(func=cmd_freealg_dump)
 
-    p_pos = sub.add_parser("positivize", parents=[common],
-                           help="replace a verified formula by a positive one")
+    p_pos = _add_leaf(sub, "positivize", cmd_positivize, *pool, "--budget",
+                      help="replace a verified formula by a positive one")
     p_pos.add_argument("ctx")
     p_pos.add_argument("formula")
     p_pos.add_argument("--all-witnesses", action="store_true")
-    p_pos.set_defaults(func=cmd_positivize)
 
     p_dfc = sub.add_parser("dfc", help="first-coordinate definability checks")
     dfc_sub = p_dfc.add_subparsers(dest="dfc_command", required=True)
-    p_verify = dfc_sub.add_parser("verify", parents=[common])
+    p_verify = _add_leaf(dfc_sub, "verify", cmd_dfc_verify, *pool)
     p_verify.add_argument("ctx")
     p_verify.add_argument("formula")
-    p_verify.set_defaults(func=cmd_dfc_verify)
 
     p_central = sub.add_parser("central", help="central element operations")
     central_sub = p_central.add_subparsers(dest="central_command", required=True)
-    p_list = central_sub.add_parser("list", parents=[common])
+    p_list = _add_leaf(central_sub, "list", cmd_central_list)
     p_list.add_argument("ctx")
     p_list.add_argument("--algebra", default=None)
-    p_list.set_defaults(func=cmd_central_list)
 
-    p_corr = sub.add_parser("correspondence", parents=[common],
-                            help="central elements vs factor congruences")
+    p_corr = _add_leaf(sub, "correspondence", cmd_correspondence, *pool,
+                       help="central elements vs factor congruences")
     p_corr.add_argument("ctx")
     p_corr.add_argument("formula")
     p_corr.add_argument("--algebra", default=None)
-    p_corr.set_defaults(func=cmd_correspondence)
 
-    p_pipe = sub.add_parser("pipeline", parents=[common],
-                            help="verify, positivize, re-verify, correspondence")
+    p_pipe = _add_leaf(sub, "pipeline", cmd_pipeline, *pool, "--budget",
+                       help="verify, positivize, re-verify, correspondence")
     p_pipe.add_argument("ctx")
     p_pipe.add_argument("formula")
-    p_pipe.set_defaults(func=cmd_pipeline)
 
     return parser
 
@@ -489,8 +498,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.pool_depth < 0 or args.max_size < 1 or args.budget < 1:
-            raise ValidationError("caps must be positive")
+        # only the caps this subcommand takes are set
+        for least, spec in _CAPS.values():
+            if getattr(args, spec["dest"], least) < least:
+                raise ValidationError("caps must be positive")
         return args.func(args)
     except NoWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,6 +52,18 @@ class Signature(_Record):
         return tuple(name for name, k in self.symbols if k == 0)
 
 
+def _capped_power(n: int, k: int, cap: int) -> int:
+    """n**k, or the first partial power of n past `cap` when n**k is over
+    it.  The power is multiplied up only that far, so a huge exponent costs a
+    few steps and no huge integer."""
+    power = 1
+    for _ in range(k if n > 1 else 0):
+        power *= n
+        if power > cap:
+            break
+    return power
+
+
 class FiniteAlgebra(_Record):
     """Universe {0..size-1} with one flat row-major table per symbol.
 
@@ -72,11 +84,12 @@ class FiniteAlgebra(_Record):
                 f"{len(signature.symbols)} symbols"
             )
         for (sym, arity), table in zip(signature.symbols, tables):
-            expected = n**arity
-            if len(table) != expected:
+            # n**arity is formed only up to the table's length, so a huge
+            # arity or size is refused without building the power
+            if _capped_power(n, arity, len(table)) != len(table):
                 raise ValidationError(
                     f"algebra '{name}': table for '{sym}' has length "
-                    f"{len(table)}, expected {expected}"
+                    f"{len(table)}, expected {n}**{arity}"
                 )
             for idx, v in enumerate(table):
                 if not 0 <= v < n:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 
-from .core import FiniteAlgebra, pair_index, pair_split
+from .core import FiniteAlgebra, _capped_power, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import App, Term, Var, _Record
 from .variety import VarietyContext
@@ -76,13 +76,9 @@ def _default_var_names(rank: int) -> tuple[str, ...]:
 
 def _grid_points(base: FiniteAlgebra, rank: int) -> int:
     """n**rank, once the rank generator vectors are known to fit under
-    MAX_VECTOR_CELLS.  The power is multiplied up only until it passes the
-    cap, so a huge rank costs a few steps and no huge integer."""
-    points = 1
-    for _ in range(rank if base.size > 1 else 0):
-        points *= base.size
-        if rank * points > MAX_VECTOR_CELLS:
-            break
+    MAX_VECTOR_CELLS."""
+    # rank * points > MAX_VECTOR_CELLS exactly when points > the cap below
+    points = _capped_power(base.size, rank, MAX_VECTOR_CELLS // max(rank, 1))
     if rank * points > MAX_VECTOR_CELLS:
         raise ResourceBoundError(
             f"free_algebra: the {rank} generator vectors over '{base.name}' "
@@ -90,18 +86,6 @@ def _grid_points(base: FiniteAlgebra, rank: int) -> int:
             f"{MAX_VECTOR_CELLS}; lower the rank"
         )
     return points
-
-
-def _full_power(n: int, n_points: int) -> int | None:
-    """n**n_points, the size of the whole power, or None when it is over
-    MAX_VECTOR_CELLS, where the cell cap stops the carrier first.  As in
-    `_grid_points`, the power is multiplied up only until it passes the cap."""
-    full = 1
-    for _ in range(n_points):
-        full *= n
-        if full > MAX_VECTOR_CELLS:
-            return None
-    return full
 
 
 def _row_kernel(
@@ -219,7 +203,9 @@ def free_algebra(
         for sym, arity in ops
     }
 
-    full = _full_power(n, n_points)
+    # the size of the whole power; past MAX_VECTOR_CELLS the cell cap stops
+    # the carrier before it could reach that size
+    full = _capped_power(n, n_points, MAX_VECTOR_CELLS)
 
     def close() -> None:
         prev = 0

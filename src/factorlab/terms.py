@@ -84,20 +84,33 @@ def is_closed(t: Term) -> bool:
     return not free_vars(t)
 
 
-def _operand_text(t: Term) -> str:
-    # Nested infix applications need parentheses in the grammar.
-    if isinstance(t, App) and len(t.args) == 2 and t.symbol in INFIX_SYMBOLS:
-        return f"({term_text(t)})"
-    return term_text(t)
+def _is_infix(t: Term) -> bool:
+    return isinstance(t, App) and len(t.args) == 2 and t.symbol in INFIX_SYMBOLS
 
 
 def term_text(t: Term) -> str:
-    """Render a term in the concrete grammar (reparseable)."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol
-    if len(t.args) == 2 and t.symbol in INFIX_SYMBOLS:
-        return f"{_operand_text(t.args[0])} {t.symbol} {_operand_text(t.args[1])}"
-    inner = ", ".join(term_text(a) for a in t.args)
-    return f"{t.symbol}({inner})"
+    """Render a term in the concrete grammar (reparseable).  The tree is
+    walked with an explicit stack of subterms and literal pieces, each node's
+    pieces pushed last first, so any nesting depth renders."""
+    out: list[str] = []
+    todo: list = [t]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(item.name)
+        elif not item.args:
+            out.append(item.symbol)
+        elif _is_infix(item):
+            # nested infix operands need parentheses in the grammar
+            left, right = item.args
+            todo += (")", right, "(") if _is_infix(right) else (right,)
+            todo.append(f" {item.symbol} ")
+            todo += (")", left, "(") if _is_infix(left) else (left,)
+        else:
+            todo.append(")")
+            for a in item.args[:0:-1]:
+                todo += (a, ", ")
+            todo += (item.args[0], f"{item.symbol}(")
+    return "".join(out)

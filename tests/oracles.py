@@ -44,6 +44,8 @@ re-check as it was before it skipped recorded products.
 `congruence_of_central_classified` is the correspondence check per central
 element as it was before it compared with the factor congruence directly:
 the relation is first classified as an equivalence and a congruence.
+`term_text_recursive` is the term printer as it was before it walked an
+explicit stack: one call per nesting level.
 `RECORD_TWINS` holds the package's record classes declared with
 `@dataclass(frozen=True)`, as they were before `terms._Record` replaced the
 decorator, with the same fields as today's classes: the reference for their
@@ -82,7 +84,26 @@ from factorlab.core import _images
 from factorlab.errors import InternalCheckError
 from factorlab.formulas import z_roles
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
-from factorlab.terms import App, Term, Var
+from factorlab.terms import INFIX_SYMBOLS, App, Term, Var
+
+
+def _operand_text(t: Term) -> str:
+    # Nested infix applications need parentheses in the grammar.
+    if isinstance(t, App) and len(t.args) == 2 and t.symbol in INFIX_SYMBOLS:
+        return f"({term_text_recursive(t)})"
+    return term_text_recursive(t)
+
+
+def term_text_recursive(t: Term) -> str:
+    """Render a term in the concrete grammar (reparseable)."""
+    if isinstance(t, Var):
+        return t.name
+    if not t.args:
+        return t.symbol
+    if len(t.args) == 2 and t.symbol in INFIX_SYMBOLS:
+        return f"{_operand_text(t.args[0])} {t.symbol} {_operand_text(t.args[1])}"
+    inner = ", ".join(term_text_recursive(a) for a in t.args)
+    return f"{t.symbol}({inner})"
 
 
 def set_partitions(n):

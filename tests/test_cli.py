@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import os
@@ -8,13 +9,22 @@ import time
 import pytest
 
 from conftest import FIXTURES, REPO
-from factorlab.cli import main
+from factorlab.cli import _build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_module(*argv):
+    """`python -m factorlab ARGV` in a fresh interpreter, as a user runs it."""
+    return subprocess.run(
+        [sys.executable, "-m", "factorlab", *map(str, argv)],
+        capture_output=True, text=True, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
 
 
 def test_algebra_show(capsys):
@@ -154,24 +164,98 @@ def test_freealg_dump_huge_rank_exits_3_before_the_grid(capsys):
     assert "over the cap 10000000" in err
 
 
+# The options each subcommand's parser declares: --format, the caps its
+# handler reads, and its own flags.
+OPTIONS = {
+    ("algebra", "show"): {"--format"},
+    ("cong",): {"--format", "--max-size",
+                "--lattice", "--factor-pairs", "--compactness"},
+    ("freealg", "dump"): {"--format", "--budget", "--rank"},
+    ("positivize",): {"--format", "--pool-depth", "--max-size", "--budget",
+                      "--all-witnesses"},
+    ("dfc", "verify"): {"--format", "--pool-depth", "--max-size"},
+    ("central", "list"): {"--format", "--algebra"},
+    ("correspondence",): {"--format", "--pool-depth", "--max-size",
+                          "--algebra"},
+    ("pipeline",): {"--format", "--pool-depth", "--max-size", "--budget"},
+}
+SHARED = {"--format", "--pool-depth", "--max-size", "--budget"}
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every leaf of the parser tree."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+        return
+    for name, child in subs[0].choices.items():
+        yield from _leaf_parsers(child, (*path, name))
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    leaves = dict(_leaf_parsers(_build_parser()))
+    options = {
+        path: {s for a in leaf._actions for s in a.option_strings} - {"-h", "--help"}
+        for path, leaf in leaves.items()
+    }
+    assert options == OPTIONS
+    assert sum(len(o & SHARED) for o in options.values()) == 20
+    (group,) = leaves[("cong",)]._mutually_exclusive_groups
+    assert [a.option_strings for a in group._group_actions] == [
+        ["--lattice"], ["--factor-pairs"], ["--compactness"]]
+
+
+CTX_FM = [FIXTURES / "rings.ctx", FIXTURES / "formulas" / "ring_dfc.fm"]
+# Operands that each subcommand accepts.
+CAP_ARGV = {
+    ("algebra", "show"): [FIXTURES / "z6.alg"],
+    ("cong",): [FIXTURES / "z6.alg"],
+    ("freealg", "dump"): CTX_FM[:1],
+    ("positivize",): CTX_FM,
+    ("dfc", "verify"): CTX_FM,
+    ("central", "list"): CTX_FM[:1],
+    ("correspondence",): CTX_FM,
+    ("pipeline",): CTX_FM,
+}
+
+
 @pytest.mark.parametrize(
     "cap", [["--max-size", "0"], ["--pool-depth", "-1"], ["--budget", "0"]],
     ids=["max-size", "pool-depth", "budget"],
 )
 def test_nonpositive_cap_exits_2(capsys, cap):
-    ctx, fm = FIXTURES / "rings.ctx", FIXTURES / "formulas" / "ring_dfc.fm"
-    for argv in (
-        ["algebra", "show", FIXTURES / "z6.alg"],
-        ["cong", FIXTURES / "z6.alg"],
-        ["freealg", "dump", ctx],
-        ["positivize", ctx, fm],
-        ["dfc", "verify", ctx, fm],
-        ["central", "list", ctx],
-        ["correspondence", ctx, fm],
-        ["pipeline", ctx, fm],
-    ):
-        assert main([str(a) for a in argv + cap]) == 2, argv
-        assert capsys.readouterr() == ("", "error: caps must be positive\n")
+    # a subcommand that takes the cap validates it; one that does not
+    # refuses the flag itself
+    for path, operands in CAP_ARGV.items():
+        argv = [str(a) for a in [*path, *operands, *cap]]
+        if cap[0] in OPTIONS[path]:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", "error: caps must be positive\n")
+            continue
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: unrecognized arguments: {' '.join(cap)}\n" in err
+
+
+REMOVED = [
+    (path, cap) for path in CAP_ARGV
+    for cap in ("--pool-depth", "--max-size", "--budget")
+    if cap not in OPTIONS[path]
+]
+
+
+@pytest.mark.parametrize(
+    "path, cap", REMOVED, ids=[f"{' '.join(p)} {c}" for p, c in REMOVED])
+def test_flag_a_subcommand_does_not_read_exits_2(path, cap):
+    proc = run_module(*path, *CAP_ARGV[path], cap, "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: unrecognized arguments: {cap} 5\n" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_budget_flag(capsys):
@@ -573,15 +657,47 @@ def test_non_utf8_file_exits_2(tmp_path, kind):
             "ctx": ["central", "list", str(bad)],
             "fm": ["dfc", "verify", str(FIXTURES / "rings.ctx"), str(bad)],
         }[kind]
-    proc = subprocess.run(
-        [sys.executable, "-m", "factorlab", *argv],
-        capture_output=True, text=True, cwd=REPO,
-        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
-    )
+    proc = run_module(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: cannot read '{bad}': ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "size, arity", [(2, 1_000_000), (10**2200, 2)], ids=["arity", "size"])
+def test_huge_table_shape_exits_2_without_forming_the_power(tmp_path, size, arity):
+    # neither 2**1000000 nor (10**2200)**2 can be printed, let alone built
+    bad = tmp_path / "huge.alg"
+    bad.write_text(json.dumps({"name": "H", "size": size, "ops": {
+        "*": {"arity": arity, "table": [0, 0, 0, 1]}}}))
+    start = time.perf_counter()
+    proc = run_module("algebra", "show", bad)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: algebra 'H': table for '*' has length 4, "
+        f"expected {size}**{arity}\n")
+    assert elapsed < 1.0
+
+
+def test_freealg_dump_of_deep_witnesses(capsys, tmp_path):
+    # the unary cycle s(a) = a + 1 mod 340: the witnesses of x + 339 and of
+    # the constant 339 nest s 339 deep, past the recursion limit in printing
+    n = 340
+    ctx = tmp_path / "cycle.ctx"
+    ctx.write_text(json.dumps({
+        "generator": {"name": "C340", "size": n, "ops": {
+            "0": {"arity": 0, "table": [0]},
+            "s": {"arity": 1, "table": [(a + 1) % n for a in range(n)]}}},
+        "l": 1, "zero": ["0"], "one": ["s(0)"]}))
+    code = main(["freealg", "dump", str(ctx), "--rank", "1", "--format", "machine"])
+    terms = json.loads(capsys.readouterr().out)["terms"]
+    assert code == 0
+    assert len(terms) == 2 * n
+    deepest = {"s(" * (n - 1) + v + ")" * (n - 1) for v in ("x", "0")}
+    assert deepest <= set(terms)
 
 
 def test_deeply_nested_formula_exits_2(capsys, tmp_path):

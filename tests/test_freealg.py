@@ -243,6 +243,19 @@ Z17_MINUS = FiniteAlgebra.from_ops(
 )
 
 
+# 257 elements: carrier vectors are tuples, not bytes.
+FLIP257 = FiniteAlgebra.from_ops(
+    Signature((("0", 0), ("s", 1), ("max", 2))),
+    257,
+    {
+        "0": [0],
+        "s": [a ^ 1 if a ^ 1 < 257 else a for a in range(257)],
+        "max": [max(a, b) for a, b in itertools.product(range(257), repeat=2)],
+    },
+    "F257",
+)
+
+
 NAND2 = FiniteAlgebra(Signature((("nand", 2),)), 2, ((1, 1, 1, 0),), "NAND")
 
 
@@ -253,6 +266,8 @@ NAND2 = FiniteAlgebra(Signature((("nand", 2),)), 2, ((1, 1, 1, 0),), "NAND")
 @example(base=CHAIN17_MAX, rank=1, budget=1000)
 @example(base=CHAIN17_MAX, rank=2, budget=1000)
 @example(base=Z17_MINUS, rank=1, budget=1000)
+# Over more than 256 elements the carrier is keyed by tuples (18 elements).
+@example(base=FLIP257, rank=1, budget=1000)
 # Primal bases reach the whole power, where the closure stops: B2 at rank 0
 # with its constants alone, in the middle of a round at rank 3, and Z2 and
 # NAND (no constants) likewise.  At rank 3 the 256th element is exactly the

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from factorlab import (
     DnfEvaluator,
@@ -23,8 +25,8 @@ from corpus import (
     ring_signature,
 )
 from factorlab.formulas import MAX_NESTING
-from factorlab.terms import App, Var, term_text
-from oracles import eval_in_product, first_witness
+from factorlab.terms import INFIX_SYMBOLS, App, Var, term_text
+from oracles import eval_in_product, first_witness, term_text_recursive
 
 SIG = ring_signature()
 LSIG = lattice_signature()
@@ -128,6 +130,33 @@ def test_parse_prefix_application():
 def test_parse_term_text_roundtrip():
     t = parse_term_text("(x + 1) * (y + 0)", SIG)
     assert parse_term_text(term_text(t), SIG) == t
+
+
+# Terms over every infix symbol and prefix symbols of arity 0 to 3.
+TERMS = st.recursive(
+    st.builds(Var, st.sampled_from(["x", "y", "z1"]))
+    | st.builds(App, st.sampled_from(["0", "1"])),
+    lambda sub: st.builds(
+        App, st.sampled_from(INFIX_SYMBOLS), st.tuples(sub, sub))
+    | st.builds(
+        App, st.sampled_from(["f", "g"]), st.lists(sub, min_size=1, max_size=3)
+        .map(tuple)),
+    max_leaves=30,
+)
+
+
+@given(TERMS)
+def test_term_text_matches_the_recursive_printer(t):
+    assert term_text(t) == term_text_recursive(t)
+
+
+def test_term_text_renders_any_depth():
+    # 5000 levels, far past the recursion limit
+    t, expected = Var("x"), "x"
+    for _ in range(2500):
+        t = App("s", (App("+", (t, App("0"))),))
+        expected = f"s({expected} + 0)"
+    assert term_text(t) == expected
 
 
 @pytest.mark.parametrize(

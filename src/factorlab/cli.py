@@ -182,12 +182,14 @@ def cmd_freealg_dump(args) -> int:
     lines.append(f"first {shown} element terms:")
     for e in range(shown):
         lines.append(f"  {e}: {term_text(fa.witnesses[e])}")
-    machine = {
-        "command": "freealg-dump", "status": "ok",
-        "base": fa.base.name, "rank": fa.rank, "size": fa.size,
-        "generators": list(fa.generators),
-        "terms": [term_text(t) for t in fa.witnesses],
-    }
+    machine = {}
+    if args.format == "machine":  # every witness rendered, only if printed
+        machine = {
+            "command": "freealg-dump", "status": "ok",
+            "base": fa.base.name, "rank": fa.rank, "size": fa.size,
+            "generators": list(fa.generators),
+            "terms": [term_text(t) for t in fa.witnesses],
+        }
     _emit(args, machine, lines)
     return EXIT_OK
 

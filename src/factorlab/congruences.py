@@ -17,27 +17,31 @@ Everything here works through the basic translations a -> f(c1,..,a,..,ck)
 2008): an equivalence is a congruence iff every basic translation maps each
 class into one class.
 
-The principals come from generating translations G: T less every
-c = t1 o t2 with t1, t2 in T whose images are both strictly larger than c's.
-By induction on image size each dropped c lies in the monoid of the kept
-ones, so a closure under G is a closure under T.  They are found in one pass
-over the pair graph, whose nodes are the pairs a<b, with an edge
-{a,b} -> {t(a),t(b)} for each t in G with t(a) != t(b).  Since
-Cg(a,b) = Eq{(a,b)} v V_t Cg(t(a),t(b)), all pairs of a strongly connected
-component share one principal: the equivalence join of the component's own
-pairs with its successors' principals, which needs no closure under G, as
-every t in G maps each of those pairs into the join.  An iterative Tarjan
-pass (R. Tarjan, "Depth-first search and linear graph algorithms", SIAM J.
-Comput. 1, 1972) finishes each component after every component it reaches,
-so one union-find call per component gives its principal.  The join closure
-is incremental: each distinct principal, keyed by a generating pair (a, b)
-and taken finest first, is skipped if already found and otherwise joined
-with each found r with r[a] != r[b].  The found set stays closed under joins
-after every step, so it ends as the whole lattice.
+The principals are found in one pass over the pair graph, whose nodes are
+the pairs a<b, with an edge {a,b} -> {t(a),t(b)} per basic translation t
+with t(a) != t(b).  Since Cg(a,b) = Eq{(a,b)} v V_t Cg(t(a),t(b)), all pairs
+of a strongly connected component share one principal: the equivalence join
+of the component's own pairs with its successors' principals, which needs no
+closure under the translations, as every one maps each of those pairs into
+the join.  An iterative Tarjan pass (R. Tarjan, "Depth-first search and
+linear graph algorithms", SIAM J. Comput. 1, 1972) finishes each component
+after every component it reaches, so one union-find call per component gives
+its principal.  The join closure is incremental: each distinct principal,
+keyed by a generating pair (a, b) and taken finest first, is skipped if
+already found and otherwise joined with each found r with r[a] != r[b].  The
+found set stays closed under joins after every step, so it ends as the whole
+lattice.
+
+A product of the same leaf algebras in another order is isomorphic to one
+whose lattice is known, by permuting the digits of its elements.
+`share_lattice` records such a product with its source, and on a memo miss
+`all_congruences` transports the source's rep tuples along the permutation
+instead of building: pi maps x to the source element with the same digits,
+and x's class label is the least y with rep[pi(y)] == rep[pi(x)].  The
+permutation is computed only when the lattice is asked for.
 """
 from __future__ import annotations
 
-from operator import itemgetter
 from weakref import WeakKeyDictionary
 
 from .core import FiniteAlgebra, _images
@@ -49,6 +53,7 @@ DEFAULT_SIZE_BOUND = 8
 
 _LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
 _TRANSLATIONS: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> tables
+_SHARED: WeakKeyDictionary = WeakKeyDictionary()  # product -> source, orders
 
 
 def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
@@ -68,20 +73,6 @@ def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
         found.discard(tuple(range(n)))
         memo = _TRANSLATIONS[algebra] = tuple(found)
     return memo
-
-
-def _generators(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The basic translations less those the module docstring drops."""
-    translations = _translations(algebra)
-    image = {t: len(set(t)) for t in translations}
-    dropped = set()
-    for t2 in translations:
-        compose = itemgetter(*t2)  # t1 o t2; a tuple, as t2 is no identity
-        for t1 in translations:
-            c = compose(t1)
-            if c in image and image[c] < min(image[t1], image[t2]):
-                dropped.add(c)
-    return tuple(t for t in translations if t not in dropped)
 
 
 def _close(parent: list[int], translations: tuple, pending: list) -> tuple[int, ...]:
@@ -214,7 +205,7 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     with no translations.
     """
     n = algebra.size
-    images = list(zip(*_generators(algebra))) or [()] * n  # images[a][i] = t_i(a)
+    images = list(zip(*_translations(algebra))) or [()] * n  # images[a][i] = t_i(a)
     order = [0] * (n * n)  # discovery number, 0 while unseen
     low = [0] * (n * n)
     comp = [-1] * (n * n)  # component number once finished
@@ -286,20 +277,53 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     return {(a, b): reps[comp[a * n + b]] for a, b in pairs}
 
 
-def all_congruences(
-    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
-) -> list[Congruence]:
-    """The full congruence lattice by the incremental join closure of the
-    principals (see the module docstring).  Sorted by (number of classes,
-    rep array), so the total congruence comes first and the identity last.
-    """
-    n = algebra.size
-    if n > bound:
-        raise ResourceBoundError(
-            f"size {n} exceeds congruence enumeration bound {bound}"
-        )
+def share_lattice(
+    product: FiniteAlgebra, source: FiniteAlgebra, leaves: tuple,
+    source_leaves: tuple, sizes: dict,
+) -> None:
+    """Record that `product` and `source` are products of the same leaves:
+    `leaves` and `source_leaves` list them in each one's factor order (the
+    same multiset of keys), and `sizes` maps each key to its leaf's size.
+    The entry dies with `product`."""
+    _SHARED[product] = (source, leaves, source_leaves, sizes)
+
+
+def _digit_permutation(leaves: tuple, source_leaves: tuple, sizes: dict) -> list[int]:
+    """pi as a list: each element of the product over `leaves` maps to the
+    source element with the same digits.  The k-th occurrence of a leaf in
+    one order stands for its k-th occurrence in the other."""
+    weights: dict = {}  # leaf -> the source's place values, first occurrence last
+    weight = 1
+    for leaf in reversed(source_leaves):
+        weights.setdefault(leaf, []).append(weight)
+        weight *= sizes[leaf]
+    pi = [0]
+    for leaf in leaves:  # element x*|leaf| + d has pi(x) + d*weight
+        weight = weights[leaf].pop()
+        pi = [p + d * weight for p in pi for d in range(sizes[leaf])]
+    return pi
+
+
+def _lattice_reps(
+    algebra: FiniteAlgebra, transport: bool = True
+) -> tuple[tuple[int, ...], ...]:
+    """The memoised sorted rep tuples of the lattice: transported from a
+    shared source, or built by the incremental join closure.  A source's
+    lattice is never transported in turn: pools with the leaves in other
+    orders can record two value-equal products as each other's source."""
     reps = _LATTICES.get(algebra)
-    if reps is None:
+    if reps is not None:
+        return reps
+    n = algebra.size
+    shared = _SHARED.get(algebra) if transport else None
+    if shared is not None:
+        source, *orders = shared
+        pi = _digit_permutation(*orders)
+        found = set()
+        for rep in _lattice_reps(source, transport=False):
+            first: dict[int, int] = {}
+            found.add(tuple([first.setdefault(rep[p], y) for y, p in enumerate(pi)]))
+    else:
         keyed: dict[tuple[int, ...], tuple[int, int]] = {}
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         for pair, rep in _principal_reps(algebra, pairs).items():
@@ -308,10 +332,24 @@ def all_congruences(
         for p, (a, b) in sorted(keyed.items(), key=lambda kv: -len(set(kv[0]))):
             if p not in found:
                 found.update([_join_rep(r, p) for r in found if r[a] != r[b]])
-        reps = _LATTICES[algebra] = tuple(
-            sorted(found, key=lambda r: (len(set(r)), r))
+    reps = _LATTICES[algebra] = tuple(sorted(found, key=lambda r: (len(set(r)), r)))
+    return reps
+
+
+def all_congruences(
+    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
+) -> list[Congruence]:
+    """The full congruence lattice by the incremental join closure of the
+    principals, or transported from a shared source (see the module
+    docstring).  Sorted by (number of classes, rep array), so the total
+    congruence comes first and the identity last.
+    """
+    n = algebra.size
+    if n > bound:
+        raise ResourceBoundError(
+            f"size {n} exceeds congruence enumeration bound {bound}"
         )
-    return [_trusted(algebra, rep) for rep in reps]
+    return [_trusted(algebra, rep) for rep in _lattice_reps(algebra)]
 
 
 # -- factor pairs and quotients ----------------------------------------------

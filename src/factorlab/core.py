@@ -159,19 +159,33 @@ def pair_split(p: int, b_size: int) -> tuple[int, int]:
 def direct_product(
     a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None
 ) -> FiniteAlgebra:
-    """Coordinatewise product on universe {0..|A|*|B|-1}, index = a*|B| + b."""
+    """Coordinatewise product on universe {0..|A|*|B|-1}, index = a*|B| + b.
+
+    A binary table is built one row at a time: the row of (a1, b1) is
+    A's row of a1, scaled by |B|, plus B's row of b1, in argument order.
+    Other arities read each coordinate's table through `_images`.
+    """
     if a.signature != b.signature:
         raise ValidationError(
             f"signature mismatch between '{a.name}' and '{b.name}'"
         )
-    nb = b.size
-    n = a.size * nb
+    na, nb = a.size, b.size
+    n = na * nb
     # argument tuples over the product, read through each coordinate
     left = [p // nb for p in range(n)]
     right = [p % nb for p in range(n)]
     tables = []
     for (_, arity), ta, tb in zip(a.signature.symbols, a.tables, b.tables):
-        xs = _images(ta, arity, left, a.size)
+        if arity == 2:
+            scaled = [[x * nb for x in ta[i : i + na]] for i in range(0, na * na, na)]
+            rows = [tb[i : i + nb] for i in range(0, nb * nb, nb)]
+            table: list[int] = []
+            for row_a in scaled:
+                for row_b in rows:
+                    table += [x + y for x in row_a for y in row_b]
+            tables.append(tuple(table))
+            continue
+        xs = _images(ta, arity, left, na)
         ys = _images(tb, arity, right, nb)
         tables.append(tuple([x * nb + y for x, y in zip(xs, ys)]))
     name = name or f"{a.name}x{b.name}"
@@ -225,19 +239,18 @@ def _subalgebra_tables(
     seed inside the universe: `subalgebra_generated` without the name."""
     current: set[int] = set(seed)
     n = algebra.size
-    ops = [
-        (table, arity)
-        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
-    ]
-    for table, arity in ops:
-        if arity == 0:
+    ops = []  # the other operations; a constant is in every subuniverse
+    for (_, arity), table in zip(algebra.signature.symbols, algebra.tables):
+        if arity:
+            ops.append((table, arity))
+        else:
             current.add(table[0])
     if not current:
         raise ValidationError(
             "empty subuniverse: no constants in signature and empty seed"
         )
     while True:  # the pass that adds nothing reads the subalgebra's tables
-        embedding = tuple(sorted(current))
+        embedding = sorted(current)
         images = [_images(table, arity, embedding, n) for table, arity in ops]
         size = len(current)
         for values in images:
@@ -245,8 +258,12 @@ def _subalgebra_tables(
         if len(current) == size:
             break
     back = {old: new for new, old in enumerate(embedding)}
-    tables = tuple(tuple([back[v] for v in values]) for values in images)
-    return len(embedding), tables, embedding
+    values = iter(images)  # the images of `ops`, in symbol order
+    tables = tuple(
+        tuple([back[v] for v in next(values)]) if arity else (back[table[0]],)
+        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
+    )
+    return len(embedding), tables, tuple(embedding)
 
 
 def _subalgebra_name(algebra: FiniteAlgebra, seed: Iterable[int]) -> str:

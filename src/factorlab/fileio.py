@@ -41,6 +41,8 @@ def _read_json(path: Path) -> dict:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"'{path}' is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"'{path}' has a value JSON cannot read: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"'{path}': expected a JSON object")
     return data

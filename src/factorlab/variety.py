@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from .congruences import _quotient_name, _quotient_tables, all_congruences
+from .congruences import _quotient_name, _quotient_tables, all_congruences, share_lattice
 from .core import (
     FiniteAlgebra,
     Signature,
@@ -92,10 +92,23 @@ def generate_pool(
     are built as bare tables; a name and a recipe are formatted only for a
     construction that enters the pool.  A product records the indices of its
     two factors.
+
+    Each member has a leaf tuple: the pool indices of the non-product
+    members under it, in tree order (a non-product member is its own leaf).
+    A product's element index is the mixed-radix number of its leaves'
+    elements, so products with the same leaf sequence have the same tables,
+    and a product whose leaf sequence was built before is not built again.
+    A product that enters with the leaf multiset of an earlier member
+    shares that member's lattice through `share_lattice`.  The pair seed
+    (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y) is then a
+    singleton's subalgebra, offered already.
     """
     gen = ctx.generator
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
+    leaves = [(0,)]  # pool index -> its leaf tuple
+    built: set[tuple[int, ...]] = set()  # leaf sequences of products built
+    sources: dict[tuple[int, ...], tuple] = {}  # sorted leaves -> first member
 
     def enters(size: int, tables: tuple[tuple[int, ...], ...]) -> bool:
         """Whether a construction is small enough and new; if so, it is now
@@ -122,10 +135,17 @@ def generate_pool(
             seeds = [()] + [(s,) for s in range(a.size)] + [
                 pair for pair in itertools.combinations(range(a.size), 2)
             ]
+            closures: list[set[int]] = []  # closures[x] = Sg(x)
             for seed in seeds:
                 if not seed and not a.signature.constants:
                     continue
-                size, tables, _ = _subalgebra_tables(a, seed)
+                if len(seed) == 2:
+                    x, y = seed
+                    if y in closures[x] or x in closures[y]:
+                        continue
+                size, tables, embedding = _subalgebra_tables(a, seed)
+                if len(seed) == 1:
+                    closures.append(set(embedding))
                 if enters(size, tables):
                     sub = FiniteAlgebra._trusted(
                         a.signature, size, tables, _subalgebra_name(a, seed))
@@ -137,12 +157,27 @@ def generate_pool(
                 sizes = (e1.algebra.size, e2.algebra.size)
                 if sizes[0] * sizes[1] > max_size or 1 in sizes:
                     continue
+                key = leaves[i] + leaves[j]
+                if key in built:  # the tables of a product built before
+                    continue
+                built.add(key)
                 p = direct_product(e1.algebra, e2.algebra)
-                if enters(p.size, p.tables):
-                    fresh.append(PoolEntry(
-                        p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+                if not enters(p.size, p.tables):
+                    continue
+                fresh.append(PoolEntry(
+                    p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+                source, source_key = sources.setdefault(tuple(sorted(key)), (p, key))
+                if source is not p:
+                    share_lattice(p, source, key, source_key,
+                                  {k: entries[k].algebra.size for k in key})
         if not fresh:
             break
+        for k, entry in enumerate(fresh, len(entries)):
+            if entry.factors is None:
+                leaves.append((k,))
+            else:
+                i, j = entry.factors
+                leaves.append(leaves[i] + leaves[j])
         entries.extend(fresh)
         new = fresh
     return entries

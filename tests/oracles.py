@@ -10,11 +10,14 @@ is the lattice as it was before the incremental join closure: principals
 closed under every basic translation, each joined with every lattice
 element.  `generate_pool_rescan` is the pool as it was before each member
 was expanded once: every round rescans every member and every pair.
+`generate_pool_reference` is the pool as it was before it keyed products by
+their leaves and skipped pair seeds inside a singleton's subalgebra.
 `direct_product_cellwise` is the product as it was before it read its
-tables through `core._images`: one index computation per cell.
+tables through `core._images`: one index computation per cell, and
+`direct_product_images` as it was before it built binary tables row by row.
 `principal_reps_per_pair` is the principal step as it was before the pass
-over the pair graph: one closure under the generating translations per
-pair.  `subalgebra_generated_rounds` is the subalgebra closure as it was
+over the pair graph: one closure per pair under the generating
+translations, the basic ones less the compositions `_generators` drops.  `subalgebra_generated_rounds` is the subalgebra closure as it was
 before its last pass doubled as the table build.
 `identity_congruence` and `total_congruence` are the lattice's two ends,
 which only the tests build.  Formulas are evaluated by
@@ -54,6 +57,7 @@ equality, hashing, repr and immutability.
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field, make_dataclass
+from operator import itemgetter
 
 from factorlab import (
     Congruence,
@@ -80,7 +84,8 @@ from factorlab.dfc import (
     DfcReport,
 )
 import factorlab.congruences as congruences
-from factorlab.core import _images
+from factorlab.congruences import _quotient_name, _quotient_tables
+from factorlab.core import _images, _subalgebra_name, _subalgebra_tables
 from factorlab.errors import InternalCheckError
 from factorlab.formulas import z_roles
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
@@ -317,11 +322,28 @@ def all_congruences_pairwise(algebra: FiniteAlgebra, bound: int = 8) -> list:
     ]
 
 
+def _generators(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The basic translations less every c = t1 o t2 with t1, t2 basic
+    translations whose images are both strictly larger than c's.  By
+    induction on image size each dropped c lies in the monoid of the kept
+    ones, so a closure under these is a closure under all of them."""
+    translations = congruences._translations(algebra)
+    image = {t: len(set(t)) for t in translations}
+    dropped = set()
+    for t2 in translations:
+        compose = itemgetter(*t2)  # t1 o t2; a tuple, as t2 is no identity
+        for t1 in translations:
+            c = compose(t1)
+            if c in image and image[c] < min(image[t1], image[t2]):
+                dropped.add(c)
+    return tuple(t for t in translations if t not in dropped)
+
+
 def principal_reps_per_pair(algebra: FiniteAlgebra, pairs: list) -> dict:
     """`congruences._principal_reps` as it was before the pass over the pair
     graph: each pair's principal closed from scratch under the generating
-    translations."""
-    generators = congruences._generators(algebra)
+    translations, those `_generators` keeps."""
+    generators = _generators(algebra)
     return {
         p: congruences._close(list(range(algebra.size)), generators, [p])
         for p in pairs
@@ -430,6 +452,81 @@ def generate_pool_rescan(
             break
         entries.extend(fresh)
     return entries
+
+
+def generate_pool_reference(
+    ctx: VarietyContext, max_size: int = 8, depth: int = 2
+) -> list[PoolEntry]:
+    """`generate_pool` as it was before it keyed products by their leaves
+    and skipped pair seeds inside a singleton's subalgebra: every product of
+    a pair with a new member and every pair seed is built and offered."""
+    gen = ctx.generator
+    entries = [PoolEntry(gen, "generator")]
+    seen = {(gen.size, gen.tables)}
+
+    def enters(size, tables):
+        if size > max_size or (size, tables) in seen:
+            return False
+        seen.add((size, tables))
+        return True
+
+    new = list(entries)
+    for _ in range(depth):
+        fresh = []
+        for entry in new:
+            a = entry.algebra
+            for theta in all_congruences(a, a.size)[:-1]:
+                size, tables, _ = _quotient_tables(a, theta)
+                if enters(size, tables):
+                    q = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _quotient_name(a, theta))
+                    fresh.append(PoolEntry(q, f"quotient({a.name}, {theta})"))
+            seeds = [()] + [(s,) for s in range(a.size)] + list(
+                itertools.combinations(range(a.size), 2))
+            for seed in seeds:
+                if not seed and not a.signature.constants:
+                    continue
+                size, tables, _ = _subalgebra_tables(a, seed)
+                if enters(size, tables):
+                    sub = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _subalgebra_name(a, seed))
+                    fresh.append(PoolEntry(sub, f"subalgebra({a.name}, {list(seed)})"))
+        old = len(entries) - len(new)
+        for i, e1 in enumerate(entries):
+            for j in range(old if i < old else 0, len(entries)):
+                e2 = entries[j]
+                sizes = (e1.algebra.size, e2.algebra.size)
+                if sizes[0] * sizes[1] > max_size or 1 in sizes:
+                    continue
+                p = direct_product(e1.algebra, e2.algebra)
+                if enters(p.size, p.tables):
+                    fresh.append(PoolEntry(
+                        p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+        if not fresh:
+            break
+        entries.extend(fresh)
+        new = fresh
+    return entries
+
+
+def direct_product_images(
+    a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None
+) -> FiniteAlgebra:
+    """`direct_product` as it was before it built binary tables row by row:
+    every table is read through `core._images` at the argument tuples of
+    each coordinate, one pass per coordinate and one to combine them."""
+    nb = b.size
+    n = a.size * nb
+    left = [p // nb for p in range(n)]
+    right = [p % nb for p in range(n)]
+    tables = []
+    for (_, arity), ta, tb in zip(a.signature.symbols, a.tables, b.tables):
+        xs = _images(ta, arity, left, a.size)
+        ys = _images(tb, arity, right, nb)
+        tables.append(tuple([x * nb + y for x, y in zip(xs, ys)]))
+    return FiniteAlgebra(
+        a.signature, n, tuple(tables), name or f"{a.name}x{b.name}"
+    )
 
 
 def direct_product_cellwise(

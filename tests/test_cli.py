@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import FIXTURES, REPO
+import factorlab.cli as cli
 from factorlab.cli import _build_parser, main
 
 
@@ -680,6 +681,46 @@ def test_huge_table_shape_exits_2_without_forming_the_power(tmp_path, size, arit
         f"error: algebra 'H': table for '*' has length 4, "
         f"expected {size}**{arity}\n")
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("kind", ["alg", "ctx", "generator"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, kind):
+    # json.loads refuses an integer of more than 4,300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    huge = "1" + "0" * 5000
+    algebra = '{"name": "H", "size": %s, "ops": {"f": {"arity": 1, "table": [0]}}}'
+    context = '{"generator": %s, "l": %s, "zero": ["1"], "one": ["0"]}'
+    bad = tmp_path / ("bad.alg" if kind == "alg" else "bad.ctx")
+    bad.write_text({
+        "alg": algebra % huge,
+        "ctx": context % (json.dumps(str(FIXTURES / "z2.alg")), huge),
+        "generator": context % (algebra % huge, 1),
+    }[kind])
+    argv = ["algebra", "show", bad] if kind == "alg" else ["central", "list", bad]
+    proc = run_module(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: '{bad}' ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_freealg_dump_text_renders_only_the_terms_it_prints(capsys, monkeypatch):
+    rendered = []
+    term_text = cli.term_text
+
+    def counting(t):
+        rendered.append(t)
+        return term_text(t)
+
+    monkeypatch.setattr(cli, "term_text", counting)
+    code, out = run_cli(capsys, "freealg", "dump", FIXTURES / "boolean.ctx",
+                        "--rank", "3")
+    assert code == 0
+    assert "256 element(s)" in out
+    # the first 16 of 256 witness terms, where the unprinted machine payload
+    # used to render all of them
+    printed = [line for line in out.splitlines() if line.startswith("  ")]
+    assert len(rendered) == len(printed) == 16
 
 
 def test_freealg_dump_of_deep_witnesses(capsys, tmp_path):

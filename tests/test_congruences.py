@@ -5,7 +5,7 @@ import sys
 from weakref import WeakKeyDictionary
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from factorlab import (
@@ -509,10 +509,12 @@ def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
 def test_pool_principal_closures_are_pinned(monkeypatch):
     counts = _count_principal_closures(monkeypatch)
     generate_pool(load_context(str(FIXTURES / "lattices.ctx")), max_size=27, depth=3)
-    assert len(counts["algebras"]) == 14
-    assert counts["closures"] == 404
+    # 14 members are expanded, and one of them, C3 x C3 x C2, has its
+    # lattice transported from C2 x C3 x C3, the same leaves in another order
+    assert len(counts["algebras"]) == 13
+    assert counts["closures"] == 331
     # closing every pair from scratch takes one closure per pair
-    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 774
+    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 621
 
 
 def test_pair_graph_pass_needs_no_recursion():
@@ -537,3 +539,112 @@ def test_pair_graph_pass_needs_no_recursion():
     finally:
         sys.setrecursionlimit(limit)
     assert reps == {(0, 1): (0,) * n}
+
+
+def test_transport_entry_dies_with_its_algebra():
+    # value-equal algebras share an entry, so the names must be unique
+    name = "transport probe, used by no other test"
+    c2 = FiniteAlgebra(Signature((("f", 1),)), 2, ((1, 0),), f"{name} C2")
+    c3 = FiniteAlgebra(Signature((("f", 1),)), 3, ((1, 2, 0),), f"{name} C3")
+    source, product = direct_product(c2, c3), direct_product(c3, c2)
+    congruences.share_lattice(product, source, (1, 0), (0, 1), {0: 2, 1: 3})
+    assert len(all_congruences(product)) == 4
+    assert product in congruences._SHARED
+    assert source in congruences._LATTICES
+    del c2, c3, source, product
+    gc.collect()
+    for memo in (congruences._SHARED, congruences._LATTICES):
+        assert not any(a.name.startswith(name) for a in memo.keys())
+
+
+def test_transport_takes_one_step(monkeypatch):
+    # two pools can find the same leaves in opposite orders, so each product
+    # can be recorded as the other's source
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+    c2, c3 = chain_lattice(2), chain_lattice(3)
+    left, right = direct_product(c2, c3), direct_product(c3, c2)
+    congruences.share_lattice(left, right, (0, 1), (1, 0), {0: 2, 1: 3})
+    congruences.share_lattice(right, left, (1, 0), (0, 1), {0: 2, 1: 3})
+    transported = _reps(all_congruences(left))
+    assert right in congruences._LATTICES
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+    assert transported == _reps(all_congruences(left))
+
+
+@pytest.mark.parametrize("name, max_size, transported", [
+    ("lattices", 27, 21), ("rings", 27, 0), ("boolean", 32, 0),
+    ("rings_z6", 27, 12),
+])
+def test_transported_lattices_match_direct_builds(monkeypatch, name, max_size,
+                                                  transported):
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
+    assert sum(a in congruences._SHARED for a in members) == transported
+    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
+    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
+
+
+def test_pool_lattices_are_built_once_per_leaf_multiset(monkeypatch):
+    counts = _count_principal_closures(monkeypatch)
+    pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
+                         max_size=27, depth=3)
+    for entry in pool:
+        all_congruences(entry.algebra, bound=entry.algebra.size)
+    # one build per member, 63, less the 21 products whose leaves come in
+    # the order of an earlier member's
+    assert len(counts["algebras"]) == len(set(counts["algebras"])) == 42
+
+
+def _product_of(leaves, order):
+    out = leaves[order[0]]
+    for k in order[1:]:
+        out = direct_product(out, leaves[k])
+    return out
+
+
+@st.composite
+def permuted_products(draw):
+    """1-3 drawn leaves of 2-3 elements, a sequence of 2-3 of them, repeats
+    allowed, and a permutation of that sequence.  Each leaf has x + y mod n
+    through a permutation, which keeps the products' lattices small, and a
+    random unary operation."""
+    signature = Signature((("g", 2), ("f", 1)))
+    leaves = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(2, 3))
+        perm = draw(st.permutations(range(n)))
+        tables = (
+            tuple(perm[(x + y) % n] for x in range(n) for y in range(n)),
+            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))),
+        )
+        leaves.append(FiniteAlgebra(signature, n, tables, f"L{k}"))
+    order = draw(st.lists(st.integers(0, len(leaves) - 1), min_size=2, max_size=3))
+    return leaves, tuple(order), tuple(draw(st.permutations(order)))
+
+
+@given(permuted_products())
+@example(([chain_lattice(2), chain_lattice(3)], (0, 1), (1, 0)))
+@example(([chain_lattice(2), chain_lattice(3), _power(chain_lattice(2), 2)],
+          (0, 1, 2), (1, 2, 0)))
+@example(([chain_lattice(2), chain_lattice(3)], (0, 1, 1), (1, 0, 1)))
+def test_transported_lattice_matches_direct_build(drawn):
+    leaves, order, source_order = drawn
+    assume(order != source_order)
+    product = _product_of(leaves, order)
+    source = _product_of(leaves, source_order)
+    sizes = {k: leaves[k].size for k in order}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+        monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+        congruences.share_lattice(product, source, order, source_order, sizes)
+        transported = _reps(all_congruences(product, bound=product.size))
+        assert product in congruences._LATTICES
+        monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
+        monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
+        assert transported == _reps(all_congruences(product, bound=product.size))

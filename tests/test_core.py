@@ -1,3 +1,5 @@
+from weakref import WeakKeyDictionary
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from factorlab import (
     FiniteAlgebra,
     Signature,
     ValidationError,
+    VarietyContext,
     direct_product,
     eval_term,
     generate_pool,
@@ -28,6 +31,8 @@ from corpus import (
 from factorlab.terms import App, Var
 from oracles import (
     direct_product_cellwise,
+    direct_product_images,
+    generate_pool_reference,
     generate_pool_rescan,
     is_homomorphism,
     subalgebra_generated_rounds,
@@ -129,6 +134,9 @@ _CONST_TERNARY = Signature((("c", 0), ("t", 3)))
 def test_product_matches_cellwise_tables(pair):
     a, b = pair
     assert direct_product(a, b) == direct_product_cellwise(a, b)
+    assert direct_product(a, b) == direct_product_images(a, b)
+    # the row kernel reads A's row scaled and B's row in that order
+    assert direct_product(b, a) == direct_product_cellwise(b, a)
 
 
 def test_pool_products_match_cellwise_tables():
@@ -386,3 +394,83 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     assert len(quotients) > quotient_members > 0
     assert len(recipes) == 2 * quotient_members
     assert len(subalgebras) == sum(e.recipe.startswith("subalgebra(") for e in pool) > 0
+
+
+def _reference_and_pool(monkeypatch, ctx, max_size, depth):
+    """The reference pool, built with fresh lattice memos and so with no
+    lattice transported, and the pool, built with a fresh memo again."""
+    monkeypatch.setattr(factorlab.congruences, "_LATTICES", WeakKeyDictionary())
+    monkeypatch.setattr(factorlab.congruences, "_SHARED", WeakKeyDictionary())
+    reference = generate_pool_reference(ctx, max_size=max_size, depth=depth)
+    monkeypatch.setattr(factorlab.congruences, "_LATTICES", WeakKeyDictionary())
+    return reference, generate_pool(ctx, max_size=max_size, depth=depth)
+
+
+@pytest.mark.parametrize("name, depth, max_size", [
+    (name, depth, max_size)
+    for name in ("lattices", "rings", "boolean", "rings_z6")
+    for depth in (1, 2, 3)
+    for max_size in (8, 16, 27)
+    if name != "rings_z6" or depth <= 2
+])
+def test_pool_matches_reference(monkeypatch, name, depth, max_size):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    reference, pool = _reference_and_pool(monkeypatch, ctx, max_size, depth)
+    # names, recipes, tables, factors and order
+    assert pool == reference
+
+
+@st.composite
+def generator_contexts(draw):
+    """A context over a drawn generator of 2-4 elements: a constant, which
+    is both the zero and the one term, a binary x + y mod n through a
+    permutation and maybe a random unary operation.  The binary operation keeps every lattice
+    small: a random or constant table alone can make every partition of a
+    16-element product a congruence."""
+    n = draw(st.integers(2, 4))
+    perm = draw(st.permutations(range(n)))
+    symbols = [("c", 0), ("g", 2)]
+    tables = [(draw(st.integers(0, n - 1)),),
+              tuple(perm[(x + y) % n] for x in range(n) for y in range(n))]
+    if draw(st.booleans()):
+        symbols.append(("f", 1))
+        tables.append(tuple(draw(st.lists(st.integers(0, n - 1),
+                                          min_size=n, max_size=n))))
+    generator = FiniteAlgebra(Signature(tuple(symbols)), n, tuple(tables), "G")
+    return VarietyContext(generator, (App("c"),), (App("c"),))
+
+
+@given(generator_contexts(), st.sampled_from([8, 12, 16]), st.integers(1, 3))
+def test_drawn_pool_matches_reference(ctx, max_size, depth):
+    # products of products repeat their leaves, and a product of a member
+    # with a smaller one comes in both orders
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reference, pool = _reference_and_pool(monkeypatch, ctx, max_size, depth)
+    assert pool == reference
+
+
+def _count_pool_work(monkeypatch):
+    """Record the `direct_product` and `_subalgebra_tables` calls that
+    `generate_pool` makes."""
+    calls = {"direct_product": [], "_subalgebra_tables": []}
+    for name, made in calls.items():
+        original = getattr(factorlab.variety, name)
+
+        def counting(*args, _original=original, _made=made):
+            _made.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(factorlab.variety, name, counting)
+    return calls
+
+
+def test_pool_skips_known_products_and_seeds(monkeypatch):
+    calls = _count_pool_work(monkeypatch)
+    pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
+                         max_size=27, depth=3)
+    assert len(pool) == 63
+    # building every product and every pair seed takes 64 products and 902
+    # closures: C3 x (C3 x C3) has the leaves of (C3 x C3) x C3, and a pair
+    # inside a singleton's subalgebra generates that subalgebra
+    assert len(calls["direct_product"]) == 63
+    assert len(calls["_subalgebra_tables"]) == 715

@@ -104,6 +104,9 @@ def invocations() -> list[list[str]]:
          "--pool-depth", "3", "--max-size", "27"],
         ["dfc", "verify", _ctx("lattices"), _fm("lattice_mixed"),
          "--pool-depth", "3", "--max-size", "27"],
+        # the correspondence stage over every member of that pool
+        ["pipeline", _ctx("lattices"), _fm("lattice_mixed"),
+         "--pool-depth", "3", "--max-size", "27"],
     ]
     machine = [argv + ["--format", "machine"] for argv in out]
     # a few in text mode as well

@@ -32,13 +32,33 @@ already found and otherwise joined with each found r with r[a] != r[b].  The
 found set stays closed under joins after every step, so it ends as the whole
 lattice.
 
-A product of the same leaf algebras in another order is isomorphic to one
-whose lattice is known, by permuting the digits of its elements.
-`share_lattice` records such a product with its source, and on a memo miss
-`all_congruences` transports the source's rep tuples along the permutation
-instead of building: pi maps x to the source element with the same digits,
-and x's class label is the least y with rep[pi(y)] == rep[pi(x)].  The
-permutation is computed only when the lattice is asked for.
+A product's lattice is composed from its factors' when the variety has a
+median term.  `median_term` looks for binary operations f, g of the
+generator for which m(x,y,z) = g(g(f(x,y), f(y,z)), f(x,z)) satisfies
+m(x,x,y) = m(x,y,x) = m(y,x,x) = x; f = g is allowed, and the check reads
+at most b^2 * 3n^2 cells for b binary operations on n elements.  Each of
+these identities holds in every algebra of HSP(generator), so in every pool
+member.  In such a variety every congruence Psi of A x B is a product
+theta x phi (Fraser and Horn, "Congruence relations in direct products",
+Proc. AMS 26, 1970): if (a,b) Psi (c,d), the polynomial
+X -> m(X, (a,b'), (c,b')) maps the two elements to (a,b') and (c,b'), and
+m((a',b), (a',d), X) maps them to (a',b) and (a',d); so Psi is the product
+of its projections theta and phi.  `compose_lattice` records a product with
+its factors, and on a memo miss `all_congruences` builds the rep of
+theta x phi at a*|B| + b as rep_theta[a]*|B| + rep_phi[b], with no closure.
+
+Without a median term, a product of the same leaf algebras in another order
+is still isomorphic to one whose lattice is known, by permuting the digits
+of its elements.  `share_lattice` records such a product with its source,
+and on a memo miss `all_congruences` transports the source's rep tuples
+along the permutation instead of building: pi maps x to the source element
+with the same digits, and x's class label is the least y with
+rep[pi(y)] == rep[pi(x)].  The permutation is computed only when the
+lattice is asked for.
+
+A join closure counts n cells per join, and a composed lattice
+|Con A| * |Con B| * |A x B| cells; past LATTICE_CELL_CAP either raises
+ResourceBoundError before it allocates more.
 """
 from __future__ import annotations
 
@@ -49,11 +69,14 @@ from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import _Record
 
 DEFAULT_SIZE_BOUND = 8
-
+# Cap on the cells one lattice build writes: n per join of the join
+# closure, or |Con A| * |Con B| * |A x B| for a composed product.
+LATTICE_CELL_CAP = 2_000_000
 
 _LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
 _TRANSLATIONS: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> tables
 _SHARED: WeakKeyDictionary = WeakKeyDictionary()  # product -> source, orders
+_COMPOSED: WeakKeyDictionary = WeakKeyDictionary()  # product -> its factors
 
 
 def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
@@ -277,6 +300,38 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     return {(a, b): reps[comp[a * n + b]] for a, b in pairs}
 
 
+def median_term(algebra: FiniteAlgebra) -> tuple[int, int] | None:
+    """The first pair (f, g) of binary operation indices, in signature
+    order, for which m(x,y,z) = g(g(f(x,y), f(y,z)), f(x,z)) is a majority
+    term of `algebra`, or None."""
+    n = algebra.size
+    binary = [
+        (k, table)
+        for k, ((_, arity), table) in enumerate(
+            zip(algebra.signature.symbols, algebra.tables))
+        if arity == 2
+    ]
+    for i, f in binary:
+        for j, g in binary:
+            if all(
+                g[g[f[x * n + x] * n + f[x * n + y]] * n + f[x * n + y]] == x
+                and g[g[f[x * n + y] * n + f[y * n + x]] * n + f[x * n + x]] == x
+                and g[g[f[y * n + x] * n + f[x * n + x]] * n + f[y * n + x]] == x
+                for x in range(n) for y in range(n)
+            ):
+                return i, j
+    return None
+
+
+def compose_lattice(
+    product: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra
+) -> None:
+    """Record that `product` is `direct_product(left, right)` in a variety
+    with a median term, so its lattice is composed from theirs.  The entry
+    dies with `product`."""
+    _COMPOSED[product] = (left, right)
+
+
 def share_lattice(
     product: FiniteAlgebra, source: FiniteAlgebra, leaves: tuple,
     source_leaves: tuple, sizes: dict,
@@ -307,16 +362,25 @@ def _digit_permutation(leaves: tuple, source_leaves: tuple, sizes: dict) -> list
 def _lattice_reps(
     algebra: FiniteAlgebra, transport: bool = True
 ) -> tuple[tuple[int, ...], ...]:
-    """The memoised sorted rep tuples of the lattice: transported from a
-    shared source, or built by the incremental join closure.  A source's
-    lattice is never transported in turn: pools with the leaves in other
-    orders can record two value-equal products as each other's source."""
+    """The memoised sorted rep tuples of the lattice: composed from a
+    product's factors, transported from a shared source, or built by the
+    incremental join closure.  A source's lattice is never transported in
+    turn: pools with the leaves in other orders can record two value-equal
+    products as each other's source.  Raises ResourceBoundError past
+    LATTICE_CELL_CAP cells."""
     reps = _LATTICES.get(algebra)
     if reps is not None:
         return reps
     n = algebra.size
+    factors = _COMPOSED.get(algebra)
     shared = _SHARED.get(algebra) if transport else None
-    if shared is not None:
+    if factors is not None:
+        lefts, rights = map(_lattice_reps, factors)
+        _check_cells(algebra, len(lefts) * len(rights) * n)
+        m = factors[1].size
+        found = [tuple([a * m + b for a in r1 for b in r2])
+                 for r1 in lefts for r2 in rights]
+    elif shared is not None:
         source, *orders = shared
         pi = _digit_permutation(*orders)
         found = set()
@@ -329,20 +393,33 @@ def _lattice_reps(
         for pair, rep in _principal_reps(algebra, pairs).items():
             keyed.setdefault(rep, pair)
         found = {tuple(range(n))}
+        cells = 0
         for p, (a, b) in sorted(keyed.items(), key=lambda kv: -len(set(kv[0]))):
             if p not in found:
-                found.update([_join_rep(r, p) for r in found if r[a] != r[b]])
+                joins = [r for r in found if r[a] != r[b]]
+                cells += len(joins) * n
+                _check_cells(algebra, cells)
+                found.update([_join_rep(r, p) for r in joins])
     reps = _LATTICES[algebra] = tuple(sorted(found, key=lambda r: (len(set(r)), r)))
     return reps
+
+
+def _check_cells(algebra: FiniteAlgebra, cells: int) -> None:
+    if cells > LATTICE_CELL_CAP:
+        raise ResourceBoundError(
+            f"all_congruences: estimated {cells} lattice cells for "
+            f"'{algebra.name}' exceed cap {LATTICE_CELL_CAP}"
+        )
 
 
 def all_congruences(
     algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[Congruence]:
     """The full congruence lattice by the incremental join closure of the
-    principals, or transported from a shared source (see the module
-    docstring).  Sorted by (number of classes, rep array), so the total
-    congruence comes first and the identity last.
+    principals, composed from a product's factors, or transported from a
+    shared source (see the module docstring).  Sorted by (number of
+    classes, rep array), so the total congruence comes first and the
+    identity last.
     """
     n = algebra.size
     if n > bound:

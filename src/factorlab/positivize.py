@@ -204,34 +204,35 @@ def positivize(
 
 
 def _recheck_substitution(result: PositivizeResult, ctx: VarietyContext) -> None:
-    """The positive literals of the chosen disjunct must hold, in every pool
-    algebra, at (x, x, zero, u(x)) and at (x, y, one, v(x, y)).
+    """The positive literals of the chosen disjunct must hold at
+    (x, x, zero, u(x)) and at (x, y, one, v(x, y)); they are checked in the
+    generator alone.
 
-    Product members are skipped.  Zero and one values and term values are
-    coordinatewise in A x B, so an identity holds there exactly when it holds
-    in A and in B.  Both factors come before the product in the pool, so a
-    failure is met, and reported, at a factor first."""
+    Both are identities in x and y, since zero, one and the witnesses are
+    terms.  Every pool member is in HSP(generator), built from it by
+    quotients, subalgebras and products, so an identity that holds in the
+    generator holds in every member, and one that fails there fails in the
+    pool's first member."""
     psi = result.phi_prime
     zs = z_roles(psi.l)
-    members = [e.algebra for e in ctx.pool if e.factors is None]
-    for algebra in members or (ctx.generator,):
-        elements = algebra.elements()
-        sides = (  # (side, z values, witness coordinate, (x, y) points)
-            ("zero", ctx.zero_values(algebra), 0, [(a, a) for a in elements]),
-            ("one", ctx.one_values(algebra), 1,
-             itertools.product(elements, repeat=2)),
-        )
-        for side, z_values, coord, points in sides:
-            for a, b in points:
-                env = {"x": a, "y": b, **dict(zip(zs, z_values))}
-                for pair, w in zip(result.witnesses, psi.bound_vars):
-                    env[w] = eval_term(algebra, pair[coord], {"x": a, "y": b})
-                for lit in psi.literals:
-                    if eval_term(algebra, lit.lhs, env) != eval_term(
-                        algebra, lit.rhs, env
-                    ):
-                        at = f"x={a}" if coord == 0 else f"x={a}, y={b}"
-                        raise InternalCheckError(
-                            f"{side}-side substitution identity failed in "
-                            f"'{algebra.name}' at {at}: {lit.text()}"
-                        )
+    algebra = ctx.generator
+    elements = algebra.elements()
+    sides = (  # (side, z values, witness coordinate, (x, y) points)
+        ("zero", ctx.zero_values(algebra), 0, [(a, a) for a in elements]),
+        ("one", ctx.one_values(algebra), 1,
+         itertools.product(elements, repeat=2)),
+    )
+    for side, z_values, coord, points in sides:
+        for a, b in points:
+            env = {"x": a, "y": b, **dict(zip(zs, z_values))}
+            for pair, w in zip(result.witnesses, psi.bound_vars):
+                env[w] = eval_term(algebra, pair[coord], {"x": a, "y": b})
+            for lit in psi.literals:
+                if eval_term(algebra, lit.lhs, env) != eval_term(
+                    algebra, lit.rhs, env
+                ):
+                    at = f"x={a}" if coord == 0 else f"x={a}, y={b}"
+                    raise InternalCheckError(
+                        f"{side}-side substitution identity failed in "
+                        f"'{algebra.name}' at {at}: {lit.text()}"
+                    )

@@ -6,7 +6,14 @@ from __future__ import annotations
 
 import itertools
 
-from .congruences import _quotient_name, _quotient_tables, all_congruences, share_lattice
+from .congruences import (
+    _quotient_name,
+    _quotient_tables,
+    all_congruences,
+    compose_lattice,
+    median_term,
+    share_lattice,
+)
 from .core import (
     FiniteAlgebra,
     Signature,
@@ -98,12 +105,16 @@ def generate_pool(
     A product's element index is the mixed-radix number of its leaves'
     elements, so products with the same leaf sequence have the same tables,
     and a product whose leaf sequence was built before is not built again.
-    A product that enters with the leaf multiset of an earlier member
-    shares that member's lattice through `share_lattice`.  The pair seed
+    When the generator has a median term (`median_term`), every product
+    that enters is recorded with its two factors through `compose_lattice`,
+    and its lattice is composed from theirs.  Otherwise a product that
+    enters with the leaf multiset of an earlier member shares that member's
+    lattice through `share_lattice`.  The pair seed
     (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y) is then a
     singleton's subalgebra, offered already.
     """
     gen = ctx.generator
+    composes = median_term(gen) is not None
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
     leaves = [(0,)]  # pool index -> its leaf tuple
@@ -166,6 +177,9 @@ def generate_pool(
                     continue
                 fresh.append(PoolEntry(
                     p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+                if composes:
+                    compose_lattice(p, e1.algebra, e2.algebra)
+                    continue
                 source, source_key = sources.setdefault(tuple(sorted(key)), (p, key))
                 if source is not p:
                     share_lattice(p, source, key, source_key,

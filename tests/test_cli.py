@@ -11,6 +11,7 @@ import pytest
 from conftest import FIXTURES, REPO
 import factorlab.cli as cli
 from factorlab.cli import _build_parser, main
+from factorlab.congruences import LATTICE_CELL_CAP
 
 
 def run_cli(capsys, *argv):
@@ -681,6 +682,32 @@ def test_huge_table_shape_exits_2_without_forming_the_power(tmp_path, size, arit
         f"error: algebra 'H': table for '*' has length 4, "
         f"expected {size}**{arity}\n")
     assert elapsed < 1.0
+
+
+def test_pool_lattice_past_the_cell_cap_exits_3(tmp_path):
+    # a constant and f(x) = 0 make every partition of K2^k a congruence:
+    # K2^3 has Bell(8) = 4,140, and K2^4 would have Bell(16), about 10^10
+    ctx = tmp_path / "k2.ctx"
+    ctx.write_text(json.dumps({
+        "generator": {"name": "K2", "size": 2, "ops": {
+            "c": {"arity": 0, "table": [0]},
+            "f": {"arity": 1, "table": [0, 0]}}},
+        "l": 1, "zero": ["c"], "one": ["f(c)"]}))
+    formula = tmp_path / "eq.fm"
+    formula.write_text("x = y")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorlab", "dfc", "verify", str(ctx),
+         str(formula), "--pool-depth", "3", "--max-size", "16"],
+        capture_output=True, text=True, cwd=REPO, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: all_congruences: estimated ")
+    assert proc.stderr.endswith(f" lattice cells for 'K2xK2xK2xK2' exceed cap "
+                                f"{LATTICE_CELL_CAP}\n")
 
 
 @pytest.mark.parametrize("kind", ["alg", "ctx", "generator"])

@@ -364,7 +364,7 @@ def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch)
 
 
 @pytest.mark.parametrize("ctx, formula, members", [
-    ("lattices", "lattice_mixed", 11), ("rings", "ring_mixed", 5),
+    ("lattices", "lattice_mixed", 10), ("rings", "ring_mixed", 2),
 ])
 def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
                                            members):
@@ -383,8 +383,9 @@ def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
                  "--max-size", "16", "--format", "machine"])
     capsys.readouterr()
     assert code == 0
-    # one build per pool member, where pool generation and the
-    # correspondence stage used to build some twice
+    # one build per non-product member, where pool generation and the
+    # correspondence stage used to build some twice; both generators have a
+    # median term, so each product's lattice is composed from its factors'
     assert len(built) == len(set(built)) == members
 
 
@@ -405,9 +406,10 @@ def test_pipeline_computes_each_algebras_translations_once(capsys, monkeypatch):
                  "--max-size", "16", "--format", "machine"])
     capsys.readouterr()
     assert code == 0
-    # once per pool member, where every lattice build and every central
-    # element's compatibility check used to recompute them
-    assert len(stored) == len(set(stored)) == 5
+    # once per non-product member (Z2 and Z2/{0,1}), where every lattice
+    # build and every central element's compatibility check used to
+    # recompute them; the three products' lattices are composed
+    assert len(stored) == len(set(stored)) == 2
 
 
 def test_lattice_memo_entry_dies_with_its_algebra():
@@ -509,12 +511,12 @@ def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
 def test_pool_principal_closures_are_pinned(monkeypatch):
     counts = _count_principal_closures(monkeypatch)
     generate_pool(load_context(str(FIXTURES / "lattices.ctx")), max_size=27, depth=3)
-    # 14 members are expanded, and one of them, C3 x C3 x C2, has its
-    # lattice transported from C2 x C3 x C3, the same leaves in another order
-    assert len(counts["algebras"]) == 13
-    assert counts["closures"] == 331
+    # 14 members are expanded, and the lattices of the four products among
+    # them are composed from their factors': C3 has a median term
+    assert len(counts["algebras"]) == 10
+    assert counts["closures"] == 63
     # closing every pair from scratch takes one closure per pair
-    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 621
+    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 81
 
 
 def test_pair_graph_pass_needs_no_recursion():
@@ -573,21 +575,66 @@ def test_transport_takes_one_step(monkeypatch):
     assert transported == _reps(all_congruences(left))
 
 
+def _clear_lattice_memos(monkeypatch):
+    """Empty the lattice memo and both product registries, so that the next
+    lattice of each algebra is a direct build."""
+    for memo in ("_LATTICES", "_SHARED", "_COMPOSED"):
+        monkeypatch.setattr(congruences, memo, WeakKeyDictionary())
+
+
+def _pair_reps(algebra):
+    return [(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra, algebra.size)]
+
+
+def _match_direct_builds(monkeypatch, name, max_size, registry):
+    """Every lattice and factor pair of the depth-3 pool against a direct
+    build; returns how many members `registry` holds."""
+    _clear_lattice_memos(monkeypatch)
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
+    registered = sum(a in getattr(congruences, registry) for a in members)
+    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
+    pairs = [_pair_reps(a) for a in members]
+    _clear_lattice_memos(monkeypatch)
+    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
+    assert pairs == [_pair_reps(a) for a in members]
+    return registered
+
+
+# only rings_z6 has no median term: the other pools compose, not transport
 @pytest.mark.parametrize("name, max_size, transported", [
-    ("lattices", 27, 21), ("rings", 27, 0), ("boolean", 32, 0),
+    ("lattices", 27, 0), ("rings", 27, 0), ("boolean", 32, 0),
     ("rings_z6", 27, 12),
 ])
 def test_transported_lattices_match_direct_builds(monkeypatch, name, max_size,
                                                   transported):
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
-    members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
-    assert sum(a in congruences._SHARED for a in members) == transported
-    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
+    assert _match_direct_builds(monkeypatch, name, max_size, "_SHARED") == transported
+
+
+def test_lattice_past_the_cell_cap_raises(monkeypatch):
+    _clear_lattice_memos(monkeypatch)
+    c3 = chain_lattice(3)
+    product = direct_product(c3, c3)
+    congruences.compose_lattice(product, c3, c3)
+    # C3 x C3 composes |Con C3|^2 = 16 rep tuples of 9 cells, checked before
+    # any is written; C3's own join closure writes 9 cells
+    monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 143)
+    with pytest.raises(ResourceBoundError) as err:
+        all_congruences(product, bound=product.size)
+    assert str(err.value) == (
+        "all_congruences: estimated 144 lattice cells for 'C3xC3' exceed cap 143")
+    assert product not in congruences._LATTICES
+    monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 144)
+    assert len(all_congruences(product, bound=product.size)) == 16
+
+
+@pytest.mark.parametrize("name, max_size, composed", [
+    ("lattices", 27, 48), ("rings", 27, 3), ("boolean", 32, 4),
+    ("rings_z6", 27, 0),
+])
+def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
+                                               composed):
+    assert _match_direct_builds(monkeypatch, name, max_size, "_COMPOSED") == composed
 
 
 def test_pool_lattices_are_built_once_per_leaf_multiset(monkeypatch):
@@ -596,9 +643,9 @@ def test_pool_lattices_are_built_once_per_leaf_multiset(monkeypatch):
                          max_size=27, depth=3)
     for entry in pool:
         all_congruences(entry.algebra, bound=entry.algebra.size)
-    # one build per member, 63, less the 21 products whose leaves come in
-    # the order of an earlier member's
-    assert len(counts["algebras"]) == len(set(counts["algebras"])) == 42
+    # one build per non-product member: the lattices of the 48 products are
+    # composed from their factors'
+    assert len(counts["algebras"]) == len(set(counts["algebras"])) == 15
 
 
 def _product_of(leaves, order):
@@ -648,3 +695,76 @@ def test_transported_lattice_matches_direct_build(drawn):
         monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
         monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
         assert transported == _reps(all_congruences(product, bound=product.size))
+
+
+@pytest.mark.parametrize("name, pair", [
+    ("lattices", (0, 1)), ("boolean", (0, 1)), ("rings", (1, 0)),
+    ("rings_z6", None),
+])
+def test_median_term_of_the_fixture_generators(name, pair):
+    # (x /\ y \/ y /\ z) \/ x /\ z in lattices, xy + yz + xz in Z2; Z6 has none
+    generator = load_context(str(FIXTURES / f"{name}.ctx")).generator
+    assert congruences.median_term(generator) == pair
+
+
+@pytest.mark.parametrize("n, table", [
+    (2, (0, 1, 0, 1)),  # x * y = y, so m(x,y,z) = z: m(x,x,y) = y
+    (3, tuple((-x - y) % 3 for x in range(3) for y in range(3))),  # m(x,y,x) = y
+    (2, (0, 0, 1, 1)),  # x * y = x, so m(x,y,z) = x: m(y,x,x) = y
+], ids=["m(x,x,y)", "m(x,y,x)", "m(y,x,x)"])
+def test_median_term_needs_every_identity(n, table):
+    # each algebra satisfies the other two identities, and its square has
+    # congruences that are not products, which composing would miss
+    algebra = FiniteAlgebra(Signature((("*", 2),)), n, (table,), "P")
+    assert congruences.median_term(algebra) is None
+    square = direct_product(algebra, algebra)
+    assert len(all_congruences(algebra)) == 2
+    assert len(all_congruences(square, bound=square.size)) == (
+        15 if n == 2 else 6)
+
+
+def _with_unary(leaf, table):
+    symbols = leaf.signature.symbols + (("f", 1),)
+    return FiniteAlgebra(Signature(symbols), leaf.size, leaf.tables + (table,),
+                         f"{leaf.name}+f{table}")
+
+
+@st.composite
+def chain_products(draw):
+    """2-3 chain lattices of 2-3 elements, each with a random unary
+    operation f, and their product nested to the left or to the right."""
+    leaves = []
+    for _ in range(draw(st.integers(2, 3))):
+        n = draw(st.integers(2, 3))
+        table = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        leaves.append(_with_unary(chain_lattice(n), tuple(table)))
+    return leaves, draw(st.booleans())
+
+
+@given(chain_products())
+@example(([_with_unary(chain_lattice(2), (1, 0)),
+           _with_unary(chain_lattice(3), (0, 1, 2))], False))
+@example(([_with_unary(chain_lattice(3), (2, 2, 0)),
+           _with_unary(chain_lattice(2), (0, 0)),
+           _with_unary(chain_lattice(3), (1, 1, 1))], True))
+def test_composed_lattice_matches_direct_build(drawn):
+    leaves, to_the_right = drawn
+    assert all(congruences.median_term(leaf) == (0, 1) for leaf in leaves)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _clear_lattice_memos(monkeypatch)
+        # every product level is registered, as generate_pool does
+        inner_leaves = leaves[1:] if to_the_right else leaves[:-1]
+        inner = _product_of(inner_leaves, range(len(inner_leaves)))
+        if len(inner_leaves) == 2:
+            congruences.compose_lattice(inner, *inner_leaves)
+        outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])
+        product = direct_product(*outer)
+        congruences.compose_lattice(product, *outer)
+        composed = _reps(all_congruences(product, bound=product.size))
+        pairs = _pair_reps(product)
+        _clear_lattice_memos(monkeypatch)
+        direct = _reps(all_congruences(product, bound=product.size))
+        assert composed == direct
+        assert pairs == _pair_reps(product)
+    # each leaf has at least its identity and its total congruence
+    assert len(direct) >= 2 ** len(leaves)

@@ -398,9 +398,10 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
 
 def _reference_and_pool(monkeypatch, ctx, max_size, depth):
     """The reference pool, built with fresh lattice memos and so with no
-    lattice transported, and the pool, built with a fresh memo again."""
-    monkeypatch.setattr(factorlab.congruences, "_LATTICES", WeakKeyDictionary())
-    monkeypatch.setattr(factorlab.congruences, "_SHARED", WeakKeyDictionary())
+    lattice transported or composed, and the pool, built with a fresh memo
+    again."""
+    for memo in ("_LATTICES", "_SHARED", "_COMPOSED"):
+        monkeypatch.setattr(factorlab.congruences, memo, WeakKeyDictionary())
     reference = generate_pool_reference(ctx, max_size=max_size, depth=depth)
     monkeypatch.setattr(factorlab.congruences, "_LATTICES", WeakKeyDictionary())
     return reference, generate_pool(ctx, max_size=max_size, depth=depth)

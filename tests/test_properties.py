@@ -399,16 +399,17 @@ WITNESS_PAIRS = st.lists(
 WRONG_PAIR = [(App("0"), Var("x"))] * 2
 
 
-@given(pools_with_products(), dfc_formulas(max_disjuncts=1), WITNESS_PAIRS)
-# ONE satisfies every identity and TWO does not: the first failure is in M1,
-# past the generator, and the products after it fail too
-@example(_nested_pool(ONE, TWO), parse_formula("x = y", DFC_SIG, 1), WRONG_PAIR)
-@example(_nested_pool(ONE, TWO),
-         parse_formula("exists w0 . w0 = x", DFC_SIG, 1), WRONG_PAIR)
-def test_recheck_skips_products_like_checking_them(pool, phi, pairs):
-    # drawn members share no variety, so an identity can fail first at any
-    # member; a product fails only after one of its factors
-    ctx = VarietyContext(pool[0].algebra, (App("0"),), (App("1"),), pool)
+@given(dfc_members(), dfc_formulas(max_disjuncts=1), WITNESS_PAIRS)
+# ONE satisfies every identity, and TWO fails these at the generator
+@example(ONE, parse_formula("exists w0 . w0 = x", DFC_SIG, 1), WRONG_PAIR)
+@example(TWO, parse_formula("x = y", DFC_SIG, 1), WRONG_PAIR)
+@example(TWO, parse_formula("exists w0 . w0 = x", DFC_SIG, 1), WRONG_PAIR)
+def test_recheck_skips_products_like_checking_them(generator, phi, pairs):
+    # every member of a generated pool is in HSP of the generator, so an
+    # identity fails in some member exactly when it fails in the generator,
+    # which the every-member check meets first
+    ctx = VarietyContext(generator, (App("0"),), (App("1"),)).populated(
+        max_size=4, depth=2)
     psi = strip_to_positive(phi, 0)
     witnesses = tuple(pairs[:len(psi.bound_vars)])
     result = PositivizeResult(0, psi, witnesses, WitnessCertificate(0, ()))

@@ -27,7 +27,6 @@ from .dfc import (
     CorrespondenceReport,
     DfcReport,
     central_elements,
-    congruence_of_central,
     correspondence_check,
     verify_dfc,
 )

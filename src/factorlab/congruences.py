@@ -46,15 +46,7 @@ m((a',b), (a',d), X) maps them to (a',b) and (a',d); so Psi is the product
 of its projections theta and phi.  `compose_lattice` records a product with
 its factors, and on a memo miss `all_congruences` builds the rep of
 theta x phi at a*|B| + b as rep_theta[a]*|B| + rep_phi[b], with no closure.
-
-Without a median term, a product of the same leaf algebras in another order
-is still isomorphic to one whose lattice is known, by permuting the digits
-of its elements.  `share_lattice` records such a product with its source,
-and on a memo miss `all_congruences` transports the source's rep tuples
-along the permutation instead of building: pi maps x to the source element
-with the same digits, and x's class label is the least y with
-rep[pi(y)] == rep[pi(x)].  The permutation is computed only when the
-lattice is asked for.
+Without a median term, every lattice is built by the join closure.
 
 A join closure counts n cells per join, and a composed lattice
 |Con A| * |Con B| * |A x B| cells; past LATTICE_CELL_CAP either raises
@@ -75,7 +67,6 @@ LATTICE_CELL_CAP = 2_000_000
 
 _LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
 _TRANSLATIONS: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> tables
-_SHARED: WeakKeyDictionary = WeakKeyDictionary()  # product -> source, orders
 _COMPOSED: WeakKeyDictionary = WeakKeyDictionary()  # product -> its factors
 
 
@@ -332,61 +323,21 @@ def compose_lattice(
     _COMPOSED[product] = (left, right)
 
 
-def share_lattice(
-    product: FiniteAlgebra, source: FiniteAlgebra, leaves: tuple,
-    source_leaves: tuple, sizes: dict,
-) -> None:
-    """Record that `product` and `source` are products of the same leaves:
-    `leaves` and `source_leaves` list them in each one's factor order (the
-    same multiset of keys), and `sizes` maps each key to its leaf's size.
-    The entry dies with `product`."""
-    _SHARED[product] = (source, leaves, source_leaves, sizes)
-
-
-def _digit_permutation(leaves: tuple, source_leaves: tuple, sizes: dict) -> list[int]:
-    """pi as a list: each element of the product over `leaves` maps to the
-    source element with the same digits.  The k-th occurrence of a leaf in
-    one order stands for its k-th occurrence in the other."""
-    weights: dict = {}  # leaf -> the source's place values, first occurrence last
-    weight = 1
-    for leaf in reversed(source_leaves):
-        weights.setdefault(leaf, []).append(weight)
-        weight *= sizes[leaf]
-    pi = [0]
-    for leaf in leaves:  # element x*|leaf| + d has pi(x) + d*weight
-        weight = weights[leaf].pop()
-        pi = [p + d * weight for p in pi for d in range(sizes[leaf])]
-    return pi
-
-
-def _lattice_reps(
-    algebra: FiniteAlgebra, transport: bool = True
-) -> tuple[tuple[int, ...], ...]:
+def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     """The memoised sorted rep tuples of the lattice: composed from a
-    product's factors, transported from a shared source, or built by the
-    incremental join closure.  A source's lattice is never transported in
-    turn: pools with the leaves in other orders can record two value-equal
-    products as each other's source.  Raises ResourceBoundError past
-    LATTICE_CELL_CAP cells."""
+    product's factors, or built by the incremental join closure.  Raises
+    ResourceBoundError past LATTICE_CELL_CAP cells."""
     reps = _LATTICES.get(algebra)
     if reps is not None:
         return reps
     n = algebra.size
     factors = _COMPOSED.get(algebra)
-    shared = _SHARED.get(algebra) if transport else None
     if factors is not None:
         lefts, rights = map(_lattice_reps, factors)
         _check_cells(algebra, len(lefts) * len(rights) * n)
         m = factors[1].size
         found = [tuple([a * m + b for a in r1 for b in r2])
                  for r1 in lefts for r2 in rights]
-    elif shared is not None:
-        source, *orders = shared
-        pi = _digit_permutation(*orders)
-        found = set()
-        for rep in _lattice_reps(source, transport=False):
-            first: dict[int, int] = {}
-            found.add(tuple([first.setdefault(rep[p], y) for y, p in enumerate(pi)]))
     else:
         keyed: dict[tuple[int, ...], tuple[int, int]] = {}
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
@@ -416,10 +367,9 @@ def all_congruences(
     algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
 ) -> list[Congruence]:
     """The full congruence lattice by the incremental join closure of the
-    principals, composed from a product's factors, or transported from a
-    shared source (see the module docstring).  Sorted by (number of
-    classes, rep array), so the total congruence comes first and the
-    identity last.
+    principals, or composed from a product's factors (see the module
+    docstring).  Sorted by (number of classes, rep array), so the total
+    congruence comes first and the identity last.
     """
     n = algebra.size
     if n > bound:

@@ -415,21 +415,13 @@ class CentralCongruenceReport(_Record):
         super().__init__(element, expected, ok)
 
 
-def congruence_of_central(
-    algebra: FiniteAlgebra,
-    phi: ExistentialDnf | PositiveExistential,
-    ce: CentralElement,
-) -> CentralCongruenceReport:
-    """The relation {(a, c) : formula holds at (a, c, e)} must be the factor
-    congruence pair.theta on the zero side of the element's pair.  A relation
-    equal to theta is a congruence, so it is compared with theta cell by cell
-    and never checked for being one."""
-    return _central_report(DnfEvaluator(algebra, phi), ce)
-
-
 def _central_report(ev: DnfEvaluator, ce: CentralElement) -> CentralCongruenceReport:
-    """`congruence_of_central` with the formula already compiled over the
-    algebra, so that one compilation serves all of its central elements."""
+    """One central element's check in `correspondence_check`, with the
+    formula compiled once over the algebra: the relation {(a, c) : formula
+    holds at (a, c, e)} must be the factor congruence pair.theta on the zero
+    side of the element's pair.  A relation equal to theta is a congruence,
+    so it is compared with theta cell by cell and never checked for being
+    one."""
     rep = ce.pair.theta.rep
     n = len(rep)
     ok = all(

@@ -194,6 +194,9 @@ class _Parser:
 
     # formula := ["exists" ident+ "."] dnf
     def parse_formula(self) -> ExistentialDnf:
+        for role in (ROLE_X, ROLE_Y, *z_roles(self.l)):
+            if self.signature.has(role):
+                raise FormulaSyntaxError(f"symbol '{role}' shadows a role name")
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "forall":
             raise FormulaSyntaxError("not existential: universal quantifier", tok.pos)

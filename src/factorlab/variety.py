@@ -12,7 +12,6 @@ from .congruences import (
     all_congruences,
     compose_lattice,
     median_term,
-    share_lattice,
 )
 from .core import (
     FiniteAlgebra,
@@ -98,28 +97,17 @@ def generate_pool(
     factor, whose tables are those of a member.  Quotients and subalgebras
     are built as bare tables; a name and a recipe are formatted only for a
     construction that enters the pool.  A product records the indices of its
-    two factors.
-
-    Each member has a leaf tuple: the pool indices of the non-product
-    members under it, in tree order (a non-product member is its own leaf).
-    A product's element index is the mixed-radix number of its leaves'
-    elements, so products with the same leaf sequence have the same tables,
-    and a product whose leaf sequence was built before is not built again.
-    When the generator has a median term (`median_term`), every product
-    that enters is recorded with its two factors through `compose_lattice`,
-    and its lattice is composed from theirs.  Otherwise a product that
-    enters with the leaf multiset of an earlier member shares that member's
-    lattice through `share_lattice`.  The pair seed
-    (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y) is then a
+    two factors.  When the generator has a median term (`median_term`),
+    every product that enters is recorded with its two factors through
+    `compose_lattice`, and its lattice is composed from theirs; otherwise
+    each member's lattice is built directly.  The pair seed (x, y) is
+    skipped when y is in Sg(x) or x in Sg(y): Sg(x, y) is then a
     singleton's subalgebra, offered already.
     """
     gen = ctx.generator
     composes = median_term(gen) is not None
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
-    leaves = [(0,)]  # pool index -> its leaf tuple
-    built: set[tuple[int, ...]] = set()  # leaf sequences of products built
-    sources: dict[tuple[int, ...], tuple] = {}  # sorted leaves -> first member
 
     def enters(size: int, tables: tuple[tuple[int, ...], ...]) -> bool:
         """Whether a construction is small enough and new; if so, it is now
@@ -168,10 +156,6 @@ def generate_pool(
                 sizes = (e1.algebra.size, e2.algebra.size)
                 if sizes[0] * sizes[1] > max_size or 1 in sizes:
                     continue
-                key = leaves[i] + leaves[j]
-                if key in built:  # the tables of a product built before
-                    continue
-                built.add(key)
                 p = direct_product(e1.algebra, e2.algebra)
                 if not enters(p.size, p.tables):
                     continue
@@ -179,19 +163,8 @@ def generate_pool(
                     p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
                 if composes:
                     compose_lattice(p, e1.algebra, e2.algebra)
-                    continue
-                source, source_key = sources.setdefault(tuple(sorted(key)), (p, key))
-                if source is not p:
-                    share_lattice(p, source, key, source_key,
-                                  {k: entries[k].algebra.size for k in key})
         if not fresh:
             break
-        for k, entry in enumerate(fresh, len(entries)):
-            if entry.factors is None:
-                leaves.append((k,))
-            else:
-                i, j = entry.factors
-                leaves.append(leaves[i] + leaves[j])
         entries.extend(fresh)
         new = fresh
     return entries

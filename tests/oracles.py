@@ -44,6 +44,8 @@ preservation harness for positive formulas, which only the tests use too.
 it was before it went factor by factor: one search over the materialized
 F(x) x F(x,y).  `recheck_substitution_every_member` is its substitution
 re-check as it was before it skipped recorded products.
+`congruence_of_central` is `correspondence_check`'s report on one central
+element, which only the tests ask for.
 `congruence_of_central_classified` is the correspondence check per central
 element as it was before it compared with the factor congruence directly:
 the relation is first classified as an equivalence and a congruence.
@@ -84,6 +86,7 @@ from factorlab.dfc import (
     DfcReport,
 )
 import factorlab.congruences as congruences
+import factorlab.dfc as dfc
 from factorlab.congruences import _quotient_name, _quotient_tables
 from factorlab.core import _images, _subalgebra_name, _subalgebra_tables
 from factorlab.errors import InternalCheckError
@@ -655,6 +658,16 @@ class ClassifiedCentralReport:
     @property
     def ok(self) -> bool:
         return self.is_congruence and self.matches_pair
+
+
+def congruence_of_central(
+    algebra: FiniteAlgebra,
+    phi: ExistentialDnf | PositiveExistential,
+    ce,
+):
+    """One central element's report from `correspondence_check`, with the
+    formula compiled for this element alone, by the evaluator `dfc` reads."""
+    return dfc._central_report(dfc.DnfEvaluator(algebra, phi), ce)
 
 
 def congruence_of_central_classified(

@@ -1,12 +1,18 @@
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, REPO
 import factorlab.cli as cli
@@ -774,6 +780,112 @@ def test_deeply_nested_formula_exits_2(capsys, tmp_path):
     code = main(["dfc", "verify", str(FIXTURES / "rings.ctx"), str(deep)])
     assert code == 2
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def _c2_with(symbol, arity):
+    """The c2.alg fixture with one more operation, constant 1 or identity."""
+    data = json.loads((FIXTURES / "c2.alg").read_text())
+    data["ops"][symbol] = {"arity": arity, "table": [1] if arity == 0 else [0, 1]}
+    return data
+
+
+@pytest.mark.parametrize("symbol, arity", [("x", 0), ("y", 1), ("z1", 0)])
+def test_symbol_named_like_a_role_exits_2(capsys, tmp_path, symbol, arity):
+    # read as the constant 1, "x = y" used to fail at a = b = c = d = 0, a
+    # point where the roles' x = y holds
+    ctx = tmp_path / "shadow.ctx"
+    ctx.write_text(json.dumps({"generator": _c2_with(symbol, arity), "l": 1,
+                               "zero": ["0"], "one": ["1"]}))
+    formula = tmp_path / "eq.fm"
+    formula.write_text("x = y")
+    assert main(["dfc", "verify", str(ctx), str(formula)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: symbol '{symbol}' shadows a role name\n"
+
+
+# -- fuzzed input only ever exits 0, 2, 3, 4, 5 or 6 ---------------------------
+
+_C2 = json.loads((FIXTURES / "c2.alg").read_text())
+_CONTEXT = {"generator": "c2.alg", "l": 1, "zero": ["0"], "one": ["1"]}
+_HUGE = "\0huge\0"  # stands for an integer past json's 4,300-digit limit
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text(max_size=4),
+    st.integers(-1, 3), st.sampled_from([10**30, 10**4000, _HUGE]),
+    st.lists(st.integers(-1, 3), max_size=5),
+    st.dictionaries(st.sampled_from(["arity", "table", "name"]),
+                    st.integers(0, 2), max_size=2),
+)
+_FORMULAS = [
+    "x = y", r"x \/ z1 = y \/ z1", r"exists w . x /\ w = y", "x != y or x = y",
+    "x = ", "forall w . x = y", "exists x . x = y", "frob(x) = y", "z2 = x",
+    "", "x = y = z1", "((x = y)", r"\/(x) = y", "# a comment alone",
+    "exists w w . x = w", "x ≠ y",
+]
+_COMMANDS = [
+    ["algebra", "show", "{alg}"],
+    ["cong", "{alg}", "--factor-pairs"],
+    ["cong", "{alg}", "--compactness", "0,1"],
+    ["central", "list", "{ctx}"],
+    ["dfc", "verify", "{ctx}", "{fm}", "--pool-depth", "1"],
+    ["pipeline", "{ctx}", "{fm}", "--pool-depth", "1"],
+    ["freealg", "dump", "{ctx}"],
+]
+
+
+def _paths(data, prefix=()):
+    """The key path of every value nested in `data`'s dicts and lists."""
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else ())
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    """The c2 fixture and a context over it, with up to three values dropped
+    or replaced; the generator is a path or inline; a formula text drawn
+    from a set of well-formed and malformed ones."""
+    files = {"alg": json.loads(json.dumps(_C2)),
+             "ctx": json.loads(json.dumps(_CONTEXT))}
+    if draw(st.booleans()):
+        files["ctx"]["generator"] = files["alg"]
+    for _ in range(draw(st.integers(0, 3))):
+        data = files[draw(st.sampled_from(["alg", "ctx"]))]
+        *parent, key = draw(st.sampled_from(list(_paths(data))))
+        for k in parent:
+            data = data[k]
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_VALUES)
+    return files["alg"], files["ctx"], draw(st.sampled_from(_FORMULAS))
+
+
+def _json_text(data) -> str:
+    return json.dumps(data).replace(json.dumps(_HUGE), "1" + "0" * 5000)
+
+
+@given(mutated_files())
+@example((_c2_with("x", 0), _CONTEXT, "x = y"))
+@example((_C2, dict(_CONTEXT, generator=_c2_with("y", 1)), "x = y"))
+def test_fuzzed_input_exits_with_a_documented_code(files):
+    alg, ctx, formula = files
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"alg": Path(tmp) / "c2.alg", "ctx": Path(tmp) / "c2.ctx",
+                 "fm": Path(tmp) / "phi.fm"}
+        paths["alg"].write_text(_json_text(alg))
+        paths["ctx"].write_text(_json_text(ctx))
+        paths["fm"].write_text(formula)
+        for command in _COMMANDS:
+            argv = [arg.format(**paths) for arg in command]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4, 5, 6), (argv, code, err.getvalue())
+            assert "Traceback" not in err.getvalue()
 
 
 def test_scripts_run_against_the_public_api():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import inspect
 import itertools
@@ -5,7 +6,7 @@ import sys
 from weakref import WeakKeyDictionary
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from factorlab import (
@@ -543,72 +544,15 @@ def test_pair_graph_pass_needs_no_recursion():
     assert reps == {(0, 1): (0,) * n}
 
 
-def test_transport_entry_dies_with_its_algebra():
-    # value-equal algebras share an entry, so the names must be unique
-    name = "transport probe, used by no other test"
-    c2 = FiniteAlgebra(Signature((("f", 1),)), 2, ((1, 0),), f"{name} C2")
-    c3 = FiniteAlgebra(Signature((("f", 1),)), 3, ((1, 2, 0),), f"{name} C3")
-    source, product = direct_product(c2, c3), direct_product(c3, c2)
-    congruences.share_lattice(product, source, (1, 0), (0, 1), {0: 2, 1: 3})
-    assert len(all_congruences(product)) == 4
-    assert product in congruences._SHARED
-    assert source in congruences._LATTICES
-    del c2, c3, source, product
-    gc.collect()
-    for memo in (congruences._SHARED, congruences._LATTICES):
-        assert not any(a.name.startswith(name) for a in memo.keys())
-
-
-def test_transport_takes_one_step(monkeypatch):
-    # two pools can find the same leaves in opposite orders, so each product
-    # can be recorded as the other's source
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-    c2, c3 = chain_lattice(2), chain_lattice(3)
-    left, right = direct_product(c2, c3), direct_product(c3, c2)
-    congruences.share_lattice(left, right, (0, 1), (1, 0), {0: 2, 1: 3})
-    congruences.share_lattice(right, left, (1, 0), (0, 1), {0: 2, 1: 3})
-    transported = _reps(all_congruences(left))
-    assert right in congruences._LATTICES
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-    monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-    assert transported == _reps(all_congruences(left))
-
-
 def _clear_lattice_memos(monkeypatch):
-    """Empty the lattice memo and both product registries, so that the next
+    """Empty the lattice memo and the product registry, so that the next
     lattice of each algebra is a direct build."""
-    for memo in ("_LATTICES", "_SHARED", "_COMPOSED"):
+    for memo in ("_LATTICES", "_COMPOSED"):
         monkeypatch.setattr(congruences, memo, WeakKeyDictionary())
 
 
 def _pair_reps(algebra):
     return [(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra, algebra.size)]
-
-
-def _match_direct_builds(monkeypatch, name, max_size, registry):
-    """Every lattice and factor pair of the depth-3 pool against a direct
-    build; returns how many members `registry` holds."""
-    _clear_lattice_memos(monkeypatch)
-    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
-    members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
-    registered = sum(a in getattr(congruences, registry) for a in members)
-    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
-    pairs = [_pair_reps(a) for a in members]
-    _clear_lattice_memos(monkeypatch)
-    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
-    assert pairs == [_pair_reps(a) for a in members]
-    return registered
-
-
-# only rings_z6 has no median term: the other pools compose, not transport
-@pytest.mark.parametrize("name, max_size, transported", [
-    ("lattices", 27, 0), ("rings", 27, 0), ("boolean", 32, 0),
-    ("rings_z6", 27, 12),
-])
-def test_transported_lattices_match_direct_builds(monkeypatch, name, max_size,
-                                                  transported):
-    assert _match_direct_builds(monkeypatch, name, max_size, "_SHARED") == transported
 
 
 def test_lattice_past_the_cell_cap_raises(monkeypatch):
@@ -634,67 +578,31 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
 ])
 def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
                                                composed):
-    assert _match_direct_builds(monkeypatch, name, max_size, "_COMPOSED") == composed
+    # every lattice and factor pair of the depth-3 pool against a direct build
+    _clear_lattice_memos(monkeypatch)
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
+    assert sum(a in congruences._COMPOSED for a in members) == composed
+    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
+    pairs = [_pair_reps(a) for a in members]
+    _clear_lattice_memos(monkeypatch)
+    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
+    assert pairs == [_pair_reps(a) for a in members]
 
 
-def test_pool_lattices_are_built_once_per_leaf_multiset(monkeypatch):
-    counts = _count_principal_closures(monkeypatch)
-    pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
-                         max_size=27, depth=3)
-    for entry in pool:
-        all_congruences(entry.algebra, bound=entry.algebra.size)
-    # one build per non-product member: the lattices of the 48 products are
-    # composed from their factors'
-    assert len(counts["algebras"]) == len(set(counts["algebras"])) == 15
-
-
-def _product_of(leaves, order):
-    out = leaves[order[0]]
-    for k in order[1:]:
-        out = direct_product(out, leaves[k])
-    return out
-
-
-@st.composite
-def permuted_products(draw):
-    """1-3 drawn leaves of 2-3 elements, a sequence of 2-3 of them, repeats
-    allowed, and a permutation of that sequence.  Each leaf has x + y mod n
-    through a permutation, which keeps the products' lattices small, and a
-    random unary operation."""
-    signature = Signature((("g", 2), ("f", 1)))
-    leaves = []
-    for k in range(draw(st.integers(1, 3))):
-        n = draw(st.integers(2, 3))
-        perm = draw(st.permutations(range(n)))
-        tables = (
-            tuple(perm[(x + y) % n] for x in range(n) for y in range(n)),
-            tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))),
-        )
-        leaves.append(FiniteAlgebra(signature, n, tables, f"L{k}"))
-    order = draw(st.lists(st.integers(0, len(leaves) - 1), min_size=2, max_size=3))
-    return leaves, tuple(order), tuple(draw(st.permutations(order)))
-
-
-@given(permuted_products())
-@example(([chain_lattice(2), chain_lattice(3)], (0, 1), (1, 0)))
-@example(([chain_lattice(2), chain_lattice(3), _power(chain_lattice(2), 2)],
-          (0, 1, 2), (1, 2, 0)))
-@example(([chain_lattice(2), chain_lattice(3)], (0, 1, 1), (1, 0, 1)))
-def test_transported_lattice_matches_direct_build(drawn):
-    leaves, order, source_order = drawn
-    assume(order != source_order)
-    product = _product_of(leaves, order)
-    source = _product_of(leaves, source_order)
-    sizes = {k: leaves[k].size for k in order}
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-        monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-        congruences.share_lattice(product, source, order, source_order, sizes)
-        transported = _reps(all_congruences(product, bound=product.size))
-        assert product in congruences._LATTICES
-        monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-        monkeypatch.setattr(congruences, "_SHARED", WeakKeyDictionary())
-        assert transported == _reps(all_congruences(product, bound=product.size))
+def test_pool_lattices_are_built_once_per_leaf_multiset():
+    # lattices: one build per non-product member, the lattices of the 48
+    # products being composed from their factors'; rings_z6 has no median
+    # term, so each of its 30 members is built once
+    for name, members, builds in (("lattices", 63, 15), ("rings_z6", 30, 30)):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            counts = _count_principal_closures(monkeypatch)
+            pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),
+                                 max_size=27, depth=3)
+            for entry in pool:
+                all_congruences(entry.algebra, bound=entry.algebra.size)
+            assert len(pool) == members
+            assert len(counts["algebras"]) == len(set(counts["algebras"])) == builds
 
 
 @pytest.mark.parametrize("name, pair", [
@@ -754,7 +662,7 @@ def test_composed_lattice_matches_direct_build(drawn):
         _clear_lattice_memos(monkeypatch)
         # every product level is registered, as generate_pool does
         inner_leaves = leaves[1:] if to_the_right else leaves[:-1]
-        inner = _product_of(inner_leaves, range(len(inner_leaves)))
+        inner = functools.reduce(direct_product, inner_leaves)
         if len(inner_leaves) == 2:
             congruences.compose_lattice(inner, *inner_leaves)
         outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])

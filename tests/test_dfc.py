@@ -8,7 +8,6 @@ from factorlab import (
     DnfEvaluator,
     ResourceBoundError,
     central_elements,
-    congruence_of_central,
     correspondence_check,
     direct_product,
     factor_pairs,
@@ -20,6 +19,7 @@ from factorlab.fileio import load_context, load_formula
 from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
 from conftest import FIXTURES
 from oracles import (
+    congruence_of_central,
     congruence_of_central_classified,
     ring_idempotents,
     verify_dfc_cells,

@@ -13,7 +13,6 @@ from factorlab import (
     Signature,
     VarietyContext,
     central_elements,
-    congruence_of_central,
     direct_product,
     eval_term,
     pair_index,
@@ -45,6 +44,7 @@ from test_positivize import _recheck_outcome
 from oracles import (
     all_witnesses,
     congruence_meet,
+    congruence_of_central,
     congruence_of_central_classified,
     first_witness,
     masked_witnesses_naive,

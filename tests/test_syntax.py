@@ -11,6 +11,7 @@ from factorlab import (
     FormulaSyntaxError,
     Literal,
     PositiveExistential,
+    Signature,
     ValidationError,
     direct_product,
     pair_index,
@@ -85,6 +86,18 @@ def test_parse_z2_allowed_when_l_is_two():
 def test_parse_bound_shadowing_role_rejected():
     with pytest.raises(FormulaSyntaxError, match="shadows a role"):
         parse_formula("exists x . x = y", SIG, 1)
+
+
+@pytest.mark.parametrize("symbol, arity", [("x", 0), ("y", 1), ("z1", 0)])
+def test_parse_symbol_shadowing_role_rejected(symbol, arity):
+    # read as a symbol, the role would silently become a term of the signature
+    sig = Signature(SIG.symbols + ((symbol, arity),))
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("x = y", sig, 1)
+    assert str(err.value) == f"symbol '{symbol}' shadows a role name"
+    # z2 is a role only when l is at least two; closed terms have no roles
+    assert parse_formula("x = y", Signature(SIG.symbols + (("z2", 0),)), 1).l == 1
+    assert parse_term_text("0", sig) == App("0", ())
 
 
 def test_parse_bound_colliding_with_symbol_rejected():

@@ -17,6 +17,7 @@ from corpus import (
     dump_context,
     lattice_context,
     ring_context,
+    shadowing_lattice,
 )
 
 FORMULAS = {
@@ -63,11 +64,14 @@ def main(root: Path) -> None:
     for name, (builder, stem, gen_path) in CONTEXTS.items():
         ctx = builder(algebras[stem])
         dump_context(ctx, root / name, generator_path=gen_path)
+    # a constant spelled like a generator variable, which `freealg dump`
+    # refuses; the generator is inline, so it is no corpus algebra
+    dump_context(lattice_context(shadowing_lattice()), root / "shadow_x.ctx")
     formulas = root / "formulas"
     formulas.mkdir(exist_ok=True)
     for name, text in FORMULAS.items():
         (formulas / name).write_text(text, encoding="utf-8")
-    print(f"wrote {len(algebras)} algebras, {len(CONTEXTS)} contexts, "
+    print(f"wrote {len(algebras)} algebras, {len(CONTEXTS) + 1} contexts, "
           f"{len(FORMULAS)} formulas under {root}")
 
 

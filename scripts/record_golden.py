@@ -107,6 +107,9 @@ def invocations() -> list[list[str]]:
         # the correspondence stage over every member of that pool
         ["pipeline", _ctx("lattices"), _fm("lattice_mixed"),
          "--pool-depth", "3", "--max-size", "27"],
+        # a constant named x, which the dump would print like the generator:
+        # exit 2
+        ["freealg", "dump", _ctx("shadow_x")],
     ]
     machine = [argv + ["--format", "machine"] for argv in out]
     # a few in text mode as well

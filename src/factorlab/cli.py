@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import fileio
@@ -42,7 +43,12 @@ from .errors import (
     ResourceBoundError,
     ValidationError,
 )
-from .freealg import DEFAULT_BUDGET, free_algebra, free_pair_context
+from .freealg import (
+    DEFAULT_BUDGET,
+    _default_var_names,
+    free_algebra,
+    free_pair_context,
+)
 from .terms import term_text
 from .positivize import enumerate_witnesses, positivize
 from .variety import VarietyContext, verify_zero_one_condition
@@ -169,8 +175,26 @@ def cmd_cong(args) -> int:
     return EXIT_OK
 
 
+def _shadowed_variable(signature, rank: int) -> str | None:
+    """The first signature symbol spelled like one of the generator
+    variables the dump prints at this rank (x; x, y; x1..xN): the dump would
+    give two elements one term."""
+    for symbol, _ in signature.symbols:
+        if rank <= 2:
+            if symbol in _default_var_names(rank):
+                return symbol
+        # xK with K <= N, compared as (digits, text) with no int built
+        elif re.fullmatch(r"x[1-9][0-9]*", symbol) and (
+                (len(symbol) - 1, symbol[1:]) <= (len(str(rank)), str(rank))):
+            return symbol
+    return None
+
+
 def cmd_freealg_dump(args) -> int:
     ctx = fileio.load_context(args.ctx)
+    shadowed = _shadowed_variable(ctx.signature, args.rank)
+    if shadowed is not None:
+        raise ValidationError(f"symbol '{shadowed}' shadows a generator variable")
     fa = free_algebra(ctx.generator, args.rank, budget=args.budget)
     lines = [
         f"free algebra of rank {fa.rank} over {fa.base.name}: "

@@ -161,9 +161,9 @@ def direct_product(
 ) -> FiniteAlgebra:
     """Coordinatewise product on universe {0..|A|*|B|-1}, index = a*|B| + b.
 
-    A binary table is built one row at a time: the row of (a1, b1) is
-    A's row of a1, scaled by |B|, plus B's row of b1, in argument order.
-    Other arities read each coordinate's table through `_images`.
+    A binary table is built in one pass: the row of (a1, b1) is A's row of
+    a1, scaled by |B|, plus B's row of b1, in argument order.  Other
+    arities read each coordinate's table through `_images`.
     """
     if a.signature != b.signature:
         raise ValidationError(
@@ -179,11 +179,10 @@ def direct_product(
         if arity == 2:
             scaled = [[x * nb for x in ta[i : i + na]] for i in range(0, na * na, na)]
             rows = [tb[i : i + nb] for i in range(0, nb * nb, nb)]
-            table: list[int] = []
-            for row_a in scaled:
-                for row_b in rows:
-                    table += [x + y for x in row_a for y in row_b]
-            tables.append(tuple(table))
+            tables.append(tuple([
+                x + y for row_a in scaled for row_b in rows
+                for x in row_a for y in row_b
+            ]))
             continue
         xs = _images(ta, arity, left, na)
         ys = _images(tb, arity, right, nb)

@@ -184,14 +184,16 @@ class _Side:
     is a == c if `diagonal` and False otherwise, so that without it the
     counts are per signature.
 
-    A member that is not a recorded product is searched, one
-    `DnfEvaluator.failure_masks` call per (a, c).  A product P = A x B is
-    never searched: zero and one values are coordinatewise, so its signature
-    at ((a1, a2), (c1, c2)) is, per disjunct, {fa & fb} over A's at (a1, c1)
-    and B's at (a2, c2), composed once per pair of ids.  Its histogram is
-    composed from the factors': each pair of entries adds the product of
-    their counts to (the composed id, both flags).  Its relation is composed
-    from theirs only when `relation` asks for it.
+    A member that is not a recorded product (an entry with `factors`: a
+    product, or a quotient of one that has the tables of its factors'
+    product) is searched, one `DnfEvaluator.failure_masks` call per (a, c).
+    A recorded product P = A x B is never searched: zero and one values are
+    coordinatewise, so its signature at ((a1, a2), (c1, c2)) is, per
+    disjunct, {fa & fb} over A's at (a1, c1) and B's at (a2, c2), composed
+    once per pair of ids.  Its histogram is composed from the factors': each
+    pair of entries adds the product of their counts to (the composed id,
+    both flags).  Its relation is composed from theirs only when `relation`
+    asks for it.
     """
 
     __slots__ = ("by_id", "histograms", "_pool", "_ids", "_composed",

@@ -29,11 +29,14 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
+from typing import TYPE_CHECKING
 
 from .core import FiniteAlgebra, _capped_power, pair_index, pair_split
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import App, Term, Var, _Record
-from .variety import VarietyContext
+
+if TYPE_CHECKING:  # `variety` builds its pools' seeds from `free_algebra`
+    from .variety import VarietyContext
 
 DEFAULT_BUDGET = 100_000
 # Cap on carrier size x n**rank: the cells of all carrier vectors together.

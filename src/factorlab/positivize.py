@@ -212,7 +212,9 @@ def _recheck_substitution(result: PositivizeResult, ctx: VarietyContext) -> None
     terms.  Every pool member is in HSP(generator), built from it by
     quotients, subalgebras and products, so an identity that holds in the
     generator holds in every member, and one that fails there fails in the
-    pool's first member."""
+    pool's first member.  No other member is evaluated: neither a recorded
+    product nor, under a median term, a quotient of one recorded with its
+    factors."""
     psi = result.phi_prime
     zs = z_roles(psi.l)
     algebra = ctx.generator

@@ -114,6 +114,13 @@ def lattice_context(generator: FiniteAlgebra) -> VarietyContext:
     return VarietyContext(generator, (App("0"),), (App("1"),))
 
 
+def shadowing_lattice() -> FiniteAlgebra:
+    """C2 with one more constant, 1, named like the rank-1 free generator."""
+    c2 = chain_lattice(2)
+    return FiniteAlgebra(Signature(c2.signature.symbols + (("x", 0),)), 2,
+                         c2.tables + ((1,),), "C2+x")
+
+
 def boolean_signature() -> Signature:
     return Signature(
         (("/\\", 2), ("\\/", 2), ("not", 1), ("0", 0), ("1", 0))

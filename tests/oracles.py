@@ -12,6 +12,9 @@ element.  `generate_pool_rescan` is the pool as it was before each member
 was expanded once: every round rescans every member and every pair.
 `generate_pool_reference` is the pool as it was before it keyed products by
 their leaves and skipped pair seeds inside a singleton's subalgebra.
+`generate_pool_closed` is the pool as it was before it read seeds off F(2)
+and built quotients of products as products: one closure per seed, one
+quotient per congruence.
 `direct_product_cellwise` is the product as it was before it read its
 tables through `core._images`: one index computation per cell, and
 `direct_product_images` as it was before it built binary tables row by row.
@@ -87,7 +90,12 @@ from factorlab.dfc import (
 )
 import factorlab.congruences as congruences
 import factorlab.dfc as dfc
-from factorlab.congruences import _quotient_name, _quotient_tables
+from factorlab.congruences import (
+    _quotient_name,
+    _quotient_tables,
+    compose_lattice,
+    median_term,
+)
 from factorlab.core import _images, _subalgebra_name, _subalgebra_tables
 from factorlab.errors import InternalCheckError
 from factorlab.formulas import z_roles
@@ -505,6 +513,79 @@ def generate_pool_reference(
                 if enters(p.size, p.tables):
                     fresh.append(PoolEntry(
                         p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+        if not fresh:
+            break
+        entries.extend(fresh)
+        new = fresh
+    return entries
+
+
+def generate_pool_closed(
+    ctx: VarietyContext, max_size: int = 8, depth: int = 2
+) -> list[PoolEntry]:
+    """`generate_pool` as it was before it read seeds off F(2) and built
+    the quotients of recorded products as products: every seed but a pair
+    inside a singleton's subalgebra is closed in its member, and every
+    quotient is built from its classes.  Only products record factors."""
+    gen = ctx.generator
+    composes = median_term(gen) is not None
+    entries = [PoolEntry(gen, "generator")]
+    seen = {(gen.size, gen.tables)}
+
+    def enters(size: int, tables: tuple[tuple[int, ...], ...]) -> bool:
+        """Whether a construction is small enough and new; if so, it is now
+        seen."""
+        if size > max_size:
+            return False
+        fp = (size, tables)
+        if fp in seen:
+            return False
+        seen.add(fp)
+        return True
+
+    new = list(entries)
+    for _ in range(depth):
+        fresh: list[PoolEntry] = []
+        for entry in new:
+            a = entry.algebra
+            for theta in all_congruences(a, a.size)[:-1]:  # the identity is last
+                size, tables, _ = _quotient_tables(a, theta)
+                if enters(size, tables):
+                    q = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _quotient_name(a, theta))
+                    fresh.append(PoolEntry(q, f"quotient({a.name}, {theta})"))
+            seeds = [()] + [(s,) for s in range(a.size)] + [
+                pair for pair in itertools.combinations(range(a.size), 2)
+            ]
+            closures: list[set[int]] = []  # closures[x] = Sg(x)
+            for seed in seeds:
+                if not seed and not a.signature.constants:
+                    continue
+                if len(seed) == 2:
+                    x, y = seed
+                    if y in closures[x] or x in closures[y]:
+                        continue
+                size, tables, embedding = _subalgebra_tables(a, seed)
+                if len(seed) == 1:
+                    closures.append(set(embedding))
+                if enters(size, tables):
+                    sub = FiniteAlgebra._trusted(
+                        a.signature, size, tables, _subalgebra_name(a, seed))
+                    fresh.append(PoolEntry(sub, f"subalgebra({a.name}, {list(seed)})"))
+        old = len(entries) - len(new)  # the new members are the tail
+        for i, e1 in enumerate(entries):
+            for j in range(old if i < old else 0, len(entries)):
+                e2 = entries[j]
+                sizes = (e1.algebra.size, e2.algebra.size)
+                if sizes[0] * sizes[1] > max_size or 1 in sizes:
+                    continue
+                p = direct_product(e1.algebra, e2.algebra)
+                if not enters(p.size, p.tables):
+                    continue
+                fresh.append(PoolEntry(
+                    p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+                if composes:
+                    compose_lattice(p, e1.algebra, e2.algebra)
         if not fresh:
             break
         entries.extend(fresh)

@@ -18,6 +18,7 @@ from conftest import FIXTURES, REPO
 import factorlab.cli as cli
 from factorlab.cli import _build_parser, main
 from factorlab.congruences import LATTICE_CELL_CAP
+from factorlab.core import Signature
 
 
 def run_cli(capsys, *argv):
@@ -802,6 +803,35 @@ def test_symbol_named_like_a_role_exits_2(capsys, tmp_path, symbol, arity):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: symbol '{symbol}' shadows a role name\n"
+
+
+@pytest.mark.parametrize("symbol, rank, shadows", [
+    ("x", 1, True), ("y", 1, False), ("y", 2, True), ("x2", 3, True),
+    ("x4", 3, False), ("x03", 3, False), ("x10", 12, True),
+])
+def test_dump_refuses_a_symbol_named_like_a_generator(capsys, tmp_path, symbol,
+                                                      rank, shadows):
+    # the dump used to print the constant and the generator as one term
+    ctx = tmp_path / "shadow.ctx"
+    ctx.write_text(json.dumps({"generator": _c2_with(symbol, 0), "l": 1,
+                               "zero": ["0"], "one": ["1"]}))
+    code = main(["freealg", "dump", str(ctx), "--rank", str(rank),
+                 "--format", "machine"])
+    captured = capsys.readouterr()
+    if shadows:
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"error: symbol '{symbol}' shadows a generator variable\n")
+    else:
+        terms = json.loads(captured.out)["terms"]
+        assert code == 0 and len(set(terms)) == len(terms)
+
+
+def test_dump_compares_generator_numbers_by_value():
+    signature = Signature((("x9", 0), ("x12", 0), ("x13", 0), ("x" + "1" * 5000, 0)))
+    assert cli._shadowed_variable(signature, 10) == "x9"
+    assert cli._shadowed_variable(Signature(signature.symbols[1:]), 12) == "x12"
+    assert cli._shadowed_variable(Signature(signature.symbols[2:]), 12) is None
 
 
 # -- fuzzed input only ever exits 0, 2, 3, 4, 5 or 6 ---------------------------

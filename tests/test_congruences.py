@@ -365,7 +365,7 @@ def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch)
 
 
 @pytest.mark.parametrize("ctx, formula, members", [
-    ("lattices", "lattice_mixed", 10), ("rings", "ring_mixed", 2),
+    ("lattices", "lattice_mixed", 7), ("rings", "ring_mixed", 2),
 ])
 def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
                                            members):
@@ -512,12 +512,13 @@ def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
 def test_pool_principal_closures_are_pinned(monkeypatch):
     counts = _count_principal_closures(monkeypatch)
     generate_pool(load_context(str(FIXTURES / "lattices.ctx")), max_size=27, depth=3)
-    # 14 members are expanded, and the lattices of the four products among
-    # them are composed from their factors': C3 has a median term
-    assert len(counts["algebras"]) == 10
-    assert counts["closures"] == 63
+    # 14 members are expanded, and the lattices of the four products and
+    # the three quotients of products among them are composed from their
+    # factors': C3 has a median term
+    assert len(counts["algebras"]) == 7
+    assert counts["closures"] == 39
     # closing every pair from scratch takes one closure per pair
-    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 81
+    assert sum(len(_all_pairs(a)) for a in counts["algebras"]) == 45
 
 
 def test_pair_graph_pass_needs_no_recursion():
@@ -573,7 +574,7 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("name, max_size, composed", [
-    ("lattices", 27, 48), ("rings", 27, 3), ("boolean", 32, 4),
+    ("lattices", 27, 56), ("rings", 27, 3), ("boolean", 32, 4),
     ("rings_z6", 27, 0),
 ])
 def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
@@ -592,9 +593,10 @@ def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
 
 def test_pool_lattices_are_built_once_per_leaf_multiset():
     # lattices: one build per non-product member, the lattices of the 48
-    # products being composed from their factors'; rings_z6 has no median
-    # term, so each of its 30 members is built once
-    for name, members, builds in (("lattices", 63, 15), ("rings_z6", 30, 30)):
+    # products and the 8 quotients of products being composed from their
+    # factors'; rings_z6 has no median term, so each of its 30 members is
+    # built once
+    for name, members, builds in (("lattices", 63, 7), ("rings_z6", 30, 30)):
         with pytest.MonkeyPatch.context() as monkeypatch:
             counts = _count_principal_closures(monkeypatch)
             pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),

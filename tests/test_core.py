@@ -32,6 +32,7 @@ from factorlab.terms import App, Var
 from oracles import (
     direct_product_cellwise,
     direct_product_images,
+    generate_pool_closed,
     generate_pool_reference,
     generate_pool_rescan,
     is_homomorphism,
@@ -330,15 +331,27 @@ def test_pool_products_record_their_factors(name, depth, max_size):
     pool = generate_pool(ctx, max_size=max_size, depth=depth)
     products = [(k, e) for k, e in enumerate(pool) if e.factors is not None]
     assert products
-    assert all(
-        e.recipe.startswith("product(") == (e.factors is not None) for e in pool
-    )
+    # every product records its factors, and so does a quotient of a
+    # recorded product when the generator has a median term, and no other
+    # member does
+    composes = factorlab.congruences.median_term(ctx.generator) is not None
+    recorded = {e.algebra.name for _, e in products}
+    for entry in pool:
+        if entry.recipe.startswith("quotient("):
+            of = entry.recipe[len("quotient("):].rsplit(", {", 1)[0]
+            assert (entry.factors is not None) == (composes and of in recorded)
+        else:
+            assert (entry.factors is not None) == entry.recipe.startswith("product(")
     for k, entry in products:
         i, j = entry.factors
         a, b = pool[i].algebra, pool[j].algebra
         assert i < k and j < k
-        assert entry.algebra == direct_product(a, b)
-        assert entry.recipe == f"product({a.name}, {b.name})"
+        if entry.recipe.startswith("product("):
+            assert entry.algebra == direct_product(a, b)
+            assert entry.recipe == f"product({a.name}, {b.name})"
+        else:  # the quotient's own name, the product's tables
+            product = direct_product(a, b, entry.algebra.name)
+            assert entry.algebra == product
 
 
 def test_pool_expands_each_member_once(monkeypatch):
@@ -388,6 +401,9 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     # has the tables of a member already in the pool
     assert products and all(a.size > 1 and b.size > 1 for a, b in products)
     assert quotients and not any(theta.is_identity() for _, theta in quotients)
+    # a quotient of a recorded product is built as a product of quotients
+    recorded = [e.algebra for e in pool if e.factors is not None]
+    assert not any(a in recorded for a, _ in quotients)
     # a name and a recipe, each with the partition's text, are formatted only
     # for a new member, and so is a subalgebra's name
     quotient_members = sum(e.recipe.startswith("quotient(") for e in pool)
@@ -406,6 +422,16 @@ def _reference_and_pool(monkeypatch, ctx, max_size, depth):
     return reference, generate_pool(ctx, max_size=max_size, depth=depth)
 
 
+def _products_factors(pool):
+    """Names, recipes, tables and order of a pool, with the factors of its
+    products; a quotient's factors are checked against `direct_product`
+    by `test_pool_products_record_their_factors`."""
+    return [
+        (e.algebra, e.recipe, e.factors if e.recipe.startswith("product(") else None)
+        for e in pool
+    ]
+
+
 @pytest.mark.parametrize("name, depth, max_size", [
     (name, depth, max_size)
     for name in ("lattices", "rings", "boolean", "rings_z6")
@@ -416,8 +442,8 @@ def _reference_and_pool(monkeypatch, ctx, max_size, depth):
 def test_pool_matches_reference(monkeypatch, name, depth, max_size):
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     reference, pool = _reference_and_pool(monkeypatch, ctx, max_size, depth)
-    # names, recipes, tables, factors and order
-    assert pool == reference
+    # names, recipes, tables, products' factors and order
+    assert _products_factors(pool) == _products_factors(reference)
 
 
 @st.composite
@@ -470,8 +496,97 @@ def test_pool_skips_known_products_and_seeds(monkeypatch):
                          max_size=27, depth=3)
     assert len(pool) == 63
     # every product is built, C3 x (C3 x C3) too, though it has the tables of
-    # (C3 x C3) x C3 and so does not enter; building every pair seed would
-    # take 902 closures, but a pair inside a singleton's subalgebra
-    # generates that subalgebra
+    # (C3 x C3) x C3 and so does not enter; 12 quotients of products are
+    # built as products too (8 enter), and the rounds' products skip the 12
+    # pairs those multiplied
     assert len(calls["direct_product"]) == 64
-    assert len(calls["_subalgebra_tables"]) == 715
+    # one closure per expanded member, of the empty seed: every other seed
+    # is read off F(2), where closing every seed but a pair inside a
+    # singleton's subalgebra took 715
+    assert len(calls["_subalgebra_tables"]) == 14
+
+
+@st.composite
+def chain_contexts(draw):
+    """A context over a chain lattice of 2-3 elements with a random unary
+    operation f: the lattice operations give a median term, so quotients of
+    products are built as products, and F(2) is mostly small."""
+    n = draw(st.integers(2, 3))
+    leaf = chain_lattice(n)
+    table = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    generator = FiniteAlgebra(Signature(leaf.signature.symbols + (("f", 1),)), n,
+                              leaf.tables + (table,), f"C{n}+f")
+    return lattice_context(generator)
+
+
+def _matches_closing_every_seed(ctx, max_size, depth):
+    """The pool against `generate_pool_closed`: names, recipes, sizes,
+    tables, order and products' factors; and every entry with factors,
+    a quotient of a product too, has the tables of their product."""
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    closed = generate_pool_closed(ctx, max_size=max_size, depth=depth)
+    assert _products_factors(pool) == _products_factors(closed)
+    for k, entry in enumerate(pool):
+        if entry.factors is not None:
+            i, j = entry.factors
+            assert i < k and j < k
+            product = direct_product(pool[i].algebra, pool[j].algebra)
+            assert (entry.algebra.size, entry.algebra.tables) == (
+                product.size, product.tables)
+    return pool
+
+
+@given(st.one_of(generator_contexts(), chain_contexts()),
+       st.sampled_from([8, 12, 16]), st.integers(1, 3))
+def test_drawn_pool_matches_closing_every_seed(ctx, max_size, depth):
+    _matches_closing_every_seed(ctx, max_size, depth)
+
+
+@pytest.mark.parametrize("name, depth, max_size, reads_f2", [
+    ("lattices", 3, 27, True), ("rings", 3, 32, True), ("boolean", 3, 32, True),
+    ("rings_z6", 2, 36, False),
+    # a constant named x, like F(2)'s first generator
+    ("shadow_x", 3, 16, True),
+])
+def test_pool_matches_closing_every_seed(name, depth, max_size, reads_f2):
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    # F(2) of Z6 is far over the cap, so its pool closes every seed
+    assert (factorlab.variety._SeedPatterns.of(ctx.generator) is not None) == reads_f2
+    pool = _matches_closing_every_seed(ctx, max_size, depth)
+    assert any(e.factors is not None for e in pool)
+
+
+def test_deep_pool_closes_no_recorded_product(monkeypatch):
+    # the depth-4/max-64 lattice pool, about 0.3 s
+    calls = _count_pool_work(monkeypatch)
+    quotients, lattices, made = [], [], []
+    for name, made_calls in (("_quotient_tables", quotients),
+                             ("all_congruences", lattices)):
+        original = getattr(factorlab.variety, name)
+
+        def counting(*args, _original=original, _calls=made_calls):
+            _calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(factorlab.variety, name, counting)
+    of = factorlab.variety._SeedPatterns.of
+
+    def recording(generator):
+        made.append(of(generator))
+        return made[-1]
+
+    monkeypatch.setattr(factorlab.variety._SeedPatterns, "of", recording)
+    pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
+                         max_size=64, depth=4)
+    assert len(pool) == 245
+    recorded = [e.algebra for e in pool if e.factors is not None]
+    # 7 members are not recorded products, where only products were (15)
+    assert len(pool) - len(recorded) == 7
+    # no quotient of a recorded product is built from its classes
+    assert quotients and not any(a in recorded for a, _ in quotients)
+    # one closure per expanded member, of the empty seed
+    assert len(lattices) == 98
+    assert [seed for _, seed in calls["_subalgebra_tables"]] == [()] * 98
+    # every other seed is one of 20 rank patterns of F(2)'s six elements
+    assert len(made) == 1 and made[0].free.size == 6
+    assert len(made[0].by_id) == 20

@@ -137,11 +137,11 @@ def test_verify_dfc_searches_no_product_member(monkeypatch):
     report = verify_dfc(phi, ctx)
     products = [e.algebra for e in ctx.pool if e.factors is not None]
     members = [e.algebra for e in ctx.pool if e.factors is None]
-    assert (len(ctx.pool), len(products)) == (33, 23)
+    assert (len(ctx.pool), len(products)) == (33, 26)
     assert not any(a in products for a in searched)
     # every other member once per (a, c) and side, where searching every
     # member made 7,618 calls
-    assert len(searched) == 2 * sum(a.size ** 2 for a in members) == 408
+    assert len(searched) == 2 * sum(a.size ** 2 for a in members) == 232
     assert len(report.counterexamples) == 105254
 
 
@@ -205,9 +205,9 @@ def test_verify_dfc_counts_from_histograms_and_builds_rows_on_demand(monkeypatch
     # the first row's group is (C3, C3): no product relation is composed
     assert (ces[0].left, ces[0].right) == ("C3", "C3")
     assert composed == []
-    # every row: each of the 23 products once per side
+    # every row: each of the 26 recorded products once per side
     assert len(tuple(ces)) == 105254
-    assert len(composed) == 2 * 23
+    assert len(composed) == 2 * 26
 
 
 def _count_direct_products(monkeypatch) -> list:

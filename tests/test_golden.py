@@ -18,5 +18,5 @@ def test_cli_output_matches_golden_file(capsys, monkeypatch):
             case["exit"], case["stdout"], case["stderr"]
         ):
             mismatches.append(" ".join(case["argv"]))
-    assert len(cases) == 113
+    assert len(cases) == 114
     assert mismatches == []

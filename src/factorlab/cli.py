@@ -144,8 +144,11 @@ def cmd_cong(args) -> int:
         }
         _emit(args, machine, lines)
         return EXIT_OK
+    if algebra.size > args.max_size:
+        raise ResourceBoundError(f"size {algebra.size} exceeds congruence "
+                                 f"enumeration bound {args.max_size}")
     if args.factor_pairs:
-        pairs = factor_pairs(algebra, args.max_size)
+        pairs = factor_pairs(algebra)
         lines = [f"{algebra.name}: {len(pairs)} ordered factor pair(s)"]
         rows = []
         for p in pairs:
@@ -166,7 +169,7 @@ def cmd_cong(args) -> int:
                      "algebra": algebra.name, "count": len(pairs),
                      "pairs": rows}, lines)
         return EXIT_OK
-    cons = all_congruences(algebra, args.max_size)
+    cons = all_congruences(algebra)
     lines = [f"{algebra.name}: {len(cons)} congruence(s)"]
     lines += [f"  {partition_text(c)} ({c.n_classes} classes)" for c in cons]
     _emit(args, {"command": "cong-lattice", "status": "ok",

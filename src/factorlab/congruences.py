@@ -60,7 +60,6 @@ from .core import FiniteAlgebra, _images
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import _Record
 
-DEFAULT_SIZE_BOUND = 8
 # Cap on the cells one lattice build writes: n per join of the join
 # closure, or |Con A| * |Con B| * |A x B| for a composed product.
 LATTICE_CELL_CAP = 2_000_000
@@ -89,17 +88,11 @@ def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return memo
 
 
-def _close(parent: list[int], translations: tuple, pending: list) -> tuple[int, ...]:
-    """Merge the pending pairs into the union-find forest `parent`, closed
-    under the translations, and return the canonical rep tuple.
-
-    The forest keeps parent[i] <= i, so every root is its class's least
-    member.  Each merge of roots (x, y) queues (t(x), t(y)) for every
-    translation t; every related pair is joined by a chain of merged pairs,
-    so the result is closed under all translations.
-    """
-    while pending:
-        x, y = pending.pop()
+def _close(parent: list[int], pending) -> tuple[int, ...]:
+    """Merge the pending pairs into the union-find forest `parent` and
+    return the canonical rep tuple.  The forest keeps parent[i] <= i, so
+    every root is its class's least member."""
+    for x, y in pending:
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         while parent[y] != y:
@@ -109,16 +102,13 @@ def _close(parent: list[int], translations: tuple, pending: list) -> tuple[int, 
         if y < x:
             x, y = y, x
         parent[y] = x
-        for t in translations:
-            if t[x] != t[y]:
-                pending.append((t[x], t[y]))
     for i, p in enumerate(parent):
         parent[i] = parent[p]
     return tuple(parent)
 
 
 def _join_rep(r1: tuple[int, ...], r2: tuple[int, ...]) -> tuple[int, ...]:
-    return _close(list(r1), (), list(enumerate(r2)))
+    return _close(list(r1), enumerate(r2))
 
 
 def _respects_translations(algebra: FiniteAlgebra, rep: tuple[int, ...]) -> bool:
@@ -204,19 +194,18 @@ def congruence_from_partition(
 
 
 def principal_congruence(algebra: FiniteAlgebra, a: int, b: int) -> Congruence:
-    """Least congruence identifying a and b: the union-find closure of the
-    pair under the basic translations."""
+    """Least congruence identifying a and b, by the pass over the pair
+    graph (see the module docstring)."""
     n = algebra.size
     if not (0 <= a < n and 0 <= b < n):
         raise ValidationError(f"elements ({a},{b}) outside universe of size {n}")
-    return _trusted(algebra, _close(list(range(n)), _translations(algebra), [(a, b)]))
+    return _trusted(algebra, _principal_reps(algebra, [(a, b)])[a, b])
 
 
 def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     """Each pair's principal congruence, by one pass over the part of the
     pair graph that `pairs` reach (see the module docstring).  The pair a<b
-    is node a*n + b, and each component's principal is one `_close` call
-    with no translations.
+    is node a*n + b, and each component's principal is one `_close` call.
     """
     n = algebra.size
     images = list(zip(*_translations(algebra))) or [()] * n  # images[a][i] = t_i(a)
@@ -284,7 +273,7 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
                         (base[i], base[r]) for i, r in enumerate(rep)
                         if base[i] != base[r]
                     }
-                rep = _close(list(base), (), pending)
+                rep = _close(list(base), pending)
                 reps.append(rep)
                 keys.append(divmod(v, n))
                 classes.append(len(set(rep)))
@@ -363,19 +352,12 @@ def _check_cells(algebra: FiniteAlgebra, cells: int) -> None:
         )
 
 
-def all_congruences(
-    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
-) -> list[Congruence]:
+def all_congruences(algebra: FiniteAlgebra) -> list[Congruence]:
     """The full congruence lattice by the incremental join closure of the
     principals, or composed from a product's factors (see the module
     docstring).  Sorted by (number of classes, rep array), so the total
     congruence comes first and the identity last.
     """
-    n = algebra.size
-    if n > bound:
-        raise ResourceBoundError(
-            f"size {n} exceeds congruence enumeration bound {bound}"
-        )
     return [_trusted(algebra, rep) for rep in _lattice_reps(algebra)]
 
 
@@ -396,9 +378,7 @@ class FactorPair(_Record):
         super().__init__(theta, theta_c)
 
 
-def factor_pairs(
-    algebra: FiniteAlgebra, bound: int = DEFAULT_SIZE_BOUND
-) -> list[FactorPair]:
+def factor_pairs(algebra: FiniteAlgebra) -> list[FactorPair]:
     """All ordered pairs (theta, theta*) with meet identity and composition total.
 
     The test is "meet is the identity and |A/theta| * |A/theta*| = |A|".
@@ -410,7 +390,7 @@ def factor_pairs(
     Both orientations are returned: the central element attached to a pair
     depends on which side carries the zero tuple.
     """
-    cons = all_congruences(algebra, bound)
+    cons = all_congruences(algebra)
     n = algebra.size
     counts = [c.n_classes for c in cons]
     return [

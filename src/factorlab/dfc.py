@@ -44,7 +44,7 @@ def central_elements(
         raise ValidationError("algebra signature differs from the context")
     zero = ctx.zero_values(algebra)
     one = ctx.one_values(algebra)
-    pairs = factor_pairs(algebra, algebra.size)
+    pairs = factor_pairs(algebra)
     out = []
     for pair in pairs:
         e = []

@@ -7,7 +7,6 @@ from __future__ import annotations
 import itertools
 
 from .congruences import (
-    Congruence,
     _quotient_name,
     _quotient_tables,
     all_congruences,
@@ -86,7 +85,8 @@ class VarietyContext(_Record):
 
     def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
         pool = tuple(generate_pool(self, max_size=max_size, depth=depth))
-        return VarietyContext(self.generator, self.zero_terms, self.one_terms, pool)
+        return VarietyContext._trusted(
+            self.generator, self.zero_terms, self.one_terms, pool)
 
 
 # F(2) of the generator is read as a seed program only up to this many
@@ -192,31 +192,34 @@ def generate_pool(
     ctx: VarietyContext, max_size: int = 8, depth: int = 2
 ) -> list[PoolEntry]:
     """Close {generator} under quotients, small generated subalgebras and
-    binary products for `depth` rounds, discarding constructions larger than
-    max_size.  The generator itself always stays in the pool.  Exact duplicate
-    tables are pruned; no isomorphism testing is attempted.  A round expands
-    only the members the previous one added, and multiplies only pairs with
-    one of them: what older members alone build is already seen.  Nor does
-    it build the quotient by the identity or a product with a one-element
-    factor, whose tables are those of a member, nor a product of a pair it
-    multiplied before.  Constructions are built as bare tables; a name and a
-    recipe are formatted only for one that enters the pool.
+    binary products for `depth` rounds.  The generator itself always stays
+    in the pool.  A round expands only the members the previous one added,
+    and multiplies only pairs with one of them: what older members alone
+    build is already seen.  Nor does it build the quotient by the identity
+    or a product with a one-element factor, whose tables are those of a
+    member, nor a product of a pair it multiplied before.
 
-    A product records the indices of its two factors.  When the generator
-    has a median term (`median_term`), every product that enters is recorded
-    with its factors through `compose_lattice`, and its lattice is composed
-    from theirs.  So is every quotient of a recorded product P = A x B: each
-    congruence of P is theta x phi, and P/(theta x phi) has the tables of
-    `direct_product(A/theta, B/phi)` (Fraser and Horn, Proc. AMS 26, 1970),
-    whose factors are members already.  Such a quotient keeps its
-    `quotient(...)` name and recipe, is built as that product and records
-    its factors.  Without a median term every quotient is built from its
-    classes and each member's lattice is built directly.
+    Every construction is admitted by `offer`, as bare size and tables: past
+    max_size it is discarded, and with the tables of a member it is that
+    member (no isomorphism testing is attempted).  Otherwise it enters the
+    pool, and only then are its name and recipe formatted.  When it records
+    factors and the generator has a median term (`median_term`), its
+    lattice is composed from theirs through `compose_lattice`.
 
-    Subalgebras are read off F(2) of the generator (see `_SeedPatterns`):
-    a seed whose pattern was offered before is skipped, since it has the
-    same tables, and a recorded product's patterns are composed from its
-    factors'.  The empty seed is closed in each member.  When F(2) has more
+    An entry records factors (i, j) when it has the tables of the product
+    of members i and j: a product, and under a median term every quotient
+    of a recorded product P = A x B.  Each congruence of P is theta x phi,
+    and P/(theta x phi) has the tables of `direct_product(A/theta, B/phi)`
+    (Fraser and Horn, Proc. AMS 26, 1970), whose factors are members
+    already.  Such a quotient is built as that product and keeps its
+    `quotient(...)` name and recipe.  Every other quotient is built from
+    its classes.
+
+    The seeds are the empty seed, closed in each member, then the
+    singletons, then the pairs in order.  The others are read off F(2) of
+    the generator (see `_SeedPatterns`): a seed whose pattern was offered
+    before is skipped, since it has the same tables, and a recorded
+    product's patterns are composed from its factors'.  When F(2) has more
     than SEED_PROGRAM_CAP elements, every seed is closed instead, and the
     pair seed (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y)
     is then a singleton's subalgebra, offered already.
@@ -227,26 +230,31 @@ def generate_pool(
     entries = [PoolEntry(gen, "generator")]
     fresh: list[PoolEntry] = []
     seen = {(gen.size, gen.tables): 0}  # (size, tables) -> pool index
-    ids: dict[int, list[int]] = {}  # pool index -> `member_ids`
-    quotients: dict[int, dict] = {}  # pool index -> {theta rep: pool index}
+    # pool index -> `member_ids`, and {theta rep: pool index of the quotient},
+    # of each member small enough to be a factor of a later product
+    ids: dict[int, list[int]] = {}
+    quotients: dict[int, dict] = {}
     multiplied: dict[tuple[int, int], int] = {}  # factors -> pool index
     offered: set[int] = set()  # pattern ids
 
-    def place(size: int, tables: tuple[tuple[int, ...], ...]) -> int | None:
+    def offer(size: int, tables: tuple[tuple[int, ...], ...], name, recipe,
+              factors: tuple[int, int] | None = None) -> int | None:
         """The pool index of a construction's tables, or None past max_size.
-        New tables take the next index: the caller appends their entry."""
+        New tables enter as a member named name(), built by recipe()."""
         if size > max_size:
             return None
-        return seen.setdefault((size, tables), len(entries) + len(fresh))
+        index = seen.setdefault((size, tables), len(entries) + len(fresh))
+        if index == len(entries) + len(fresh):
+            member = FiniteAlgebra._trusted(gen.signature, size, tables, name())
+            fresh.append(PoolEntry(member, recipe(), factors))
+            if composes and factors is not None:
+                compose_lattice(member, *(entries[f].algebra for f in factors))
+        return index
 
-    def is_new(index: int | None) -> bool:
-        return index == len(entries) + len(fresh)
-
-    def multiply(i: int, j: int, of: FiniteAlgebra | None = None,
-                 theta: Congruence | None = None) -> int | None:
+    def multiply(i: int, j: int, name=None, recipe=None) -> int | None:
         """The pool index of the tables of the product of members i and j,
-        offered under the name of `of`/theta when given, else as a product;
-        None when it is over max_size."""
+        offered as a product unless a name and a recipe are given; None
+        when it is over max_size."""
         if (i, j) in multiplied:
             return multiplied[i, j]
         a, b = entries[i].algebra, entries[j].algebra
@@ -254,65 +262,58 @@ def generate_pool(
             return None
         if a.size == 1 or b.size == 1:  # the other factor's tables
             multiplied[i, j] = j if a.size == 1 else i
-            return multiplied[i, j]
-        p = direct_product(a, b)
-        index = multiplied[i, j] = place(p.size, p.tables)
-        if is_new(index):
-            if theta is None:
-                recipe = f"product({a.name}, {b.name})"
-            else:
-                p = FiniteAlgebra._trusted(
-                    p.signature, p.size, p.tables, _quotient_name(of, theta))
-                recipe = f"quotient({of.name}, {theta})"
-            fresh.append(PoolEntry(p, recipe, (i, j)))
-            if composes:
-                compose_lattice(p, a, b)
-        return index
+        else:
+            p = direct_product(a, b)
+            multiplied[i, j] = offer(
+                p.size, p.tables, name or (lambda: p.name),
+                recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
+        return multiplied[i, j]
 
     def offer_quotients(k: int) -> None:
         entry = entries[k]
         a = entry.algebra
-        cons = all_congruences(a, a.size)
+        cons = all_congruences(a)
         found = {cons[-1].rep: k}  # the identity is last
         for theta in cons[:-1]:
+            rep = theta.rep
+            name = lambda: _quotient_name(a, theta)
+            recipe = lambda: f"quotient({a.name}, {theta})"
             if composes and entry.factors is not None:
+                # theta x phi at a*m + b is theta[a]*m + phi[b]
                 i, j = entry.factors
                 m = entries[j].algebra.size
-                rep = theta.rep  # theta x phi at a*m + b is theta[a]*m + phi[b]
-                index = multiply(quotients[i][tuple([r // m for r in rep[::m]])],
-                                 quotients[j][rep[:m]], a, theta)
+                found[rep] = multiply(
+                    quotients[i][tuple([r // m for r in rep[::m]])],
+                    quotients[j][rep[:m]], name, recipe)
             else:
-                size, tables, _ = _quotient_tables(a, theta)
-                index = place(size, tables)
-                if is_new(index):
-                    q = FiniteAlgebra._trusted(
-                        a.signature, size, tables, _quotient_name(a, theta))
-                    fresh.append(PoolEntry(q, f"quotient({a.name}, {theta})"))
-            found[theta.rep] = index
-        if composes:
+                found[rep] = offer(*_quotient_tables(a, theta)[:2], name, recipe)
+        if 2 * a.size <= max_size:
             quotients[k] = found
-
-    def offer_subalgebra(a: FiniteAlgebra, seed: tuple[int, ...], size: int,
-                         tables: tuple[tuple[int, ...], ...]) -> None:
-        if is_new(place(size, tables)):
-            sub = FiniteAlgebra._trusted(
-                a.signature, size, tables, _subalgebra_name(a, seed))
-            fresh.append(PoolEntry(sub, f"subalgebra({a.name}, {list(seed)})"))
 
     def offer_seeds(k: int) -> None:
         a = entries[k].algebra
         n = a.size
+
+        def subalgebra(seed: tuple[int, ...], size: int, tables) -> None:
+            offer(size, tables, lambda: _subalgebra_name(a, seed),
+                  lambda: f"subalgebra({a.name}, {list(seed)})")
+
         if a.signature.constants:
-            offer_subalgebra(a, (), *_subalgebra_tables(a, ())[:2])
+            subalgebra((), *_subalgebra_tables(a, ())[:2])
+        # the singletons, then the pairs in order
+        seeds = itertools.chain(itertools.combinations(range(n), 1),
+                                itertools.combinations(range(n), 2))
         if patterns is None:
             closures: list[set[int]] = []  # closures[x] = Sg(x)
-            for s in range(n):
-                size, tables, embedding = _subalgebra_tables(a, (s,))
-                closures.append(set(embedding))
-                offer_subalgebra(a, (s,), size, tables)
-            for x, y in itertools.combinations(range(n), 2):
-                if y not in closures[x] and x not in closures[y]:
-                    offer_subalgebra(a, (x, y), *_subalgebra_tables(a, (x, y))[:2])
+            for seed in seeds:
+                if len(seed) == 2:
+                    x, y = seed
+                    if y in closures[x] or x in closures[y]:
+                        continue
+                size, tables, embedding = _subalgebra_tables(a, seed)
+                if len(seed) == 1:
+                    closures.append(set(embedding))
+                subalgebra(seed, size, tables)
             return
         factors = entries[k].factors
         if factors is None:
@@ -321,22 +322,18 @@ def generate_pool(
             i, j = factors
             member = patterns.product_ids(
                 ids[i], entries[i].algebra.size, ids[j], entries[j].algebra.size)
-        if 2 * n <= max_size:  # a factor of a later product
+        if 2 * n <= max_size:
             ids[k] = member
-        order = member[:: n + 1]  # the singletons, then the pairs in order
-        for s in range(n):
-            order += member[s * n + s + 1 : s * n + n]
-        for pid in dict.fromkeys(order):
-            if pid in offered:
-                continue
-            offered.add(pid)
-            size = max(patterns.by_id[pid]) + 1
-            if size > max_size:
-                continue
-            at = order.index(pid)
-            seed = (at,) if at < n else next(itertools.islice(
-                itertools.combinations(range(n), 2), at - n, None))
-            offer_subalgebra(a, seed, size, patterns.tables(pid))
+        # most members have no new pattern at a seed (s, t), t >= s: row s
+        # of `member` from (s, s) on
+        if offered.issuperset(itertools.chain.from_iterable(
+                member[s * n + s : s * n + n] for s in range(n))):
+            return
+        for seed in seeds:
+            pid = member[seed[0] * n + seed[-1]]  # a singleton's at (s, s)
+            if pid not in offered:
+                offered.add(pid)
+                subalgebra(seed, max(patterns.by_id[pid]) + 1, patterns.tables(pid))
 
     old = 0  # the members before `old` were expanded
     for _ in range(depth):

@@ -20,8 +20,11 @@ tables through `core._images`: one index computation per cell, and
 `direct_product_images` as it was before it built binary tables row by row.
 `principal_reps_per_pair` is the principal step as it was before the pass
 over the pair graph: one closure per pair under the generating
-translations, the basic ones less the compositions `_generators` drops.  `subalgebra_generated_rounds` is the subalgebra closure as it was
-before its last pass doubled as the table build.
+translations, the basic ones less the compositions `_generators` drops.
+Both close principals by `close_under_translations`, the union-find merge
+as it was while `principal_congruence` closed its pair under the basic
+translations.  `subalgebra_generated_rounds` is the subalgebra closure as
+it was before its last pass doubled as the table build.
 `identity_congruence` and `total_congruence` are the lattice's two ends,
 which only the tests build.  Formulas are evaluated by
 plain recursive `eval_term` over every bound-variable assignment, and over
@@ -301,18 +304,41 @@ def total_congruence(algebra: FiniteAlgebra) -> Congruence:
     return Congruence(algebra, (0,) * algebra.size)
 
 
-def all_congruences_pairwise(algebra: FiniteAlgebra, bound: int = 8) -> list:
+def close_under_translations(parent: list[int], translations: tuple,
+                             pending: list) -> tuple[int, ...]:
+    """`congruences._close` as it was while it also closed principals:
+    merge the pending pairs into the union-find forest `parent`, closed
+    under the translations, and return the canonical rep tuple.  Each merge
+    of roots (x, y) queues (t(x), t(y)) for every translation t; every
+    related pair is joined by a chain of merged pairs, so the result is
+    closed under all translations."""
+    while pending:
+        x, y = pending.pop()
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        while parent[y] != y:
+            parent[y] = y = parent[parent[y]]
+        if x == y:
+            continue
+        if y < x:
+            x, y = y, x
+        parent[y] = x
+        for t in translations:
+            if t[x] != t[y]:
+                pending.append((t[x], t[y]))
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]
+    return tuple(parent)
+
+
+def all_congruences_pairwise(algebra: FiniteAlgebra) -> list:
     """The lattice as `all_congruences` built it before the incremental
     join closure: every principal, closed under all basic translations, is
     joined with every lattice element until no join is new."""
     n = algebra.size
-    if n > bound:
-        raise ResourceBoundError(
-            f"size {n} exceeds congruence enumeration bound {bound}"
-        )
     translations = congruences._translations(algebra)
     principals = {
-        congruences._close(list(range(n)), translations, [(a, b)])
+        close_under_translations(list(range(n)), translations, [(a, b)])
         for a in range(n)
         for b in range(a + 1, n)
     }
@@ -356,7 +382,7 @@ def principal_reps_per_pair(algebra: FiniteAlgebra, pairs: list) -> dict:
     translations, those `_generators` keeps."""
     generators = _generators(algebra)
     return {
-        p: congruences._close(list(range(algebra.size)), generators, [p])
+        p: close_under_translations(list(range(algebra.size)), generators, [p])
         for p in pairs
     }
 
@@ -424,7 +450,6 @@ def generate_pool_rescan(
     round takes the quotients and subalgebras of every member so far, and
     the products of every pair of them."""
     gen = ctx.generator
-    bound = max(max_size, gen.size)
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
@@ -442,7 +467,7 @@ def generate_pool_rescan(
         snapshot = list(entries)
         for entry in snapshot:
             a = entry.algebra
-            for theta in all_congruences(a, bound=bound):
+            for theta in all_congruences(a):
                 q, _ = quotient(a, theta)
                 add(q, f"quotient({a.name}, {theta})", fresh)
             seeds = [()] + [(s,) for s in range(a.size)] + [
@@ -486,7 +511,7 @@ def generate_pool_reference(
         fresh = []
         for entry in new:
             a = entry.algebra
-            for theta in all_congruences(a, a.size)[:-1]:
+            for theta in all_congruences(a)[:-1]:
                 size, tables, _ = _quotient_tables(a, theta)
                 if enters(size, tables):
                     q = FiniteAlgebra._trusted(
@@ -548,7 +573,7 @@ def generate_pool_closed(
         fresh: list[PoolEntry] = []
         for entry in new:
             a = entry.algebra
-            for theta in all_congruences(a, a.size)[:-1]:  # the identity is last
+            for theta in all_congruences(a)[:-1]:  # the identity is last
                 size, tables, _ = _quotient_tables(a, theta)
                 if enters(size, tables):
                     q = FiniteAlgebra._trusted(

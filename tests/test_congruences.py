@@ -2,6 +2,7 @@ import functools
 import gc
 import inspect
 import itertools
+import json
 import sys
 from weakref import WeakKeyDictionary
 
@@ -128,10 +129,16 @@ def test_trivial_algebra_has_one_congruence():
     assert len(all_congruences(cyclic_ring(1))) == 1
 
 
-def test_all_congruences_size_bound(z6):
-    with pytest.raises(ResourceBoundError):
-        all_congruences(cyclic_ring(12))
-    assert len(all_congruences(cyclic_ring(12), bound=12)) == 6
+def test_all_congruences_size_bound(capsys):
+    # the bound is the CLI's --max-size; `all_congruences` takes any size
+    z12 = str(FIXTURES / "z12.alg")
+    for flag in ("--lattice", "--factor-pairs"):
+        assert main(["cong", z12, flag]) == 3
+        assert capsys.readouterr().err == (
+            "error: size 12 exceeds congruence enumeration bound 8\n")
+    assert main(["cong", z12, "--max-size", "12", "--format", "machine"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 6
+    assert len(all_congruences(cyclic_ring(12))) == 6
 
 
 def test_meet_join_units(z6):
@@ -341,9 +348,7 @@ def test_pool_lattices_match_pairwise_closure(name, depth, max_size):
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     for entry in generate_pool(ctx, max_size=max_size, depth=depth):
         a = entry.algebra
-        assert _reps(all_congruences(a, bound=a.size)) == _reps(
-            all_congruences_pairwise(a, bound=a.size)
-        )
+        assert _reps(all_congruences(a)) == _reps(all_congruences_pairwise(a))
 
 
 def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch):
@@ -502,7 +507,7 @@ def _count_principal_closures(monkeypatch):
 def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
                                               pairs):
     counts = _count_principal_closures(monkeypatch)
-    all_congruences(algebra, bound=algebra.size)
+    all_congruences(algebra)
     # one per strongly connected component, where closing every pair from
     # scratch took one per pair
     assert counts["closures"] == closures
@@ -530,7 +535,7 @@ def test_pair_graph_pass_needs_no_recursion():
     assert member.name == "C3xC3|[1, 2]xC3xC3|[1, 2]xC3xC3|[1, 2]"
     assert member.size == 64
     # lattices are congruence distributive, so Con(C4^3) = Con(C4)^3 = 8^3
-    assert len(all_congruences(member, bound=64)) == 512
+    assert len(all_congruences(member)) == 512
     # x -> x + 1 on 400 elements: the pass from (0, 1) runs down one path of
     # 400 pairs, which a recursive search could not stack under this limit
     n = 400
@@ -553,7 +558,7 @@ def _clear_lattice_memos(monkeypatch):
 
 
 def _pair_reps(algebra):
-    return [(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra, algebra.size)]
+    return [(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra)]
 
 
 def test_lattice_past_the_cell_cap_raises(monkeypatch):
@@ -565,12 +570,12 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
     # any is written; C3's own join closure writes 9 cells
     monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 143)
     with pytest.raises(ResourceBoundError) as err:
-        all_congruences(product, bound=product.size)
+        all_congruences(product)
     assert str(err.value) == (
         "all_congruences: estimated 144 lattice cells for 'C3xC3' exceed cap 143")
     assert product not in congruences._LATTICES
     monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 144)
-    assert len(all_congruences(product, bound=product.size)) == 16
+    assert len(all_congruences(product)) == 16
 
 
 @pytest.mark.parametrize("name, max_size, composed", [
@@ -584,10 +589,10 @@ def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
     assert sum(a in congruences._COMPOSED for a in members) == composed
-    lattices = [_reps(all_congruences(a, bound=a.size)) for a in members]
+    lattices = [_reps(all_congruences(a)) for a in members]
     pairs = [_pair_reps(a) for a in members]
     _clear_lattice_memos(monkeypatch)
-    assert lattices == [_reps(all_congruences(a, bound=a.size)) for a in members]
+    assert lattices == [_reps(all_congruences(a)) for a in members]
     assert pairs == [_pair_reps(a) for a in members]
 
 
@@ -602,7 +607,7 @@ def test_pool_lattices_are_built_once_per_leaf_multiset():
             pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),
                                  max_size=27, depth=3)
             for entry in pool:
-                all_congruences(entry.algebra, bound=entry.algebra.size)
+                all_congruences(entry.algebra)
             assert len(pool) == members
             assert len(counts["algebras"]) == len(set(counts["algebras"])) == builds
 
@@ -629,7 +634,7 @@ def test_median_term_needs_every_identity(n, table):
     assert congruences.median_term(algebra) is None
     square = direct_product(algebra, algebra)
     assert len(all_congruences(algebra)) == 2
-    assert len(all_congruences(square, bound=square.size)) == (
+    assert len(all_congruences(square)) == (
         15 if n == 2 else 6)
 
 
@@ -670,10 +675,10 @@ def test_composed_lattice_matches_direct_build(drawn):
         outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])
         product = direct_product(*outer)
         congruences.compose_lattice(product, *outer)
-        composed = _reps(all_congruences(product, bound=product.size))
+        composed = _reps(all_congruences(product))
         pairs = _pair_reps(product)
         _clear_lattice_memos(monkeypatch)
-        direct = _reps(all_congruences(product, bound=product.size))
+        direct = _reps(all_congruences(product))
         assert composed == direct
         assert pairs == _pair_reps(product)
     # each leaf has at least its identity and its total congruence

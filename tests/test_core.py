@@ -1,3 +1,5 @@
+import hashlib
+import json
 from weakref import WeakKeyDictionary
 
 import pytest
@@ -554,6 +556,36 @@ def test_pool_matches_closing_every_seed(name, depth, max_size, reads_f2):
     assert (factorlab.variety._SeedPatterns.of(ctx.generator) is not None) == reads_f2
     pool = _matches_closing_every_seed(ctx, max_size, depth)
     assert any(e.factors is not None for e in pool)
+
+
+def test_pool_closing_every_seed_skips_only_redundant_pairs(monkeypatch):
+    # F(2) of C3 refused, so the lattices pool takes the path of generators
+    # whose F(2) is over the cap; unlike a rings_z6 pool, it has members that
+    # only a pair seed generates, which the pair-seed skip must keep
+    monkeypatch.setattr(factorlab.variety, "SEED_PROGRAM_CAP", 1)
+    ctx = load_context(str(FIXTURES / "lattices.ctx"))
+    assert factorlab.variety._SeedPatterns.of(ctx.generator) is None
+    pool = _matches_closing_every_seed(ctx, 27, 3)
+    assert "subalgebra(C3xC3, [1, 2])" in [e.recipe for e in pool]
+
+
+@pytest.mark.parametrize("name, depth, max_size, members, digest", [
+    # about 0.3 s; seeds are read off F(2) and quotients of products built
+    # as products
+    ("lattices", 4, 64, 245,
+     "86fdc7f5f261a019ba2578e8005313d0f8dd0781dda4809221fb02d24faa8115"),
+    # F(2) of Z6 is over the cap, so every seed is closed in its member
+    ("rings_z6", 3, 27, 30,
+     "337c422049cba0966abbaae62ca5711850416768c21dce6f9a4d4a3fce990aa8"),
+])
+def test_deep_pool_digest_is_pinned(name, depth, max_size, members, digest):
+    pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),
+                         max_size=max_size, depth=depth)
+    rows = [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables,
+             e.factors) for e in pool]
+    assert len(pool) == members
+    # names, recipes, sizes, tables and factors, in order
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 def test_deep_pool_closes_no_recorded_product(monkeypatch):

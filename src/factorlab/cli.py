@@ -5,8 +5,7 @@ handler reads:
     algebra show PATH
     cong PATH [--lattice | --factor-pairs | --compactness SPEC] [--max-size N]
     freealg dump CTX [--rank N] [--budget N]
-    positivize CTX FORMULA [--all-witnesses] [--pool-depth N] [--max-size N]
-        [--budget N]
+    positivize CTX FORMULA [--all-witnesses] [--budget N]
     dfc verify CTX FORMULA [--pool-depth N] [--max-size N]
     central list CTX [--algebra PATH]
     correspondence CTX FORMULA [--algebra PATH] [--pool-depth N] [--max-size N]
@@ -235,7 +234,7 @@ def _positivize_payload(result) -> dict:
 
 
 def cmd_positivize(args) -> int:
-    ctx = _load_populated_context(args.ctx, args)
+    ctx = fileio.load_context(args.ctx)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     fpc = free_pair_context(ctx, args.budget)
     allw = enumerate_witnesses(phi, ctx, fpc=fpc) if args.all_witnesses else None
@@ -491,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dump.add_argument("ctx")
     p_dump.add_argument("--rank", type=int, default=1)
 
-    p_pos = _add_leaf(sub, "positivize", cmd_positivize, *pool, "--budget",
+    p_pos = _add_leaf(sub, "positivize", cmd_positivize, "--budget",
                       help="replace a verified formula by a positive one")
     p_pos.add_argument("ctx")
     p_pos.add_argument("formula")

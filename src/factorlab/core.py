@@ -156,6 +156,45 @@ def pair_split(p: int, b_size: int) -> tuple[int, int]:
     return p // b_size, p % b_size
 
 
+class _PairCells:
+    """Values at the cells (s, t) of members, interned and laid out at
+    s*|M| + t.  A subclass finds a searched member's values and defines
+    `combine(x, y)`: the value at a cell of A x B from A's value x and B's
+    value y at its coordinates.  A product's cells are composed from its
+    factors', once per pair of ids."""
+
+    __slots__ = ("by_id", "_ids", "_pairs")
+
+    def __init__(self):
+        self.by_id: list = []  # id -> value
+        self._ids: dict = {}  # value -> id
+        self._pairs: dict = {}  # (id in A, id in B) -> id in A x B
+
+    def intern(self, value) -> int:
+        found = self._ids.get(value)
+        if found is None:
+            found = self._ids[value] = len(self.by_id)
+            self.by_id.append(value)
+        return found
+
+    def pair(self, x: int, y: int) -> int:
+        found = self._pairs.get((x, y))
+        if found is None:
+            found = self._pairs[x, y] = self.intern(
+                self.combine(self.by_id[x], self.by_id[y]))
+        return found
+
+    def product(self, cells_a: list, na: int, cells_b: list, nb: int) -> list[int]:
+        """The cells of A x B: (s1, s2) is s1*|B| + s2, so row (s1, s2)
+        runs over t1, then t2."""
+        pairs = self._pairs
+        for x, y in {(x, y) for x in set(cells_a) for y in set(cells_b)} - pairs.keys():
+            self.pair(x, y)
+        rows_b = [cells_b[s : s + nb] for s in range(0, nb * nb, nb)]
+        return [pairs[x, y] for s in range(0, na * na, na) for row_b in rows_b
+                for x in cells_a[s : s + na] for y in row_b]
+
+
 def direct_product(
     a: FiniteAlgebra, b: FiniteAlgebra, name: str | None = None
 ) -> FiniteAlgebra:

@@ -14,7 +14,7 @@ from collections import Counter
 from collections.abc import Sequence
 
 from .congruences import Congruence, FactorPair, factor_pairs
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, _PairCells
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
 from .terms import _Record
@@ -44,23 +44,17 @@ def central_elements(
         raise ValidationError("algebra signature differs from the context")
     zero = ctx.zero_values(algebra)
     one = ctx.one_values(algebra)
-    pairs = factor_pairs(algebra)
     out = []
-    for pair in pairs:
-        e = []
-        for i in range(ctx.l):
-            hits = [
-                c
-                for c in algebra.elements()
-                if pair.theta.related(c, zero[i]) and pair.theta_c.related(c, one[i])
-            ]
-            if len(hits) != 1:
-                raise InternalCheckError(
-                    f"central tuple not unique for pair in '{algebra.name}': "
-                    f"{len(hits)} candidates at position {i}"
-                )
-            e.append(hits[0])
-        out.append(CentralElement(algebra, tuple(e), pair))
+    for pair in factor_pairs(algebra):
+        theta, theta_c = pair.theta.rep, pair.theta_c.rep
+        # hence c -> (theta-class, theta*-class) is a bijection; e_i is the
+        # element at (zero_i's theta-class, one_i's theta*-class)
+        meet = {(theta[c], theta_c[c]): c for c in algebra.elements()}
+        e = tuple(meet.get((theta[z], theta_c[o])) for z, o in zip(zero, one))
+        if len(meet) != algebra.size or None in e:
+            raise InternalCheckError(
+                f"central tuple not unique for pair in '{algebra.name}'")
+        out.append(CentralElement(algebra, e, pair))
     return out
 
 
@@ -171,40 +165,35 @@ class DfcReport(_Record):
         return "pass" if self.ok else "fail"
 
 
-class _Side:
+class _Side(_PairCells):
     """The signatures of the pool members used on one side of `verify_dfc`,
     with `values` giving a member's z tuple: its zero values on the left and
     its one values on the right.
 
     A member's signature at (a, c) is, per disjunct, the set of the masks of
     negative literals that fail together at some witness satisfying its
-    positive literals.  Equal signatures share one id, and `by_id` lists
-    them.  A member's relation lists the id at every (a, c), at index
-    a*|M| + c.  Its histogram counts its cells per (id, flag), where the flag
-    is a == c if `diagonal` and False otherwise, so that without it the
-    counts are per signature.
+    positive literals.  Signatures are the interned cells (see
+    `_PairCells`), and a member's relation is its cells.  Its histogram
+    counts its cells per (id, flag), where the flag is a == c if `diagonal`
+    and False otherwise, so that without it the counts are per signature.
 
     A member that is not a recorded product (an entry with `factors`: a
     product, or a quotient of one that has the tables of its factors'
     product) is searched, one `DnfEvaluator.failure_masks` call per (a, c).
     A recorded product P = A x B is never searched: zero and one values are
     coordinatewise, so its signature at ((a1, a2), (c1, c2)) is, per
-    disjunct, {fa & fb} over A's at (a1, c1) and B's at (a2, c2), composed
-    once per pair of ids.  Its histogram is composed from the factors': each
-    pair of entries adds the product of their counts to (the composed id,
-    both flags).  Its relation is composed from theirs only when `relation`
-    asks for it.
+    disjunct, {fa & fb} over A's at (a1, c1) and B's at (a2, c2): `combine`.
+    Its histogram is composed from the factors': each pair of entries adds
+    the product of their counts to (the paired id, both flags).  Its
+    relation is composed from theirs only when `relation` asks for it.
     """
 
-    __slots__ = ("by_id", "histograms", "_pool", "_ids", "_composed",
-                 "_relations")
+    __slots__ = ("histograms", "_pool", "_relations")
 
     def __init__(self, phi, pool, values, used, diagonal: bool):
-        self.by_id: list = []
+        super().__init__()
         self.histograms: dict = {}  # pool index -> {(id, flag): cells}
         self._pool = pool
-        self._ids: dict = {}  # signature -> id
-        self._composed: dict = {}  # (id in A, id in B) -> id in A x B
         self._relations: dict = {}  # pool index -> relation
         # a factor comes before its product in the pool and is used on every
         # side the product is, so in index order its histogram is built first
@@ -215,7 +204,7 @@ class _Side:
                 zs = values(algebra)
                 n = algebra.size
                 rel = self._relations[k] = [
-                    self._intern(ev.failure_masks(a, c, zs))
+                    self.intern(ev.failure_masks(a, c, zs))
                     for a in range(n)
                     for c in range(n)
                 ]
@@ -226,42 +215,23 @@ class _Side:
                 hist_b = self.histograms[factors[1]].items()
                 for (sa, ea), na in self.histograms[factors[0]].items():
                     for (sb, eb), nb in hist_b:
-                        hist[self._compose(sa, sb), ea and eb] += na * nb
+                        hist[self.pair(sa, sb), ea and eb] += na * nb
 
-    def _intern(self, signature) -> int:
-        found = self._ids.get(signature)
-        if found is None:
-            found = self._ids[signature] = len(self.by_id)
-            self.by_id.append(signature)
-        return found
-
-    def _compose(self, sa: int, sb: int) -> int:
-        found = self._composed.get((sa, sb))
-        if found is None:
-            found = self._composed[sa, sb] = self._intern(tuple(
-                frozenset([fa & fb for fa in masks_a for fb in masks_b])
-                for masks_a, masks_b in zip(self.by_id[sa], self.by_id[sb])
-            ))
-        return found
+    @staticmethod
+    def combine(x: tuple, y: tuple) -> tuple:
+        return tuple(
+            frozenset([fa & fb for fa in masks_a for fb in masks_b])
+            for masks_a, masks_b in zip(x, y)
+        )
 
     def relation(self, k: int) -> list:
         """Member k's relation; a product's is composed the first time."""
         rel = self._relations.get(k)
         if rel is None:
-            rel = self._relations[k] = self._compose_relation(*self._pool[k].factors)
-        return rel
-
-    def _compose_relation(self, i: int, j: int) -> list:
-        """The relation of the product of members i and j."""
-        # (a1, a2) is a1*|B| + a2, so row (a1, a2) runs over c1, then c2
-        rel_a, rel_b = self.relation(i), self.relation(j)
-        na, nb = self._pool[i].algebra.size, self._pool[j].algebra.size
-        rows_b = [rel_b[a2 * nb:(a2 + 1) * nb] for a2 in range(nb)]
-        rel = []
-        for a1 in range(na):
-            row_a = rel_a[a1 * na:(a1 + 1) * na]
-            for row_b in rows_b:
-                rel += [self._compose(sa, sb) for sa in row_a for sb in row_b]
+            i, j = self._pool[k].factors
+            rel = self._relations[k] = self.product(
+                self.relation(i), self._pool[i].algebra.size,
+                self.relation(j), self._pool[j].algebra.size)
         return rel
 
 

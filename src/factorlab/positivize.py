@@ -167,7 +167,7 @@ def positivize(
     witness for each bound variable decodes into a pair of terms: one over
     {x} from the rank-1 coordinate and one over {x, y} from the rank-2
     coordinate.  Before returning, the substitution identities those terms
-    must satisfy are re-verified over the whole pool; a failure there is a
+    must satisfy are re-verified in the generator; a failure there is a
     bug, not an input error.  A caller that already holds
     `free_pair_context(ctx, budget)` passes it as `fpc`, and one holding
     `enumerate_witnesses` passes it as `witnesses`, whose head is the witness.

@@ -16,6 +16,7 @@ from .congruences import (
 from .core import (
     FiniteAlgebra,
     Signature,
+    _PairCells,
     _images,
     _subalgebra_name,
     _subalgebra_tables,
@@ -94,7 +95,7 @@ class VarietyContext(_Record):
 SEED_PROGRAM_CAP = 64
 
 
-class _SeedPatterns:
+class _SeedPatterns(_PairCells):
     """The subalgebras generated by at most two elements, read off F(2).
 
     Sg(s, t) in a member M is the image of F(2) under x -> s, y -> t
@@ -103,15 +104,17 @@ class _SeedPatterns:
     each element is one operation applied to earlier ones, or a generator.
     Running it at (s, t) gives the values of F(2)'s elements in M, and their
     rank pattern (each value replaced by its rank among the distinct ones)
-    fixes Sg(s, t)'s tables: F(2)'s tables read through the pattern.  Equal
-    patterns share one id.  In a product A x B the values at
-    ((a1, b1), (a2, b2)) are the pairs of A's at (a1, a2) and B's at
-    (b1, b2), ranked as a*|B| + b ranks them, so a product's ids are
-    composed from its factors', once per pair of ids."""
+    fixes Sg(s, t)'s tables: F(2)'s tables read through the pattern.  The
+    patterns are the interned cells (see `_PairCells`).  A searched member
+    runs the program at every pair at once.  In a product A x B the values
+    at ((a1, b1), (a2, b2)) are the pairs of A's at (a1, a2) and B's at
+    (b1, b2), so `combine` ranks the paired patterns as a*|B| + b ranks
+    them."""
 
-    __slots__ = ("steps", "free", "by_id", "_ids", "_pairs")
+    __slots__ = ("steps", "free")
 
     def __init__(self, generator: FiniteAlgebra, free: FreeAlgebra):
+        super().__init__()
         # a witness applies its symbol to earlier witnesses, the same objects
         index = {id(w): i for i, w in enumerate(free.witnesses)}
         # (symbol index, argument elements), or (generator slot, None)
@@ -121,9 +124,6 @@ class _SeedPatterns:
             for w in free.witnesses
         ]
         self.free = free.algebra
-        self.by_id: list[tuple[int, ...]] = []
-        self._ids: dict[tuple[int, ...], int] = {}
-        self._pairs: dict[tuple[int, int], int] = {}  # (id in A, id in B)
 
     @classmethod
     def of(cls, generator: FiniteAlgebra) -> "_SeedPatterns | None":
@@ -135,14 +135,9 @@ class _SeedPatterns:
             return None
         return cls(generator, free)
 
-    def _intern(self, values) -> int:
-        rank = {v: r for r, v in enumerate(sorted(set(values)))}
-        pattern = tuple([rank[v] for v in values])
-        pid = self._ids.get(pattern)
-        if pid is None:
-            pid = self._ids[pattern] = len(self.by_id)
-            self.by_id.append(pattern)
-        return pid
+    @staticmethod
+    def combine(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+        return _rank_pattern(list(zip(x, y)))
 
     def member_ids(self, algebra: FiniteAlgebra) -> list[int]:
         """The pattern id at every (s, t), at index s*|M| + t, by running
@@ -159,23 +154,7 @@ class _SeedPatterns:
                 cells = [c * n + v for c, v in zip(cells, cols[a])]
             table = algebra.tables[k]
             cols.append([table[c] for c in cells])
-        return [self._intern(values) for values in zip(*cols)]
-
-    def product_ids(self, ids_a: list[int], na: int, ids_b: list[int],
-                    nb: int) -> list[int]:
-        """`member_ids` of A x B, from A's and B's."""
-        pairs, by_id = self._pairs, self.by_id
-        # every pair of an id of A and one of B occurs in A x B
-        for x, y in {(x, y) for x in set(ids_a) for y in set(ids_b)} - pairs.keys():
-            pairs[x, y] = self._intern(list(zip(by_id[x], by_id[y])))
-        rows_b = [ids_b[b : b + nb] for b in range(0, nb * nb, nb)]
-        return [
-            pairs[x, y]
-            for a in range(0, na * na, na)
-            for row_b in rows_b
-            for x in ids_a[a : a + na]
-            for y in row_b
-        ]
+        return [self.intern(_rank_pattern(values)) for values in zip(*cols)]
 
     def tables(self, pid: int) -> tuple[tuple[int, ...], ...]:
         """The tables of the subalgebra whose pattern has id `pid`."""
@@ -186,6 +165,12 @@ class _SeedPatterns:
             tuple([pattern[v] for v in _images(table, arity, reps, free.size)])
             for (_, arity), table in zip(free.signature.symbols, free.tables)
         )
+
+
+def _rank_pattern(values) -> tuple[int, ...]:
+    """Each value replaced by its rank among the distinct ones."""
+    rank = {v: r for r, v in enumerate(sorted(set(values)))}
+    return tuple([rank[v] for v in values])
 
 
 def generate_pool(
@@ -320,7 +305,7 @@ def generate_pool(
             member = patterns.member_ids(a)
         else:
             i, j = factors
-            member = patterns.product_ids(
+            member = patterns.product(
                 ids[i], entries[i].algebra.size, ids[j], entries[j].algebra.size)
         if 2 * n <= max_size:
             ids[k] = member

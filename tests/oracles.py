@@ -55,6 +55,9 @@ element, which only the tests ask for.
 `congruence_of_central_classified` is the correspondence check per central
 element as it was before it compared with the factor congruence directly:
 the relation is first classified as an equivalence and a congruence.
+`central_elements_scan` is `central_elements` as it was before it read
+each central tuple off a class-pair index: every element is scanned, per
+position, for the one related to zero_i by theta and to one_i by theta*.
 `term_text_recursive` is the term printer as it was before it walked an
 explicit stack: one call per nesting level.
 `RECORD_TWINS` holds the package's record classes declared with
@@ -801,6 +804,30 @@ def congruence_of_central_classified(
             "relation defined by the formula is compared against pair.theta",
         )
     return ClassifiedCentralReport(ce.e, False, False, None, ce.pair.theta, note)
+
+
+def central_elements_scan(algebra: FiniteAlgebra, ctx: VarietyContext) -> list:
+    """One central tuple per ordered factor pair, in `factor_pairs` order:
+    each position's element found by a scan over the whole algebra."""
+    zero = ctx.zero_values(algebra)
+    one = ctx.one_values(algebra)
+    out = []
+    for pair in congruences.factor_pairs(algebra):
+        e = []
+        for i in range(ctx.l):
+            hits = [
+                c
+                for c in algebra.elements()
+                if pair.theta.related(c, zero[i]) and pair.theta_c.related(c, one[i])
+            ]
+            if len(hits) != 1:
+                raise InternalCheckError(
+                    f"central tuple not unique for pair in '{algebra.name}': "
+                    f"{len(hits)} candidates at position {i}"
+                )
+            e.append(hits[0])
+        out.append(dfc.CentralElement(algebra, tuple(e), pair))
+    return out
 
 
 def ring_idempotents(algebra):

@@ -180,8 +180,7 @@ OPTIONS = {
     ("cong",): {"--format", "--max-size",
                 "--lattice", "--factor-pairs", "--compactness"},
     ("freealg", "dump"): {"--format", "--budget", "--rank"},
-    ("positivize",): {"--format", "--pool-depth", "--max-size", "--budget",
-                      "--all-witnesses"},
+    ("positivize",): {"--format", "--budget", "--all-witnesses"},
     ("dfc", "verify"): {"--format", "--pool-depth", "--max-size"},
     ("central", "list"): {"--format", "--algebra"},
     ("correspondence",): {"--format", "--pool-depth", "--max-size",
@@ -209,7 +208,7 @@ def test_each_subcommand_declares_only_the_options_it_reads():
         for path, leaf in leaves.items()
     }
     assert options == OPTIONS
-    assert sum(len(o & SHARED) for o in options.values()) == 20
+    assert sum(len(o & SHARED) for o in options.values()) == 18
     (group,) = leaves[("cong",)]._mutually_exclusive_groups
     assert [a.option_strings for a in group._group_actions] == [
         ["--lattice"], ["--factor-pairs"], ["--compactness"]]
@@ -335,6 +334,25 @@ def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("formula, extra", [
+    (REPO / "perfbench" / "w4.fm", ()),
+    (FIXTURES / "formulas" / "ring_mixed.fm", ("--all-witnesses",)),
+])
+def test_positivize_builds_no_pool(capsys, monkeypatch, formula, extra):
+    # the witness search reads the generator and the zero/one terms, and the
+    # substitution re-check evaluates the generator alone
+    variety = importlib.import_module("factorlab.variety")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("positivize built a pool")
+
+    monkeypatch.setattr(variety, "generate_pool", refused)
+    code, out = run_cli(capsys, "positivize", FIXTURES / "rings.ctx", formula,
+                        *extra, "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["substitution_check"] == "ok"
 
 
 def test_positivize_all_witnesses_searches_each_factor_once(capsys, monkeypatch):

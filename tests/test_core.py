@@ -569,6 +569,23 @@ def test_pool_closing_every_seed_skips_only_redundant_pairs(monkeypatch):
     assert "subalgebra(C3xC3, [1, 2])" in [e.recipe for e in pool]
 
 
+@pytest.mark.parametrize("name, max_size", [
+    ("lattices", 27), ("rings", 32), ("boolean", 32), ("shadow_x", 16),
+])
+def test_composed_pattern_cells_match_searched_cells(name, max_size):
+    # a recorded product's pattern ids, composed from its factors', are the
+    # ids the program gives when run in the product itself
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    pool = generate_pool(ctx, max_size=max_size, depth=3)
+    patterns = factorlab.variety._SeedPatterns.of(ctx.generator)
+    cells = [patterns.member_ids(e.algebra) for e in pool]
+    products = [(k, e.factors) for k, e in enumerate(pool) if e.factors is not None]
+    assert products
+    for k, (i, j) in products:
+        assert patterns.product(cells[i], pool[i].algebra.size,
+                                cells[j], pool[j].algebra.size) == cells[k]
+
+
 @pytest.mark.parametrize("name, depth, max_size, members, digest", [
     # about 0.3 s; seeds are read off F(2) and quotients of products built
     # as products

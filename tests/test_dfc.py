@@ -6,7 +6,11 @@ import factorlab.core
 import factorlab.dfc
 from factorlab import (
     DnfEvaluator,
+    FiniteAlgebra,
+    PoolEntry,
     ResourceBoundError,
+    Signature,
+    VarietyContext,
     central_elements,
     correspondence_check,
     direct_product,
@@ -16,9 +20,11 @@ from factorlab import (
     verify_dfc,
 )
 from factorlab.fileio import load_context, load_formula
+from factorlab.terms import App
 from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
 from conftest import FIXTURES
 from oracles import (
+    central_elements_scan,
     congruence_of_central,
     congruence_of_central_classified,
     ring_idempotents,
@@ -44,6 +50,31 @@ def test_central_chain3_bottom_top_only(c3, lattices_ctx):
 def test_central_diamond_all_four(diamond, lattices_ctx):
     ces = central_elements(diamond, lattices_ctx)
     assert sorted(ce.e[0] for ce in ces) == [0, 1, 2, 3]
+
+
+def _lattices_l2() -> VarietyContext:
+    """C3 over the lattice signature with l = 2, zero = (0, 0), one = (1, 1)."""
+    c3 = chain_lattice(3)
+    sig = Signature(c3.signature.symbols, l=2)
+    zero, one = App("0"), App("1")
+    return VarietyContext(FiniteAlgebra(sig, c3.size, c3.tables, c3.name),
+                          (zero, zero), (one, one))
+
+
+CENTRAL_POOLS = {
+    **{name: load_context(FIXTURES / f"{name}.ctx")
+       for name in ("rings", "rings_z6", "lattices", "boolean")},
+    "lattices-l2": _lattices_l2(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRAL_POOLS))
+def test_central_elements_match_scan_on_fixture_pools(name):
+    # every member of the depth-3 pool, tuple by tuple in factor-pair order
+    ctx = CENTRAL_POOLS[name].populated(max_size=16, depth=3)
+    assert len(ctx.pool) > 4
+    for member in ctx.pool_algebras:
+        assert central_elements(member, ctx) == central_elements_scan(member, ctx)
 
 
 def test_central_trivial_pairs_pin_orientation(z6, rings_z6_ctx):
@@ -164,6 +195,25 @@ def test_verify_dfc_matches_searching_every_member(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
+def test_composed_signature_cells_match_searched_cells(name):
+    # a recorded product's signature at each cell, composed from its
+    # factors', is the one a search of the product finds there
+    ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
+    searched = tuple(PoolEntry(e.algebra, e.recipe) for e in ctx.pool)
+    used = range(len(ctx.pool))
+    products = [k for k, e in enumerate(ctx.pool) if e.factors is not None]
+    assert products
+    for formula in FIXTURE_FORMULAS[name]:
+        phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
+        for values, diagonal in ((ctx.zero_values, True), (ctx.one_values, False)):
+            composed = factorlab.dfc._Side(phi, ctx.pool, values, used, diagonal)
+            direct = factorlab.dfc._Side(phi, searched, values, used, diagonal)
+            for k in products:
+                assert ([composed.by_id[s] for s in composed.relation(k)]
+                        == [direct.by_id[s] for s in direct.relation(k)])
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
 def test_verify_dfc_matches_reading_every_cell(name):
     ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
     for formula in FIXTURE_FORMULAS[name]:
@@ -186,15 +236,15 @@ def test_verify_dfc_counts_from_histograms_and_builds_rows_on_demand(monkeypatch
         return pair_count(hist_a, hist_b, holds)
 
     composed = []
-    compose_relation = factorlab.dfc._Side._compose_relation
+    product = factorlab.dfc._Side.product
 
-    def counting_relations(self, i, j):
-        composed.append((i, j))
-        return compose_relation(self, i, j)
+    def counting_products(self, cells_a, na, cells_b, nb):
+        composed.append((na, nb))
+        return product(self, cells_a, na, cells_b, nb)
 
     monkeypatch.setattr(factorlab.dfc, "_pair_count", counting_pairs)
-    monkeypatch.setattr(factorlab.dfc._Side, "_compose_relation",
-                        counting_relations)
+    # on the sides alone: the pool's seed patterns share the method
+    monkeypatch.setattr(factorlab.dfc._Side, "product", counting_products)
     report = verify_dfc(phi, ctx)
     ces = report.counterexamples
     # one read per tested pair, of 1,657 histogram entry pairs in all, where

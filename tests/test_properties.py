@@ -43,6 +43,7 @@ from conftest import FIXTURES
 from test_positivize import _recheck_outcome
 from oracles import (
     all_witnesses,
+    central_elements_scan,
     congruence_meet,
     congruence_of_central,
     congruence_of_central_classified,
@@ -524,3 +525,26 @@ def test_congruence_of_central_matches_classifying_oracle(case):
         assert report.element == oracle.element
         assert report.expected == oracle.expected
         assert report.ok == oracle.ok
+
+
+# -- central tuples against the per-element scan -------------------------------
+
+
+@st.composite
+def central_cases(draw):
+    """A drawn member or a product of two, over DFC_SIG with l = 1 or 2 and
+    drawn closed zero and one terms."""
+    l = draw(st.integers(1, 2))
+    members = draw(st.lists(dfc_members(), min_size=1, max_size=2))
+    drawn = members[0] if len(members) == 1 else direct_product(*members)
+    algebra = FiniteAlgebra(Signature(DFC_SIG.symbols, l), drawn.size,
+                            drawn.tables, "M")
+    closed = st.lists(st.sampled_from(CLOSED_TERMS), min_size=l, max_size=l)
+    return algebra, VarietyContext(algebra, tuple(draw(closed)),
+                                   tuple(draw(closed)))
+
+
+@given(central_cases())
+def test_central_elements_match_scan(case):
+    algebra, ctx = case
+    assert central_elements(algebra, ctx) == central_elements_scan(algebra, ctx)

@@ -237,8 +237,8 @@ def cmd_positivize(args) -> int:
     ctx = fileio.load_context(args.ctx)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     fpc = free_pair_context(ctx, args.budget)
-    allw = enumerate_witnesses(phi, ctx, fpc=fpc) if args.all_witnesses else None
-    result = positivize(phi, ctx, fpc=fpc, witnesses=allw)
+    allw = enumerate_witnesses(phi, fpc) if args.all_witnesses else None
+    result = positivize(phi, ctx, fpc, witnesses=allw)
     lam = phi.positive_indices(result.k)
     lines = [
         f"chosen disjunct k = {result.k}",
@@ -321,7 +321,7 @@ def cmd_dfc_verify(args) -> int:
 
 def cmd_central_list(args) -> int:
     ctx = fileio.load_context(args.ctx)
-    algebra = fileio.load_algebra(args.algebra, l=ctx.l) if args.algebra else ctx.generator
+    algebra = fileio.load_algebra(args.algebra) if args.algebra else ctx.generator
     ces = central_elements(algebra, ctx)
     lines = [f"{algebra.name}: {len(ces)} central element(s)"]
     rows = []
@@ -359,7 +359,7 @@ def _correspondence_payload(report) -> dict:
 def cmd_correspondence(args) -> int:
     ctx = _load_populated_context(args.ctx, args)
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
-    algebra = fileio.load_algebra(args.algebra, l=ctx.l) if args.algebra else ctx.generator
+    algebra = fileio.load_algebra(args.algebra) if args.algebra else ctx.generator
     report = correspondence_check(algebra, phi, ctx)
     lines = [
         f"{report.algebra_name}: {report.n_central} central element(s) for "
@@ -397,7 +397,7 @@ def cmd_pipeline(args) -> int:
                      "zero_one_ok": zero_one.ok}, lines)
         return EXIT_DFC_FAIL
 
-    result = positivize(phi, ctx, budget=args.budget)
+    result = positivize(phi, ctx, free_pair_context(ctx, args.budget))
     stages.append({"name": "positivize", "status": "ok",
                    **_positivize_payload(result)})
     lines.append(

@@ -17,11 +17,11 @@ from .terms import Term, Var, _Record
 
 
 class Signature(_Record):
-    """Ordered operation symbols (name, arity) plus the 0/1 tuple length l."""
+    """Ordered operation symbols (name, arity); the tuple length l is the context's."""
 
-    __slots__ = ("symbols", "l", "_index")
+    __slots__ = ("symbols", "_index")
 
-    def __init__(self, symbols: tuple[tuple[str, int], ...], l: int = 1):
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
         names = [name for name, _ in symbols]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate symbol names in signature: {names}")
@@ -30,9 +30,7 @@ class Signature(_Record):
                 raise ValidationError("empty symbol name")
             if arity < 0:
                 raise ValidationError(f"negative arity for symbol '{name}'")
-        if l < 1:
-            raise ValidationError("tuple length l must be positive")
-        super().__init__(symbols, l)
+        super().__init__(symbols)
         object.__setattr__(self, "_index", {s: i for i, (s, _) in enumerate(symbols)})
 
     def arity(self, symbol: str) -> int:

@@ -298,7 +298,6 @@ def verify_dfc(
     phi: ExistentialDnf | PositiveExistential,
     ctx: VarietyContext,
     pair_cap: int = DEFAULT_PAIR_CAP,
-    eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> DfcReport:
     """For every ordered pool pair (A, B) and all a,c in A, b,d in B, compare
     the formula at ((a,b), (c,d), (zero-in-A, one-in-B)) in A x B against
@@ -317,9 +316,9 @@ def verify_dfc(
     signatures is worked out once, when first read.
 
     Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
-    estimate, checked against eval_cap, is the sum over sides of |M|^(2+nb)
-    for each searched member and |P|^2 for each product, plus the sum of
-    (|A||B|)^2 over tested pairs.  It is an upper bound of the work: a
+    estimate, checked against DEFAULT_EVAL_CAP, is the sum over sides of
+    |M|^(2+nb) for each searched member and |P|^2 for each product, plus the
+    sum of (|A||B|)^2 over tested pairs.  It is an upper bound of the work: a
     histogram has at most |M|^2 entries.  A factor is never larger than its
     product, so it is used on every side its product is.
     Mismatches are data, not errors: the report counts them at once.  A name
@@ -351,9 +350,10 @@ def verify_dfc(
         algebras[k].size ** (per_member if pool[k].factors is None else 2)
         for k in lefts + rights
     ) + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
-    if estimate > eval_cap:
+    if estimate > DEFAULT_EVAL_CAP:
         raise ResourceBoundError(
-            f"verify_dfc: estimated {estimate} evaluations exceed cap {eval_cap}"
+            f"verify_dfc: estimated {estimate} evaluations exceed cap "
+            f"{DEFAULT_EVAL_CAP}"
         )
     left = _Side(phi, pool, ctx.zero_values, lefts, diagonal=True)
     right = _Side(phi, pool, ctx.one_values, rights, diagonal=False)

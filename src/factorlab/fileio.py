@@ -7,10 +7,10 @@ with tables flat row-major: the entry for (a1..ak) sits at
 a1*n^(k-1) + .. + ak.
 
 Variety-context files (JSON):
-    { "generator": path-or-inline-algebra, "l": int,
+    { "generator": path-or-inline-algebra, "l": int (default 1),
       "zero": [term text, ...], "one": [term text, ...] }
 where term texts use the formula grammar and generator paths are resolved
-relative to the context file.
+relative to the context file.  "l" (> 0) is checked against both tuples first.
 
 Formula files are plain text in the formula grammar; '#' starts a comment.
 Every file is read as UTF-8.
@@ -62,7 +62,7 @@ def _list(value, what: str) -> list:
     return value
 
 
-def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> FiniteAlgebra:
+def algebra_from_dict(data: dict, origin: str = "<inline>") -> FiniteAlgebra:
     for key in ("name", "size", "ops"):
         if key not in data:
             raise ValidationError(f"{origin}: missing '{key}'")
@@ -85,7 +85,7 @@ def algebra_from_dict(data: dict, l: int = 1, origin: str = "<inline>") -> Finit
             _int(v, f"{what} table entry {i}")
             for i, v in enumerate(_list(spec["table"], f"{what} table"))
         ]
-    signature = Signature(tuple(symbols), l=l)
+    signature = Signature(tuple(symbols))
     return FiniteAlgebra.from_ops(
         signature, _int(data["size"], f"{origin}: 'size'"), tables, name,
     )
@@ -104,14 +104,14 @@ def algebra_to_dict(algebra: FiniteAlgebra) -> dict:
     }
 
 
-def load_algebra(path: str | Path, l: int = 1) -> FiniteAlgebra:
+def load_algebra(path: str | Path) -> FiniteAlgebra:
     p = Path(path)
-    return algebra_from_dict(_read_json(p), l=l, origin=str(p))
+    return algebra_from_dict(_read_json(p), origin=str(p))
 
 
 def _terms(texts, what: str, signature: Signature) -> tuple[Term, ...]:
     out = []
-    for i, t in enumerate(_list(texts, what)):
+    for i, t in enumerate(texts):
         if not isinstance(t, str):
             raise ValidationError(f"{what} entry {i} must be a term text, got {t!r}")
         out.append(parse_term_text(t, signature))
@@ -125,15 +125,21 @@ def load_context(path: str | Path) -> VarietyContext:
         if key not in data:
             raise ValidationError(f"{p}: missing '{key}'")
     l = _int(data.get("l", 1), f"{p}: 'l'")
+    if l < 1:
+        raise ValidationError("tuple length l must be positive")
+    zero, one = (_list(data[key], f"{p}: '{key}'") for key in ("zero", "one"))
+    if len(zero) != l or len(one) != l:
+        raise ValidationError(f"zero/one term tuples must have length l={l}, "
+                              f"got {len(zero)}/{len(one)}")
     gen = data["generator"]
     if isinstance(gen, str):
-        generator = load_algebra(p.parent / gen, l=l)
+        generator = load_algebra(p.parent / gen)
     elif isinstance(gen, dict):
-        generator = algebra_from_dict(gen, l=l, origin=f"{p}:generator")
+        generator = algebra_from_dict(gen, origin=f"{p}:generator")
     else:
         raise ValidationError(f"{p}: 'generator' must be a path or an object")
-    zero = _terms(data["zero"], f"{p}: 'zero'", generator.signature)
-    one = _terms(data["one"], f"{p}: 'one'", generator.signature)
+    zero = _terms(zero, f"{p}: 'zero'", generator.signature)
+    one = _terms(one, f"{p}: 'one'", generator.signature)
     return VarietyContext(generator, zero, one)
 
 

@@ -169,7 +169,7 @@ def _tokenize(text: str) -> list[_Tok]:
 
 
 class _Parser:
-    def __init__(self, text: str, signature: Signature, l: int):
+    def __init__(self, text: str, signature: Signature, l: int = 1):
         self.toks = _tokenize(text)
         self.i = 0
         self.signature = signature
@@ -358,15 +358,13 @@ class _Parser:
                         )
 
 
-def parse_formula(
-    text: str, signature: Signature, l: int | None = None
-) -> ExistentialDnf:
-    return _Parser(text, signature, l if l is not None else signature.l).parse_formula()
+def parse_formula(text: str, signature: Signature, l: int = 1) -> ExistentialDnf:
+    return _Parser(text, signature, l).parse_formula()
 
 
 def parse_term_text(text: str, signature: Signature) -> Term:
     """Parse a single term (used for zero/one terms in context files)."""
-    p = _Parser(text, signature, signature.l)
+    p = _Parser(text, signature)
     t = p.parse_term()
     tok = p.peek()
     if tok.kind != "eof":

@@ -20,7 +20,7 @@ from .formulas import (
     strip_to_positive,
     z_roles,
 )
-from .freealg import DEFAULT_BUDGET, FreePairContext, free_pair_context
+from .freealg import FreePairContext
 from .terms import Term, _Record, term_text
 from .variety import VarietyContext
 
@@ -139,24 +139,17 @@ def _factors(fpc: FreePairContext) -> tuple[Factor, Factor]:
 
 
 def enumerate_witnesses(
-    phi: ExistentialDnf,
-    ctx: VarietyContext,
-    budget: int = DEFAULT_BUDGET,
-    fpc: FreePairContext | None = None,
+    phi: ExistentialDnf, fpc: FreePairContext
 ) -> list[tuple[int, tuple[int, ...]]]:
-    """All valid (disjunct, witness) pairs at the distinguished assignment.
-    A caller that already holds `free_pair_context(ctx, budget)` passes it
-    as `fpc`."""
-    if fpc is None:
-        fpc = free_pair_context(ctx, budget)
+    """All valid (disjunct, witness) pairs at the distinguished assignment,
+    over the free algebras of `fpc`."""
     return product_witnesses(phi, *_factors(fpc))
 
 
 def positivize(
     phi: ExistentialDnf,
     ctx: VarietyContext,
-    budget: int = DEFAULT_BUDGET,
-    fpc: FreePairContext | None = None,
+    fpc: FreePairContext,
     witnesses: list[tuple[int, tuple[int, ...]]] | None = None,
 ) -> PositivizeResult:
     """Bundle the chosen disjunct, its positive part and term witnesses.
@@ -168,12 +161,10 @@ def positivize(
     {x} from the rank-1 coordinate and one over {x, y} from the rank-2
     coordinate.  Before returning, the substitution identities those terms
     must satisfy are re-verified in the generator; a failure there is a
-    bug, not an input error.  A caller that already holds
-    `free_pair_context(ctx, budget)` passes it as `fpc`, and one holding
-    `enumerate_witnesses` passes it as `witnesses`, whose head is the witness.
+    bug, not an input error.  The free algebras are `fpc`'s, and a caller
+    holding `enumerate_witnesses` passes it as `witnesses`, whose head is
+    the witness.
     """
-    if fpc is None:
-        fpc = free_pair_context(ctx, budget)
     if witnesses is None:
         found = first_product_witness(phi, *_factors(fpc))
     else:

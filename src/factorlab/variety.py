@@ -45,14 +45,15 @@ class PoolEntry(_Record):
 
 
 class VarietyContext(_Record):
+    """A generator, a pool, and closed zero/one term tuples of one length l > 0."""
+
     __slots__ = ("generator", "zero_terms", "one_terms", "pool")
 
     def __init__(self, generator: FiniteAlgebra, zero_terms: tuple[Term, ...],
                  one_terms: tuple[Term, ...], pool: tuple[PoolEntry, ...] = ()):
-        l = generator.signature.l
-        if len(zero_terms) != l or len(one_terms) != l:
+        if not zero_terms or len(one_terms) != len(zero_terms):
             raise ValidationError(
-                f"zero/one term tuples must have length l={l}, got "
+                f"zero/one term tuples must have one positive length, got "
                 f"{len(zero_terms)}/{len(one_terms)}"
             )
         for t in zero_terms + one_terms:
@@ -72,7 +73,7 @@ class VarietyContext(_Record):
 
     @property
     def l(self) -> int:
-        return self.signature.l
+        return len(self.zero_terms)
 
     @property
     def pool_algebras(self) -> tuple[FiniteAlgebra, ...]:
@@ -182,7 +183,8 @@ def generate_pool(
     and multiplies only pairs with one of them: what older members alone
     build is already seen.  Nor does it build the quotient by the identity
     or a product with a one-element factor, whose tables are those of a
-    member, nor a product of a pair it multiplied before.
+    member, nor a product of a pair it multiplied before, nor the lattice of
+    a product too large to keep its quotients when they are all such pairs.
 
     Every construction is admitted by `offer`, as bare size and tables: past
     max_size it is discarded, and with the tables of a member it is that
@@ -257,16 +259,24 @@ def generate_pool(
     def offer_quotients(k: int) -> None:
         entry = entries[k]
         a = entry.algebra
+        composed = composes and entry.factors is not None
+        if composed:
+            i, j = entry.factors
+            m = entries[j].algebra.size
+            # with no map to keep and every factor quotient pair multiplied
+            # (the factors' maps hold committed indices), k offers nothing
+            if 2 * a.size > max_size and all(
+                    (x, y) in multiplied
+                    for x in quotients[i].values() for y in quotients[j].values()):
+                return
         cons = all_congruences(a)
         found = {cons[-1].rep: k}  # the identity is last
         for theta in cons[:-1]:
             rep = theta.rep
             name = lambda: _quotient_name(a, theta)
             recipe = lambda: f"quotient({a.name}, {theta})"
-            if composes and entry.factors is not None:
+            if composed:
                 # theta x phi at a*m + b is theta[a]*m + phi[b]
-                i, j = entry.factors
-                m = entries[j].algebra.size
                 found[rep] = multiply(
                     quotients[i][tuple([r // m for r in rep[::m]])],
                     quotients[j][rep[:m]], name, recipe)
@@ -342,19 +352,15 @@ class ZeroOneReport(_Record):
     A pass is evidence over the pool, not a proof for the whole variety.
     """
 
-    __slots__ = ("entries", "note")
+    __slots__ = ("entries",)
+    note = "sampled verification over the pool, not a proof"
 
-    def __init__(self, entries: tuple[tuple[str, tuple, tuple, bool], ...],
-                 note: str = "sampled verification over the pool, not a proof"):
-        super().__init__(entries, note)
+    def __init__(self, entries: tuple[tuple[str, tuple, tuple, bool], ...]):
+        super().__init__(entries)
 
     @property
     def ok(self) -> bool:
         return all(ok for _, _, _, ok in self.entries)
-
-    @property
-    def violations(self) -> tuple[str, ...]:
-        return tuple(name for name, _, _, ok in self.entries if not ok)
 
 
 def verify_zero_one_condition(ctx: VarietyContext) -> ZeroOneReport:

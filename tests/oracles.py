@@ -1455,7 +1455,7 @@ def _opt(name, default):
 RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("Var", "name"),
     _twin("App", "symbol", _opt("args", ())),
-    _twin("Signature", "symbols", _opt("l", 1)),
+    _twin("Signature", "symbols"),
     _twin("FiniteAlgebra", "signature", "size", "tables", _opt("name", "A")),
     _twin("Congruence", "algebra", "rep"),
     _twin("FactorPair", "theta", "theta_c"),
@@ -1467,8 +1467,7 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("PoolEntry", "algebra", "recipe", _opt("factors", None)),
     _twin("VarietyContext", "generator", "zero_terms", "one_terms",
           _opt("pool", ())),
-    _twin("ZeroOneReport", "entries",
-          _opt("note", "sampled verification over the pool, not a proof")),
+    _twin("ZeroOneReport", "entries"),
     _twin("CentralElement", "algebra", "e", "pair"),
     _twin("DfcCounterexample", "left", "right", "a", "b", "c", "d", "direction",
           slots=True),

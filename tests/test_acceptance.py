@@ -13,6 +13,7 @@ from factorlab import (
     central_elements,
     factor_pairs,
     free_algebra,
+    free_pair_context,
     parse_formula,
     positivize,
     quotient,
@@ -199,7 +200,7 @@ def test_criterion_6_end_to_end_pipeline(capsys, rings_ctx, lattices_ctx):
 
         # the emitted witness terms satisfy the substitution identities on
         # every pool algebra (positivize raises otherwise; run it directly)
-        result = positivize(phi, ctx)
+        result = positivize(phi, ctx, free_pair_context(ctx))
         assert result.k == 0 and result.witnesses
     print(
         "criterion 6: PASS - both mixed fixtures run verify -> positivize -> "

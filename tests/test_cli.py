@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -316,10 +317,9 @@ def test_positivize_all_witnesses(capsys):
 @pytest.mark.parametrize("extra", [(), ("--all-witnesses",)])
 def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
     import factorlab.cli
+    import factorlab.freealg
 
-    # the package re-exports the function `positivize` under the module's name
-    positivize_module = importlib.import_module("factorlab.positivize")
-    original = positivize_module.free_pair_context
+    original = factorlab.freealg.free_pair_context
     calls = []
 
     def counting(*args, **kwargs):
@@ -327,7 +327,7 @@ def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(factorlab.cli, "free_pair_context", counting)
-    monkeypatch.setattr(positivize_module, "free_pair_context", counting)
+    monkeypatch.setattr(factorlab.freealg, "free_pair_context", counting)
     code, _ = run_cli(
         capsys, "positivize", FIXTURES / "rings.ctx",
         FIXTURES / "formulas" / "ring_mixed.fm", *extra, "--format", "machine",
@@ -657,8 +657,10 @@ def test_coerced_algebra_field_exits_2(capsys, tmp_path, field, value, named):
 
 @pytest.mark.parametrize(
     "field, value, named",
-    [("zero", "1", "'zero' must be a list"), ("l", 1.7, "'l' must be an integer")],
-    ids=["string-zero", "float-l"],
+    [("zero", "1", "'zero' must be a list"), ("l", 1.7, "'l' must be an integer"),
+     ("l", 0, "error: tuple length l must be positive\n"),
+     ("l", 2, "error: zero/one term tuples must have length l=2, got 1/1\n")],
+    ids=["string-zero", "float-l", "zero-l", "l-over-the-tuples"],
 )
 def test_coerced_context_field_exits_2(capsys, tmp_path, field, value, named):
     data = {"generator": str(FIXTURES / "z2.alg"), "l": 1,
@@ -667,6 +669,40 @@ def test_coerced_context_field_exits_2(capsys, tmp_path, field, value, named):
     bad.write_text(json.dumps(data))
     assert main(["central", "list", str(bad)]) == 2
     assert named in capsys.readouterr().err
+
+
+# every fixture context has l = 1; sha256 of each machine stdout on a context
+# over C3 with zero (0, 0) and one (1, 1)
+L2_RUNS = {
+    "dfc-verify": (("dfc", "verify", "CTX", "FM", "--pool-depth", "2",
+                    "--max-size", "9"),
+                   "7f9ca62557a148465c4072413012c37c60ff675d6682cd6db388f46e17761146"),
+    "central-list": (("central", "list", "CTX", "--algebra",
+                      FIXTURES / "l2x2.alg"),
+                     "530c3265df214291140237368251d68334fb851ace6b3bc689c08d08920eded7"),
+    "correspondence": (("correspondence", "CTX", "FM", "--algebra",
+                        FIXTURES / "l2x2.alg"),
+                       "d829c2e94b3852e8b05b3a044a6b96a3b86afbafde5ad519e19a6de40e75512f"),
+    "pipeline": (("pipeline", "CTX", "FM", "--max-size", "9"),
+                 "8605774ea01f3077b2924cf3671b49fcad735befa7ae802ad07e79568e596995"),
+}
+
+
+@pytest.mark.parametrize("run", sorted(L2_RUNS))
+def test_l2_context_machine_output(capsys, tmp_path, run):
+    ctx, formula = tmp_path / "l2.ctx", tmp_path / "l2.fm"
+    ctx.write_text(json.dumps({"generator": str(FIXTURES / "c3.alg"), "l": 2,
+                               "zero": ["0", "0"], "one": ["1", "1"]}))
+    formula.write_text(r"x \/ z1 = y \/ z1 and x \/ z2 = y \/ z2" + "\n")
+    argv, digest = L2_RUNS[run]
+    argv = [{"CTX": ctx, "FM": formula}.get(a, a) for a in argv]
+    code, out = run_cli(capsys, *argv, "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["status"] in ("ok", "pass")
+    if run == "central-list":
+        assert [row["e"] for row in json.loads(out)["central"]] == [
+            [3, 3], [1, 1], [2, 2], [0, 0]]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("kind", ["alg", "ctx", "generator", "fm"])

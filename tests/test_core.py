@@ -231,8 +231,7 @@ def test_is_homomorphism_rejects_bad_map(z6):
 
 def test_zero_one_condition_rings(rings_z6_ctx):
     report = verify_zero_one_condition(rings_z6_ctx)
-    assert report.ok
-    assert report.violations == ()
+    assert report.ok and all(ok for *_, ok in report.entries)
     assert "sampled" in report.note
 
 
@@ -370,9 +369,10 @@ def test_pool_expands_each_member_once(monkeypatch):
         monkeypatch.setattr(factorlab.variety, name, counting)
     pool = generate_pool(ctx, max_size=27, depth=3)
     assert len(pool) == 63
-    # one lattice per member added before the last round, where
-    # generate_pool_rescan computes 19
-    assert len(lattices) == len(set(lattices)) == 14
+    # at most one lattice per member added before the last round (14), where
+    # generate_pool_rescan computes 19; one product too large to keep its
+    # quotients has only quotient pairs multiplied before, and needs none
+    assert len(lattices) == len(set(lattices)) == 13
     # a pair of two members from earlier rounds was multiplied before
     assert len(products) == len(set(products))
 
@@ -633,8 +633,10 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
     assert len(pool) - len(recorded) == 7
     # no quotient of a recorded product is built from its classes
     assert quotients and not any(a in recorded for a, _ in quotients)
+    # one lattice per expanded member (98) but the 20 products too large to
+    # keep their quotients whose factors' quotient pairs were all multiplied
+    assert len(lattices) == 78
     # one closure per expanded member, of the empty seed
-    assert len(lattices) == 98
     assert [seed for _, seed in calls["_subalgebra_tables"]] == [()] * 98
     # every other seed is one of 20 rank patterns of F(2)'s six elements
     assert len(made) == 1 and made[0].free.size == 6

@@ -6,10 +6,9 @@ import factorlab.core
 import factorlab.dfc
 from factorlab import (
     DnfEvaluator,
-    FiniteAlgebra,
     PoolEntry,
     ResourceBoundError,
-    Signature,
+    ValidationError,
     VarietyContext,
     central_elements,
     correspondence_check,
@@ -54,11 +53,21 @@ def test_central_diamond_all_four(diamond, lattices_ctx):
 
 def _lattices_l2() -> VarietyContext:
     """C3 over the lattice signature with l = 2, zero = (0, 0), one = (1, 1)."""
-    c3 = chain_lattice(3)
-    sig = Signature(c3.signature.symbols, l=2)
-    zero, one = App("0"), App("1")
-    return VarietyContext(FiniteAlgebra(sig, c3.size, c3.tables, c3.name),
-                          (zero, zero), (one, one))
+    return VarietyContext(chain_lattice(3), (App("0"),) * 2, (App("1"),) * 2)
+
+
+def test_l2_context_over_the_plain_generator():
+    # the tuple length is the context's, so C3 itself carries l = 2
+    ctx = _lattices_l2()
+    assert ctx.l == 2 and ctx.generator == chain_lattice(3)
+    assert [ce.e for ce in central_elements(ctx.generator, ctx)] == [(2, 2), (0, 0)]
+
+
+@pytest.mark.parametrize("zero, one", [((), ()), ((App("0"),) * 2, (App("1"),))])
+def test_context_tuples_need_one_positive_length(zero, one):
+    with pytest.raises(ValidationError, match=r"^zero/one term tuples must have one "
+                                              r"positive length, got \d/\d$"):
+        VarietyContext(chain_lattice(3), zero, one)
 
 
 CENTRAL_POOLS = {
@@ -145,12 +154,13 @@ def test_verify_dfc_respects_pair_cap(rings_z6_ctx):
     )
 
 
-def test_verify_dfc_eval_cap(rings_z6_ctx):
+def test_verify_dfc_eval_cap(rings_z6_ctx, monkeypatch):
     phi = parse_formula(RING_PHI, rings_z6_ctx.signature, 1)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 10)
     with pytest.raises(
         ResourceBoundError, match=r"^verify_dfc: estimated \d+ evaluations exceed cap 10$"
     ):
-        verify_dfc(phi, rings_z6_ctx, eval_cap=10)
+        verify_dfc(phi, rings_z6_ctx)
 
 
 def test_verify_dfc_searches_no_product_member(monkeypatch):
@@ -462,15 +472,10 @@ def test_complement_duality_ring_fixture(z6, rings_z6_ctx):
 
 def test_l2_context_machinery(z6):
     # duplicated zero/one terms exercise tuple plumbing beyond length one
-    from factorlab import FiniteAlgebra, Signature, VarietyContext
-    from factorlab.terms import App
-
-    sig = Signature(z6.signature.symbols, l=2)
-    z6_l2 = FiniteAlgebra(sig, z6.size, z6.tables, z6.name)
     ctx = VarietyContext(
-        z6_l2, (App("1"), App("1")), (App("0"), App("0"))
+        z6, (App("1"), App("1")), (App("0"), App("0"))
     ).populated(max_size=6, depth=1)
-    phi = parse_formula("z1 * x = z1 * y and z2 * x = z2 * y", sig, 2)
+    phi = parse_formula("z1 * x = z1 * y and z2 * x = z2 * y", z6.signature, 2)
     assert verify_dfc(phi, ctx).ok
-    ces = central_elements(z6_l2, ctx)
+    ces = central_elements(z6, ctx)
     assert sorted(ce.e for ce in ces) == [(0, 0), (1, 1), (3, 3), (4, 4)]

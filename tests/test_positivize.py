@@ -38,7 +38,7 @@ LATTICE_MIXED = (
 
 
 def _first_witness(phi, ctx):
-    cert = positivize(phi, ctx).certificate
+    cert = positivize(phi, ctx, free_pair_context(ctx)).certificate
     return cert.disjunct, cert.witness_indices
 
 
@@ -74,7 +74,7 @@ def test_decoy_disjunct_not_chosen(rings_ctx):
 
 def test_positivize_ring(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    result = positivize(phi, rings_ctx)
+    result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     assert result.k == 0
     assert result.phi_prime.text() == "exists w . z1 * x = z1 * y"
     assert all(lit.positive for lit in result.phi_prime.literals)
@@ -88,13 +88,13 @@ def test_positivize_already_positive(rings_ctx):
     phi = parse_formula(
         "exists w . (z1 * x = z1 * y and w = w)", rings_ctx.signature, 1
     )
-    result = positivize(phi, rings_ctx)
+    result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     assert result.phi_prime.literals == phi.disjuncts[0]
 
 
 def test_positivize_lattice_quantifier_free(lattices_ctx):
     phi = parse_formula(r"(x \/ z1 = y \/ z1)", lattices_ctx.signature, 1)
-    result = positivize(phi, lattices_ctx)
+    result = positivize(phi, lattices_ctx, free_pair_context(lattices_ctx))
     assert result.k == 0
     assert result.witnesses == ()
     assert result.phi_prime.text() == r"x \/ z1 = y \/ z1"
@@ -102,20 +102,20 @@ def test_positivize_lattice_quantifier_free(lattices_ctx):
 
 def test_positivize_deterministic(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    r1 = positivize(phi, rings_ctx)
-    r2 = positivize(phi, rings_ctx)
+    r1 = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
+    r2 = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     assert r1 == r2
 
 
 def test_positivize_propagates_no_witness(rings_ctx):
     phi = parse_formula("x = y", rings_ctx.signature, 1)
     with pytest.raises(NoWitnessError):
-        positivize(phi, rings_ctx)
+        positivize(phi, rings_ctx, free_pair_context(rings_ctx))
 
 
 def test_witness_terms_use_expected_variables(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    result = positivize(phi, rings_ctx)
+    result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     from factorlab.terms import free_vars
 
     for u, v in result.witnesses:
@@ -126,7 +126,7 @@ def test_witness_terms_use_expected_variables(rings_ctx):
 def test_enumerate_witnesses_includes_first(rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
     k, ws = _first_witness(phi, rings_ctx)
-    allw = enumerate_witnesses(phi, rings_ctx)
+    allw = enumerate_witnesses(phi, free_pair_context(rings_ctx))
     assert (k, ws) in allw
     assert allw == sorted(allw)
     # disjunct 0 admits every element except the parameter itself
@@ -158,20 +158,20 @@ def test_witnesses_match_the_materialized_free_pair_product(ctx_name, formula):
         phi = load_formula(str(formula), ctx.signature, ctx.l)
     fpc = free_pair_context(ctx)
     first, everything = free_pair_witnesses_materialized(phi, fpc)
-    assert enumerate_witnesses(phi, ctx, fpc=fpc) == everything
+    assert enumerate_witnesses(phi, fpc) == everything
     if first is None:
         with pytest.raises(NoWitnessError):
-            positivize(phi, ctx, fpc=fpc)
+            positivize(phi, ctx, fpc)
     else:
-        cert = positivize(phi, ctx, fpc=fpc).certificate
+        cert = positivize(phi, ctx, fpc).certificate
         assert (cert.disjunct, cert.witness_indices) == first
 
 
 def test_positivize_builds_no_product(monkeypatch, rings_ctx):
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
     calls = _count_direct_products(monkeypatch)
-    positivize(phi, rings_ctx)
-    assert len(enumerate_witnesses(phi, rings_ctx)) == 63
+    positivize(phi, rings_ctx, free_pair_context(rings_ctx))
+    assert len(enumerate_witnesses(phi, free_pair_context(rings_ctx))) == 63
     assert calls == []
 
 
@@ -184,20 +184,20 @@ def test_witness_search_caps(monkeypatch, rings_ctx):
         ResourceBoundError,
         match="^positivize: estimated 40 witness candidates exceed cap 39$",
     ):
-        positivize(phi, rings_ctx)
+        positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     monkeypatch.setattr(POSITIVIZE_MODULE, "SEARCH_CAP", 62)
-    assert positivize(phi, rings_ctx).k == 0
+    assert positivize(phi, rings_ctx, free_pair_context(rings_ctx)).k == 0
     with pytest.raises(
         ResourceBoundError,
         match="^positivize: 63 combined witnesses exceed cap 62$",
     ):
-        enumerate_witnesses(phi, rings_ctx)
+        enumerate_witnesses(phi, free_pair_context(rings_ctx))
 
 
 def test_verdicts_agree_for_input_and_output(rings_ctx, lattices_ctx):
     for ctx, text in [(rings_ctx, RING_MIXED), (lattices_ctx, LATTICE_MIXED)]:
         phi = parse_formula(text, ctx.signature, 1)
-        result = positivize(phi, ctx)
+        result = positivize(phi, ctx, free_pair_context(ctx))
         assert verify_dfc(phi, ctx).ok
         assert verify_dfc(result.phi_prime, ctx).ok
 
@@ -208,7 +208,7 @@ def test_explicit_witness_values_satisfy_positive_literals(rings_ctx):
     from factorlab import DnfEvaluator, direct_product, eval_term, pair_index
 
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    result = positivize(phi, rings_ctx)
+    result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     algebras = rings_ctx.pool_algebras
     for a in algebras:
         for b in algebras:
@@ -244,7 +244,7 @@ def test_recheck_rejects_a_wrong_witness_term(rings_ctx):
     phi = parse_formula(
         "exists w . (z1 * x = z1 * y and w = x)", rings_ctx.signature, 1
     )
-    result = positivize(phi, rings_ctx)
+    result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
     assert [tuple(map(term_text, pair)) for pair in result.witnesses] == [("x", "x")]
     x = result.witnesses[0][0]
     name = rings_ctx.generator.name
@@ -320,7 +320,7 @@ def test_recheck_evaluates_no_product_member(monkeypatch):
     ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(16, 3)
     phi = load_formula(str(FIXTURES / "formulas" / "lattice_mixed.fm"),
                        ctx.signature, ctx.l)
-    result = positivize(phi, ctx)
+    result = positivize(phi, ctx, free_pair_context(ctx))
     evaluated = set()
     eval_term = POSITIVIZE_MODULE.eval_term
 

@@ -536,9 +536,7 @@ def central_cases(draw):
     drawn closed zero and one terms."""
     l = draw(st.integers(1, 2))
     members = draw(st.lists(dfc_members(), min_size=1, max_size=2))
-    drawn = members[0] if len(members) == 1 else direct_product(*members)
-    algebra = FiniteAlgebra(Signature(DFC_SIG.symbols, l), drawn.size,
-                            drawn.tables, "M")
+    algebra = members[0] if len(members) == 1 else direct_product(*members)
     closed = st.lists(st.sampled_from(CLOSED_TERMS), min_size=l, max_size=l)
     return algebra, VarietyContext(algebra, tuple(draw(closed)),
                                    tuple(draw(closed)))

@@ -54,7 +54,7 @@ def algebra_args(draw):
         st.tuples(st.sampled_from("fg0"), st.integers(0, 2)),
         max_size=3, unique_by=lambda s: s[0],
     ))
-    signature = Signature(tuple(symbols), draw(st.integers(1, 2)))
+    signature = Signature(tuple(symbols))
     n = draw(st.integers(1, 2))
     tables = tuple(
         tuple(draw(st.lists(st.integers(0, n - 1), min_size=n**k, max_size=n**k)))
@@ -83,7 +83,7 @@ def conjunction(literals, min_size):
 
 # arguments that pass the checks of the validating constructors
 ARGS = {
-    Signature: algebra_args().map(lambda args: (args[0].symbols, args[0].l)),
+    Signature: algebra_args().map(lambda args: (args[0].symbols,)),
     FiniteAlgebra: algebra_args(),
     Congruence: congruence_args(),
     ExistentialDnf: st.tuples(

@@ -4,8 +4,12 @@ lattice at desk scale, factor pairs and quotients.
 `all_congruences` owns each algebra's lattice: it builds it once and keeps
 the sorted rep tuples in a weak-keyed memo, so pool generation, factor
 pairs, central elements and the correspondence check all read one build per
-algebra.  The basic translations are memoised the same way.  Value-equal
-algebras share an entry, and an entry dies with the algebra it was stored
+algebra.  The basic translations are memoised the same way.  A lookup reads
+no tables: an algebra hashes by (signature, size, name) and equals itself
+at once (see `core.FiniteAlgebra`), so a product's tables, built only when
+read, are not built for its memo entries.  Value-equal algebras still share
+an entry, a lookup with an algebra of the same name but another object
+comparing their tables, and an entry dies with the algebra it was stored
 under, since the tuples refer to no algebra.
 
 A congruence is stored as its canonical representative array rep[0..n-1] with

@@ -5,7 +5,8 @@ Universe elements are plain ints 0..n-1.  Operation tables are flat row-major
 tuples: for arity k the entry for arguments (a1, .., ak) sits at index
 a1*n^(k-1) + a2*n^(k-2) + .. + ak.  All values are immutable after
 construction and every operation here is a pure function, so callers may
-evaluate across algebras and assignments concurrently.
+evaluate across algebras and assignments concurrently.  A product's tables
+are filled in once, on first read; two readers at once build equal tables.
 """
 from __future__ import annotations
 
@@ -67,9 +68,15 @@ class FiniteAlgebra(_Record):
 
     The constructor validates; algebras built from valid ones (products,
     subalgebras, quotients, free algebras) are valid by construction and
-    skip it through `_trusted`."""
+    skip it through `_trusted`.  A product from `direct_product` holds its
+    name and its two factors, and builds its tables on the first read of
+    `tables` (see `__getattr__`).
 
-    __slots__ = ("signature", "size", "tables", "name", "__weakref__")
+    Equality is value equality, and reads the tables unless both sides are
+    one object.  The hash reads only (signature, size, name), so a memo
+    keyed by algebras (see `congruences`) builds no product's tables."""
+
+    __slots__ = ("signature", "size", "tables", "name", "_factors", "__weakref__")
 
     def __init__(self, signature: Signature, size: int,
                  tables: tuple[tuple[int, ...], ...], name: str = "A"):
@@ -110,6 +117,18 @@ class FiniteAlgebra(_Record):
             raise ValidationError(f"algebra '{name}': missing tables for {missing}")
         tables = tuple(tuple(ops[s]) for s, _ in signature.symbols)
         return cls(signature, size, tables, name)
+
+    def __getattr__(self, attr: str):
+        # called only for an unset slot: the tables of a product from
+        # `direct_product`, built here once
+        if attr != "tables":
+            raise AttributeError(attr)
+        tables = _product_tables(*self._factors)
+        object.__setattr__(self, "tables", tables)
+        return tables
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.size, self.name))
 
     def table(self, symbol: str) -> tuple[int, ...]:
         return self.tables[self.signature.index(symbol)]
@@ -198,14 +217,29 @@ def direct_product(
 ) -> FiniteAlgebra:
     """Coordinatewise product on universe {0..|A|*|B|-1}, index = a*|B| + b.
 
-    A binary table is built in one pass: the row of (a1, b1) is A's row of
-    a1, scaled by |B|, plus B's row of b1, in argument order.  Other
-    arities read each coordinate's table through `_images`.
+    The product holds its name and its factors; its tables are built by
+    `_product_tables` on the first read of `tables`, so a caller that reads
+    only its size, name or factors builds none.
     """
     if a.signature != b.signature:
         raise ValidationError(
             f"signature mismatch between '{a.name}' and '{b.name}'"
         )
+    product = object.__new__(FiniteAlgebra)
+    for field, value in (("signature", a.signature), ("size", a.size * b.size),
+                         ("name", name or f"{a.name}x{b.name}"),
+                         ("_factors", (a, b))):
+        object.__setattr__(product, field, value)
+    return product
+
+
+def _product_tables(
+    a: FiniteAlgebra, b: FiniteAlgebra
+) -> tuple[tuple[int, ...], ...]:
+    """The tables of A x B.  A binary table is built in one pass: the row of
+    (a1, b1) is A's row of a1, scaled by |B|, plus B's row of b1, in
+    argument order.  Other arities read each coordinate's table through
+    `_images`."""
     na, nb = a.size, b.size
     n = na * nb
     # argument tuples over the product, read through each coordinate
@@ -224,8 +258,7 @@ def direct_product(
         xs = _images(ta, arity, left, na)
         ys = _images(tb, arity, right, nb)
         tables.append(tuple([x * nb + y for x, y in zip(xs, ys)]))
-    name = name or f"{a.name}x{b.name}"
-    return FiniteAlgebra._trusted(a.signature, n, tuple(tables), name)
+    return tuple(tables)
 
 
 # -- subalgebras -------------------------------------------------------------

@@ -11,7 +11,8 @@ class _Record:
     slots with a leading underscore are private and left out.  Its `__init__`
     checks the values and passes them in field order to `_Record.__init__`;
     `_trusted` skips the checks.  Equality (within one class) and the hash
-    read the values, the repr is Name(field=value, ...), and fields are fixed."""
+    read the values, but an object equals itself at once; the repr is
+    Name(field=value, ...), and fields are fixed."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -34,6 +35,8 @@ class _Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented

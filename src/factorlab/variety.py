@@ -18,6 +18,7 @@ from .core import (
     Signature,
     _PairCells,
     _images,
+    _product_tables,
     _subalgebra_name,
     _subalgebra_tables,
     direct_product,
@@ -110,9 +111,14 @@ class _SeedPatterns(_PairCells):
     runs the program at every pair at once.  In a product A x B the values
     at ((a1, b1), (a2, b2)) are the pairs of A's at (a1, a2) and B's at
     (b1, b2), so `combine` ranks the paired patterns as a*|B| + b ranks
-    them."""
+    them.
 
-    __slots__ = ("steps", "free")
+    The empty seed needs no cell of its own.  Sg(∅) in M is the image of
+    F(2)'s closed-term part, Sg_F(2)(∅), whose values do not depend on
+    (s, t); so any cell's pattern, read at those elements only, gives its
+    tables (`empty_seed`)."""
+
+    __slots__ = ("steps", "free", "closed")
 
     def __init__(self, generator: FiniteAlgebra, free: FreeAlgebra):
         super().__init__()
@@ -125,6 +131,9 @@ class _SeedPatterns(_PairCells):
             for w in free.witnesses
         ]
         self.free = free.algebra
+        # the elements of Sg_F(2)(∅), those of the closed terms
+        self.closed = (_subalgebra_tables(self.free, ())[2]
+                       if generator.signature.constants else ())
 
     @classmethod
     def of(cls, generator: FiniteAlgebra) -> "_SeedPatterns | None":
@@ -157,13 +166,26 @@ class _SeedPatterns(_PairCells):
             cols.append([table[c] for c in cells])
         return [self.intern(_rank_pattern(values)) for values in zip(*cols)]
 
-    def tables(self, pid: int) -> tuple[tuple[int, ...], ...]:
-        """The tables of the subalgebra whose pattern has id `pid`."""
+    def tables(self, pid: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Size and tables of the subalgebra whose pattern has id `pid`."""
+        return self._image(pid, range(self.free.size))
+
+    def empty_seed(self, pid: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Size and tables of Sg(∅) in a member with a cell of pattern `pid`."""
+        return self._image(pid, self.closed)
+
+    def _image(self, pid: int, elements) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Size and tables of the image, at a cell of pattern `pid`, of the
+        subalgebra of F(2) on `elements`."""
         pattern = self.by_id[pid]
-        reps = [pattern.index(r) for r in range(max(pattern) + 1)]
+        first: dict[int, int] = {}  # value -> an element with it
+        for e in elements:
+            first.setdefault(pattern[e], e)
+        rank = {v: r for r, v in enumerate(sorted(first))}
+        reps = [first[v] for v in sorted(first)]
         free = self.free
-        return tuple(
-            tuple([pattern[v] for v in _images(table, arity, reps, free.size)])
+        return len(reps), tuple(
+            tuple([rank[pattern[v]] for v in _images(table, arity, reps, free.size)])
             for (_, arity), table in zip(free.signature.symbols, free.tables)
         )
 
@@ -172,6 +194,30 @@ def _rank_pattern(values) -> tuple[int, ...]:
     """Each value replaced by its rank among the distinct ones."""
     rank = {v: r for r, v in enumerate(sorted(set(values)))}
     return tuple([rank[v] for v in values])
+
+
+def _atoms(algebra: FiniteAlgebra) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """Size and tables of the finest algebras whose product, taken left to
+    right, has `algebra`'s tables.  A split into X x Y with |X| = d is read
+    off the tables: X at the elements x*|Y| divided by |Y|, Y at the
+    elements below |Y| modulo |Y|; it holds when their product has the
+    tables.  An algebra with no such split is its own atom."""
+    n, signature = algebra.size, algebra.signature
+    for d in range(2, n):
+        if n % d:
+            continue
+        m = n // d
+        parts = [
+            FiniteAlgebra._trusted(signature, size, tuple(
+                tuple([read(v) for v in _images(table, arity, reps, n)])
+                for (_, arity), table in zip(signature.symbols, algebra.tables)
+            ), "")
+            for size, reps, read in ((d, range(0, n, m), lambda v: v // m),
+                                     (m, range(m), lambda v: v % m))
+        ]
+        if _product_tables(*parts) == algebra.tables:
+            return _atoms(parts[0]) + _atoms(parts[1])
+    return [(n, algebra.tables)]
 
 
 def generate_pool(
@@ -186,12 +232,12 @@ def generate_pool(
     member, nor a product of a pair it multiplied before, nor the lattice of
     a product too large to keep its quotients when they are all such pairs.
 
-    Every construction is admitted by `offer`, as bare size and tables: past
-    max_size it is discarded, and with the tables of a member it is that
-    member (no isomorphism testing is attempted).  Otherwise it enters the
-    pool, and only then are its name and recipe formatted.  When it records
-    factors and the generator has a median term (`median_term`), its
-    lattice is composed from theirs through `compose_lattice`.
+    Every construction is admitted by `offer` under a key: past max_size it
+    is discarded, and with the key of a member it is that member (no
+    isomorphism testing is attempted).  Otherwise it enters the pool, and
+    only then are its name and recipe formatted.  When it records factors
+    and the generator has a median term (`median_term`), its lattice is
+    composed from theirs through `compose_lattice`.
 
     An entry records factors (i, j) when it has the tables of the product
     of members i and j: a product, and under a median term every quotient
@@ -202,41 +248,93 @@ def generate_pool(
     `quotient(...)` name and recipe.  Every other quotient is built from
     its classes.
 
-    The seeds are the empty seed, closed in each member, then the
-    singletons, then the pairs in order.  The others are read off F(2) of
-    the generator (see `_SeedPatterns`): a seed whose pattern was offered
-    before is skipped, since it has the same tables, and a recorded
-    product's patterns are composed from its factors'.  When F(2) has more
-    than SEED_PROGRAM_CAP elements, every seed is closed instead, and the
-    pair seed (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y)
-    is then a singleton's subalgebra, offered already.
+    The seeds are the empty seed, then the singletons, then the pairs in
+    order.  They are read off F(2) of the generator (see `_SeedPatterns`): a
+    seed whose pattern was offered before is skipped, since it has the same
+    tables, and a recorded product's patterns are composed from its
+    factors'.  When F(2) has more than SEED_PROGRAM_CAP elements, every seed
+    is closed instead, and the pair seed (x, y) is skipped when y is in
+    Sg(x) or x in Sg(y): Sg(x, y) is then a singleton's subalgebra, offered
+    already.
+
+    The key is a construction's tables, with one exception that builds no
+    tables: under a median term with F(2) read, a recorded product past
+    cap = max(|generator|, |F(2)|) elements is keyed by its atoms.  Its
+    leaves are its factors, flattened in order down to members with no
+    factors, and its atoms are their finest splits (`_atoms`, keyed by
+    tables).  It enters as a `direct_product` of its factors, whose tables
+    are built only when read.  The key is exact:
+    - Only a recorded product can be past cap.  The generator is at most
+      cap; a subalgebra generated by at most two elements is an image of
+      F(2), and Sg(∅) one of Sg_F(2)(∅); a quotient of a member with no
+      factors is no larger than it, and a quotient of a recorded product is
+      recorded.  Up to cap a product can have the tables of such a member,
+      so it keeps the table key there.
+    - Equal atoms give equal tables.  Write E(s) for the tables of the
+      product of the sequence s, left to right.  A product of products has
+      the tables of the product of its leaves, in order, as
+      (a*|B| + b)*|C| + c = a*|B||C| + b*|C| + c, and a leaf has those of
+      its atoms.
+    - Different atoms give different tables.  Let E(a, R) = E(b, R') on N
+      elements, where a and b are atoms with |a| < |b| and R, R' are
+      sequences of atoms.  The kernel eta of the projection onto a (blocks
+      of N/|a| consecutive elements) is a congruence of b x E(R'), so by
+      Fraser and Horn eta = alpha x beta.  The row of b's element 0, the
+      first N/|b| elements, lies in one eta-block, so beta is total and
+      eta's blocks are whole rows: |a| divides |b|.  The kernel of the
+      projection onto E(R) likewise gives b the congruence x = x' modulo
+      |b|/|a|.  The two congruences of b meet in the identity and have
+      |a| * (|b|/|a|) = |b| classes, so b splits as a x Y with
+      |Y| = |b|/|a| > 1, against b being an atom.  So |a| = |b|; then
+      a = b (the quotient by eta) and E(R) = E(R') (read off the first
+      block), and by induction the two sequences are equal.
+    Pools without a median term, such as rings_z6's, or whose generator's
+    F(2) is over SEED_PROGRAM_CAP, key every construction by its tables.
     """
     gen = ctx.generator
     composes = median_term(gen) is not None
     patterns = _SeedPatterns.of(gen) if depth else None
+    # past cap, products are keyed by their atoms
+    cap = max(gen.size, patterns.free.size) if composes and patterns else None
     entries = [PoolEntry(gen, "generator")]
     fresh: list[PoolEntry] = []
-    seen = {(gen.size, gen.tables): 0}  # (size, tables) -> pool index
+    seen = {(gen.size, gen.tables): 0}  # key -> pool index
     # pool index -> `member_ids`, and {theta rep: pool index of the quotient},
     # of each member small enough to be a factor of a later product
     ids: dict[int, list[int]] = {}
     quotients: dict[int, dict] = {}
     multiplied: dict[tuple[int, int], int] = {}  # factors -> pool index
     offered: set[int] = set()  # pattern ids
+    leaves: dict[int, tuple[int, ...]] = {}  # pool index -> its atoms' ids
+    atom_ids: dict = {}  # (size, tables) -> id
 
-    def offer(size: int, tables: tuple[tuple[int, ...], ...], name, recipe,
-              factors: tuple[int, int] | None = None) -> int | None:
-        """The pool index of a construction's tables, or None past max_size.
-        New tables enter as a member named name(), built by recipe()."""
+    def offer(size: int, tables, name, recipe,
+              factors: tuple[int, int] | None = None, leaf=None) -> int | None:
+        """The pool index of a construction's tables, or, for a product past
+        cap, of its atom ids `leaf` (it passes no tables); None past
+        max_size.  A new key enters as a member named name(), built by
+        recipe(): with the tables, or as the product of its factors, whose
+        tables are built only when read."""
         if size > max_size:
             return None
-        index = seen.setdefault((size, tables), len(entries) + len(fresh))
+        index = seen.setdefault((size, leaf or tables), len(entries) + len(fresh))
         if index == len(entries) + len(fresh):
-            member = FiniteAlgebra._trusted(gen.signature, size, tables, name())
+            factor_algebras = [entries[f].algebra for f in factors or ()]
+            member = (FiniteAlgebra._trusted(gen.signature, size, tables, name())
+                      if leaf is None else direct_product(*factor_algebras, name()))
             fresh.append(PoolEntry(member, recipe(), factors))
             if composes and factors is not None:
-                compose_lattice(member, *(entries[f].algebra for f in factors))
+                compose_lattice(member, *factor_algebras)
         return index
+
+    def atoms(k: int) -> tuple[int, ...]:
+        """The ids of member k's atoms, left to right.  A member with
+        factors entered through `multiply`, which set them."""
+        found = leaves.get(k)
+        if found is None:
+            found = leaves[k] = tuple([atom_ids.setdefault(atom, len(atom_ids))
+                                       for atom in _atoms(entries[k].algebra)])
+        return found
 
     def multiply(i: int, j: int, name=None, recipe=None) -> int | None:
         """The pool index of the tables of the product of members i and j,
@@ -245,16 +343,23 @@ def generate_pool(
         if (i, j) in multiplied:
             return multiplied[i, j]
         a, b = entries[i].algebra, entries[j].algebra
-        if a.size * b.size > max_size:
+        size = a.size * b.size
+        if size > max_size:
             return None
         if a.size == 1 or b.size == 1:  # the other factor's tables
             multiplied[i, j] = j if a.size == 1 else i
+            return multiplied[i, j]
+        name = name or (lambda: f"{a.name}x{b.name}")
+        recipe = recipe or (lambda: f"product({a.name}, {b.name})")
+        leaf = None if cap is None else atoms(i) + atoms(j)
+        if leaf is not None and size > cap:
+            index = offer(size, None, name, recipe, (i, j), leaf)
         else:
-            p = direct_product(a, b)
-            multiplied[i, j] = offer(
-                p.size, p.tables, name or (lambda: p.name),
-                recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
-        return multiplied[i, j]
+            index = offer(size, direct_product(a, b).tables, name, recipe, (i, j))
+        multiplied[i, j] = index
+        if leaf is not None:  # a member with these tables has these atoms
+            leaves.setdefault(index, leaf)
+        return index
 
     def offer_quotients(k: int) -> None:
         entry = entries[k]
@@ -293,12 +398,12 @@ def generate_pool(
             offer(size, tables, lambda: _subalgebra_name(a, seed),
                   lambda: f"subalgebra({a.name}, {list(seed)})")
 
-        if a.signature.constants:
-            subalgebra((), *_subalgebra_tables(a, ())[:2])
         # the singletons, then the pairs in order
         seeds = itertools.chain(itertools.combinations(range(n), 1),
                                 itertools.combinations(range(n), 2))
         if patterns is None:
+            if a.signature.constants:
+                subalgebra((), *_subalgebra_tables(a, ())[:2])
             closures: list[set[int]] = []  # closures[x] = Sg(x)
             for seed in seeds:
                 if len(seed) == 2:
@@ -319,6 +424,8 @@ def generate_pool(
                 ids[i], entries[i].algebra.size, ids[j], entries[j].algebra.size)
         if 2 * n <= max_size:
             ids[k] = member
+        if a.signature.constants:
+            subalgebra((), *patterns.empty_seed(member[0]))
         # most members have no new pattern at a seed (s, t), t >= s: row s
         # of `member` from (s, s) on
         if offered.issuperset(itertools.chain.from_iterable(
@@ -328,7 +435,7 @@ def generate_pool(
             pid = member[seed[0] * n + seed[-1]]  # a singleton's at (s, s)
             if pid not in offered:
                 offered.add(pid)
-                subalgebra(seed, max(patterns.by_id[pid]) + 1, patterns.tables(pid))
+                subalgebra(seed, *patterns.tables(pid))
 
     old = 0  # the members before `old` were expanded
     for _ in range(depth):

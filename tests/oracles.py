@@ -14,7 +14,9 @@ was expanded once: every round rescans every member and every pair.
 their leaves and skipped pair seeds inside a singleton's subalgebra.
 `generate_pool_closed` is the pool as it was before it read seeds off F(2)
 and built quotients of products as products: one closure per seed, one
-quotient per congruence.
+quotient per congruence.  `generate_pool_tables` is the pool as it was
+before it keyed large products by their atoms: every product is built with
+its tables and keyed by them, and the empty seed is closed in each member.
 `direct_product_cellwise` is the product as it was before it read its
 tables through `core._images`: one index computation per cell, and
 `direct_product_images` as it was before it built binary tables row by row.
@@ -107,6 +109,7 @@ from factorlab.errors import InternalCheckError
 from factorlab.formulas import z_roles
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import INFIX_SYMBOLS, App, Term, Var
+from factorlab.variety import _SeedPatterns
 
 
 def _operand_text(t: Term) -> str:
@@ -618,6 +621,134 @@ def generate_pool_closed(
             break
         entries.extend(fresh)
         new = fresh
+    return entries
+
+
+def generate_pool_tables(
+    ctx: VarietyContext, max_size: int = 8, depth: int = 2
+) -> list[PoolEntry]:
+    """`generate_pool` as it was before it keyed a recorded product past
+    max(|generator|, |F(2)|) elements by its atoms: every construction is
+    keyed by its tables, so every product's tables are built, and the empty
+    seed is closed in each member instead of read off F(2)."""
+    gen = ctx.generator
+    composes = median_term(gen) is not None
+    patterns = _SeedPatterns.of(gen) if depth else None
+    entries = [PoolEntry(gen, "generator")]
+    fresh: list[PoolEntry] = []
+    seen = {(gen.size, gen.tables): 0}  # (size, tables) -> pool index
+    ids: dict[int, list[int]] = {}
+    quotients: dict[int, dict] = {}
+    multiplied: dict[tuple[int, int], int] = {}  # factors -> pool index
+    offered: set[int] = set()  # pattern ids
+
+    def offer(size, tables, name, recipe, factors=None):
+        if size > max_size:
+            return None
+        index = seen.setdefault((size, tables), len(entries) + len(fresh))
+        if index == len(entries) + len(fresh):
+            member = FiniteAlgebra._trusted(gen.signature, size, tables, name())
+            fresh.append(PoolEntry(member, recipe(), factors))
+            if composes and factors is not None:
+                compose_lattice(member, *(entries[f].algebra for f in factors))
+        return index
+
+    def multiply(i, j, name=None, recipe=None):
+        if (i, j) in multiplied:
+            return multiplied[i, j]
+        a, b = entries[i].algebra, entries[j].algebra
+        if a.size * b.size > max_size:
+            return None
+        if a.size == 1 or b.size == 1:
+            multiplied[i, j] = j if a.size == 1 else i
+        else:
+            p = direct_product(a, b)
+            multiplied[i, j] = offer(
+                p.size, p.tables, name or (lambda: p.name),
+                recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
+        return multiplied[i, j]
+
+    def offer_quotients(k):
+        entry = entries[k]
+        a = entry.algebra
+        composed = composes and entry.factors is not None
+        if composed:
+            i, j = entry.factors
+            m = entries[j].algebra.size
+            if 2 * a.size > max_size and all(
+                    (x, y) in multiplied
+                    for x in quotients[i].values() for y in quotients[j].values()):
+                return
+        cons = all_congruences(a)
+        found = {cons[-1].rep: k}
+        for theta in cons[:-1]:
+            rep = theta.rep
+            name = lambda: _quotient_name(a, theta)
+            recipe = lambda: f"quotient({a.name}, {theta})"
+            if composed:
+                found[rep] = multiply(
+                    quotients[i][tuple([r // m for r in rep[::m]])],
+                    quotients[j][rep[:m]], name, recipe)
+            else:
+                found[rep] = offer(*_quotient_tables(a, theta)[:2], name, recipe)
+        if 2 * a.size <= max_size:
+            quotients[k] = found
+
+    def offer_seeds(k):
+        a = entries[k].algebra
+        n = a.size
+
+        def subalgebra(seed, size, tables):
+            offer(size, tables, lambda: _subalgebra_name(a, seed),
+                  lambda: f"subalgebra({a.name}, {list(seed)})")
+
+        if a.signature.constants:
+            subalgebra((), *_subalgebra_tables(a, ())[:2])
+        seeds = itertools.chain(itertools.combinations(range(n), 1),
+                                itertools.combinations(range(n), 2))
+        if patterns is None:
+            closures: list[set[int]] = []
+            for seed in seeds:
+                if len(seed) == 2:
+                    x, y = seed
+                    if y in closures[x] or x in closures[y]:
+                        continue
+                size, tables, embedding = _subalgebra_tables(a, seed)
+                if len(seed) == 1:
+                    closures.append(set(embedding))
+                subalgebra(seed, size, tables)
+            return
+        factors = entries[k].factors
+        if factors is None:
+            member = patterns.member_ids(a)
+        else:
+            i, j = factors
+            member = patterns.product(
+                ids[i], entries[i].algebra.size, ids[j], entries[j].algebra.size)
+        if 2 * n <= max_size:
+            ids[k] = member
+        if offered.issuperset(itertools.chain.from_iterable(
+                member[s * n + s : s * n + n] for s in range(n))):
+            return
+        for seed in seeds:
+            pid = member[seed[0] * n + seed[-1]]
+            if pid not in offered:
+                offered.add(pid)
+                subalgebra(seed, *patterns.tables(pid))
+
+    old = 0
+    for _ in range(depth):
+        fresh = []
+        for k in range(old, len(entries)):
+            offer_quotients(k)
+            offer_seeds(k)
+        for i in range(len(entries)):
+            for j in range(old if i < old else 0, len(entries)):
+                multiply(i, j)
+        if not fresh:
+            break
+        old = len(entries)
+        entries.extend(fresh)
     return entries
 
 
@@ -1456,7 +1587,9 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("Var", "name"),
     _twin("App", "symbol", _opt("args", ())),
     _twin("Signature", "symbols"),
-    _twin("FiniteAlgebra", "signature", "size", "tables", _opt("name", "A")),
+    # the hash leaves out the tables, which a product builds on first read
+    _twin("FiniteAlgebra", "signature", "size", ("tables", object, field(hash=False)),
+          _opt("name", "A")),
     _twin("Congruence", "algebra", "rep"),
     _twin("FactorPair", "theta", "theta_c"),
     _twin("CompactnessReport", "theta", "m", "generating_pairs", "exhaustive"),

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import factorlab.congruences
+import factorlab.core
 import factorlab.variety
 from conftest import FIXTURES
 from factorlab import (
@@ -23,7 +24,9 @@ from factorlab import (
     subalgebra_generated,
     verify_zero_one_condition,
 )
-from factorlab.fileio import load_context
+from factorlab.cli import main
+from factorlab.core import _subalgebra_tables
+from factorlab.fileio import load_algebra, load_context
 from corpus import (
     chain_lattice,
     cyclic_ring,
@@ -37,6 +40,7 @@ from oracles import (
     generate_pool_closed,
     generate_pool_reference,
     generate_pool_rescan,
+    generate_pool_tables,
     is_homomorphism,
     subalgebra_generated_rounds,
 )
@@ -401,7 +405,7 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     assert len(pool) == 63
     # a product with a one-element factor, or the quotient by the identity,
     # has the tables of a member already in the pool
-    assert products and all(a.size > 1 and b.size > 1 for a, b in products)
+    assert products and all(a.size > 1 and b.size > 1 for a, b, *_ in products)
     assert quotients and not any(theta.is_identity() for _, theta in quotients)
     # a quotient of a recorded product is built as a product of quotients
     recorded = [e.algebra for e in pool if e.factors is not None]
@@ -479,16 +483,17 @@ def test_drawn_pool_matches_reference(ctx, max_size, depth):
 
 def _count_pool_work(monkeypatch):
     """Record the `direct_product` and `_subalgebra_tables` calls that
-    `generate_pool` makes."""
-    calls = {"direct_product": [], "_subalgebra_tables": []}
+    `generate_pool` makes, and the products whose tables are built."""
+    calls = {"direct_product": [], "_subalgebra_tables": [], "_product_tables": []}
     for name, made in calls.items():
-        original = getattr(factorlab.variety, name)
+        module = factorlab.core if name == "_product_tables" else factorlab.variety
+        original = getattr(module, name)
 
         def counting(*args, _original=original, _made=made):
             _made.append(args)
             return _original(*args)
 
-        monkeypatch.setattr(factorlab.variety, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -497,15 +502,19 @@ def test_pool_skips_known_products_and_seeds(monkeypatch):
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=27, depth=3)
     assert len(pool) == 63
-    # every product is built, C3 x (C3 x C3) too, though it has the tables of
-    # (C3 x C3) x C3 and so does not enter; 12 quotients of products are
-    # built as products too (8 enter), and the rounds' products skip the 12
-    # pairs those multiplied
-    assert len(calls["direct_product"]) == 64
-    # one closure per expanded member, of the empty seed: every other seed
-    # is read off F(2), where closing every seed but a pair inside a
-    # singleton's subalgebra took 715
-    assert len(calls["_subalgebra_tables"]) == 14
+    # one product per recorded product (56), where every product was built
+    # (64): past max(|C3|, |F(2)|) = 6 elements a product is keyed by its
+    # leaves, so C3 x (C3 x C3) is (C3 x C3) x C3 and is never built, and 12
+    # quotients of products are built as products too (8 enter)
+    assert len(calls["direct_product"]) == 56
+    assert len(pool) - sum(e.factors is None for e in pool) == 56
+    # only the three products up to 6 elements build their tables, for their
+    # table key; the 53 past it keep none
+    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
+    # one closure, of F(2)'s closed-term part: every seed is read off F(2),
+    # the empty one too, where one closure per expanded member of the empty
+    # seed took 14
+    assert [seed for _, seed in calls["_subalgebra_tables"]] == [()]
 
 
 @st.composite
@@ -628,6 +637,9 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=64, depth=4)
     assert len(pool) == 245
+    # of 238 products, only the three up to 6 elements build their tables
+    assert len(calls["direct_product"]) == 238
+    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
     recorded = [e.algebra for e in pool if e.factors is not None]
     # 7 members are not recorded products, where only products were (15)
     assert len(pool) - len(recorded) == 7
@@ -636,8 +648,118 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
     # one lattice per expanded member (98) but the 20 products too large to
     # keep their quotients whose factors' quotient pairs were all multiplied
     assert len(lattices) == 78
-    # one closure per expanded member, of the empty seed
-    assert [seed for _, seed in calls["_subalgebra_tables"]] == [()] * 98
+    # one closure, of F(2)'s closed-term part, where each of the 98
+    # expanded members closed its empty seed
+    assert calls["_subalgebra_tables"] == [(made[0].free, ())]
     # every other seed is one of 20 rank patterns of F(2)'s six elements
     assert len(made) == 1 and made[0].free.size == 6
     assert len(made[0].by_id) == 20
+
+
+def _pool_rows(pool):
+    """Names, recipes, sizes, tables (built here) and factors, in order."""
+    return [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables, e.factors)
+            for e in pool]
+
+
+def _matches_table_keys(ctx, max_size, depth):
+    """The pool against `generate_pool_tables`, which keys every product by
+    its tables and closes every empty seed, with every table built."""
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    tables = generate_pool_tables(ctx, max_size=max_size, depth=depth)
+    assert _pool_rows(pool) == _pool_rows(tables)
+    return pool
+
+
+def _fresh_memos(monkeypatch):
+    """Lattice and translation memos that hold no algebra of another pool,
+    whose tables a lookup by value would read."""
+    for memo in ("_LATTICES", "_TRANSLATIONS", "_COMPOSED"):
+        monkeypatch.setattr(factorlab.congruences, memo, WeakKeyDictionary())
+
+
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 32), ("boolean", 3, 32),
+    ("rings_z6", 3, 27), ("shadow_x", 3, 16), ("lattices", 4, 64),
+])
+def test_pool_matches_table_keyed_pool(name, depth, max_size):
+    pool = _matches_table_keys(load_context(str(FIXTURES / f"{name}.ctx")),
+                               max_size, depth)
+    assert any(e.factors is not None for e in pool)
+
+
+@pytest.mark.parametrize("name", ["l2x2", "m3", "n5", "C2xC3"])
+def test_lattice_pool_over_a_larger_generator_matches_table_keyed_pool(name):
+    # L2x2 has the tables of C2 x C2, so L2x2 x C2 and C2 x L2x2 have one
+    # key, their atoms C2, C2, C2; and C2 x C2xC3 has the atoms C2, C2, C3
+    # of (C2 x C2) x C3, which are not those of C2xC3 x C2
+    if name == "C2xC3":
+        product = direct_product(chain_lattice(2), chain_lattice(3))
+        generator = FiniteAlgebra(product.signature, 6, product.tables, name)
+    else:
+        generator = load_algebra(str(FIXTURES / f"{name}.alg"))
+    _matches_table_keys(lattice_context(generator), 32, 3)
+
+
+@given(st.one_of(generator_contexts(), chain_contexts()),
+       st.sampled_from([8, 12, 16]), st.integers(1, 3))
+def test_drawn_pool_matches_table_keyed_pool(ctx, max_size, depth):
+    _matches_table_keys(ctx, max_size, depth)
+
+
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 32), ("boolean", 3, 32),
+    ("shadow_x", 3, 16), ("lattices", 4, 64),
+])
+def test_empty_seed_is_read_off_the_free_algebra(name, depth, max_size):
+    # Sg(∅) of every member, read off F(2)'s closed-term part at every cell
+    # of the member, is the closure of the empty seed
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    patterns = factorlab.variety._SeedPatterns.of(ctx.generator)
+    assert patterns.closed
+    for entry in pool:
+        a = entry.algebra
+        # a large product's cells alike: its pattern at (0, 0) is read
+        cells = patterns.member_ids(a) if a.size <= 16 else [patterns.member_ids(a)[0]]
+        assert {patterns.empty_seed(pid) for pid in cells} == {
+            tuple(_subalgebra_tables(a, ())[:2])}
+
+
+@pytest.mark.parametrize("argv", [
+    ("dfc", "verify"), ("correspondence",),
+])
+def test_no_stage_builds_the_tables_of_a_large_product(monkeypatch, capsys, argv):
+    # the depth-4, max-size-64 lattice pool: a product keeps no tables past
+    # max(|C3|, |F(2)|) = 6 elements, and neither stage reads them
+    _fresh_memos(monkeypatch)
+    built = []
+    product_tables = factorlab.core._product_tables
+
+    def building(a, b):
+        built.append(a.size * b.size)
+        return product_tables(a, b)
+
+    monkeypatch.setattr(factorlab.core, "_product_tables", building)
+    code = main([*argv, str(FIXTURES / "lattices.ctx"),
+                 str(FIXTURES / "formulas" / "lattice_mixed.fm"),
+                 "--pool-depth", "4", "--max-size", "64"])
+    assert code == 0
+    assert "pass" in capsys.readouterr().out
+    assert sorted(built) == [4, 6, 6]
+
+
+def test_deepest_lattice_pool_builds_no_large_product(monkeypatch):
+    # about 0.4 s in process, where building every product's tables took
+    # 5.6-6.4 s and 767 MB; the digest was recorded when it did
+    _fresh_memos(monkeypatch)
+    calls = _count_pool_work(monkeypatch)
+    pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
+                         max_size=256, depth=4)
+    assert len(pool) == 1675
+    assert sum(e.factors is None for e in pool) == 7
+    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
+    # names, recipes, sizes and factors, in order
+    rows = [(e.algebra.name, e.recipe, e.algebra.size, e.factors) for e in pool]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
+        "bfa44abe2e0e160dfe3bc230409ac33bf8e941058be4273c50ba9050cf2bfe6b")

@@ -60,7 +60,7 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from .core import FiniteAlgebra, _images
+from .core import FiniteAlgebra, _renamed_tables
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import _Record
 
@@ -425,11 +425,7 @@ def _quotient_tables(
     reps = sorted(set(theta.rep))
     index = {r: i for i, r in enumerate(reps)}
     proj = tuple(index[theta.rep[e]] for e in range(algebra.size))
-    tables = tuple(
-        tuple([proj[v] for v in _images(table, arity, reps, algebra.size)])
-        for (_, arity), table in zip(algebra.signature.symbols, algebra.tables)
-    )
-    return len(reps), tables, proj
+    return len(reps), _renamed_tables(algebra, reps, proj), proj
 
 
 def _quotient_name(algebra: FiniteAlgebra, theta: Congruence) -> str:

@@ -282,6 +282,16 @@ def _images(
     return out
 
 
+def _renamed_tables(algebra: FiniteAlgebra, elements: Sequence[int],
+                    renaming: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """`algebra`'s tables at every argument tuple over `elements`, each value
+    v read as renaming[v]: those of the quotient or subalgebra whose
+    elements `elements` stand for, in order."""
+    n, symbols = algebra.size, algebra.signature.symbols
+    return tuple(tuple([renaming[v] for v in _images(table, arity, elements, n)])
+                 for (_, arity), table in zip(symbols, algebra.tables))
+
+
 def subalgebra_generated(
     algebra: FiniteAlgebra, seed: Iterable[int]
 ) -> tuple[FiniteAlgebra, tuple[int, ...]]:

@@ -17,8 +17,8 @@ from .core import (
     FiniteAlgebra,
     Signature,
     _PairCells,
-    _images,
     _product_tables,
+    _renamed_tables,
     _subalgebra_name,
     _subalgebra_tables,
     direct_product,
@@ -81,15 +81,26 @@ class VarietyContext(_Record):
         return tuple(e.algebra for e in self.pool)
 
     def zero_values(self, algebra: FiniteAlgebra) -> tuple[int, ...]:
-        return tuple(eval_term(algebra, t, {}) for t in self.zero_terms)
+        return _closed_values(algebra, self.zero_terms)
 
     def one_values(self, algebra: FiniteAlgebra) -> tuple[int, ...]:
-        return tuple(eval_term(algebra, t, {}) for t in self.one_terms)
+        return _closed_values(algebra, self.one_terms)
 
     def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
         pool = tuple(generate_pool(self, max_size=max_size, depth=depth))
         return VarietyContext._trusted(
             self.generator, self.zero_terms, self.one_terms, pool)
+
+
+def _closed_values(algebra: FiniteAlgebra, terms: tuple[Term, ...]) -> tuple[int, ...]:
+    """The values of closed terms in `algebra`; a product's are composed
+    from its factors', x*|B| + y, and it builds no tables."""
+    factors = getattr(algebra, "_factors", None)
+    if factors is None:
+        return tuple(eval_term(algebra, t, {}) for t in terms)
+    a, b = factors
+    return tuple(x * b.size + y for x, y in zip(_closed_values(a, terms),
+                                                 _closed_values(b, terms)))
 
 
 # F(2) of the generator is read as a seed program only up to this many
@@ -181,13 +192,11 @@ class _SeedPatterns(_PairCells):
         first: dict[int, int] = {}  # value -> an element with it
         for e in elements:
             first.setdefault(pattern[e], e)
-        rank = {v: r for r, v in enumerate(sorted(first))}
-        reps = [first[v] for v in sorted(first)]
-        free = self.free
-        return len(reps), tuple(
-            tuple([rank[pattern[v]] for v in _images(table, arity, reps, free.size)])
-            for (_, arity), table in zip(free.signature.symbols, free.tables)
-        )
+        values = sorted(first)
+        rank = {v: r for r, v in enumerate(values)}
+        # the subalgebra is closed, so a value off `elements` is never read
+        return len(values), _renamed_tables(
+            self.free, [first[v] for v in values], [rank.get(v) for v in pattern])
 
 
 def _rank_pattern(values) -> tuple[int, ...]:
@@ -196,28 +205,31 @@ def _rank_pattern(values) -> tuple[int, ...]:
     return tuple([rank[v] for v in values])
 
 
-def _atoms(algebra: FiniteAlgebra) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """Size and tables of the finest algebras whose product, taken left to
-    right, has `algebra`'s tables.  A split into X x Y with |X| = d is read
-    off the tables: X at the elements x*|Y| divided by |Y|, Y at the
-    elements below |Y| modulo |Y|; it holds when their product has the
-    tables.  An algebra with no such split is its own atom."""
-    n, signature = algebra.size, algebra.signature
+def _atoms(signature: Signature, n: int, tables) -> list[tuple[int, tuple]]:
+    """Size and tables of the finest algebras of more than one element whose
+    product, taken left to right, has the tables of an algebra of n
+    elements; none for a one-element algebra, the empty product.  A split
+    into X x Y with |X| = d is read off the tables: X at the elements
+    x*|Y| divided by |Y|, Y at the elements below |Y| modulo |Y|; it holds
+    when their product has the tables.  An algebra with no such split is
+    its own atom."""
+    if n == 1:
+        return []
+    whole = FiniteAlgebra._trusted(signature, n, tables, "")
     for d in range(2, n):
         if n % d:
             continue
         m = n // d
-        parts = [
-            FiniteAlgebra._trusted(signature, size, tuple(
-                tuple([read(v) for v in _images(table, arity, reps, n)])
-                for (_, arity), table in zip(signature.symbols, algebra.tables)
-            ), "")
-            for size, reps, read in ((d, range(0, n, m), lambda v: v // m),
-                                     (m, range(m), lambda v: v % m))
+        x, y = [
+            FiniteAlgebra._trusted(signature, size,
+                                   _renamed_tables(whole, reps, renaming), "")
+            for size, reps, renaming in (
+                (d, range(0, n, m), [v // m for v in range(n)]),
+                (m, range(m), [v % m for v in range(n)]))
         ]
-        if _product_tables(*parts) == algebra.tables:
-            return _atoms(parts[0]) + _atoms(parts[1])
-    return [(n, algebra.tables)]
+        if _product_tables(x, y) == tables:
+            return _atoms(signature, d, x.tables) + _atoms(signature, m, y.tables)
+    return [(n, tables)]
 
 
 def generate_pool(
@@ -227,10 +239,9 @@ def generate_pool(
     binary products for `depth` rounds.  The generator itself always stays
     in the pool.  A round expands only the members the previous one added,
     and multiplies only pairs with one of them: what older members alone
-    build is already seen.  Nor does it build the quotient by the identity
-    or a product with a one-element factor, whose tables are those of a
-    member, nor a product of a pair it multiplied before, nor the lattice of
-    a product too large to keep its quotients when they are all such pairs.
+    build is already seen.  Nor does it build the quotient by the identity,
+    whose tables are the member's, nor the lattice of a product too large to
+    keep its quotients when they are all members already.
 
     Every construction is admitted by `offer` under a key: past max_size it
     is discarded, and with the key of a member it is that member (no
@@ -253,28 +264,22 @@ def generate_pool(
     seed whose pattern was offered before is skipped, since it has the same
     tables, and a recorded product's patterns are composed from its
     factors'.  When F(2) has more than SEED_PROGRAM_CAP elements, every seed
-    is closed instead, and the pair seed (x, y) is skipped when y is in
-    Sg(x) or x in Sg(y): Sg(x, y) is then a singleton's subalgebra, offered
-    already.
+    is closed in its member instead, reading the member's tables, and the
+    pair seed (x, y) is skipped when y is in Sg(x) or x in Sg(y): Sg(x, y)
+    is then a singleton's subalgebra, offered already.
 
-    The key is a construction's tables, with one exception that builds no
-    tables: under a median term with F(2) read, a recorded product past
-    cap = max(|generator|, |F(2)|) elements is keyed by its atoms.  Its
-    leaves are its factors, flattened in order down to members with no
-    factors, and its atoms are their finest splits (`_atoms`, keyed by
-    tables).  It enters as a `direct_product` of its factors, whose tables
-    are built only when read.  The key is exact:
-    - Only a recorded product can be past cap.  The generator is at most
-      cap; a subalgebra generated by at most two elements is an image of
-      F(2), and Sg(∅) one of Sg_F(2)(∅); a quotient of a member with no
-      factors is no larger than it, and a quotient of a recorded product is
-      recorded.  Up to cap a product can have the tables of such a member,
-      so it keeps the table key there.
+    Without a median term, as for rings_z6, the key is a construction's
+    tables.  Under one it is the ids of its atoms, the finest algebras of
+    more than one element whose product, left to right, has its tables
+    (`_atoms`; a one-element algebra has none, so C x 1 has C's key).  A
+    product of members i and j is keyed by their keys joined and enters as
+    their `direct_product`, its tables built only when read; any other
+    construction's atoms are read off its tables.  The key is exact:
     - Equal atoms give equal tables.  Write E(s) for the tables of the
-      product of the sequence s, left to right.  A product of products has
-      the tables of the product of its leaves, in order, as
-      (a*|B| + b)*|C| + c = a*|B||C| + b*|C| + c, and a leaf has those of
-      its atoms.
+      product of the sequence s, left to right, and E(()) for those of the
+      one-element algebra.  Then E(s) x E(t) has the tables of E(s + t), as
+      (a*|B| + b)*|C| + c = a*|B||C| + b*|C| + c and a*1 + 0 = a, so a
+      recorded product's key is the atoms of its tables too.
     - Different atoms give different tables.  Let E(a, R) = E(b, R') on N
       elements, where a and b are atoms with |a| < |b| and R, R' are
       sequences of atoms.  The kernel eta of the projection onto a (blocks
@@ -287,79 +292,66 @@ def generate_pool(
       |a| * (|b|/|a|) = |b| classes, so b splits as a x Y with
       |Y| = |b|/|a| > 1, against b being an atom.  So |a| = |b|; then
       a = b (the quotient by eta) and E(R) = E(R') (read off the first
-      block), and by induction the two sequences are equal.
-    Pools without a median term, such as rings_z6's, or whose generator's
-    F(2) is over SEED_PROGRAM_CAP, key every construction by its tables.
+      block), and by induction the two sequences are equal, since an atom
+      has more than one element and only the empty sequence has one.
     """
     gen = ctx.generator
     composes = median_term(gen) is not None
     patterns = _SeedPatterns.of(gen) if depth else None
-    # past cap, products are keyed by their atoms
-    cap = max(gen.size, patterns.free.size) if composes and patterns else None
     entries = [PoolEntry(gen, "generator")]
     fresh: list[PoolEntry] = []
-    seen = {(gen.size, gen.tables): 0}  # key -> pool index
+    # under a median term, (size, tables) -> its atoms' ids, and atom -> id
+    table_keys, atom_ids = {}, {}
+
+    def table_key(size: int, tables) -> tuple:
+        if not composes:
+            return size, tables
+        found = table_keys.get((size, tables))
+        if found is None:
+            found = table_keys[size, tables] = tuple([
+                atom_ids.setdefault(atom, len(atom_ids))
+                for atom in _atoms(gen.signature, size, tables)])
+        return found
+
+    keys = [table_key(gen.size, gen.tables)]  # pool index -> key
+    seen = {keys[0]: 0}  # key -> pool index
     # pool index -> `member_ids`, and {theta rep: pool index of the quotient},
     # of each member small enough to be a factor of a later product
     ids: dict[int, list[int]] = {}
     quotients: dict[int, dict] = {}
-    multiplied: dict[tuple[int, int], int] = {}  # factors -> pool index
     offered: set[int] = set()  # pattern ids
-    leaves: dict[int, tuple[int, ...]] = {}  # pool index -> its atoms' ids
-    atom_ids: dict = {}  # (size, tables) -> id
 
     def offer(size: int, tables, name, recipe,
-              factors: tuple[int, int] | None = None, leaf=None) -> int | None:
-        """The pool index of a construction's tables, or, for a product past
-        cap, of its atom ids `leaf` (it passes no tables); None past
-        max_size.  A new key enters as a member named name(), built by
-        recipe(): with the tables, or as the product of its factors, whose
-        tables are built only when read."""
+              factors: tuple[int, int] | None = None) -> int | None:
+        """The pool index of a construction's key; None past max_size.  A
+        new key enters as a member named name(), built by recipe(): with the
+        tables, or, for a recorded product under a median term, which
+        passes none, as the product of its factors."""
         if size > max_size:
             return None
-        index = seen.setdefault((size, leaf or tables), len(entries) + len(fresh))
-        if index == len(entries) + len(fresh):
+        key = (keys[factors[0]] + keys[factors[1]] if tables is None
+               else table_key(size, tables))
+        index = seen.setdefault(key, len(keys))
+        if index == len(keys):
+            keys.append(key)
             factor_algebras = [entries[f].algebra for f in factors or ()]
-            member = (FiniteAlgebra._trusted(gen.signature, size, tables, name())
-                      if leaf is None else direct_product(*factor_algebras, name()))
+            member = (direct_product(*factor_algebras, name()) if tables is None
+                      else FiniteAlgebra._trusted(gen.signature, size, tables, name()))
             fresh.append(PoolEntry(member, recipe(), factors))
             if composes and factors is not None:
                 compose_lattice(member, *factor_algebras)
         return index
 
-    def atoms(k: int) -> tuple[int, ...]:
-        """The ids of member k's atoms, left to right.  A member with
-        factors entered through `multiply`, which set them."""
-        found = leaves.get(k)
-        if found is None:
-            found = leaves[k] = tuple([atom_ids.setdefault(atom, len(atom_ids))
-                                       for atom in _atoms(entries[k].algebra)])
-        return found
-
     def multiply(i: int, j: int, name=None, recipe=None) -> int | None:
-        """The pool index of the tables of the product of members i and j,
-        offered as a product unless a name and a recipe are given; None
-        when it is over max_size."""
-        if (i, j) in multiplied:
-            return multiplied[i, j]
+        """The pool index of the product of members i and j, offered as a
+        product unless a name and a recipe are given; None past max_size."""
         a, b = entries[i].algebra, entries[j].algebra
         size = a.size * b.size
         if size > max_size:
             return None
-        if a.size == 1 or b.size == 1:  # the other factor's tables
-            multiplied[i, j] = j if a.size == 1 else i
-            return multiplied[i, j]
-        name = name or (lambda: f"{a.name}x{b.name}")
-        recipe = recipe or (lambda: f"product({a.name}, {b.name})")
-        leaf = None if cap is None else atoms(i) + atoms(j)
-        if leaf is not None and size > cap:
-            index = offer(size, None, name, recipe, (i, j), leaf)
-        else:
-            index = offer(size, direct_product(a, b).tables, name, recipe, (i, j))
-        multiplied[i, j] = index
-        if leaf is not None:  # a member with these tables has these atoms
-            leaves.setdefault(index, leaf)
-        return index
+        return offer(size, None if composes else _product_tables(a, b),
+                     name or (lambda: f"{a.name}x{b.name}"),
+                     recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
 
     def offer_quotients(k: int) -> None:
         entry = entries[k]
@@ -368,10 +360,11 @@ def generate_pool(
         if composed:
             i, j = entry.factors
             m = entries[j].algebra.size
-            # with no map to keep and every factor quotient pair multiplied
-            # (the factors' maps hold committed indices), k offers nothing
+            # with no map to keep and the product of every factor quotient
+            # pair a member (the factors' maps hold committed indices), k
+            # offers nothing
             if 2 * a.size > max_size and all(
-                    (x, y) in multiplied
+                    keys[x] + keys[y] in seen
                     for x in quotients[i].values() for y in quotients[j].values()):
                 return
         cons = all_congruences(a)

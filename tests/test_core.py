@@ -243,6 +243,34 @@ def test_zero_one_condition_lattices(lattices_ctx):
     assert verify_zero_one_condition(lattices_ctx).ok
 
 
+@pytest.mark.parametrize("name, depth, max_size", [
+    ("lattices", 3, 27), ("rings", 3, 32), ("boolean", 3, 32),
+    ("rings_z6", 3, 27), ("shadow_x", 3, 16),
+])
+def test_zero_one_values_match_evaluation_through_the_tables(name, depth, max_size):
+    # a product's values are composed from its factors'; evaluating the
+    # terms through its tables, built here, gives the same
+    ctx = load_context(str(FIXTURES / f"{name}.ctx"))
+    pool = generate_pool(ctx, max_size=max_size, depth=depth)
+    assert any(e.factors is not None for e in pool)
+    for entry in pool:
+        a = entry.algebra
+        for terms, values in ((ctx.zero_terms, ctx.zero_values),
+                              (ctx.one_terms, ctx.one_values)):
+            assert values(a) == tuple(eval_term(a, t, {}) for t in terms)
+
+
+def test_zero_one_condition_builds_no_product(monkeypatch):
+    # the check over the depth-4, max-size-64 lattice pool, where evaluating
+    # through the tables built 235 products' tables
+    _fresh_memos(monkeypatch)
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(max_size=64, depth=4)
+    calls = _count_pool_work(monkeypatch)
+    report = verify_zero_one_condition(ctx)
+    assert report.ok and len(report.entries) == 245
+    assert calls["_product_tables"] == []
+
+
 def test_zero_one_condition_trivial_algebra_passes():
     ctx = ring_context(cyclic_ring(1)).populated(depth=0)
     report = verify_zero_one_condition(ctx)
@@ -374,9 +402,10 @@ def test_pool_expands_each_member_once(monkeypatch):
     pool = generate_pool(ctx, max_size=27, depth=3)
     assert len(pool) == 63
     # at most one lattice per member added before the last round (14), where
-    # generate_pool_rescan computes 19; one product too large to keep its
-    # quotients has only quotient pairs multiplied before, and needs none
-    assert len(lattices) == len(set(lattices)) == 13
+    # generate_pool_rescan computes 19; two products too large to keep their
+    # quotients have only quotient pairs whose products are members, and
+    # need none
+    assert len(lattices) == len(set(lattices)) == 12
     # a pair of two members from earlier rounds was multiplied before
     assert len(products) == len(set(products))
 
@@ -498,19 +527,20 @@ def _count_pool_work(monkeypatch):
 
 
 def test_pool_skips_known_products_and_seeds(monkeypatch):
+    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=27, depth=3)
     assert len(pool) == 63
     # one product per recorded product (56), where every product was built
-    # (64): past max(|C3|, |F(2)|) = 6 elements a product is keyed by its
-    # leaves, so C3 x (C3 x C3) is (C3 x C3) x C3 and is never built, and 12
-    # quotients of products are built as products too (8 enter)
+    # (64): a product is keyed by its atoms, so C3 x (C3 x C3) is
+    # (C3 x C3) x C3 and is never built, and 12 quotients of products are
+    # built as products too (8 enter)
     assert len(calls["direct_product"]) == 56
     assert len(pool) - sum(e.factors is None for e in pool) == 56
-    # only the three products up to 6 elements build their tables, for their
-    # table key; the 53 past it keep none
-    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
+    # no product builds its tables, where the three up to 6 elements did for
+    # a table key
+    assert calls["_product_tables"] == []
     # one closure, of F(2)'s closed-term part: every seed is read off F(2),
     # the empty one too, where one closure per expanded member of the empty
     # seed took 14
@@ -578,6 +608,24 @@ def test_pool_closing_every_seed_skips_only_redundant_pairs(monkeypatch):
     assert "subalgebra(C3xC3, [1, 2])" in [e.recipe for e in pool]
 
 
+def test_pool_closing_every_seed_keys_no_product_by_its_tables(monkeypatch):
+    # under a median term the key does not depend on F(2): with F(2) refused,
+    # the depth-4, max-size-64 lattice pool still keys every product by its
+    # atoms, where it built the tables of each product it offered to key it.
+    # A product's tables are built only to close its seeds in it, once per
+    # expanded recorded product; the pool is the one that reads F(2)
+    ctx = load_context(str(FIXTURES / "lattices.ctx"))
+    read = generate_pool(ctx, max_size=64, depth=4)
+    monkeypatch.setattr(factorlab.variety, "SEED_PROGRAM_CAP", 1)
+    _fresh_memos(monkeypatch)
+    calls = _count_pool_work(monkeypatch)
+    pool = generate_pool(ctx, max_size=64, depth=4)
+    recorded = {id(e.algebra) for e in pool if e.factors is not None}
+    closed_in = recorded & {id(a) for a, _ in calls["_subalgebra_tables"]}
+    assert len(calls["_product_tables"]) == len(closed_in) == 91
+    assert _pool_rows(pool) == _pool_rows(read)
+
+
 @pytest.mark.parametrize("name, max_size", [
     ("lattices", 27), ("rings", 32), ("boolean", 32), ("shadow_x", 16),
 ])
@@ -616,6 +664,7 @@ def test_deep_pool_digest_is_pinned(name, depth, max_size, members, digest):
 
 def test_deep_pool_closes_no_recorded_product(monkeypatch):
     # the depth-4/max-64 lattice pool, about 0.3 s
+    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     quotients, lattices, made = [], [], []
     for name, made_calls in (("_quotient_tables", quotients),
@@ -637,17 +686,18 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=64, depth=4)
     assert len(pool) == 245
-    # of 238 products, only the three up to 6 elements build their tables
+    # none of 238 products builds its tables
     assert len(calls["direct_product"]) == 238
-    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
+    assert calls["_product_tables"] == []
     recorded = [e.algebra for e in pool if e.factors is not None]
     # 7 members are not recorded products, where only products were (15)
     assert len(pool) - len(recorded) == 7
     # no quotient of a recorded product is built from its classes
     assert quotients and not any(a in recorded for a, _ in quotients)
-    # one lattice per expanded member (98) but the 20 products too large to
-    # keep their quotients whose factors' quotient pairs were all multiplied
-    assert len(lattices) == 78
+    # one lattice per expanded member (98) but the 23 products too large to
+    # keep their quotients whose factors' quotient pairs all have products
+    # in the pool
+    assert len(lattices) == 75
     # one closure, of F(2)'s closed-term part, where each of the 98
     # expanded members closed its empty seed
     assert calls["_subalgebra_tables"] == [(made[0].free, ())]
@@ -730,8 +780,8 @@ def test_empty_seed_is_read_off_the_free_algebra(name, depth, max_size):
     ("dfc", "verify"), ("correspondence",),
 ])
 def test_no_stage_builds_the_tables_of_a_large_product(monkeypatch, capsys, argv):
-    # the depth-4, max-size-64 lattice pool: a product keeps no tables past
-    # max(|C3|, |F(2)|) = 6 elements, and neither stage reads them
+    # the depth-4, max-size-64 lattice pool: no product's tables are built,
+    # by the pool or by either stage
     _fresh_memos(monkeypatch)
     built = []
     product_tables = factorlab.core._product_tables
@@ -746,7 +796,7 @@ def test_no_stage_builds_the_tables_of_a_large_product(monkeypatch, capsys, argv
                  "--pool-depth", "4", "--max-size", "64"])
     assert code == 0
     assert "pass" in capsys.readouterr().out
-    assert sorted(built) == [4, 6, 6]
+    assert built == []
 
 
 def test_deepest_lattice_pool_builds_no_large_product(monkeypatch):
@@ -758,7 +808,7 @@ def test_deepest_lattice_pool_builds_no_large_product(monkeypatch):
                          max_size=256, depth=4)
     assert len(pool) == 1675
     assert sum(e.factors is None for e in pool) == 7
-    assert sorted(a.size * b.size for a, b in calls["_product_tables"]) == [4, 6, 6]
+    assert calls["_product_tables"] == []
     # names, recipes, sizes and factors, in order
     rows = [(e.algebra.name, e.recipe, e.algebra.size, e.factors) for e in pool]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (

@@ -50,7 +50,8 @@ from .freealg import (
 )
 from .terms import term_text
 from .positivize import enumerate_witnesses, positivize
-from .variety import VarietyContext, verify_zero_one_condition
+from .variety import (DEFAULT_MAX_SIZE, DEFAULT_POOL_DEPTH, VarietyContext,
+                      verify_zero_one_condition)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -442,8 +443,10 @@ def cmd_pipeline(args) -> int:
 # The caps a subcommand may take: the least value each accepts, and its
 # argparse settings.
 _CAPS = {
-    "--pool-depth": (0, dict(dest="pool_depth", type=int, default=2, metavar="N")),
-    "--max-size": (1, dict(dest="max_size", type=int, default=8, metavar="N")),
+    "--pool-depth": (0, dict(dest="pool_depth", type=int,
+                             default=DEFAULT_POOL_DEPTH, metavar="N")),
+    "--max-size": (1, dict(dest="max_size", type=int, default=DEFAULT_MAX_SIZE,
+                           metavar="N")),
     "--budget": (1, dict(dest="budget", type=int, default=DEFAULT_BUDGET,
                          metavar="N", help="free-algebra closure budget "
                                            "(default %(default)s)")),
@@ -527,9 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # only the caps this subcommand takes are set
-        for least, spec in _CAPS.values():
-            if getattr(args, spec["dest"], least) < least:
-                raise ValidationError("caps must be positive")
+        for flag, (least, spec) in _CAPS.items():
+            if (value := getattr(args, spec["dest"], least)) < least:
+                raise ValidationError(f"{flag} must be at least {least}, got {value}")
         return args.func(args)
     except NoWitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)

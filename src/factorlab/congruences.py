@@ -1,17 +1,6 @@
 """Congruences as compatible partitions: principal generation, the full
 lattice at desk scale, factor pairs and quotients.
 
-`all_congruences` owns each algebra's lattice: it builds it once and keeps
-the sorted rep tuples in a weak-keyed memo, so pool generation, factor
-pairs, central elements and the correspondence check all read one build per
-algebra.  The basic translations are memoised the same way.  A lookup reads
-no tables: an algebra hashes by (signature, size, name) and equals itself
-at once (see `core.FiniteAlgebra`), so a product's tables, built only when
-read, are not built for its memo entries.  Value-equal algebras still share
-an entry, a lookup with an algebra of the same name but another object
-comparing their tables, and an entry dies with the algebra it was stored
-under, since the tuples refer to no algebra.
-
 A congruence is stored as its canonical representative array rep[0..n-1] with
 rep[i] = least element of i's class, so equality is tuple equality and sorted
 output is deterministic.
@@ -48,7 +37,7 @@ Proc. AMS 26, 1970): if (a,b) Psi (c,d), the polynomial
 X -> m(X, (a,b'), (c,b')) maps the two elements to (a,b') and (c,b'), and
 m((a',b), (a',d), X) maps them to (a',b) and (a',d); so Psi is the product
 of its projections theta and phi.  `compose_lattice` records a product with
-its factors, and on a memo miss `all_congruences` builds the rep of
+its factors, and on first read `all_congruences` builds the rep of
 theta x phi at a*|B| + b as rep_theta[a]*|B| + rep_phi[b], with no closure.
 Without a median term, every lattice is built by the join closure.
 
@@ -58,8 +47,6 @@ ResourceBoundError before it allocates more.
 """
 from __future__ import annotations
 
-from weakref import WeakKeyDictionary
-
 from .core import FiniteAlgebra, _renamed_tables
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .terms import _Record
@@ -68,16 +55,12 @@ from .terms import _Record
 # closure, or |Con A| * |Con B| * |A x B| for a composed product.
 LATTICE_CELL_CAP = 2_000_000
 
-_LATTICES: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> sorted reps
-_TRANSLATIONS: WeakKeyDictionary = WeakKeyDictionary()  # algebra -> tables
-_COMPOSED: WeakKeyDictionary = WeakKeyDictionary()  # product -> its factors
-
 
 def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     """The distinct non-identity basic translations, each as its value table,
-    computed once per algebra."""
-    memo = _TRANSLATIONS.get(algebra)
-    if memo is None:
+    computed once per algebra and kept in its `_translations` slot."""
+    kept = getattr(algebra, "_translations", None)
+    if kept is None:
         n = algebra.size
         found: set[tuple[int, ...]] = set()
         for (_, arity), table in zip(algebra.signature.symbols, algebra.tables):
@@ -88,8 +71,9 @@ def _translations(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
                     if base // stride % n == 0:
                         found.add(table[base : base + n * stride : stride])
         found.discard(tuple(range(n)))
-        memo = _TRANSLATIONS[algebra] = tuple(found)
-    return memo
+        kept = tuple(found)
+        object.__setattr__(algebra, "_translations", kept)
+    return kept
 
 
 def _close(parent: list[int], pending) -> tuple[int, ...]:
@@ -311,20 +295,20 @@ def compose_lattice(
     product: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra
 ) -> None:
     """Record that `product` is `direct_product(left, right)` in a variety
-    with a median term, so its lattice is composed from theirs.  The entry
-    dies with `product`."""
-    _COMPOSED[product] = (left, right)
+    with a median term, so its lattice is composed from theirs."""
+    object.__setattr__(product, "_composed", (left, right))
 
 
 def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
-    """The memoised sorted rep tuples of the lattice: composed from a
-    product's factors, or built by the incremental join closure.  Raises
-    ResourceBoundError past LATTICE_CELL_CAP cells."""
-    reps = _LATTICES.get(algebra)
+    """The sorted rep tuples of the lattice, kept in the algebra's
+    `_lattice` slot: composed from a product's factors, or built by the
+    incremental join closure.  Raises ResourceBoundError past
+    LATTICE_CELL_CAP cells."""
+    reps = getattr(algebra, "_lattice", None)
     if reps is not None:
         return reps
     n = algebra.size
-    factors = _COMPOSED.get(algebra)
+    factors = getattr(algebra, "_composed", None)
     if factors is not None:
         lefts, rights = map(_lattice_reps, factors)
         _check_cells(algebra, len(lefts) * len(rights) * n)
@@ -344,7 +328,8 @@ def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
                 cells += len(joins) * n
                 _check_cells(algebra, cells)
                 found.update([_join_rep(r, p) for r in joins])
-    reps = _LATTICES[algebra] = tuple(sorted(found, key=lambda r: (len(set(r)), r)))
+    reps = tuple(sorted(found, key=lambda r: (len(set(r)), r)))
+    object.__setattr__(algebra, "_lattice", reps)
     return reps
 
 

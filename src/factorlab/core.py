@@ -5,8 +5,9 @@ Universe elements are plain ints 0..n-1.  Operation tables are flat row-major
 tuples: for arity k the entry for arguments (a1, .., ak) sits at index
 a1*n^(k-1) + a2*n^(k-2) + .. + ak.  All values are immutable after
 construction and every operation here is a pure function, so callers may
-evaluate across algebras and assignments concurrently.  A product's tables
-are filled in once, on first read; two readers at once build equal tables.
+evaluate across algebras and assignments concurrently.  A product's tables,
+like an algebra's congruence lattice, are filled in once, on first read; two
+readers at once build equal values.
 """
 from __future__ import annotations
 
@@ -70,13 +71,16 @@ class FiniteAlgebra(_Record):
     subalgebras, quotients, free algebras) are valid by construction and
     skip it through `_trusted`.  A product from `direct_product` holds its
     name and its two factors, and builds its tables on the first read of
-    `tables` (see `__getattr__`).
+    `tables` (see `__getattr__`).  The slots `_lattice`, `_translations` and
+    `_composed` keep what `congruences` records of the algebra, for its life.
 
     Equality is value equality, and reads the tables unless both sides are
-    one object.  The hash reads only (signature, size, name), so a memo
-    keyed by algebras (see `congruences`) builds no product's tables."""
+    one object.  The hash reads only (signature, size, name), so hashing a
+    record that holds a product (a `Congruence`, a `FactorPair`, a
+    `CentralElement`) builds none of its tables."""
 
-    __slots__ = ("signature", "size", "tables", "name", "_factors", "__weakref__")
+    __slots__ = ("signature", "size", "tables", "name", "_factors", "_lattice",
+                 "_translations", "_composed")
 
     def __init__(self, signature: Signature, size: int,
                  tables: tuple[tuple[int, ...], ...], name: str = "A"):
@@ -120,7 +124,7 @@ class FiniteAlgebra(_Record):
 
     def __getattr__(self, attr: str):
         # called only for an unset slot: the tables of a product from
-        # `direct_product`, built here once
+        # `direct_product`, built here once; any other unset slot is absent
         if attr != "tables":
             raise AttributeError(attr)
         tables = _product_tables(*self._factors)

@@ -21,6 +21,7 @@ from .terms import _Record
 from .variety import VarietyContext
 
 DEFAULT_PAIR_CAP = 64
+# Cap on evaluations, and on positivize's witnesses; read at call time.
 DEFAULT_EVAL_CAP = 10_000_000
 
 

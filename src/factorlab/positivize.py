@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import dfc
 from .core import FiniteAlgebra, eval_term, pair_index
 from .errors import InternalCheckError, NoWitnessError, ResourceBoundError
 from .formulas import (
@@ -24,9 +25,6 @@ from .freealg import FreePairContext
 from .terms import Term, _Record, term_text
 from .variety import VarietyContext
 
-# Cap on the candidate tuples of both factors' witness searches and on the
-# witnesses of a combined list (the value of verify_dfc's DEFAULT_EVAL_CAP).
-SEARCH_CAP = 10_000_000
 # A factor of a product with its x, y and z values.
 Factor = tuple[FiniteAlgebra, tuple[int, int, tuple[int, ...]]]
 
@@ -70,13 +68,13 @@ def _rectangles(
     masks, one per factor, with no bit in common.  Each factor is searched
     once; each list is in lexicographic order, and holds only its first
     witness unless keep_all.  Raises ResourceBoundError before searching when
-    disjuncts x (|left|^nb + |right|^nb) exceeds SEARCH_CAP."""
+    disjuncts x (|left|^nb + |right|^nb) exceeds dfc.DEFAULT_EVAL_CAP."""
     nb = len(phi.bound_vars)
     estimate = len(phi.disjuncts) * (left[0].size**nb + right[0].size**nb)
-    if estimate > SEARCH_CAP:
+    if estimate > dfc.DEFAULT_EVAL_CAP:
         raise ResourceBoundError(
             f"positivize: estimated {estimate} witness candidates exceed cap "
-            f"{SEARCH_CAP}"
+            f"{dfc.DEFAULT_EVAL_CAP}"
         )
     sides = []
     for algebra, roles in (left, right):
@@ -117,12 +115,12 @@ def product_witnesses(
     """`tests/oracles.all_witnesses` of the evaluator over
     direct_product(A, B) at the paired role values, without building A x B:
     the sorted union of the rectangles.  Raises ResourceBoundError before
-    building the list when it would exceed SEARCH_CAP."""
+    building the list when it would exceed dfc.DEFAULT_EVAL_CAP."""
     rectangles = _rectangles(phi, left, right, True)
     size = sum(len(us) * len(vs) for _, us, vs in rectangles)
-    if size > SEARCH_CAP:
+    if size > dfc.DEFAULT_EVAL_CAP:
         raise ResourceBoundError(
-            f"positivize: {size} combined witnesses exceed cap {SEARCH_CAP}"
+            f"positivize: {size} combined witnesses exceed cap {dfc.DEFAULT_EVAL_CAP}"
         )
     n = right[0].size
     return sorted(

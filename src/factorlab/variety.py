@@ -28,6 +28,10 @@ from .errors import ResourceBoundError, ValidationError
 from .freealg import FreeAlgebra, free_algebra
 from .terms import Term, Var, _Record, is_closed
 
+# The pool's default rounds and largest member (--pool-depth, --max-size).
+DEFAULT_POOL_DEPTH = 2
+DEFAULT_MAX_SIZE = 8
+
 
 class PoolEntry(_Record):
     """A pool member and how it was built.  `factors` is (i, j) when the
@@ -86,7 +90,8 @@ class VarietyContext(_Record):
     def one_values(self, algebra: FiniteAlgebra) -> tuple[int, ...]:
         return _closed_values(algebra, self.one_terms)
 
-    def populated(self, max_size: int = 8, depth: int = 2) -> "VarietyContext":
+    def populated(self, max_size: int = DEFAULT_MAX_SIZE,
+                  depth: int = DEFAULT_POOL_DEPTH) -> "VarietyContext":
         pool = tuple(generate_pool(self, max_size=max_size, depth=depth))
         return VarietyContext._trusted(
             self.generator, self.zero_terms, self.one_terms, pool)
@@ -233,7 +238,8 @@ def _atoms(signature: Signature, n: int, tables) -> list[tuple[int, tuple]]:
 
 
 def generate_pool(
-    ctx: VarietyContext, max_size: int = 8, depth: int = 2
+    ctx: VarietyContext, max_size: int = DEFAULT_MAX_SIZE,
+    depth: int = DEFAULT_POOL_DEPTH
 ) -> list[PoolEntry]:
     """Close {generator} under quotients, small generated subalgebras and
     binary products for `depth` rounds.  The generator itself always stays

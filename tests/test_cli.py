@@ -229,18 +229,19 @@ CAP_ARGV = {
 }
 
 
-@pytest.mark.parametrize(
-    "cap", [["--max-size", "0"], ["--pool-depth", "-1"], ["--budget", "0"]],
-    ids=["max-size", "pool-depth", "budget"],
-)
-def test_nonpositive_cap_exits_2(capsys, cap):
+@pytest.mark.parametrize("cap, message", [
+    (["--max-size", "0"], "--max-size must be at least 1, got 0"),
+    (["--pool-depth", "-1"], "--pool-depth must be at least 0, got -1"),
+    (["--budget", "0"], "--budget must be at least 1, got 0"),
+], ids=["max-size", "pool-depth", "budget"])
+def test_nonpositive_cap_exits_2(capsys, cap, message):
     # a subcommand that takes the cap validates it; one that does not
     # refuses the flag itself
     for path, operands in CAP_ARGV.items():
         argv = [str(a) for a in [*path, *operands, *cap]]
         if cap[0] in OPTIONS[path]:
             assert main(argv) == 2, argv
-            assert capsys.readouterr() == ("", "error: caps must be positive\n")
+            assert capsys.readouterr() == ("", f"error: {message}\n")
             continue
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -384,8 +385,8 @@ def test_positivize_all_witnesses_searches_each_factor_once(capsys, monkeypatch)
 def test_positivize_all_witnesses_fails_as_without(capsys, monkeypatch, formula,
                                                     cap, code):
     if cap is not None:
-        monkeypatch.setattr(importlib.import_module("factorlab.positivize"),
-                            "SEARCH_CAP", cap)
+        monkeypatch.setattr(importlib.import_module("factorlab.dfc"),
+                            "DEFAULT_EVAL_CAP", cap)
     argv = ["positivize", str(FIXTURES / "rings.ctx"),
             str(FIXTURES / "formulas" / f"{formula}.fm"), "--format", "machine"]
     outcomes = []
@@ -397,8 +398,8 @@ def test_positivize_all_witnesses_fails_as_without(capsys, monkeypatch, formula,
 
 def test_positivize_all_witnesses_over_cap_exits_3(capsys, monkeypatch):
     # 63 witnesses in the combined list; the first witness alone fits
-    monkeypatch.setattr(importlib.import_module("factorlab.positivize"),
-                        "SEARCH_CAP", 62)
+    monkeypatch.setattr(importlib.import_module("factorlab.dfc"),
+                        "DEFAULT_EVAL_CAP", 62)
     argv = ["positivize", str(FIXTURES / "rings.ctx"),
             str(FIXTURES / "formulas" / "ring_mixed.fm"), "--format", "machine"]
     assert main(argv) == 0

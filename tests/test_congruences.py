@@ -1,10 +1,8 @@
 import functools
-import gc
 import inspect
 import itertools
 import json
 import sys
-from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given
@@ -28,6 +26,7 @@ from factorlab import (
     subalgebra_generated,
 )
 import factorlab.congruences as congruences
+import factorlab.core
 from conftest import FIXTURES
 from factorlab.cli import main
 from factorlab.fileio import load_context
@@ -374,8 +373,6 @@ def test_lattice_and_factor_pairs_skip_validation(lattices_ctx, z6, monkeypatch)
 ])
 def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
                                            members):
-    # a fresh memo, so that algebras left alive by other tests do not count
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
     built = []
     original = congruences._principal_reps
 
@@ -396,17 +393,15 @@ def test_pipeline_builds_each_lattice_once(capsys, monkeypatch, ctx, formula,
 
 
 def test_pipeline_computes_each_algebras_translations_once(capsys, monkeypatch):
-    # a fresh lattice memo too: translations are computed only by lattice
-    # builds, which a memo left warm by other tests would skip
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
-    stored = []
+    computed = []
+    translations = congruences._translations
 
-    class Counting(WeakKeyDictionary):
-        def __setitem__(self, algebra, translations):
-            stored.append(algebra)
-            super().__setitem__(algebra, translations)
+    def counting(algebra):
+        if getattr(algebra, "_translations", None) is None:
+            computed.append(algebra)
+        return translations(algebra)
 
-    monkeypatch.setattr(congruences, "_TRANSLATIONS", Counting())
+    monkeypatch.setattr(congruences, "_translations", counting)
     code = main(["pipeline", str(FIXTURES / "rings.ctx"),
                  str(FIXTURES / "formulas" / "ring_mixed.fm"),
                  "--max-size", "16", "--format", "machine"])
@@ -415,20 +410,54 @@ def test_pipeline_computes_each_algebras_translations_once(capsys, monkeypatch):
     # once per non-product member (Z2 and Z2/{0,1}), where every lattice
     # build and every central element's compatibility check used to
     # recompute them; the three products' lattices are composed
-    assert len(stored) == len(set(stored)) == 2
+    assert len(computed) == len(set(computed)) == 2
 
 
-def test_lattice_memo_entry_dies_with_its_algebra():
-    # value-equal algebras share an entry, so the name must be unique
-    name = "memo probe, used by no other test"
-    algebra = FiniteAlgebra(Signature((("f", 1),)), 4, ((1, 0, 3, 2),), name)
+def _table_backed(algebra):
+    """A copy of `algebra` that holds its tables and nothing derived from
+    them, so its lattice is a direct build."""
+    return FiniteAlgebra._trusted(algebra.signature, algebra.size,
+                                  algebra.tables, algebra.name)
+
+
+def test_lattice_is_kept_by_its_own_object(monkeypatch):
+    built = []
+    principal_reps = congruences._principal_reps
+
+    def counting(algebra, pairs):
+        built.append(algebra)
+        return principal_reps(algebra, pairs)
+
+    monkeypatch.setattr(congruences, "_principal_reps", counting)
+    algebra = FiniteAlgebra(Signature((("f", 1),)), 4, ((1, 0, 3, 2),), "P")
     assert len(all_congruences(algebra)) == 7
-    assert algebra in congruences._LATTICES
-    assert algebra in congruences._TRANSLATIONS
-    del algebra
-    gc.collect()
-    for memo in (congruences._LATTICES, congruences._TRANSLATIONS):
-        assert name not in {a.name for a in memo.keys()}
+    assert len(all_congruences(algebra)) == 7
+    assert len(built) == 1
+    # a value-equal object reads nothing of the first one's
+    copy = _table_backed(algebra)
+    assert copy == algebra
+    assert len(all_congruences(copy)) == 7
+    assert len(built) == 2 and built[1] is copy
+
+
+def test_value_equal_products_read_no_tables(monkeypatch):
+    # two value-equal products, each registered with its factors: each
+    # lattice is composed, and no lookup compares the two objects' tables
+    built = []
+    product_tables = factorlab.core._product_tables
+
+    def building(a, b):
+        built.append((a, b))
+        return product_tables(a, b)
+
+    monkeypatch.setattr(factorlab.core, "_product_tables", building)
+    c3 = chain_lattice(3)
+    first, second = direct_product(c3, c3), direct_product(c3, c3)
+    for product in (first, second):
+        congruences.compose_lattice(product, c3, c3)
+    assert len(all_congruences(first)) == 16
+    assert len(all_congruences(second)) == 16
+    assert built == []
 
 
 def _all_pairs(algebra):
@@ -464,7 +493,6 @@ def test_pool_principal_reps_match_per_pair_closure(monkeypatch, name, depth,
     # the pool is built on the oracle, so that a wrong pass fails here and
     # cannot derail pool generation
     principal_reps = congruences._principal_reps
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
     monkeypatch.setattr(congruences, "_principal_reps", principal_reps_per_pair)
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     for entry in generate_pool(ctx, max_size=max_size, depth=depth):
@@ -495,7 +523,6 @@ def _count_principal_closures(monkeypatch):
             inside = False
 
     inside = False
-    monkeypatch.setattr(congruences, "_LATTICES", WeakKeyDictionary())
     monkeypatch.setattr(congruences, "_close", counting_close)
     monkeypatch.setattr(congruences, "_principal_reps", counting_reps)
     return counts
@@ -550,19 +577,11 @@ def test_pair_graph_pass_needs_no_recursion():
     assert reps == {(0, 1): (0,) * n}
 
 
-def _clear_lattice_memos(monkeypatch):
-    """Empty the lattice memo and the product registry, so that the next
-    lattice of each algebra is a direct build."""
-    for memo in ("_LATTICES", "_COMPOSED"):
-        monkeypatch.setattr(congruences, memo, WeakKeyDictionary())
-
-
 def _pair_reps(algebra):
     return [(p.theta.rep, p.theta_c.rep) for p in factor_pairs(algebra)]
 
 
 def test_lattice_past_the_cell_cap_raises(monkeypatch):
-    _clear_lattice_memos(monkeypatch)
     c3 = chain_lattice(3)
     product = direct_product(c3, c3)
     congruences.compose_lattice(product, c3, c3)
@@ -573,7 +592,7 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
         all_congruences(product)
     assert str(err.value) == (
         "all_congruences: estimated 144 lattice cells for 'C3xC3' exceed cap 143")
-    assert product not in congruences._LATTICES
+    assert getattr(product, "_lattice", None) is None
     monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 144)
     assert len(all_congruences(product)) == 16
 
@@ -582,18 +601,17 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
     ("lattices", 27, 56), ("rings", 27, 3), ("boolean", 32, 4),
     ("rings_z6", 27, 0),
 ])
-def test_composed_lattices_match_direct_builds(monkeypatch, name, max_size,
-                                               composed):
+def test_composed_lattices_match_direct_builds(name, max_size, composed):
     # every lattice and factor pair of the depth-3 pool against a direct build
-    _clear_lattice_memos(monkeypatch)
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
-    assert sum(a in congruences._COMPOSED for a in members) == composed
+    assert sum(getattr(a, "_composed", None) is not None
+               for a in members) == composed
     lattices = [_reps(all_congruences(a)) for a in members]
     pairs = [_pair_reps(a) for a in members]
-    _clear_lattice_memos(monkeypatch)
-    assert lattices == [_reps(all_congruences(a)) for a in members]
-    assert pairs == [_pair_reps(a) for a in members]
+    direct = [_table_backed(a) for a in members]
+    assert lattices == [_reps(all_congruences(a)) for a in direct]
+    assert pairs == [_pair_reps(a) for a in direct]
 
 
 def test_pool_lattices_are_built_once_per_leaf_multiset():
@@ -665,21 +683,19 @@ def chain_products(draw):
 def test_composed_lattice_matches_direct_build(drawn):
     leaves, to_the_right = drawn
     assert all(congruences.median_term(leaf) == (0, 1) for leaf in leaves)
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        _clear_lattice_memos(monkeypatch)
-        # every product level is registered, as generate_pool does
-        inner_leaves = leaves[1:] if to_the_right else leaves[:-1]
-        inner = functools.reduce(direct_product, inner_leaves)
-        if len(inner_leaves) == 2:
-            congruences.compose_lattice(inner, *inner_leaves)
-        outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])
-        product = direct_product(*outer)
-        congruences.compose_lattice(product, *outer)
-        composed = _reps(all_congruences(product))
-        pairs = _pair_reps(product)
-        _clear_lattice_memos(monkeypatch)
-        direct = _reps(all_congruences(product))
-        assert composed == direct
-        assert pairs == _pair_reps(product)
+    # every product level is registered, as generate_pool does
+    inner_leaves = leaves[1:] if to_the_right else leaves[:-1]
+    inner = functools.reduce(direct_product, inner_leaves)
+    if len(inner_leaves) == 2:
+        congruences.compose_lattice(inner, *inner_leaves)
+    outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])
+    product = direct_product(*outer)
+    congruences.compose_lattice(product, *outer)
+    composed = _reps(all_congruences(product))
+    pairs = _pair_reps(product)
+    copy = _table_backed(product)
+    direct = _reps(all_congruences(copy))
+    assert composed == direct
+    assert pairs == _pair_reps(copy)
     # each leaf has at least its identity and its total congruence
     assert len(direct) >= 2 ** len(leaves)

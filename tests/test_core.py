@@ -1,6 +1,5 @@
 import hashlib
 import json
-from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import example, given
@@ -263,7 +262,6 @@ def test_zero_one_values_match_evaluation_through_the_tables(name, depth, max_si
 def test_zero_one_condition_builds_no_product(monkeypatch):
     # the check over the depth-4, max-size-64 lattice pool, where evaluating
     # through the tables built 235 products' tables
-    _fresh_memos(monkeypatch)
     ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(max_size=64, depth=4)
     calls = _count_pool_work(monkeypatch)
     report = verify_zero_one_condition(ctx)
@@ -447,13 +445,9 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     assert len(subalgebras) == sum(e.recipe.startswith("subalgebra(") for e in pool) > 0
 
 
-def _reference_and_pool(monkeypatch, ctx, max_size, depth):
-    """The reference pool, built with fresh lattice memos and so with no
-    lattice composed, and the pool, built with a fresh memo again."""
-    for memo in ("_LATTICES", "_COMPOSED"):
-        monkeypatch.setattr(factorlab.congruences, memo, WeakKeyDictionary())
+def _reference_and_pool(ctx, max_size, depth):
+    """The reference pool, which composes no lattice, and the pool."""
     reference = generate_pool_reference(ctx, max_size=max_size, depth=depth)
-    monkeypatch.setattr(factorlab.congruences, "_LATTICES", WeakKeyDictionary())
     return reference, generate_pool(ctx, max_size=max_size, depth=depth)
 
 
@@ -474,9 +468,9 @@ def _products_factors(pool):
     for max_size in (8, 16, 27)
     if name != "rings_z6" or depth <= 2
 ])
-def test_pool_matches_reference(monkeypatch, name, depth, max_size):
+def test_pool_matches_reference(name, depth, max_size):
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
-    reference, pool = _reference_and_pool(monkeypatch, ctx, max_size, depth)
+    reference, pool = _reference_and_pool(ctx, max_size, depth)
     # names, recipes, tables, products' factors and order
     assert _products_factors(pool) == _products_factors(reference)
 
@@ -505,8 +499,7 @@ def generator_contexts(draw):
 def test_drawn_pool_matches_reference(ctx, max_size, depth):
     # products of products repeat their leaves, and a product of a member
     # with a smaller one comes in both orders
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        reference, pool = _reference_and_pool(monkeypatch, ctx, max_size, depth)
+    reference, pool = _reference_and_pool(ctx, max_size, depth)
     assert pool == reference
 
 
@@ -527,7 +520,6 @@ def _count_pool_work(monkeypatch):
 
 
 def test_pool_skips_known_products_and_seeds(monkeypatch):
-    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=27, depth=3)
@@ -617,7 +609,6 @@ def test_pool_closing_every_seed_keys_no_product_by_its_tables(monkeypatch):
     ctx = load_context(str(FIXTURES / "lattices.ctx"))
     read = generate_pool(ctx, max_size=64, depth=4)
     monkeypatch.setattr(factorlab.variety, "SEED_PROGRAM_CAP", 1)
-    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     pool = generate_pool(ctx, max_size=64, depth=4)
     recorded = {id(e.algebra) for e in pool if e.factors is not None}
@@ -664,7 +655,6 @@ def test_deep_pool_digest_is_pinned(name, depth, max_size, members, digest):
 
 def test_deep_pool_closes_no_recorded_product(monkeypatch):
     # the depth-4/max-64 lattice pool, about 0.3 s
-    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     quotients, lattices, made = [], [], []
     for name, made_calls in (("_quotient_tables", quotients),
@@ -721,13 +711,6 @@ def _matches_table_keys(ctx, max_size, depth):
     return pool
 
 
-def _fresh_memos(monkeypatch):
-    """Lattice and translation memos that hold no algebra of another pool,
-    whose tables a lookup by value would read."""
-    for memo in ("_LATTICES", "_TRANSLATIONS", "_COMPOSED"):
-        monkeypatch.setattr(factorlab.congruences, memo, WeakKeyDictionary())
-
-
 @pytest.mark.parametrize("name, depth, max_size", [
     ("lattices", 3, 27), ("rings", 3, 32), ("boolean", 3, 32),
     ("rings_z6", 3, 27), ("shadow_x", 3, 16), ("lattices", 4, 64),
@@ -782,7 +765,6 @@ def test_empty_seed_is_read_off_the_free_algebra(name, depth, max_size):
 def test_no_stage_builds_the_tables_of_a_large_product(monkeypatch, capsys, argv):
     # the depth-4, max-size-64 lattice pool: no product's tables are built,
     # by the pool or by either stage
-    _fresh_memos(monkeypatch)
     built = []
     product_tables = factorlab.core._product_tables
 
@@ -802,7 +784,6 @@ def test_no_stage_builds_the_tables_of_a_large_product(monkeypatch, capsys, argv
 def test_deepest_lattice_pool_builds_no_large_product(monkeypatch):
     # about 0.4 s in process, where building every product's tables took
     # 5.6-6.4 s and 767 MB; the digest was recorded when it did
-    _fresh_memos(monkeypatch)
     calls = _count_pool_work(monkeypatch)
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=256, depth=4)

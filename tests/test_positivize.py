@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+import factorlab.dfc
 from conftest import FIXTURES, REPO
 from factorlab import (
     InternalCheckError,
@@ -179,13 +180,13 @@ def test_witness_search_caps(monkeypatch, rings_ctx):
     # 2 disjuncts x (|F(x)| + |F(x,y)|) = 2 x (4 + 16) candidates, and 63
     # witnesses in the combined list
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
-    monkeypatch.setattr(POSITIVIZE_MODULE, "SEARCH_CAP", 39)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 39)
     with pytest.raises(
         ResourceBoundError,
         match="^positivize: estimated 40 witness candidates exceed cap 39$",
     ):
         positivize(phi, rings_ctx, free_pair_context(rings_ctx))
-    monkeypatch.setattr(POSITIVIZE_MODULE, "SEARCH_CAP", 62)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 62)
     assert positivize(phi, rings_ctx, free_pair_context(rings_ctx)).k == 0
     with pytest.raises(
         ResourceBoundError,

@@ -7,7 +7,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from factorlab import all_congruences, central_elements, factor_pairs
+from factorlab.congruences import all_congruences, factor_pairs
+from factorlab.dfc import central_elements
 from corpus import (
     boolean_context,
     corpus,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -62,11 +63,18 @@ EXIT_INTERNAL = 6
 
 
 def _emit(args, machine: dict, text_lines: list[str]) -> None:
-    if args.format == "machine":
-        print(json.dumps(machine, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in text_lines:
-            print(line)
+    try:
+        if args.format == "machine":
+            print(json.dumps(machine, sort_keys=True, separators=(",", ":")))
+        else:
+            for line in text_lines:
+                print(line)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: the verdict is still the exit code, and fd 1
+        # points at devnull so that the interpreter's final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load_populated_context(path: str, args) -> VarietyContext:
@@ -386,17 +394,21 @@ def cmd_pipeline(args) -> int:
     phi = fileio.load_formula(args.formula, ctx.signature, ctx.l)
     stages = []
     lines = []
-
     zero_one = verify_zero_one_condition(ctx)
+
+    def finish(failed_stage: str | None) -> int:
+        _emit(args, {"command": "pipeline",
+                     "status": "fail" if failed_stage else "pass",
+                     "failed_stage": failed_stage, "stages": stages,
+                     "zero_one_ok": zero_one.ok}, lines)
+        return EXIT_DFC_FAIL if failed_stage else EXIT_OK
+
     report_in = verify_dfc(phi, ctx)
     stages.append({"name": "verify-input", "status": report_in.status,
                    **_dfc_payload(report_in)})
     lines.append(f"stage 1 verify-input: {_verify_stage_text(report_in)}")
     if not report_in.ok:
-        _emit(args, {"command": "pipeline", "status": "fail",
-                     "failed_stage": "verify-input", "stages": stages,
-                     "zero_one_ok": zero_one.ok}, lines)
-        return EXIT_DFC_FAIL
+        return finish("verify-input")
 
     result = positivize(phi, ctx, free_pair_context(ctx, args.budget))
     stages.append({"name": "positivize", "status": "ok",
@@ -411,10 +423,7 @@ def cmd_pipeline(args) -> int:
                    **_dfc_payload(report_out)})
     lines.append(f"stage 3 verify-positive: {_verify_stage_text(report_out)}")
     if not report_out.ok:
-        _emit(args, {"command": "pipeline", "status": "fail",
-                     "failed_stage": "verify-positive", "stages": stages,
-                     "zero_one_ok": zero_one.ok}, lines)
-        return EXIT_DFC_FAIL
+        return finish("verify-positive")
 
     member_reports = []
     all_ok = True
@@ -429,12 +438,8 @@ def cmd_pipeline(args) -> int:
     stages.append({"name": "correspondence",
                    "status": "pass" if all_ok else "fail",
                    "members": member_reports})
-    status = "pass" if all_ok else "fail"
-    lines.append(f"pipeline: {status}")
-    _emit(args, {"command": "pipeline", "status": status,
-                 "failed_stage": None if all_ok else "correspondence",
-                 "stages": stages, "zero_one_ok": zero_one.ok}, lines)
-    return EXIT_OK if all_ok else EXIT_DFC_FAIL
+    lines.append(f"pipeline: {'pass' if all_ok else 'fail'}")
+    return finish(None if all_ok else "correspondence")
 
 
 # -- argument parsing --------------------------------------------------------------

@@ -108,20 +108,6 @@ class FiniteAlgebra(_Record):
                     )
         super().__init__(signature, size, tables, name)
 
-    @classmethod
-    def from_ops(
-        cls,
-        signature: Signature,
-        size: int,
-        ops: Mapping[str, Iterable[int]],
-        name: str = "A",
-    ) -> "FiniteAlgebra":
-        missing = [s for s, _ in signature.symbols if s not in ops]
-        if missing:
-            raise ValidationError(f"algebra '{name}': missing tables for {missing}")
-        tables = tuple(tuple(ops[s]) for s, _ in signature.symbols)
-        return cls(signature, size, tables, name)
-
     def __getattr__(self, attr: str):
         # called only for an unset slot: the tables of a product from
         # `direct_product`, built here once; any other unset slot is absent

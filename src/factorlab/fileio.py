@@ -73,7 +73,7 @@ def algebra_from_dict(data: dict, origin: str = "<inline>") -> FiniteAlgebra:
     if not isinstance(ops, dict) or not ops:
         raise ValidationError(f"{origin}: 'ops' must be a non-empty object")
     symbols = []
-    tables = {}
+    tables = []
     for sym, spec in ops.items():
         if not isinstance(spec, dict) or "arity" not in spec or "table" not in spec:
             raise ValidationError(
@@ -81,14 +81,13 @@ def algebra_from_dict(data: dict, origin: str = "<inline>") -> FiniteAlgebra:
             )
         what = f"{origin}: op '{sym}'"
         symbols.append((sym, _int(spec["arity"], f"{what} arity")))
-        tables[sym] = [
+        tables.append(tuple(
             _int(v, f"{what} table entry {i}")
             for i, v in enumerate(_list(spec["table"], f"{what} table"))
-        ]
-    signature = Signature(tuple(symbols))
-    return FiniteAlgebra.from_ops(
-        signature, _int(data["size"], f"{origin}: 'size'"), tables, name,
-    )
+        ))
+    return FiniteAlgebra(Signature(tuple(symbols)),
+                         _int(data["size"], f"{origin}: 'size'"),
+                         tuple(tables), name)
 
 
 def algebra_to_dict(algebra: FiniteAlgebra) -> dict:

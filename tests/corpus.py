@@ -9,7 +9,8 @@ import itertools
 import json
 from pathlib import Path
 
-from factorlab import FiniteAlgebra, Signature, VarietyContext, direct_product
+from factorlab.core import FiniteAlgebra, Signature, direct_product
+from factorlab.variety import VarietyContext
 from factorlab.errors import ValidationError
 from factorlab.fileio import algebra_to_dict
 from factorlab.terms import App, term_text
@@ -20,13 +21,10 @@ def ring_signature() -> Signature:
 
 
 def cyclic_ring(n: int, name: str | None = None) -> FiniteAlgebra:
-    add = [(i + j) % n for i in range(n) for j in range(n)]
-    mul = [(i * j) % n for i in range(n) for j in range(n)]
-    return FiniteAlgebra.from_ops(
-        ring_signature(), n,
-        {"+": add, "*": mul, "0": [0], "1": [1 % n]},
-        name or f"Z{n}",
-    )
+    add = tuple((i + j) % n for i in range(n) for j in range(n))
+    mul = tuple((i * j) % n for i in range(n) for j in range(n))
+    return FiniteAlgebra(ring_signature(), n, (add, mul, (0,), (1 % n,)),
+                         name or f"Z{n}")
 
 
 def ring_context(generator: FiniteAlgebra) -> VarietyContext:
@@ -41,13 +39,10 @@ def lattice_signature() -> Signature:
 
 
 def chain_lattice(k: int, name: str | None = None) -> FiniteAlgebra:
-    meet = [min(i, j) for i in range(k) for j in range(k)]
-    join = [max(i, j) for i in range(k) for j in range(k)]
-    return FiniteAlgebra.from_ops(
-        lattice_signature(), k,
-        {"/\\": meet, "\\/": join, "0": [0], "1": [k - 1]},
-        name or f"C{k}",
-    )
+    meet = tuple(min(i, j) for i in range(k) for j in range(k))
+    join = tuple(max(i, j) for i in range(k) for j in range(k))
+    return FiniteAlgebra(lattice_signature(), k, (meet, join, (0,), (k - 1,)),
+                         name or f"C{k}")
 
 
 def lattice_from_order(
@@ -78,17 +73,13 @@ def lattice_from_order(
             )
         return best[0]
 
-    meet = [bound(i, j, True) for i in range(n) for j in range(n)]
-    join = [bound(i, j, False) for i in range(n) for j in range(n)]
-    bottom = [i for i in range(n) if all((i, j) in le for j in range(n))]
-    top = [i for i in range(n) if all((j, i) in le for j in range(n))]
+    meet = tuple(bound(i, j, True) for i in range(n) for j in range(n))
+    join = tuple(bound(i, j, False) for i in range(n) for j in range(n))
+    bottom = tuple(i for i in range(n) if all((i, j) in le for j in range(n)))
+    top = tuple(i for i in range(n) if all((j, i) in le for j in range(n)))
     if len(bottom) != 1 or len(top) != 1:
         raise ValidationError(f"lattice '{name}' is not bounded")
-    return FiniteAlgebra.from_ops(
-        lattice_signature(), n,
-        {"/\\": meet, "\\/": join, "0": bottom, "1": top},
-        name,
-    )
+    return FiniteAlgebra(lattice_signature(), n, (meet, join, bottom, top), name)
 
 
 def diamond_lattice() -> FiniteAlgebra:
@@ -128,10 +119,9 @@ def boolean_signature() -> Signature:
 
 
 def boolean_algebra2() -> FiniteAlgebra:
-    return FiniteAlgebra.from_ops(
+    return FiniteAlgebra(
         boolean_signature(), 2,
-        {"/\\": [0, 0, 0, 1], "\\/": [0, 1, 1, 1], "not": [1, 0],
-         "0": [0], "1": [1]},
+        ((0, 0, 0, 1), (0, 1, 1, 1), (1, 0), (0,), (1,)),
         "B2",
     )
 

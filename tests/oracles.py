@@ -72,24 +72,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, make_dataclass
 from operator import itemgetter
 
-from factorlab import (
-    Congruence,
-    DnfEvaluator,
-    ExistentialDnf,
-    FactorPair,
-    FiniteAlgebra,
-    PoolEntry,
-    PositiveExistential,
-    ResourceBoundError,
-    ValidationError,
-    VarietyContext,
-    all_congruences,
-    direct_product,
-    eval_term,
-    pair_index,
-    quotient,
-    subalgebra_generated,
-)
 from factorlab.dfc import (
     DEFAULT_EVAL_CAP,
     DEFAULT_PAIR_CAP,
@@ -99,17 +81,39 @@ from factorlab.dfc import (
 import factorlab.congruences as congruences
 import factorlab.dfc as dfc
 from factorlab.congruences import (
+    Congruence,
+    FactorPair,
     _quotient_name,
     _quotient_tables,
+    all_congruences,
     compose_lattice,
     median_term,
+    quotient,
 )
-from factorlab.core import _images, _subalgebra_name, _subalgebra_tables
-from factorlab.errors import InternalCheckError
-from factorlab.formulas import z_roles
+from factorlab.core import (
+    FiniteAlgebra,
+    _images,
+    _subalgebra_name,
+    _subalgebra_tables,
+    direct_product,
+    eval_term,
+    pair_index,
+    subalgebra_generated,
+)
+from factorlab.errors import (
+    InternalCheckError,
+    ResourceBoundError,
+    ValidationError,
+)
+from factorlab.formulas import (
+    DnfEvaluator,
+    ExistentialDnf,
+    PositiveExistential,
+    z_roles,
+)
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import INFIX_SYMBOLS, App, Term, Var
-from factorlab.variety import _SeedPatterns
+from factorlab.variety import PoolEntry, VarietyContext, _SeedPatterns
 
 
 def _operand_text(t: Term) -> str:

@@ -5,21 +5,17 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 import json
 
 from conftest import FIXTURES
-from factorlab import (
+from factorlab.congruences import (
     Congruence,
-    PoolEntry,
-    VarietyContext,
     all_congruences,
-    central_elements,
     factor_pairs,
-    free_algebra,
-    free_pair_context,
-    parse_formula,
-    positivize,
     quotient,
-    strip_to_positive,
-    verify_dfc,
 )
+from factorlab.dfc import central_elements, verify_dfc
+from factorlab.formulas import parse_formula, strip_to_positive
+from factorlab.freealg import free_algebra, free_pair_context
+from factorlab.positivize import positivize
+from factorlab.variety import PoolEntry, VarietyContext
 from factorlab.cli import main
 from corpus import (
     boolean_algebra2,
@@ -59,7 +55,7 @@ def _lattice_pool() -> VarietyContext:
     theta = Congruence(c3, (0, 0, 2))
     c2, _ = quotient(c3, theta)
     assert c2.tables == chain_lattice(2).tables
-    from factorlab import direct_product
+    from factorlab.core import direct_product
 
     l2x2 = direct_product(c2, c2, name="L2x2")
     return VarietyContext(
@@ -87,7 +83,7 @@ def test_criterion_1_congruence_oracle_equivalence(all_fixture_algebras):
 
 
 def test_criterion_2_factor_pair_ground_truth(z6, z5, z2):
-    from factorlab import direct_product
+    from factorlab.core import direct_product
 
     z2xz2 = direct_product(z2, z2, name="Z2xZ2")
     expected = {"Z6": (z6, 4), "Z5": (z5, 2), "Z2xZ2": (z2xz2, 4)}

@@ -289,7 +289,7 @@ def test_positivize_ring(capsys):
 
 
 def test_positivize_output_reparses(capsys, rings_ctx):
-    from factorlab import parse_formula
+    from factorlab.formulas import parse_formula
 
     code, out = run_cli(
         capsys, "positivize", FIXTURES / "rings.ctx",
@@ -359,7 +359,7 @@ def test_positivize_builds_no_pool(capsys, monkeypatch, formula, extra):
 def test_positivize_all_witnesses_searches_each_factor_once(capsys, monkeypatch):
     # one witness search per factor, F(x) and F(x,y); the first witness is
     # the head of the enumerated list
-    from factorlab import DnfEvaluator
+    from factorlab.formulas import DnfEvaluator
 
     original = DnfEvaluator.masked_witnesses
     calls = []
@@ -596,6 +596,33 @@ def test_pipeline_machine_output_deterministic():
     assert _run_pipeline_subprocess() == _run_pipeline_subprocess()
 
 
+def test_closed_stdout_keeps_the_verdict_and_a_quiet_stderr():
+    # the reader closes the pipe before the report is written
+    for formula, verdict in (("lattice_mixed.fm", 0), ("not_dfc.fm", 5)):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "factorlab", "dfc", "verify",
+             str(FIXTURES / "lattices.ctx"), str(FIXTURES / "formulas" / formula),
+             "--format", "machine"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+        assert (proc.returncode, stderr) == (verdict, b"")
+
+
+def test_stdout_closed_from_the_start_exits_0_quietly():
+    # with fd 1 closed at startup, sys.stdout is None and the report goes
+    # nowhere
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorlab", "algebra", "show",
+         str(FIXTURES / "c2.alg")],
+        stderr=subprocess.PIPE, cwd=REPO, preexec_fn=lambda: os.close(1),
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_exit_codes_are_distinct():
     from factorlab.cli import (
         EXIT_DFC_FAIL,
@@ -614,7 +641,7 @@ def test_exit_codes_are_distinct():
 
 def test_internal_check_failure_exits_6(capsys, monkeypatch):
     import factorlab.cli
-    from factorlab import InternalCheckError
+    from factorlab.errors import InternalCheckError
 
     def failing(*args, **kwargs):
         raise InternalCheckError("central tuple not unique")

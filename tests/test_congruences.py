@@ -8,23 +8,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from factorlab import (
+from factorlab.congruences import (
     Congruence,
-    FiniteAlgebra,
-    ResourceBoundError,
-    Signature,
-    ValidationError,
     all_congruences,
     compactness_report,
     congruence_from_partition,
-    direct_product,
     factor_pairs,
-    generate_pool,
     partition_text,
     principal_congruence,
     quotient,
+)
+from factorlab.core import (
+    FiniteAlgebra,
+    Signature,
+    direct_product,
     subalgebra_generated,
 )
+from factorlab.errors import ResourceBoundError, ValidationError
+from factorlab.variety import generate_pool
 import factorlab.congruences as congruences
 import factorlab.core
 from conftest import FIXTURES

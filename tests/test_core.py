@@ -9,22 +9,23 @@ import factorlab.congruences
 import factorlab.core
 import factorlab.variety
 from conftest import FIXTURES
-from factorlab import (
-    EvalError,
+from factorlab.core import (
     FiniteAlgebra,
     Signature,
-    ValidationError,
-    VarietyContext,
     direct_product,
     eval_term,
-    generate_pool,
     pair_index,
     pair_split,
+    _subalgebra_tables,
     subalgebra_generated,
+)
+from factorlab.errors import EvalError, ValidationError
+from factorlab.variety import (
+    VarietyContext,
+    generate_pool,
     verify_zero_one_condition,
 )
 from factorlab.cli import main
-from factorlab.core import _subalgebra_tables
 from factorlab.fileio import load_algebra, load_context
 from corpus import (
     chain_lattice,

@@ -4,20 +4,12 @@ import pytest
 
 import factorlab.core
 import factorlab.dfc
-from factorlab import (
-    DnfEvaluator,
-    PoolEntry,
-    ResourceBoundError,
-    ValidationError,
-    VarietyContext,
-    central_elements,
-    correspondence_check,
-    direct_product,
-    factor_pairs,
-    parse_formula,
-    partition_text,
-    verify_dfc,
-)
+from factorlab.congruences import factor_pairs, partition_text
+from factorlab.core import direct_product
+from factorlab.dfc import central_elements, correspondence_check, verify_dfc
+from factorlab.errors import ResourceBoundError, ValidationError
+from factorlab.formulas import DnfEvaluator, parse_formula
+from factorlab.variety import PoolEntry, VarietyContext
 from factorlab.fileio import load_context, load_formula
 from factorlab.terms import App
 from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
@@ -335,7 +327,8 @@ def test_correspondence_check_compiles_the_formula_once(monkeypatch):
 def test_dfc_relation_is_first_projection_kernel(z6, rings_z6_ctx):
     # evaluated over A x B with the distinguished parameters, a passing
     # formula relates exactly the pairs with equal first coordinate
-    from factorlab import DnfEvaluator, pair_index
+    from factorlab.core import pair_index
+    from factorlab.formulas import DnfEvaluator
 
     phi = parse_formula(RING_PHI, rings_z6_ctx.signature, 1)
     z3 = cyclic_ring(3)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import FIXTURES, REPO
-from factorlab import ValidationError
+from factorlab.errors import ValidationError
 from factorlab.fileio import (
     algebra_to_dict,
     load_algebra,

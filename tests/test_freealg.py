@@ -5,16 +5,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import factorlab.freealg
-from factorlab import (
-    FiniteAlgebra,
-    ResourceBoundError,
-    Signature,
-    ValidationError,
-    eval_term,
-    free_algebra,
-    free_pair_context,
-    pair_index,
-)
+from factorlab.core import FiniteAlgebra, Signature, eval_term, pair_index
+from factorlab.errors import ResourceBoundError, ValidationError
+from factorlab.freealg import free_algebra, free_pair_context
 from conftest import FIXTURES
 from corpus import boolean_algebra2, chain_lattice, cyclic_ring
 from factorlab.fileio import load_context
@@ -61,13 +54,13 @@ def test_free_tables_of_a_noncommutative_base():
     # subtraction is not commutative and p has arity 3, so argument order and
     # the general pointwise path are both exercised, in the closure and in
     # the carrier tables
-    ops = {
-        "-": [(a - b) % 3 for a, b in itertools.product(range(3), repeat=2)],
-        "p": [(a - b + c) % 3 for a, b, c in itertools.product(range(3), repeat=3)],
-        "neg": [-a % 3 for a in range(3)],
-    }
+    tables = (
+        tuple((a - b) % 3 for a, b in itertools.product(range(3), repeat=2)),
+        tuple((a - b + c) % 3 for a, b, c in itertools.product(range(3), repeat=3)),
+        tuple(-a % 3 for a in range(3)),
+    )
     sig = Signature((("-", 2), ("p", 3), ("neg", 1)))
-    base = FiniteAlgebra.from_ops(sig, 3, ops, "Z3-")
+    base = FiniteAlgebra(sig, 3, tables, "Z3-")
     for rank in (1, 2):
         fa = free_algebra(base, rank)
         assert set(fa.vectors) == term_function_vectors(base, rank)
@@ -224,34 +217,34 @@ def small_bases(draw):
     return FiniteAlgebra(Signature(tuple(symbols)), n, tables, f"R{n}")
 
 
-CHAIN17_MAX = FiniteAlgebra.from_ops(
+CHAIN17_MAX = FiniteAlgebra(
     Signature((("max", 2), ("rev", 1))),
     17,
-    {
-        "max": [max(a, b) for a, b in itertools.product(range(17), repeat=2)],
-        "rev": [16 - a for a in range(17)],
-    },
+    (
+        tuple(max(a, b) for a, b in itertools.product(range(17), repeat=2)),
+        tuple(16 - a for a in range(17)),
+    ),
     "C17",
 )
 
 
-Z17_MINUS = FiniteAlgebra.from_ops(
+Z17_MINUS = FiniteAlgebra(
     Signature((("-", 2),)),
     17,
-    {"-": [(a - b) % 17 for a, b in itertools.product(range(17), repeat=2)]},
+    (tuple((a - b) % 17 for a, b in itertools.product(range(17), repeat=2)),),
     "Z17-",
 )
 
 
 # 257 elements: carrier vectors are tuples, not bytes.
-FLIP257 = FiniteAlgebra.from_ops(
+FLIP257 = FiniteAlgebra(
     Signature((("0", 0), ("s", 1), ("max", 2))),
     257,
-    {
-        "0": [0],
-        "s": [a ^ 1 if a ^ 1 < 257 else a for a in range(257)],
-        "max": [max(a, b) for a, b in itertools.product(range(257), repeat=2)],
-    },
+    (
+        (0,),
+        tuple(a ^ 1 if a ^ 1 < 257 else a for a in range(257)),
+        tuple(max(a, b) for a, b in itertools.product(range(257), repeat=2)),
+    ),
     "F257",
 )
 

@@ -1,24 +1,26 @@
-import importlib
 import itertools
 
 import pytest
 
 import factorlab.dfc
+import factorlab.positivize
 from conftest import FIXTURES, REPO
-from factorlab import (
+from factorlab.dfc import verify_dfc
+from factorlab.errors import (
     InternalCheckError,
     NoWitnessError,
-    PositivizeResult,
     ResourceBoundError,
-    enumerate_witnesses,
-    free_pair_context,
-    parse_formula,
-    positivize,
-    strip_to_positive,
-    verify_dfc,
 )
+from factorlab.formulas import parse_formula, strip_to_positive
+from factorlab.freealg import free_pair_context
 from factorlab.fileio import load_context, load_formula
-from factorlab.positivize import WitnessCertificate, _recheck_substitution
+from factorlab.positivize import (
+    PositivizeResult,
+    WitnessCertificate,
+    _recheck_substitution,
+    enumerate_witnesses,
+    positivize,
+)
 from factorlab.terms import App, Var, term_text
 from oracles import (
     all_witnesses,
@@ -28,9 +30,6 @@ from oracles import (
     recheck_substitution_every_member,
 )
 from test_dfc import _count_direct_products
-
-# the package re-exports the function `positivize` under the module's name
-POSITIVIZE_MODULE = importlib.import_module("factorlab.positivize")
 
 RING_MIXED = "exists w . (z1 * x = z1 * y and w != z1) or (z1 = w and x = y)"
 LATTICE_MIXED = (
@@ -206,7 +205,8 @@ def test_verdicts_agree_for_input_and_output(rings_ctx, lattices_ctx):
 def test_explicit_witness_values_satisfy_positive_literals(rings_ctx):
     # the forward computation: substituting the witness terms coordinatewise
     # satisfies every kept literal whenever the first coordinates agree
-    from factorlab import DnfEvaluator, direct_product, eval_term, pair_index
+    from factorlab.core import direct_product, eval_term, pair_index
+    from factorlab.formulas import DnfEvaluator
 
     phi = parse_formula(RING_MIXED, rings_ctx.signature, 1)
     result = positivize(phi, rings_ctx, free_pair_context(rings_ctx))
@@ -323,13 +323,13 @@ def test_recheck_evaluates_no_product_member(monkeypatch):
                        ctx.signature, ctx.l)
     result = positivize(phi, ctx, free_pair_context(ctx))
     evaluated = set()
-    eval_term = POSITIVIZE_MODULE.eval_term
+    eval_term = factorlab.positivize.eval_term
 
     def recording(algebra, term, env):
         evaluated.add(id(algebra))
         return eval_term(algebra, term, env)
 
-    monkeypatch.setattr(POSITIVIZE_MODULE, "eval_term", recording)
+    monkeypatch.setattr(factorlab.positivize, "eval_term", recording)
     _recheck_substitution(result, ctx)
     products = {id(e.algebra) for e in ctx.pool if e.factors is not None}
     assert len(ctx.pool) == 33 and len(products) == 26

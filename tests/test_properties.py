@@ -4,23 +4,24 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorlab import (
-    DnfEvaluator,
-    ExistentialDnf,
+from factorlab.congruences import principal_congruence
+from factorlab.core import (
     FiniteAlgebra,
-    Literal,
-    PoolEntry,
     Signature,
-    VarietyContext,
-    central_elements,
     direct_product,
     eval_term,
     pair_index,
-    parse_formula,
-    principal_congruence,
     subalgebra_generated,
-    verify_dfc,
 )
+from factorlab.dfc import central_elements, verify_dfc
+from factorlab.formulas import (
+    DnfEvaluator,
+    ExistentialDnf,
+    Literal,
+    parse_formula,
+    strip_to_positive,
+)
+from factorlab.variety import PoolEntry, VarietyContext
 from corpus import (
     chain_lattice,
     cyclic_ring,
@@ -30,7 +31,6 @@ from corpus import (
     ring_context,
 )
 from factorlab.fileio import load_context, load_formula
-from factorlab.formulas import strip_to_positive
 from factorlab.positivize import (
     PositivizeResult,
     WitnessCertificate,
@@ -148,7 +148,7 @@ def test_principal_congruence_below_any_containing_congruence(algebra, data):
     cg = principal_congruence(algebra, a, b)
     assert cg.related(a, b)
     # minimality against every congruence of the algebra containing (a, b)
-    from factorlab import all_congruences
+    from factorlab.congruences import all_congruences
 
     for theta in all_congruences(algebra):
         if theta.related(a, b):

@@ -4,24 +4,19 @@ import dataclasses
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import factorlab.cli  # loads every module, so every record class is defined
 from conftest import REPO
-from factorlab import (
-    Congruence,
-    ExistentialDnf,
-    FiniteAlgebra,
-    FreeAlgebra,
-    Literal,
-    PoolEntry,
-    PositiveExistential,
-    Signature,
-    VarietyContext,
-    principal_congruence,
-)
+from factorlab.congruences import Congruence, principal_congruence
+from factorlab.core import FiniteAlgebra, Signature
+from factorlab.formulas import ExistentialDnf, Literal, PositiveExistential
+from factorlab.freealg import FreeAlgebra
+from factorlab.variety import PoolEntry, VarietyContext
 from corpus import chain_lattice, cyclic_ring
 from factorlab.terms import App, Var, _Record
 from oracles import RECORD_TWINS
@@ -187,3 +182,14 @@ def test_cli_import_loads_no_code_generation_modules():
         if path.stem != "__main__"
     )
     assert [name for name in out if name.split(".")[0] == "factorlab"] == package
+
+
+def test_package_root_binds_only_its_submodules():
+    # each public object has one binding, in the module that defines it, so
+    # the name of a submodule always reaches the submodule
+    import factorlab
+    import factorlab.positivize as m
+
+    assert isinstance(m, types.ModuleType)
+    assert [n for n, v in vars(factorlab).items()
+            if not n.startswith("_") and not isinstance(v, types.ModuleType)] == []

@@ -4,17 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from factorlab import (
+from factorlab.core import FiniteAlgebra, Signature, direct_product, pair_index
+from factorlab.errors import FormulaSyntaxError, ValidationError
+from factorlab.formulas import (
     DnfEvaluator,
     ExistentialDnf,
-    FiniteAlgebra,
-    FormulaSyntaxError,
+    MAX_NESTING,
     Literal,
     PositiveExistential,
-    Signature,
-    ValidationError,
-    direct_product,
-    pair_index,
     parse_formula,
     parse_term_text,
     strip_to_positive,
@@ -25,7 +22,6 @@ from corpus import (
     lattice_signature,
     ring_signature,
 )
-from factorlab.formulas import MAX_NESTING
 from factorlab.terms import INFIX_SYMBOLS, App, Var, term_text
 from oracles import eval_in_product, first_witness, term_text_recursive
 

@@ -118,7 +118,7 @@ def _parse_element(token: str) -> int:
 
 
 def _parse_theta_spec(algebra: FiniteAlgebra, spec: str):
-    if "|" in spec:
+    if "|" in spec or spec.startswith("{"):
         classes = [
             [_parse_element(x) for x in part.split(",") if x != ""]
             for part in spec.strip("{}").split("|")

@@ -333,10 +333,11 @@ def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     return reps
 
 
-def _check_cells(algebra: FiniteAlgebra, cells: int) -> None:
+def _check_cells(algebra: FiniteAlgebra, cells: int,
+                 stage: str = "all_congruences", kind: str = "lattice") -> None:
     if cells > LATTICE_CELL_CAP:
         raise ResourceBoundError(
-            f"all_congruences: estimated {cells} lattice cells for "
+            f"{stage}: estimated {cells} {kind} cells for "
             f"'{algebra.name}' exceed cap {LATTICE_CELL_CAP}"
         )
 
@@ -362,9 +363,6 @@ class FactorPair(_Record):
     composition theta o theta_c is total.  Built only by `factor_pairs`."""
 
     __slots__ = ("theta", "theta_c")
-
-    def __init__(self, theta: Congruence, theta_c: Congruence):
-        super().__init__(theta, theta_c)
 
 
 def factor_pairs(algebra: FiniteAlgebra) -> list[FactorPair]:
@@ -425,13 +423,11 @@ class CompactnessReport(_Record):
 
     Finite algebras always admit some finite generating set; the search below
     is exhaustive for m <= 2 and falls back to a greedy cover beyond that.
+    The pair search for m = 2 raises ResourceBoundError before it starts
+    when its joins would pass LATTICE_CELL_CAP cells.
     """
 
     __slots__ = ("theta", "m", "generating_pairs", "exhaustive")
-
-    def __init__(self, theta: Congruence, m: int,
-                 generating_pairs: tuple[tuple[int, int], ...], exhaustive: bool):
-        super().__init__(theta, m, generating_pairs, exhaustive)
 
 
 def compactness_report(
@@ -447,6 +443,9 @@ def compactness_report(
     for p in candidates:
         if principals[p] == theta.rep:
             return CompactnessReport(theta, 1, (p,), True)
+    # each pair of candidates is one join of n cells
+    c = len(candidates)
+    _check_cells(algebra, c * (c - 1) // 2 * n, "compactness_report", "join")
     for i, p in enumerate(candidates):
         for q in candidates[i + 1 :]:
             if _join_rep(principals[p], principals[q]) == theta.rep:

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 
-from .congruences import Congruence, FactorPair, factor_pairs
+from .congruences import factor_pairs
 from .core import FiniteAlgebra, _PairCells
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
@@ -27,9 +27,6 @@ DEFAULT_EVAL_CAP = 10_000_000
 
 class CentralElement(_Record):
     __slots__ = ("algebra", "e", "pair")
-
-    def __init__(self, algebra: FiniteAlgebra, e: tuple[int, ...], pair: FactorPair):
-        super().__init__(algebra, e, pair)
 
 
 def central_elements(
@@ -63,12 +60,8 @@ def central_elements(
 
 
 class DfcCounterexample(_Record):
-    __slots__ = ("left", "right", "a", "b", "c", "d", "direction")
-
     # direction "=>": formula true but a != c; "<=": formula false but a == c
-    def __init__(self, left: str, right: str, a: int, b: int, c: int, d: int,
-                 direction: str):
-        super().__init__(left, right, a, b, c, d, direction)
+    __slots__ = ("left", "right", "a", "b", "c", "d", "direction")
 
     def as_tuple(self) -> tuple:
         return self._values()
@@ -151,11 +144,6 @@ class DfcCounterexamples(Sequence):
 
 class DfcReport(_Record):
     __slots__ = ("formula_text", "pairs_tested", "skipped", "counterexamples")
-
-    def __init__(self, formula_text: str, pairs_tested: tuple[tuple[str, str], ...],
-                 skipped: tuple[tuple[str, str], ...],
-                 counterexamples: Sequence[DfcCounterexample]):
-        super().__init__(formula_text, pairs_tested, skipped, counterexamples)
 
     @property
     def ok(self) -> bool:
@@ -384,9 +372,6 @@ def verify_dfc(
 class CentralCongruenceReport(_Record):
     __slots__ = ("element", "expected", "ok")
 
-    def __init__(self, element: tuple[int, ...], expected: Congruence, ok: bool):
-        super().__init__(element, expected, ok)
-
 
 def _central_report(ev: DnfEvaluator, ce: CentralElement) -> CentralCongruenceReport:
     """One central element's check in `correspondence_check`, with the
@@ -407,12 +392,6 @@ def _central_report(ev: DnfEvaluator, ce: CentralElement) -> CentralCongruenceRe
 class CorrespondenceReport(_Record):
     __slots__ = ("algebra_name", "element_reports", "bijection_ok",
                  "idempotent_check")
-
-    def __init__(self, algebra_name: str,
-                 element_reports: tuple[CentralCongruenceReport, ...],
-                 bijection_ok: bool, idempotent_check: dict | None):
-        super().__init__(algebra_name, element_reports, bijection_ok,
-                         idempotent_check)
 
     @property
     def n_central(self) -> int:

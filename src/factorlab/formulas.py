@@ -35,9 +35,7 @@ def z_roles(l: int) -> tuple[str, ...]:
 
 class Literal(_Record):
     __slots__ = ("lhs", "rhs", "positive")
-
-    def __init__(self, lhs: Term, rhs: Term, positive: bool = True):
-        super().__init__(lhs, rhs, positive)
+    _defaults = {"positive": True}
 
     def text(self) -> str:
         op = "=" if self.positive else "!="
@@ -138,10 +136,7 @@ _INFIX_ALIASES = {"*": ("*", "·"), "·": ("·", "*")}
 
 
 class _Tok(_Record):
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):  # kind: ident, op or eof
-        super().__init__(kind, text, pos)
+    __slots__ = ("kind", "text", "pos")  # kind: ident, op or eof
 
 
 def _tokenize(text: str) -> list[_Tok]:

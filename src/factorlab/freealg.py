@@ -264,10 +264,6 @@ class FreePairContext(_Record):
 
     __slots__ = ("f1", "f2", "x", "y", "z")
 
-    def __init__(self, f1: FreeAlgebra, f2: FreeAlgebra, x: int, y: int,
-                 z: tuple[int, ...]):
-        super().__init__(f1, f2, x, y, z)
-
     def split(self, p: int) -> tuple[int, int]:
         return pair_split(p, self.f2.size)
 

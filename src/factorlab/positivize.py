@@ -17,12 +17,11 @@ from .errors import InternalCheckError, NoWitnessError, ResourceBoundError
 from .formulas import (
     DnfEvaluator,
     ExistentialDnf,
-    PositiveExistential,
     strip_to_positive,
     z_roles,
 )
 from .freealg import FreePairContext
-from .terms import Term, _Record, term_text
+from .terms import _Record, term_text
 from .variety import VarietyContext
 
 # A factor of a product with its x, y and z values.
@@ -35,17 +34,10 @@ class WitnessCertificate(_Record):
 
     __slots__ = ("disjunct", "witness_indices")
 
-    def __init__(self, disjunct: int, witness_indices: tuple[int, ...]):
-        super().__init__(disjunct, witness_indices)
-
 
 class PositivizeResult(_Record):
     __slots__ = ("k", "phi_prime", "witnesses", "certificate", "warnings")
-
-    def __init__(self, k: int, phi_prime: PositiveExistential,
-                 witnesses: tuple[tuple[Term, Term], ...],
-                 certificate: WitnessCertificate, warnings: tuple[str, ...] = ()):
-        super().__init__(k, phi_prime, witnesses, certificate, warnings)
+    _defaults = {"warnings": ()}
 
 
 def _distinguished_diagnostics(fpc: FreePairContext) -> dict:

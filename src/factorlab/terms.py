@@ -8,20 +8,34 @@ from typing import Union
 class _Record:
     """Frozen-dataclass semantics with no code generated at import.  A subclass
     names its fields in `__slots__`, after those of the record it extends;
-    slots with a leading underscore are private and left out.  Its `__init__`
-    checks the values and passes them in field order to `_Record.__init__`;
-    `_trusted` skips the checks.  Equality (within one class) and the hash
-    read the values, but an object equals itself at once; the repr is
-    Name(field=value, ...), and fields are fixed."""
+    slots with a leading underscore are private and left out.  Fields are
+    passed positionally or by keyword, missing trailing ones come from the
+    class's `_defaults`, and a missing, extra or unknown argument is a
+    TypeError.  Only records that check their values or take a non-field
+    argument (`Signature`, `FiniteAlgebra`, `Congruence`, `ExistentialDnf`,
+    `PositiveExistential`, `VarietyContext`, `FreeAlgebra`) have their own
+    `__init__`, which passes every field on; `_trusted` skips it.  Equality
+    (within one class) and the hash read the values, but an object equals
+    itself at once; the repr is Name(field=value, ...), and fields are fixed."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
         cls._fields += tuple(s for s in vars(cls).get("__slots__", ()) if s[0] != "_")
 
-    def __init__(self, *values):
-        for name, value in zip(self._fields, values):
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if (len(values) > len(fields) or named.keys() - set(rest)
+                    or any(n not in named and n not in self._defaults for n in rest)):
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{fields}, got {len(values)} positional, "
+                                f"{sorted(named)} by keyword")
+            values += tuple(named.get(n, self._defaults.get(n)) for n in rest)
+        for name, value in zip(fields, values):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -57,15 +71,10 @@ class _Record:
 class Var(_Record):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        super().__init__(name)
-
 
 class App(_Record):
     __slots__ = ("symbol", "args")
-
-    def __init__(self, symbol: str, args: tuple[Term, ...] = ()):
-        super().__init__(symbol, args)
+    _defaults = {"args": ()}
 
 
 Term = Union[Var, App]

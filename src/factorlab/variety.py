@@ -43,10 +43,7 @@ class PoolEntry(_Record):
     `verify_dfc` builds the factors' histograms first."""
 
     __slots__ = ("algebra", "recipe", "factors")
-
-    def __init__(self, algebra: FiniteAlgebra, recipe: str,
-                 factors: tuple[int, int] | None = None):
-        super().__init__(algebra, recipe, factors)
+    _defaults = {"factors": None}
 
 
 class VarietyContext(_Record):
@@ -460,9 +457,6 @@ class ZeroOneReport(_Record):
 
     __slots__ = ("entries",)
     note = "sampled verification over the pool, not a proof"
-
-    def __init__(self, entries: tuple[tuple[str, tuple, tuple, bool], ...]):
-        super().__init__(entries)
 
     @property
     def ok(self) -> bool:

@@ -1,7 +1,6 @@
 import argparse
 import contextlib
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -17,6 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, REPO
 import factorlab.cli as cli
+import factorlab.dfc
+import factorlab.variety
 from factorlab.cli import _build_parser, main
 from factorlab.congruences import LATTICE_CELL_CAP
 from factorlab.core import Signature
@@ -138,6 +139,39 @@ def test_cong_compactness_negative_element_exits_2(capsys):
     spec = "0,-1|1,2,3,4,5"
     assert main(["cong", str(FIXTURES / "z6.alg"), "--compactness", spec]) == 2
     assert "element -1 is not in the universe 0..5" in capsys.readouterr().err
+
+
+def test_cong_compactness_reads_back_every_printed_congruence(capsys):
+    # a spec in braces is a partition, so the total congruence, printed
+    # with one class and no '|', reads back too
+    seen = 0
+    for path in sorted(FIXTURES.glob("*.alg")):
+        code, out = run_cli(capsys, "cong", path, "--format", "machine")
+        if code == 3:  # over the default size bound
+            continue
+        for theta in json.loads(out)["congruences"]:
+            code, out = run_cli(capsys, "cong", path, "--compactness", theta,
+                                "--format", "machine")
+            assert code == 0, (path.name, theta)
+            assert json.loads(out)["theta"] == theta
+            seen += 1
+    assert seen == 36
+
+
+def test_cong_compactness_pair_search_over_cap_exits_3(capsys, tmp_path):
+    # f(x) = x on 40 elements: no principal congruence gives {0..38|39}, and
+    # the search over pairs of its 741 related pairs would join 741*740/2
+    # times 40 cells
+    path = tmp_path / "i40.alg"
+    path.write_text(json.dumps({"name": "I40", "size": 40, "ops": {
+        "f": {"arity": 1, "table": list(range(40))}}}))
+    spec = "{" + ",".join(map(str, range(39))) + "|39}"
+    start = time.perf_counter()
+    assert main(["cong", str(path), "--compactness", spec]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", (
+        "error: compactness_report: estimated 10966800 join cells for 'I40' "
+        f"exceed cap {LATTICE_CELL_CAP}\n"))
 
 
 def test_freealg_dump(capsys):
@@ -344,12 +378,10 @@ def test_positivize_builds_one_free_pair_context(capsys, monkeypatch, extra):
 def test_positivize_builds_no_pool(capsys, monkeypatch, formula, extra):
     # the witness search reads the generator and the zero/one terms, and the
     # substitution re-check evaluates the generator alone
-    variety = importlib.import_module("factorlab.variety")
-
     def refused(*args, **kwargs):
         raise AssertionError("positivize built a pool")
 
-    monkeypatch.setattr(variety, "generate_pool", refused)
+    monkeypatch.setattr(factorlab.variety, "generate_pool", refused)
     code, out = run_cli(capsys, "positivize", FIXTURES / "rings.ctx", formula,
                         *extra, "--format", "machine")
     assert code == 0
@@ -385,8 +417,7 @@ def test_positivize_all_witnesses_searches_each_factor_once(capsys, monkeypatch)
 def test_positivize_all_witnesses_fails_as_without(capsys, monkeypatch, formula,
                                                     cap, code):
     if cap is not None:
-        monkeypatch.setattr(importlib.import_module("factorlab.dfc"),
-                            "DEFAULT_EVAL_CAP", cap)
+        monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", cap)
     argv = ["positivize", str(FIXTURES / "rings.ctx"),
             str(FIXTURES / "formulas" / f"{formula}.fm"), "--format", "machine"]
     outcomes = []
@@ -398,8 +429,7 @@ def test_positivize_all_witnesses_fails_as_without(capsys, monkeypatch, formula,
 
 def test_positivize_all_witnesses_over_cap_exits_3(capsys, monkeypatch):
     # 63 witnesses in the combined list; the first witness alone fits
-    monkeypatch.setattr(importlib.import_module("factorlab.dfc"),
-                        "DEFAULT_EVAL_CAP", 62)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 62)
     argv = ["positivize", str(FIXTURES / "rings.ctx"),
             str(FIXTURES / "formulas" / "ring_mixed.fm"), "--format", "machine"]
     assert main(argv) == 0
@@ -492,15 +522,14 @@ def test_dfc_verify_fail_exits_5(capsys):
 
 
 def test_dfc_verify_builds_only_the_counterexamples_it_prints(capsys, monkeypatch):
-    dfc = importlib.import_module("factorlab.dfc")
-    original = dfc.DfcCounterexample
+    original = factorlab.dfc.DfcCounterexample
     built = []
 
     def counting(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(dfc, "DfcCounterexample", counting)
+    monkeypatch.setattr(factorlab.dfc, "DfcCounterexample", counting)
     argv = ("dfc", "verify", FIXTURES / "lattices.ctx",
             FIXTURES / "formulas" / "not_dfc.fm", "--pool-depth", "3",
             "--max-size", "16")

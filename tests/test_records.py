@@ -102,6 +102,14 @@ def _outcome(f, *args):
         return type(error)
 
 
+def _rejects(f, *args, **named):
+    try:
+        f(*args, **named)
+    except TypeError:
+        return True
+    return False
+
+
 def test_every_record_class_has_a_twin():
     assert len(RECORDS) == len(RECORD_TWINS) == 23
     assert {cls.__name__ for cls in RECORDS} == set(RECORD_TWINS)
@@ -135,6 +143,9 @@ def test_record_matches_dataclass_twin(cls, data):
         value for f, value in zip(fields, args1) if f.default is dataclasses.MISSING
     ]
     assert repr(cls(*required)) == repr(twin(*required))
+    # an extra positional argument, an unknown keyword, and no arguments
+    for args, named in (((*args1, 0), {}), (args1, {"extra": 0}), ((), {})):
+        assert _rejects(cls, *args, **named) == _rejects(twin, *args, **named)
 
     for f, value in zip(fields, args2):
         with pytest.raises(AttributeError):

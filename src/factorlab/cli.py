@@ -36,7 +36,8 @@ from .congruences import (
     principal_congruence,
 )
 from .core import FiniteAlgebra
-from .dfc import central_elements, correspondence_check, verify_dfc
+from .dfc import (CorrespondenceStage, central_elements, correspondence_check,
+                  verify_dfc)
 from .errors import (
     FactorLabError,
     NoWitnessError,
@@ -427,8 +428,9 @@ def cmd_pipeline(args) -> int:
 
     member_reports = []
     all_ok = True
+    stage = CorrespondenceStage(result.phi_prime, ctx, ctx.pool_algebras)
     for entry in ctx.pool:
-        rep = correspondence_check(entry.algebra, result.phi_prime, ctx)
+        rep = correspondence_check(entry.algebra, result.phi_prime, ctx, stage)
         member_reports.append(_correspondence_payload(rep))
         all_ok = all_ok and rep.ok
         lines.append(

@@ -53,7 +53,10 @@ it was before it went factor by factor: one search over the materialized
 F(x) x F(x,y).  `recheck_substitution_every_member` is its substitution
 re-check as it was before it skipped recorded products.
 `congruence_of_central` is `correspondence_check`'s report on one central
-element, which only the tests ask for.
+element, which only the tests ask for.  `correspondence_check_searched` is
+the correspondence check as it was before it composed recorded products
+from their factors: every algebra is searched, one evaluator over its
+tables and one early-exit search per cell and central element.
 `congruence_of_central_classified` is the correspondence check per central
 element as it was before it compared with the factor congruence directly:
 the relation is first classified as an equivalence and a congruence.
@@ -939,6 +942,53 @@ def congruence_of_central_classified(
             "relation defined by the formula is compared against pair.theta",
         )
     return ClassifiedCentralReport(ce.e, False, False, None, ce.pair.theta, note)
+
+
+def correspondence_check_searched(
+    algebra: FiniteAlgebra,
+    phi: ExistentialDnf | PositiveExistential,
+    ctx: VarietyContext,
+) -> dfc.CorrespondenceReport:
+    """`correspondence_check` as it was before it composed recorded
+    products from their factors: every algebra's central elements come from
+    its own factor pairs, and each one's relation is searched cell by cell,
+    through one evaluator compiled over the algebra's tables."""
+    ces = dfc.central_elements(algebra, ctx)
+    estimate = len(ces) * algebra.size ** (len(phi.bound_vars) + 2)
+    if estimate > dfc.DEFAULT_EVAL_CAP:
+        raise ResourceBoundError(
+            f"correspondence_check: estimated {estimate} evaluations exceed "
+            f"cap {dfc.DEFAULT_EVAL_CAP}"
+        )
+    ev = DnfEvaluator(algebra, phi)
+    reports = []
+    for ce in ces:
+        rep = ce.pair.theta.rep
+        n = len(rep)
+        ok = all(
+            ev.satisfied(a, c, ce.e) == (rep[a] == rep[c])
+            for a in range(n) for c in range(n)
+        )
+        reports.append(dfc.CentralCongruenceReport(ce.e, ce.pair.theta, ok))
+    bijection_ok = len({ce.e for ce in ces}) == len(ces)
+    idem = None
+    if dfc._ring_like(algebra) and ctx.l == 1:
+        one = algebra.apply("1")
+        idempotents = ring_idempotents(algebra)
+        central_set = sorted(ce.e[0] for ce in ces)
+        complements_ok = True
+        by_pair = {(ce.pair.theta.rep, ce.pair.theta_c.rep): ce.e[0] for ce in ces}
+        for ce in ces:
+            mirror = by_pair.get((ce.pair.theta_c.rep, ce.pair.theta.rep))
+            if mirror is None or algebra.apply("+", (ce.e[0], mirror)) != one:
+                complements_ok = False
+        idem = {
+            "ok": idempotents == central_set and complements_ok,
+            "idempotents": idempotents,
+            "central": central_set,
+            "complements_ok": complements_ok,
+        }
+    return dfc.CorrespondenceReport(algebra.name, tuple(reports), bijection_ok, idem)
 
 
 def central_elements_scan(algebra: FiniteAlgebra, ctx: VarietyContext) -> list:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, REPO
 import factorlab.cli as cli
+import factorlab.core
 import factorlab.dfc
 import factorlab.variety
 from factorlab.cli import _build_parser, main
@@ -608,6 +609,45 @@ def test_pipeline_text_gives_cause_and_coverage(capsys):
     lines = out.splitlines()
     assert lines[0] == "stage 1 verify-input: pass (skipped over cap: 642)"
     assert lines[2] == "stage 3 verify-positive: pass (skipped over cap: 642)"
+
+
+@pytest.mark.parametrize("ctx, formula", [
+    ("lattices", "lattice_mixed"), ("rings", "ring_mixed"),
+])
+def test_scaled_pipeline_builds_no_product_tables(capsys, monkeypatch, ctx, formula):
+    # the two pipelines of perfbench's pipeline-scaled workload: the
+    # correspondence stage used to build the tables of 4 and 3 products to
+    # search them; it now composes every recorded product from its factors
+    built = []
+    product_tables = factorlab.core._product_tables
+
+    def building(a, b):
+        built.append((a.name, b.name))
+        return product_tables(a, b)
+
+    monkeypatch.setattr(factorlab.core, "_product_tables", building)
+    code, out = run_cli(capsys, "pipeline", FIXTURES / f"{ctx}.ctx",
+                        FIXTURES / "formulas" / f"{formula}.fm",
+                        "--max-size", "16", "--format", "machine")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+    assert built == []
+
+
+def test_deep_pipeline_passes(capsys):
+    # the depth-4, max-size-64 lattice pipeline: its correspondence stage
+    # estimates 43,755 evaluations for all 245 members, where a member of
+    # 64 elements alone was estimated at 16,777,216 and refused with exit 3
+    code, out = run_cli(capsys, "pipeline", FIXTURES / "lattices.ctx",
+                        FIXTURES / "formulas" / "lattice_mixed.fm",
+                        "--pool-depth", "4", "--max-size", "64",
+                        "--format", "machine")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "pass"
+    members = data["stages"][-1]["members"]
+    assert len(members) == 245
+    assert sum(m["n_central"] for m in members) == 2677
 
 
 def _run_pipeline_subprocess(fmt="machine"):

@@ -6,7 +6,12 @@ import factorlab.core
 import factorlab.dfc
 from factorlab.congruences import factor_pairs, partition_text
 from factorlab.core import direct_product
-from factorlab.dfc import central_elements, correspondence_check, verify_dfc
+from factorlab.dfc import (
+    CorrespondenceStage,
+    central_elements,
+    correspondence_check,
+    verify_dfc,
+)
 from factorlab.errors import ResourceBoundError, ValidationError
 from factorlab.formulas import DnfEvaluator, parse_formula
 from factorlab.variety import PoolEntry, VarietyContext
@@ -18,6 +23,7 @@ from oracles import (
     central_elements_scan,
     congruence_of_central,
     congruence_of_central_classified,
+    correspondence_check_searched,
     ring_idempotents,
     verify_dfc_cells,
     verify_dfc_searched,
@@ -313,15 +319,65 @@ def test_correspondence_check_compiles_the_formula_once(monkeypatch):
             super().__init__(algebra, phi)
 
     monkeypatch.setattr(factorlab.dfc, "DnfEvaluator", Counting)
-    reports = [correspondence_check(a, phi, ctx) for a in ctx.pool_algebras]
+    stage = CorrespondenceStage(phi, ctx, ctx.pool_algebras)
+    reports = [correspondence_check(a, phi, ctx, stage) for a in ctx.pool_algebras]
     assert all(r.ok for r in reports)
-    # one compilation per algebra, where each central element had its own
-    assert compiled == list(ctx.pool_algebras)
-    assert len(compiled) == 11 and sum(r.n_central for r in reports) == 29
+    # one compilation per searched member, where each central element had
+    # its own; the recorded products are composed and compile nothing
+    searched = [a for a in ctx.pool_algebras
+                if getattr(a, "_composed", None) is None]
+    assert compiled == searched
+    assert len(compiled) == 7 and len(reports) == 11
+    assert sum(r.n_central for r in reports) == 29
     # the single-element entry point still compiles for itself
     ce = central_elements(ctx.generator, ctx)[0]
     assert congruence_of_central(ctx.generator, phi, ce).ok
-    assert compiled[-1] is ctx.generator and len(compiled) == len(reports) + 1
+    assert compiled[-1] is ctx.generator and len(compiled) == len(searched) + 1
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
+def test_correspondence_stage_matches_searching_every_member(name):
+    # every member of the depth-3 pool, through one stage as the pipeline
+    # runs it, against a search of the member itself
+    ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
+    composed = [a for a in ctx.pool_algebras
+                if getattr(a, "_composed", None) is not None]
+    assert composed or name == "rings_z6"
+    for formula in FIXTURE_FORMULAS[name]:
+        phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
+        stage = CorrespondenceStage(phi, ctx, ctx.pool_algebras)
+        for algebra in ctx.pool_algebras:
+            report = correspondence_check(algebra, phi, ctx, stage)
+            oracle = correspondence_check_searched(algebra, phi, ctx)
+            # the central tuples in order, each with its theta
+            assert ([(r.element, r.expected.rep) for r in report.element_reports]
+                    == [(r.element, r.expected.rep) for r in oracle.element_reports])
+            assert report == oracle
+
+
+def test_recorded_product_alone_is_composed(monkeypatch):
+    # without a stage, a recorded product makes its own over its factors
+    ctx = load_context(str(FIXTURES / "rings.ctx")).populated(max_size=16)
+    phi = parse_formula(RING_PHI, ctx.signature, 1)
+    product = ctx.pool_algebras[-1]
+    assert product._composed and product.size == 16
+    oracle = correspondence_check_searched(product, phi, ctx)
+    built = []
+    product_tables = factorlab.core._product_tables
+
+    def building(a, b):
+        built.append((a, b))
+        return product_tables(a, b)
+
+    monkeypatch.setattr(factorlab.core, "_product_tables", building)
+    fresh = ctx.populated(max_size=16).pool_algebras[-1]
+    report = correspondence_check(fresh, phi, ctx)
+    assert built == []
+    assert report.ok and report.n_central == 16
+    # the oracle's congruences are on a value-equal copy of the product
+    assert ([(r.element, r.expected.rep, r.ok) for r in report.element_reports]
+            == [(r.element, r.expected.rep, r.ok) for r in oracle.element_reports])
+    assert report.idempotent_check == oracle.idempotent_check
 
 
 def test_dfc_relation_is_first_projection_kernel(z6, rings_z6_ctx):
@@ -421,6 +477,41 @@ def test_correspondence_check_eval_cap(z6, rings_z6_ctx, monkeypatch):
         match=r"^correspondence_check: estimated 864 evaluations exceed cap 863$",
     ):
         correspondence_check(z6, phi, rings_z6_ctx)
+
+
+def test_correspondence_stage_estimates_before_any_member(monkeypatch):
+    # the depth-4, max-size-64 lattice pool under the pipeline's positive
+    # formula: sum of central elements x |M|^3 over the 7 searched members,
+    # plus, for each composed central tuple, the pairs of at most 4 entries
+    # (2 signatures x 2 flags) per side
+    ctx = load_context(str(FIXTURES / "lattices.ctx")).populated(
+        max_size=64, depth=4)
+    phi = parse_formula(r"exists w . x \/ z1 = y \/ z1", ctx.signature, 1)
+    compiled = []
+
+    class Counting(factorlab.dfc.DnfEvaluator):
+        def __init__(self, algebra, phi):
+            compiled.append(algebra)
+            super().__init__(algebra, phi)
+
+    monkeypatch.setattr(factorlab.dfc, "DnfEvaluator", Counting)
+    searched = [a for a in ctx.pool_algebras
+                if getattr(a, "_composed", None) is None]
+    assert len(searched) == 7
+    assert sum(len(central_elements(a, ctx)) * a.size ** 3 for a in searched) == 1131
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 43754)
+    with pytest.raises(
+        ResourceBoundError,
+        match=r"^correspondence_check: estimated 43755 evaluations exceed "
+              r"cap 43754$",
+    ):
+        CorrespondenceStage(phi, ctx, ctx.pool_algebras)
+    assert compiled == []
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 43755)
+    stage = CorrespondenceStage(phi, ctx, ctx.pool_algebras)
+    assert all(correspondence_check(a, phi, ctx, stage).ok
+               for a in ctx.pool_algebras)
+    assert compiled == searched
 
 
 def test_correspondence_z6(z6, rings_z6_ctx):

@@ -4,7 +4,7 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.congruences import principal_congruence
+from factorlab.congruences import compose_lattice, principal_congruence
 from factorlab.core import (
     FiniteAlgebra,
     Signature,
@@ -13,7 +13,12 @@ from factorlab.core import (
     pair_index,
     subalgebra_generated,
 )
-from factorlab.dfc import central_elements, verify_dfc
+from factorlab.dfc import (
+    CorrespondenceStage,
+    central_elements,
+    correspondence_check,
+    verify_dfc,
+)
 from factorlab.formulas import (
     DnfEvaluator,
     ExistentialDnf,
@@ -47,6 +52,7 @@ from oracles import (
     congruence_meet,
     congruence_of_central,
     congruence_of_central_classified,
+    correspondence_check_searched,
     first_witness,
     masked_witnesses_naive,
     recheck_substitution_every_member,
@@ -525,6 +531,69 @@ def test_congruence_of_central_matches_classifying_oracle(case):
         assert report.element == oracle.element
         assert report.expected == oracle.expected
         assert report.ok == oracle.ok
+
+
+# -- the composed correspondence check against searching every algebra -------
+
+# the members of the fixture pools with a median term that are not recorded
+# products: products of them are composed as the pools compose their own
+MEDIAN_BASES = {
+    name: [a for a in FIXTURE_POOLS[name].pool_algebras
+           if getattr(a, "_composed", None) is None]
+    for name in ("rings", "lattices", "boolean")
+}
+
+
+def _recorded_product(a, b, name):
+    product = direct_product(a, b, name=name)
+    compose_lattice(product, a, b)
+    return product
+
+
+@st.composite
+def median_pools(draw, max_product=12):
+    """A fixture context with a median term, 1-3 of its pool's members that
+    are not recorded products, then 1-3 recorded products of earlier
+    algebras, products among them, each of at most max_product elements,
+    and a drawn formula over the context's signature."""
+    name = draw(st.sampled_from(sorted(MEDIAN_BASES)))
+    ctx = FIXTURE_POOLS[name]
+    algebras = draw(st.lists(st.sampled_from(MEDIAN_BASES[name]),
+                             min_size=1, max_size=3))
+    for _ in range(draw(st.integers(1, 3))):
+        index = st.integers(0, len(algebras) - 1)
+        a, b = algebras[draw(index)], algebras[draw(index)]
+        if a.size * b.size <= max_product:
+            algebras.append(_recorded_product(a, b, f"M{len(algebras)}"))
+    phi = draw(dfc_formulas(max_bound=1, max_disjuncts=3, signature=ctx.signature))
+    return ctx, algebras, phi
+
+
+def _median_example(phi_text):
+    """C3 and C3/{0,1|2} of the lattices pool, their product both ways, and
+    that product times C3/{0,1|2}."""
+    ctx = FIXTURE_POOLS["lattices"]
+    c3, c2 = MEDIAN_BASES["lattices"][0], MEDIAN_BASES["lattices"][2]
+    p = _recorded_product(c3, c2, "P")
+    algebras = [c3, c2, p, _recorded_product(c2, c3, "Q"),
+                _recorded_product(p, c2, "R")]
+    return ctx, algebras, parse_formula(phi_text, ctx.signature, 1)
+
+
+@given(median_pools())
+# the pipeline's positive formula, which passes everywhere
+@example(_median_example(r"exists w . x \/ z1 = y \/ z1"))
+# a negative literal on a bound variable: the products' masks combine
+@example(_median_example(r"exists w . (x \/ z1 = y \/ z1 and w != z1) "
+                         r"or (z1 = w and x = y)"))
+# fails in every algebra with more than one element
+@example(_median_example("x = y"))
+def test_correspondence_stage_matches_searching_every_algebra(case):
+    ctx, algebras, phi = case
+    stage = CorrespondenceStage(phi, ctx, algebras)
+    for algebra in algebras:
+        report = correspondence_check(algebra, phi, ctx, stage)
+        assert report == correspondence_check_searched(algebra, phi, ctx)
 
 
 # -- central tuples against the per-element scan -------------------------------

@@ -25,21 +25,22 @@ already found and otherwise joined with each found r with r[a] != r[b].  The
 found set stays closed under joins after every step, so it ends as the whole
 lattice.
 
-A product's lattice is composed from its factors' when the variety has a
-median term.  `median_term` looks for binary operations f, g of the
-generator for which m(x,y,z) = g(g(f(x,y), f(y,z)), f(x,z)) satisfies
-m(x,x,y) = m(x,y,x) = m(y,x,x) = x; f = g is allowed, and the check reads
-at most b^2 * 3n^2 cells for b binary operations on n elements.  Each of
-these identities holds in every algebra of HSP(generator), so in every pool
-member.  In such a variety every congruence Psi of A x B is a product
+A product's lattice is composed from its factors' when they share a
+median term.  A pair (f, g) of binary operation indices is a majority pair
+of an algebra when m(x,y,z) = g(g(f(x,y), f(y,z)), f(x,z)) satisfies
+m(x,x,y) = m(x,y,x) = m(y,x,x) = x there; f = g is allowed, and the check
+reads at most b^2 * 3n^2 cells for b binary operations on n elements.  An
+identity holds in A x B exactly when it holds in A and in B, so a
+product's majority pairs are its factors' in common, found without its
+tables.  When A and B share one, every congruence Psi of A x B is a product
 theta x phi (Fraser and Horn, "Congruence relations in direct products",
 Proc. AMS 26, 1970): if (a,b) Psi (c,d), the polynomial
 X -> m(X, (a,b'), (c,b')) maps the two elements to (a,b') and (c,b'), and
 m((a',b), (a',d), X) maps them to (a',b) and (a',d); so Psi is the product
-of its projections theta and phi.  `compose_lattice` records a product with
-its factors, and on first read `all_congruences` builds the rep of
-theta x phi at a*|B| + b as rep_theta[a]*|B| + rep_phi[b], with no closure.
-Without a median term, every lattice is built by the join closure.
+of its projections theta and phi.  `lattice_factors` gives such a
+product's factors, and on first read `all_congruences` builds the rep of
+theta x phi at a*|B| + b as rep_theta[a]*|B| + rep_phi[b], with no
+closure.  Every other lattice is built by the join closure.
 
 A join closure counts n cells per join, and a composed lattice
 |Con A| * |Con B| * |A x B| cells; past LATTICE_CELL_CAP either raises
@@ -268,35 +269,39 @@ def _principal_reps(algebra: FiniteAlgebra, pairs: list) -> dict:
     return {(a, b): reps[comp[a * n + b]] for a, b in pairs}
 
 
-def median_term(algebra: FiniteAlgebra) -> tuple[int, int] | None:
-    """The first pair (f, g) of binary operation indices, in signature
-    order, for which m(x,y,z) = g(g(f(x,y), f(y,z)), f(x,z)) is a majority
-    term of `algebra`, or None."""
-    n = algebra.size
-    binary = [
-        (k, table)
-        for k, ((_, arity), table) in enumerate(
-            zip(algebra.signature.symbols, algebra.tables))
-        if arity == 2
-    ]
-    for i, f in binary:
-        for j, g in binary:
-            if all(
+def _majority_pairs(algebra: FiniteAlgebra) -> tuple[tuple[int, int], ...]:
+    """The majority pairs (f, g) of `algebra` in signature order, kept in
+    its `_majority` slot: a product's are its factors' in common."""
+    pairs = getattr(algebra, "_majority", None)
+    if pairs is None:
+        factors = getattr(algebra, "_factors", None)
+        if factors is not None:
+            left, right = map(_majority_pairs, factors)
+            pairs = tuple(p for p in left if p in right)
+        else:
+            n, symbols = algebra.size, algebra.signature.symbols
+            binary = [(k, table) for k, ((_, arity), table)
+                      in enumerate(zip(symbols, algebra.tables)) if arity == 2]
+            pairs = tuple((i, j) for i, f in binary for j, g in binary if all(
                 g[g[f[x * n + x] * n + f[x * n + y]] * n + f[x * n + y]] == x
                 and g[g[f[x * n + y] * n + f[y * n + x]] * n + f[x * n + x]] == x
                 and g[g[f[y * n + x] * n + f[x * n + x]] * n + f[y * n + x]] == x
-                for x in range(n) for y in range(n)
-            ):
-                return i, j
-    return None
+                for x in range(n) for y in range(n)))
+        object.__setattr__(algebra, "_majority", pairs)
+    return pairs
 
 
-def compose_lattice(
-    product: FiniteAlgebra, left: FiniteAlgebra, right: FiniteAlgebra
-) -> None:
-    """Record that `product` is `direct_product(left, right)` in a variety
-    with a median term, so its lattice is composed from theirs."""
-    object.__setattr__(product, "_composed", (left, right))
+def median_term(algebra: FiniteAlgebra) -> tuple[int, int] | None:
+    """The first majority pair of `algebra` in signature order, or None."""
+    return next(iter(_majority_pairs(algebra)), None)
+
+
+def lattice_factors(algebra: FiniteAlgebra) -> tuple | None:
+    """The factors (A, B) of a product from `direct_product` that share a
+    majority pair, so every congruence of A x B is a product theta x phi
+    (see the module docstring); None otherwise."""
+    factors = getattr(algebra, "_factors", None)
+    return factors if factors is not None and _majority_pairs(algebra) else None
 
 
 def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
@@ -308,7 +313,7 @@ def _lattice_reps(algebra: FiniteAlgebra) -> tuple[tuple[int, ...], ...]:
     if reps is not None:
         return reps
     n = algebra.size
-    factors = getattr(algebra, "_composed", None)
+    factors = lattice_factors(algebra)
     if factors is not None:
         lefts, rights = map(_lattice_reps, factors)
         _check_cells(algebra, len(lefts) * len(rights) * n)

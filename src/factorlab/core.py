@@ -70,9 +70,9 @@ class FiniteAlgebra(_Record):
     The constructor validates; algebras built from valid ones (products,
     subalgebras, quotients, free algebras) are valid by construction and
     skip it through `_trusted`.  A product from `direct_product` holds its
-    name and its two factors, and builds its tables on the first read of
-    `tables` (see `__getattr__`).  The slots `_lattice`, `_translations` and
-    `_composed` keep what `congruences` records of the algebra, for its life.
+    name and, in `_factors`, its two factors, and builds its tables on the
+    first read of `tables` (see `__getattr__`).  The slots `_lattice`,
+    `_translations` and `_majority` keep what `congruences` computes of it.
 
     Equality is value equality, and reads the tables unless both sides are
     one object.  The hash reads only (signature, size, name), so hashing a
@@ -80,7 +80,7 @@ class FiniteAlgebra(_Record):
     `CentralElement`) builds none of its tables."""
 
     __slots__ = ("signature", "size", "tables", "name", "_factors", "_lattice",
-                 "_translations", "_composed")
+                 "_translations", "_majority")
 
     def __init__(self, signature: Signature, size: int,
                  tables: tuple[tuple[int, ...], ...], name: str = "A"):

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 
-from .congruences import Congruence, FactorPair, factor_pairs
+from .congruences import Congruence, FactorPair, factor_pairs, lattice_factors
 from .core import FiniteAlgebra, _capped_power, _PairCells
 from .errors import InternalCheckError, ResourceBoundError, ValidationError
 from .formulas import DnfEvaluator, ExistentialDnf, PositiveExistential
@@ -155,11 +155,11 @@ class DfcReport(_Record):
 
 
 class _Side(_PairCells):
-    """The signatures of members under one formula: on one side of
-    `verify_dfc`, those of the pool members `used` there, with `values`
-    giving a member's z tuple (its zero values on the left, its one values
-    on the right); in the correspondence stage, none at first, since
-    `CorrespondenceStage` asks for each member's at each of its central
+    """The signatures of algebras under one formula: on one side of
+    `verify_dfc`, those of the `algebras` used there, with `values` giving
+    an algebra's z tuple (its zero values on the left, its one values on
+    the right); in the correspondence stage, none at first, since
+    `CorrespondenceStage` asks for each algebra's at each of its central
     tuples.
 
     A member's signature at (a, c) is, per disjunct, the set of the masks of
@@ -170,39 +170,35 @@ class _Side(_PairCells):
     `verify_dfc` passes a == c if `diagonal` and False otherwise, so that
     without it the counts are per signature.
 
-    A member that is not a recorded product (an entry with `factors`: a
-    product, or a quotient of one that has the tables of its factors'
-    product) is searched, one `DnfEvaluator.failure_masks` call per (a, c):
-    `search`.  A recorded product P = A x B is never searched: zero and one
-    values are coordinatewise, so its signature at ((a1, a2), (c1, c2)) is,
-    per disjunct, {fa & fb} over A's at (a1, c1) and B's at (a2, c2):
-    `combine`.  When a cell's flag is its coordinates' flags joined by
-    `and`, its histogram is composed from the factors': each pair of entries
-    adds the product of their counts to (the paired id, both flags):
-    `compose`.  Its relation is composed from theirs only when `relation`
-    asks for it.
+    An algebra that is not a recorded product (one from `direct_product`,
+    which names its `_factors`) is searched, one `DnfEvaluator.failure_masks`
+    call per (a, c): `search`.  A recorded product P = A x B is never
+    searched: zero and one values are coordinatewise, so its signature at
+    ((a1, a2), (c1, c2)) is, per disjunct, {fa & fb} over A's at (a1, c1)
+    and B's at (a2, c2): `combine`.  When a cell's flag is its coordinates'
+    flags joined by `and`, its histogram is composed from the factors': each
+    pair of entries adds the product of their counts to (the paired id, both
+    flags): `compose`.  Its relation is composed from theirs only when
+    `relation` asks for it.
     """
 
-    __slots__ = ("histograms", "_pool", "_relations")
+    __slots__ = ("histograms", "_relations")
 
-    def __init__(self, phi, pool=(), values=None, used=(), diagonal=False):
+    def __init__(self, phi, values=None, algebras=(), diagonal=False):
         super().__init__()
-        self.histograms: dict = {}  # pool index -> {(id, flag): cells}
-        self._pool = pool
-        self._relations: dict = {}  # pool index -> relation
-        # a factor comes before its product in the pool and is used on every
-        # side the product is, so in index order its histogram is built first
-        for k in used:
-            algebra, factors = pool[k].algebra, pool[k].factors
+        self.histograms: dict = {}  # id(algebra) -> {(id, flag): cells}
+        self._relations: dict = {}  # id(algebra) -> relation
+        for algebra in algebras:  # factors first (see `_with_factors`)
+            key, factors = id(algebra), getattr(algebra, "_factors", None)
             if factors is None:
                 n = algebra.size
-                rel = self._relations[k] = self.search(
+                rel = self._relations[key] = self.search(
                     DnfEvaluator(algebra, phi), values(algebra))
                 flags = [diagonal and a == c for a in range(n) for c in range(n)]
-                self.histograms[k] = Counter(zip(rel, flags))
+                self.histograms[key] = Counter(zip(rel, flags))
             else:
-                self.histograms[k] = self.compose(
-                    self.histograms[factors[0]], self.histograms[factors[1]])
+                self.histograms[key] = self.compose(
+                    *[self.histograms[id(f)] for f in factors])
 
     def search(self, ev: DnfEvaluator, zs: tuple[int, ...]) -> list[int]:
         """The relation of the evaluator's algebra at the z tuple zs."""
@@ -221,20 +217,34 @@ class _Side(_PairCells):
 
     @staticmethod
     def combine(x: tuple, y: tuple) -> tuple:
-        return tuple(
-            frozenset([fa & fb for fa in masks_a for fb in masks_b])
-            for masks_a, masks_b in zip(x, y)
-        )
+        return tuple(frozenset([fa & fb for fa in masks_a for fb in masks_b])
+                     for masks_a, masks_b in zip(x, y))
 
-    def relation(self, k: int) -> list:
-        """Member k's relation; a product's is composed the first time."""
-        rel = self._relations.get(k)
+    def relation(self, algebra: FiniteAlgebra) -> list:
+        """The relation of an algebra of the side; a product's is composed
+        the first time."""
+        rel = self._relations.get(id(algebra))
         if rel is None:
-            i, j = self._pool[k].factors
-            rel = self._relations[k] = self.product(
-                self.relation(i), self._pool[i].algebra.size,
-                self.relation(j), self._pool[j].algebra.size)
+            a, b = algebra._factors
+            rel = self._relations[id(algebra)] = self.product(
+                self.relation(a), a.size, self.relation(b), b.size)
         return rel
+
+
+def _with_factors(algebras) -> list[FiniteAlgebra]:
+    """`algebras` and, recursively, the factors of the recorded products
+    among them, each object once and every factor before its products."""
+    found: dict = {}  # id -> algebra, in order
+
+    def add(algebra: FiniteAlgebra) -> None:
+        if id(algebra) not in found:
+            for factor in getattr(algebra, "_factors", None) or ():
+                add(factor)
+            found[id(algebra)] = algebra
+
+    for algebra in algebras:
+        add(algebra)
+    return list(found.values())
 
 
 class _Holds(dict):
@@ -276,7 +286,7 @@ def _mismatch_rows(pairs: list, algebras, left: _Side, right: _Side,
     their relations cell by cell."""
     rows = []
     for i, j in pairs:
-        rel_a, rel_b = left.relation(i), right.relation(j)
+        rel_a, rel_b = left.relation(algebras[i]), right.relation(algebras[j])
         na, nb = algebras[i].size, algebras[j].size
         # the cells (b, d) whose truth value differs from a == c, keyed by
         # (signature of (a, c), a == c)
@@ -319,51 +329,42 @@ def verify_dfc(
 
     Pairs with |A||B| > pair_cap are skipped and listed.  The pre-flight
     estimate, checked against DEFAULT_EVAL_CAP, is the sum over sides of
-    |M|^(2+nb) for each searched member and |P|^2 for each product, plus the
+    |M|^(2+nb) for each searched algebra and |P|^2 for each product, plus the
     sum of (|A||B|)^2 over tested pairs.  It is an upper bound of the work: a
-    histogram has at most |M|^2 entries.  A factor is never larger than its
-    product, so it is used on every side its product is.
+    histogram has at most |M|^2 entries.  A side holds the members it uses
+    and, recursively, their products' factors, each once.
     Mismatches are data, not errors: the report counts them at once.  A name
     group's rows are built from the pairs' relations cell by cell, composing
     a product's from its factors', and sorted only when one of its rows is
     read (see DfcCounterexamples).  Both orders of every pool pair are tested
     because the two coordinates play different roles.
     """
-    pool = ctx.pool
     algebras = ctx.pool_algebras
     if not algebras:
         raise ValidationError("pool is empty; populate the context first")
-    tested = [
-        (i, j)
-        for i, a in enumerate(algebras)
-        for j, b in enumerate(algebras)
-        if a.size * b.size <= pair_cap
-    ]
-    skipped = tuple(
-        (a.name, b.name)
-        for a in algebras
-        for b in algebras
-        if a.size * b.size > pair_cap
-    )
-    lefts = sorted({i for i, _ in tested})
-    rights = sorted({j for _, j in tested})
+    tested = [(i, j) for i, a in enumerate(algebras) for j, b in enumerate(algebras)
+              if a.size * b.size <= pair_cap]
+    skipped = tuple((a.name, b.name) for a in algebras for b in algebras
+                    if a.size * b.size > pair_cap)
+    lefts = _with_factors(algebras[i] for i in sorted({i for i, _ in tested}))
+    rights = _with_factors(algebras[j] for j in sorted({j for _, j in tested}))
     per_member = len(phi.bound_vars) + 2
-    estimate = sum(
-        algebras[k].size ** (per_member if pool[k].factors is None else 2)
-        for k in lefts + rights
-    ) + sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
+    estimate = sum(a.size ** (2 if getattr(a, "_factors", None) else per_member)
+                   for a in lefts + rights)
+    estimate += sum((algebras[i].size * algebras[j].size) ** 2 for i, j in tested)
     if estimate > DEFAULT_EVAL_CAP:
         raise ResourceBoundError(
             f"verify_dfc: estimated {estimate} evaluations exceed cap "
             f"{DEFAULT_EVAL_CAP}"
         )
-    left = _Side(phi, pool, ctx.zero_values, lefts, diagonal=True)
-    right = _Side(phi, pool, ctx.one_values, rights, diagonal=False)
+    left = _Side(phi, ctx.zero_values, lefts, diagonal=True)
+    right = _Side(phi, ctx.one_values, rights, diagonal=False)
     holds = _Holds(left.by_id, right.by_id)
     counts: dict = {}  # (left name, right name) -> counterexamples
     groups: dict = {}  # (left name, right name) -> [(i, j)] with some
     for i, j in tested:
-        count = _pair_count(left.histograms[i], right.histograms[j], holds)
+        count = _pair_count(left.histograms[id(algebras[i])],
+                            right.histograms[id(algebras[j])], holds)
         if count:
             key = algebras[i].name, algebras[j].name
             counts[key] = counts.get(key, 0) + count
@@ -452,17 +453,15 @@ class CorrespondenceStage:
     context: one pre-flight estimate for all of them, and what is kept of
     every member that a recorded product is composed from.
 
-    A member with `_composed` set is a recorded product (see
-    `compose_lattice`): a product, or a quotient of one, with its factors'
-    product's tables under a median term.  Its report is composed from its
-    factors' (see `correspondence_check`), so each recorded product and each
-    factor of one, recursively, is kept: its central elements, one
-    histogram of its cells per central element (see `_Side`), and, for the
-    ring cross-check, its idempotents and whether its complements add up
-    to 1.  A kept algebra that is not a recorded product is searched once,
-    one `failure_masks` call per cell and central element.  Any other
-    member is searched cell by cell when its report is asked for, stopping
-    at each cell's first satisfying witness.
+    The report of a product whose factors share a median term
+    (`lattice_factors`) is composed from theirs (see `correspondence_check`),
+    so each such product and each factor of one, recursively, is kept: its
+    central elements, one histogram of its cells per central element (see
+    `_Side`), and, for the ring cross-check, its idempotents and whether its
+    complements add up to 1.  A kept algebra that is not composed is
+    searched once, one `failure_masks` call per cell and central element.
+    Any other member is searched cell by cell when its report is asked for,
+    stopping at each cell's first satisfying witness.
 
     The estimate, checked against DEFAULT_EVAL_CAP before any member is
     read, is len(central elements) x |M|^(2+nb) per searched algebra, plus,
@@ -503,7 +502,7 @@ class CorrespondenceStage:
             key = id(algebra)
             if key not in counts:
                 self._algebras[key] = algebra
-                factors = getattr(algebra, "_composed", None)
+                factors = lattice_factors(algebra)
                 if factors is None:
                     ces = self._elements[key] = central_elements(algebra, ctx)
                     counts[key] = len(ces)
@@ -567,7 +566,7 @@ class CorrespondenceStage:
         key = id(algebra)
         found = self._kept[key]
         if found is None:
-            factors = getattr(algebra, "_composed", None)
+            factors = lattice_factors(algebra)
             if factors is None:
                 ces = self._elements[key]
                 ev = DnfEvaluator(algebra, self._phi)
@@ -579,12 +578,12 @@ class CorrespondenceStage:
                     hists.append(Counter(zip(self._side.search(ev, ce.e), flags)))
                 found = ces, hists, _ring_facts(algebra, ces) if self._ring else None
             else:
-                found = self._composed(algebra, *factors)
+                found = self._from_factors(algebra, *factors)
             self._kept[key] = found
         return found
 
-    def _composed(self, algebra: FiniteAlgebra, a: FiniteAlgebra,
-                  b: FiniteAlgebra) -> tuple:
+    def _from_factors(self, algebra: FiniteAlgebra, a: FiniteAlgebra,
+                      b: FiniteAlgebra) -> tuple:
         """(central elements, histograms, ring facts or None) of the
         recorded product `algebra` = A x B, from A's and B's."""
         ces_a, hists_a, ring_a = self._built(a)
@@ -631,11 +630,11 @@ def correspondence_check(
     `stage` is the `CorrespondenceStage` of the caller's members, for `phi`
     and `ctx`; without it, or when it does not count `algebra`, the check
     makes its own, so its pre-flight bound (see there) covers `algebra`
-    alone and, for a recorded product, its factors.
+    alone and, for a composed product, its factors.
 
-    A recorded product P = A x B is never searched.  Its report is composed
-    from its factors':
-    - Factor pairs.  Under a median term every congruence of A x B is
+    A product P = A x B whose factors share a median term (`lattice_factors`)
+    is never searched.  Its report is composed from its factors':
+    - Factor pairs.  Every congruence of A x B is
       alpha x beta (Fraser and Horn, "Congruence relations in direct
       products", Proc. AMS 26, 1970).  alpha x beta meets alpha* x beta* in
       the identity exactly when alpha meets alpha* and beta meets beta* in

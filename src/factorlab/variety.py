@@ -10,7 +10,6 @@ from .congruences import (
     _quotient_name,
     _quotient_tables,
     all_congruences,
-    compose_lattice,
     median_term,
 )
 from .core import (
@@ -34,16 +33,12 @@ DEFAULT_MAX_SIZE = 8
 
 
 class PoolEntry(_Record):
-    """A pool member and how it was built.  `factors` is (i, j) when the
-    member has the tables of `direct_product` of the pool's entries i and j,
-    in that order, and None otherwise: a product, or, under a median term, a
-    quotient of a recorded product, which keeps its quotient name and
-    recipe.  Both factors come before the member in the pool:
-    `generate_pool` records only products of members it already has, and
-    `verify_dfc` builds the factors' histograms first."""
+    """A pool member and how it was built.  A recorded product, one from
+    `direct_product`, names its factors in its algebra's `_factors`: two
+    earlier members, for a product or, under a median term, a quotient of a
+    recorded product, which keeps its quotient name and recipe."""
 
-    __slots__ = ("algebra", "recipe", "factors")
-    _defaults = {"factors": None}
+    __slots__ = ("algebra", "recipe")
 
 
 class VarietyContext(_Record):
@@ -249,13 +244,12 @@ def generate_pool(
     Every construction is admitted by `offer` under a key: past max_size it
     is discarded, and with the key of a member it is that member (no
     isomorphism testing is attempted).  Otherwise it enters the pool, and
-    only then are its name and recipe formatted.  When it records factors
-    and the generator has a median term (`median_term`), its lattice is
-    composed from theirs through `compose_lattice`.
+    only then are its name and recipe formatted.
 
-    An entry records factors (i, j) when it has the tables of the product
-    of members i and j: a product, and under a median term every quotient
-    of a recorded product P = A x B.  Each congruence of P is theta x phi,
+    Every product of two members is their `direct_product`, which records
+    them as its `_factors`.  Under a median term (`median_term`) so is each
+    quotient of a recorded product P = A x B other than the generator: the
+    identities hold in every member, so each congruence of P is theta x phi,
     and P/(theta x phi) has the tables of `direct_product(A/theta, B/phi)`
     (Fraser and Horn, Proc. AMS 26, 1970), whose factors are members
     already.  Such a quotient is built as that product and keeps its
@@ -272,12 +266,12 @@ def generate_pool(
     is then a singleton's subalgebra, offered already.
 
     Without a median term, as for rings_z6, the key is a construction's
-    tables.  Under one it is the ids of its atoms, the finest algebras of
-    more than one element whose product, left to right, has its tables
-    (`_atoms`; a one-element algebra has none, so C x 1 has C's key).  A
-    product of members i and j is keyed by their keys joined and enters as
-    their `direct_product`, its tables built only when read; any other
-    construction's atoms are read off its tables.  The key is exact:
+    tables; a product's are built once, for its key.  Under one it is the
+    ids of its atoms, the finest algebras of more than one element whose
+    product, left to right, has its tables (`_atoms`; a one-element algebra
+    has none, so C x 1 has C's key).  A product of members is keyed by
+    their keys joined and builds no tables; any other construction's atoms
+    are read off its tables.  The key is exact:
     - Equal atoms give equal tables.  Write E(s) for the tables of the
       product of the sequence s, left to right, and E(()) for those of the
       one-element algebra.  Then E(s) x E(t) has the tables of E(s + t), as
@@ -318,7 +312,7 @@ def generate_pool(
 
     keys = [table_key(gen.size, gen.tables)]  # pool index -> key
     seen = {keys[0]: 0}  # key -> pool index
-    # pool index -> `member_ids`, and {theta rep: pool index of the quotient},
+    # id(member) -> `member_ids`, and {theta rep: pool index of the quotient},
     # of each member small enough to be a factor of a later product
     ids: dict[int, list[int]] = {}
     quotients: dict[int, dict] = {}
@@ -327,48 +321,49 @@ def generate_pool(
     def offer(size: int, tables, name, recipe,
               factors: tuple[int, int] | None = None) -> int | None:
         """The pool index of a construction's key; None past max_size.  A
-        new key enters as a member named name(), built by recipe(): with the
-        tables, or, for a recorded product under a median term, which
-        passes none, as the product of its factors."""
+        new key enters as a member named name(), built by recipe(): from the
+        tables, or as the `direct_product` of the members `factors`, keyed by
+        their keys under a median term, else by its tables, built here once."""
         if size > max_size:
             return None
-        key = (keys[factors[0]] + keys[factors[1]] if tables is None
-               else table_key(size, tables))
+        product = lambda: direct_product(*(entries[f].algebra for f in factors), name())
+        member = None
+        if factors is None:
+            key = table_key(size, tables)
+        elif composes:
+            key = keys[factors[0]] + keys[factors[1]]
+        else:
+            member = product()
+            key = size, member.tables
         index = seen.setdefault(key, len(keys))
         if index == len(keys):
             keys.append(key)
-            factor_algebras = [entries[f].algebra for f in factors or ()]
-            member = (direct_product(*factor_algebras, name()) if tables is None
-                      else FiniteAlgebra._trusted(gen.signature, size, tables, name()))
-            fresh.append(PoolEntry(member, recipe(), factors))
-            if composes and factors is not None:
-                compose_lattice(member, *factor_algebras)
+            if member is None:
+                member = (product() if factors else FiniteAlgebra._trusted(
+                    gen.signature, size, tables, name()))
+            fresh.append(PoolEntry(member, recipe()))
         return index
 
     def multiply(i: int, j: int, name=None, recipe=None) -> int | None:
         """The pool index of the product of members i and j, offered as a
         product unless a name and a recipe are given; None past max_size."""
         a, b = entries[i].algebra, entries[j].algebra
-        size = a.size * b.size
-        if size > max_size:
-            return None
-        return offer(size, None if composes else _product_tables(a, b),
-                     name or (lambda: f"{a.name}x{b.name}"),
+        return offer(a.size * b.size, None, name or (lambda: f"{a.name}x{b.name}"),
                      recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
 
     def offer_quotients(k: int) -> None:
-        entry = entries[k]
-        a = entry.algebra
-        composed = composes and entry.factors is not None
-        if composed:
-            i, j = entry.factors
-            m = entries[j].algebra.size
+        a = entries[k].algebra
+        # the generator's factors, if any, are not members
+        factors = getattr(a, "_factors", None) if composes and k else None
+        if factors is not None:
+            left, right = (quotients[id(f)] for f in factors)
+            m = factors[1].size
             # with no map to keep and the product of every factor quotient
             # pair a member (the factors' maps hold committed indices), k
             # offers nothing
             if 2 * a.size > max_size and all(
                     keys[x] + keys[y] in seen
-                    for x in quotients[i].values() for y in quotients[j].values()):
+                    for x in left.values() for y in right.values()):
                 return
         cons = all_congruences(a)
         found = {cons[-1].rep: k}  # the identity is last
@@ -376,15 +371,14 @@ def generate_pool(
             rep = theta.rep
             name = lambda: _quotient_name(a, theta)
             recipe = lambda: f"quotient({a.name}, {theta})"
-            if composed:
+            if factors is not None:
                 # theta x phi at a*m + b is theta[a]*m + phi[b]
-                found[rep] = multiply(
-                    quotients[i][tuple([r // m for r in rep[::m]])],
-                    quotients[j][rep[:m]], name, recipe)
+                found[rep] = multiply(left[tuple([r // m for r in rep[::m]])],
+                                      right[rep[:m]], name, recipe)
             else:
                 found[rep] = offer(*_quotient_tables(a, theta)[:2], name, recipe)
         if 2 * a.size <= max_size:
-            quotients[k] = found
+            quotients[id(a)] = found
 
     def offer_seeds(k: int) -> None:
         a = entries[k].algebra
@@ -411,15 +405,15 @@ def generate_pool(
                     closures.append(set(embedding))
                 subalgebra(seed, size, tables)
             return
-        factors = entries[k].factors
+        factors = getattr(a, "_factors", None) if k else None  # as for quotients
         if factors is None:
             member = patterns.member_ids(a)
         else:
-            i, j = factors
-            member = patterns.product(
-                ids[i], entries[i].algebra.size, ids[j], entries[j].algebra.size)
+            left, right = factors
+            member = patterns.product(ids[id(left)], left.size,
+                                      ids[id(right)], right.size)
         if 2 * n <= max_size:
-            ids[k] = member
+            ids[id(a)] = member
         if a.signature.constants:
             subalgebra((), *patterns.empty_seed(member[0]))
         # most members have no new pattern at a seed (s, t), t >= s: row s

@@ -16,6 +16,17 @@ from factorlab.fileio import algebra_to_dict
 from factorlab.terms import App, term_text
 
 
+def factor_indices(pool) -> list[tuple[int, int] | None]:
+    """Each entry's `_factors` as the pool indices of the two factors,
+    found by identity, or None for an entry that is not a recorded product."""
+    index = {id(e.algebra): k for k, e in enumerate(pool)}
+    return [
+        tuple(index[id(f)] for f in e.algebra._factors)
+        if getattr(e.algebra, "_factors", None) else None
+        for e in pool
+    ]
+
+
 def ring_signature() -> Signature:
     return Signature((("+", 2), ("*", 2), ("0", 0), ("1", 0)))
 

@@ -89,7 +89,6 @@ from factorlab.congruences import (
     _quotient_name,
     _quotient_tables,
     all_congruences,
-    compose_lattice,
     median_term,
     quotient,
 )
@@ -117,6 +116,8 @@ from factorlab.formulas import (
 from factorlab.freealg import DEFAULT_BUDGET, FreeAlgebra, _default_var_names
 from factorlab.terms import INFIX_SYMBOLS, App, Term, Var
 from factorlab.variety import PoolEntry, VarietyContext, _SeedPatterns
+
+from corpus import factor_indices
 
 
 def _operand_text(t: Term) -> str:
@@ -550,7 +551,7 @@ def generate_pool_reference(
                 p = direct_product(e1.algebra, e2.algebra)
                 if enters(p.size, p.tables):
                     fresh.append(PoolEntry(
-                        p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
+                        p, f"product({e1.algebra.name}, {e2.algebra.name})"))
         if not fresh:
             break
         entries.extend(fresh)
@@ -566,7 +567,6 @@ def generate_pool_closed(
     inside a singleton's subalgebra is closed in its member, and every
     quotient is built from its classes.  Only products record factors."""
     gen = ctx.generator
-    composes = median_term(gen) is not None
     entries = [PoolEntry(gen, "generator")]
     seen = {(gen.size, gen.tables)}
 
@@ -621,9 +621,7 @@ def generate_pool_closed(
                 if not enters(p.size, p.tables):
                     continue
                 fresh.append(PoolEntry(
-                    p, f"product({e1.algebra.name}, {e2.algebra.name})", (i, j)))
-                if composes:
-                    compose_lattice(p, e1.algebra, e2.algebra)
+                    p, f"product({e1.algebra.name}, {e2.algebra.name})"))
         if not fresh:
             break
         entries.extend(fresh)
@@ -644,6 +642,7 @@ def generate_pool_tables(
     entries = [PoolEntry(gen, "generator")]
     fresh: list[PoolEntry] = []
     seen = {(gen.size, gen.tables): 0}  # (size, tables) -> pool index
+    index_of = {id(gen): 0}  # id(member) -> pool index
     ids: dict[int, list[int]] = {}
     quotients: dict[int, dict] = {}
     multiplied: dict[tuple[int, int], int] = {}  # factors -> pool index
@@ -654,10 +653,12 @@ def generate_pool_tables(
             return None
         index = seen.setdefault((size, tables), len(entries) + len(fresh))
         if index == len(entries) + len(fresh):
-            member = FiniteAlgebra._trusted(gen.signature, size, tables, name())
-            fresh.append(PoolEntry(member, recipe(), factors))
-            if composes and factors is not None:
-                compose_lattice(member, *(entries[f].algebra for f in factors))
+            member = (
+                FiniteAlgebra._trusted(gen.signature, size, tables, name())
+                if factors is None
+                else direct_product(*(entries[f].algebra for f in factors), name()))
+            index_of[id(member)] = index
+            fresh.append(PoolEntry(member, recipe()))
         return index
 
     def multiply(i, j, name=None, recipe=None):
@@ -675,12 +676,15 @@ def generate_pool_tables(
                 recipe or (lambda: f"product({a.name}, {b.name})"), (i, j))
         return multiplied[i, j]
 
+    def factors_of(a):
+        factors = getattr(a, "_factors", None)
+        return factors and tuple(index_of[id(f)] for f in factors)
+
     def offer_quotients(k):
-        entry = entries[k]
-        a = entry.algebra
-        composed = composes and entry.factors is not None
+        a = entries[k].algebra
+        composed = composes and factors_of(a) is not None
         if composed:
-            i, j = entry.factors
+            i, j = factors_of(a)
             m = entries[j].algebra.size
             if 2 * a.size > max_size and all(
                     (x, y) in multiplied
@@ -725,7 +729,7 @@ def generate_pool_tables(
                     closures.append(set(embedding))
                 subalgebra(seed, size, tables)
             return
-        factors = entries[k].factors
+        factors = factors_of(a)
         if factors is None:
             member = patterns.member_ids(a)
         else:
@@ -1305,12 +1309,12 @@ def verify_dfc_cells(
     every member's relation is built, a product's composed from its
     factors' cell by cell, and each tested pair reads its (|A||B|)^2 cells
     and builds every row."""
-    pool = ctx.pool
     algebras = ctx.pool_algebras
+    pool_factors = factor_indices(ctx.pool)
     per_member = len(phi.bound_vars) + 2
     tested, skipped, lefts, rights = _tested_pairs(
         ctx, pair_cap, eval_cap,
-        lambda k: algebras[k].size ** (per_member if pool[k].factors is None else 2))
+        lambda k: algebras[k].size ** (per_member if pool_factors[k] is None else 2))
 
     def side(values, used):
         signatures: dict = {}  # signature -> id
@@ -1335,7 +1339,7 @@ def verify_dfc_cells(
 
         relations: dict = {}
         for k in used:
-            algebra, factors = pool[k].algebra, pool[k].factors
+            algebra, factors = algebras[k], pool_factors[k]
             n = algebra.size
             if factors is None:
                 ev = DnfEvaluator(algebra, phi)
@@ -1651,7 +1655,7 @@ RECORD_TWINS = {twin.__name__: twin for twin in (
     _twin("ExistentialDnf", "bound_vars", "disjuncts", _opt("l", 1)),
     _twin("PositiveExistential", "bound_vars", "literals", _opt("l", 1)),
     _twin("_Tok", "kind", "text", "pos"),
-    _twin("PoolEntry", "algebra", "recipe", _opt("factors", None)),
+    _twin("PoolEntry", "algebra", "recipe"),
     _twin("VarietyContext", "generator", "zero_terms", "one_terms",
           _opt("pool", ())),
     _twin("ZeroOneReport", "entries"),

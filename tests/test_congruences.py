@@ -14,6 +14,7 @@ from factorlab.congruences import (
     compactness_report,
     congruence_from_partition,
     factor_pairs,
+    lattice_factors,
     partition_text,
     principal_congruence,
     quotient,
@@ -442,8 +443,8 @@ def test_lattice_is_kept_by_its_own_object(monkeypatch):
 
 
 def test_value_equal_products_read_no_tables(monkeypatch):
-    # two value-equal products, each registered with its factors: each
-    # lattice is composed, and no lookup compares the two objects' tables
+    # two value-equal products of C3, which has a median term: each lattice
+    # is composed, and no lookup compares the two objects' tables
     built = []
     product_tables = factorlab.core._product_tables
 
@@ -454,8 +455,6 @@ def test_value_equal_products_read_no_tables(monkeypatch):
     monkeypatch.setattr(factorlab.core, "_product_tables", building)
     c3 = chain_lattice(3)
     first, second = direct_product(c3, c3), direct_product(c3, c3)
-    for product in (first, second):
-        congruences.compose_lattice(product, c3, c3)
     assert len(all_congruences(first)) == 16
     assert len(all_congruences(second)) == 16
     assert built == []
@@ -530,7 +529,9 @@ def _count_principal_closures(monkeypatch):
 
 
 @pytest.mark.parametrize("algebra, closures, pairs", [
-    (_power(chain_lattice(3), 3), 171, 351), (_power(cyclic_ring(6), 2), 15, 630),
+    # table-backed, as C3^3's lattice would be composed from C3's
+    (_table_backed(_power(chain_lattice(3), 3)), 171, 351),
+    (_power(cyclic_ring(6), 2), 15, 630),
 ])
 def test_one_closure_per_pair_graph_component(monkeypatch, algebra, closures,
                                               pairs):
@@ -585,7 +586,6 @@ def _pair_reps(algebra):
 def test_lattice_past_the_cell_cap_raises(monkeypatch):
     c3 = chain_lattice(3)
     product = direct_product(c3, c3)
-    congruences.compose_lattice(product, c3, c3)
     # C3 x C3 composes |Con C3|^2 = 16 rep tuples of 9 cells, checked before
     # any is written; C3's own join closure writes 9 cells
     monkeypatch.setattr(congruences, "LATTICE_CELL_CAP", 143)
@@ -600,14 +600,15 @@ def test_lattice_past_the_cell_cap_raises(monkeypatch):
 
 @pytest.mark.parametrize("name, max_size, composed", [
     ("lattices", 27, 56), ("rings", 27, 3), ("boolean", 32, 4),
-    ("rings_z6", 27, 0),
+    # Z6 has no median term, but Z2 = Z6/{0,2,4|1,3,5} has xy + yz + xz:
+    # Z2^2, Z2^3 and Z2^4
+    ("rings_z6", 27, 3),
 ])
 def test_composed_lattices_match_direct_builds(name, max_size, composed):
     # every lattice and factor pair of the depth-3 pool against a direct build
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     members = [e.algebra for e in generate_pool(ctx, max_size=max_size, depth=3)]
-    assert sum(getattr(a, "_composed", None) is not None
-               for a in members) == composed
+    assert sum(lattice_factors(a) is not None for a in members) == composed
     lattices = [_reps(all_congruences(a)) for a in members]
     pairs = [_pair_reps(a) for a in members]
     direct = [_table_backed(a) for a in members]
@@ -618,9 +619,9 @@ def test_composed_lattices_match_direct_builds(name, max_size, composed):
 def test_pool_lattices_are_built_once_per_leaf_multiset():
     # lattices: one build per non-product member, the lattices of the 48
     # products and the 8 quotients of products being composed from their
-    # factors'; rings_z6 has no median term, so each of its 30 members is
-    # built once
-    for name, members, builds in (("lattices", 63, 7), ("rings_z6", 30, 30)):
+    # factors'; Z6 has no median term, so each of the 30 rings_z6 members
+    # but Z2^2, Z2^3 and Z2^4, whose factors share Z2's, is built once
+    for name, members, builds in (("lattices", 63, 7), ("rings_z6", 30, 27)):
         with pytest.MonkeyPatch.context() as monkeypatch:
             counts = _count_principal_closures(monkeypatch)
             pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),
@@ -657,6 +658,45 @@ def test_median_term_needs_every_identity(n, table):
         15 if n == 2 else 6)
 
 
+def test_unregistered_product_lattice_is_composed(monkeypatch):
+    # C3 has a median term, so the lattice of a bare direct_product(C3, C3)
+    # is composed from C3's: no principal of the product is computed and
+    # no product table is built
+    counts = _count_principal_closures(monkeypatch)
+    built = []
+    product_tables = factorlab.core._product_tables
+
+    def building(a, b):
+        built.append((a, b))
+        return product_tables(a, b)
+
+    monkeypatch.setattr(factorlab.core, "_product_tables", building)
+    c3 = chain_lattice(3)
+    product = direct_product(c3, c3)
+    assert lattice_factors(product) == (c3, c3)
+    composed = _reps(all_congruences(product))
+    assert len(counts["algebras"]) == 1 and counts["algebras"][0] is c3
+    assert built == []
+    assert composed == _reps(all_congruences(_table_backed(product)))
+
+
+@pytest.mark.parametrize("c2_first", [True, False])
+def test_composing_needs_a_majority_pair_of_both_factors(c2_first):
+    # C2 has a median term, and S, the two-element semilattice with meet
+    # for both operations, has none; their product has 5 congruences, one
+    # of them no product theta x phi, where composing gives 2 * 2
+    c2 = chain_lattice(2)
+    meet = c2.tables[0]
+    s = FiniteAlgebra(c2.signature, 2, (meet, meet) + c2.tables[2:], "S")
+    assert congruences.median_term(c2) == (0, 1)
+    assert congruences.median_term(s) is None
+    product = direct_product(c2, s) if c2_first else direct_product(s, c2)
+    assert lattice_factors(product) is None
+    lattice = _reps(all_congruences(product))
+    assert len(lattice) == 5
+    assert lattice == _reps(all_congruences(_table_backed(product)))
+
+
 def _with_unary(leaf, table):
     symbols = leaf.signature.symbols + (("f", 1),)
     return FiniteAlgebra(Signature(symbols), leaf.size, leaf.tables + (table,),
@@ -684,14 +724,10 @@ def chain_products(draw):
 def test_composed_lattice_matches_direct_build(drawn):
     leaves, to_the_right = drawn
     assert all(congruences.median_term(leaf) == (0, 1) for leaf in leaves)
-    # every product level is registered, as generate_pool does
     inner_leaves = leaves[1:] if to_the_right else leaves[:-1]
     inner = functools.reduce(direct_product, inner_leaves)
-    if len(inner_leaves) == 2:
-        congruences.compose_lattice(inner, *inner_leaves)
     outer = (leaves[0], inner) if to_the_right else (inner, leaves[-1])
     product = direct_product(*outer)
-    congruences.compose_lattice(product, *outer)
     composed = _reps(all_congruences(product))
     pairs = _pair_reps(product)
     copy = _table_backed(product)

@@ -30,6 +30,7 @@ from factorlab.fileio import load_algebra, load_context
 from corpus import (
     chain_lattice,
     cyclic_ring,
+    factor_indices,
     lattice_context,
     ring_context,
 )
@@ -252,7 +253,7 @@ def test_zero_one_values_match_evaluation_through_the_tables(name, depth, max_si
     # terms through its tables, built here, gives the same
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     pool = generate_pool(ctx, max_size=max_size, depth=depth)
-    assert any(e.factors is not None for e in pool)
+    assert any(factor_indices(pool))
     for entry in pool:
         a = entry.algebra
         for terms, values in ((ctx.zero_terms, ctx.zero_values),
@@ -354,6 +355,28 @@ def test_pool_members_pass_the_validating_constructor(monkeypatch, name, depth,
     assert len(checked) == len(pool)
 
 
+def test_zero_one_values_of_products_without_a_median_term_are_composed(
+        monkeypatch):
+    # Z6 has no median term, yet each product of the rings_z6 pool is its
+    # factors' direct_product, so no term is evaluated in one of the 24,
+    # where evaluating through their tables took 48 evaluations
+    ctx = load_context(str(FIXTURES / "rings_z6.ctx")).populated(
+        max_size=27, depth=3)
+    products = {id(e.algebra) for e, f in zip(ctx.pool, factor_indices(ctx.pool))
+                if f is not None}
+    assert (len(ctx.pool), len(products)) == (30, 24)
+    evaluated = []
+    eval_term = factorlab.variety.eval_term
+
+    def counting(algebra, term, env):
+        evaluated.append(id(algebra))
+        return eval_term(algebra, term, env)
+
+    monkeypatch.setattr(factorlab.variety, "eval_term", counting)
+    assert verify_zero_one_condition(ctx).ok
+    assert evaluated and products.isdisjoint(evaluated)
+
+
 @pytest.mark.parametrize("name, depth, max_size", [
     ("lattices", 3, 27), ("rings", 3, 27), ("boolean", 3, 32),
     ("rings_z6", 2, 36),
@@ -361,21 +384,22 @@ def test_pool_members_pass_the_validating_constructor(monkeypatch, name, depth,
 def test_pool_products_record_their_factors(name, depth, max_size):
     ctx = load_context(str(FIXTURES / f"{name}.ctx"))
     pool = generate_pool(ctx, max_size=max_size, depth=depth)
-    products = [(k, e) for k, e in enumerate(pool) if e.factors is not None]
+    factors = factor_indices(pool)
+    products = [(k, e) for k, e in enumerate(pool) if factors[k] is not None]
     assert products
     # every product records its factors, and so does a quotient of a
     # recorded product when the generator has a median term, and no other
     # member does
     composes = factorlab.congruences.median_term(ctx.generator) is not None
     recorded = {e.algebra.name for _, e in products}
-    for entry in pool:
+    for entry, recorded_factors in zip(pool, factors):
         if entry.recipe.startswith("quotient("):
             of = entry.recipe[len("quotient("):].rsplit(", {", 1)[0]
-            assert (entry.factors is not None) == (composes and of in recorded)
+            assert (recorded_factors is not None) == (composes and of in recorded)
         else:
-            assert (entry.factors is not None) == entry.recipe.startswith("product(")
+            assert (recorded_factors is not None) == entry.recipe.startswith("product(")
     for k, entry in products:
-        i, j = entry.factors
+        i, j = factors[k]
         a, b = pool[i].algebra, pool[j].algebra
         assert i < k and j < k
         if entry.recipe.startswith("product("):
@@ -436,7 +460,7 @@ def test_pool_builds_no_copy_of_a_member(monkeypatch):
     assert products and all(a.size > 1 and b.size > 1 for a, b, *_ in products)
     assert quotients and not any(theta.is_identity() for _, theta in quotients)
     # a quotient of a recorded product is built as a product of quotients
-    recorded = [e.algebra for e in pool if e.factors is not None]
+    recorded = [e.algebra for e, f in zip(pool, factor_indices(pool)) if f is not None]
     assert not any(a in recorded for a, _ in quotients)
     # a name and a recipe, each with the partition's text, are formatted only
     # for a new member, and so is a subalgebra's name
@@ -457,8 +481,8 @@ def _products_factors(pool):
     products; a quotient's factors are checked against `direct_product`
     by `test_pool_products_record_their_factors`."""
     return [
-        (e.algebra, e.recipe, e.factors if e.recipe.startswith("product(") else None)
-        for e in pool
+        (e.algebra, e.recipe, f if e.recipe.startswith("product(") else None)
+        for e, f in zip(pool, factor_indices(pool))
     ]
 
 
@@ -530,7 +554,7 @@ def test_pool_skips_known_products_and_seeds(monkeypatch):
     # (C3 x C3) x C3 and is never built, and 12 quotients of products are
     # built as products too (8 enter)
     assert len(calls["direct_product"]) == 56
-    assert len(pool) - sum(e.factors is None for e in pool) == 56
+    assert len(pool) - factor_indices(pool).count(None) == 56
     # no product builds its tables, where the three up to 6 elements did for
     # a table key
     assert calls["_product_tables"] == []
@@ -560,9 +584,9 @@ def _matches_closing_every_seed(ctx, max_size, depth):
     pool = generate_pool(ctx, max_size=max_size, depth=depth)
     closed = generate_pool_closed(ctx, max_size=max_size, depth=depth)
     assert _products_factors(pool) == _products_factors(closed)
-    for k, entry in enumerate(pool):
-        if entry.factors is not None:
-            i, j = entry.factors
+    for k, (entry, factors) in enumerate(zip(pool, factor_indices(pool))):
+        if factors is not None:
+            i, j = factors
             assert i < k and j < k
             product = direct_product(pool[i].algebra, pool[j].algebra)
             assert (entry.algebra.size, entry.algebra.tables) == (
@@ -587,7 +611,7 @@ def test_pool_matches_closing_every_seed(name, depth, max_size, reads_f2):
     # F(2) of Z6 is far over the cap, so its pool closes every seed
     assert (factorlab.variety._SeedPatterns.of(ctx.generator) is not None) == reads_f2
     pool = _matches_closing_every_seed(ctx, max_size, depth)
-    assert any(e.factors is not None for e in pool)
+    assert any(factor_indices(pool))
 
 
 def test_pool_closing_every_seed_skips_only_redundant_pairs(monkeypatch):
@@ -612,7 +636,8 @@ def test_pool_closing_every_seed_keys_no_product_by_its_tables(monkeypatch):
     monkeypatch.setattr(factorlab.variety, "SEED_PROGRAM_CAP", 1)
     calls = _count_pool_work(monkeypatch)
     pool = generate_pool(ctx, max_size=64, depth=4)
-    recorded = {id(e.algebra) for e in pool if e.factors is not None}
+    recorded = {id(e.algebra) for e, f in zip(pool, factor_indices(pool))
+                if f is not None}
     closed_in = recorded & {id(a) for a, _ in calls["_subalgebra_tables"]}
     assert len(calls["_product_tables"]) == len(closed_in) == 91
     assert _pool_rows(pool) == _pool_rows(read)
@@ -628,7 +653,7 @@ def test_composed_pattern_cells_match_searched_cells(name, max_size):
     pool = generate_pool(ctx, max_size=max_size, depth=3)
     patterns = factorlab.variety._SeedPatterns.of(ctx.generator)
     cells = [patterns.member_ids(e.algebra) for e in pool]
-    products = [(k, e.factors) for k, e in enumerate(pool) if e.factors is not None]
+    products = [(k, f) for k, f in enumerate(factor_indices(pool)) if f is not None]
     assert products
     for k, (i, j) in products:
         assert patterns.product(cells[i], pool[i].algebra.size,
@@ -647,8 +672,8 @@ def test_composed_pattern_cells_match_searched_cells(name, max_size):
 def test_deep_pool_digest_is_pinned(name, depth, max_size, members, digest):
     pool = generate_pool(load_context(str(FIXTURES / f"{name}.ctx")),
                          max_size=max_size, depth=depth)
-    rows = [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables,
-             e.factors) for e in pool]
+    rows = [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables, f)
+            for e, f in zip(pool, factor_indices(pool))]
     assert len(pool) == members
     # names, recipes, sizes, tables and factors, in order
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
@@ -680,7 +705,7 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
     # none of 238 products builds its tables
     assert len(calls["direct_product"]) == 238
     assert calls["_product_tables"] == []
-    recorded = [e.algebra for e in pool if e.factors is not None]
+    recorded = [e.algebra for e, f in zip(pool, factor_indices(pool)) if f is not None]
     # 7 members are not recorded products, where only products were (15)
     assert len(pool) - len(recorded) == 7
     # no quotient of a recorded product is built from its classes
@@ -699,8 +724,8 @@ def test_deep_pool_closes_no_recorded_product(monkeypatch):
 
 def _pool_rows(pool):
     """Names, recipes, sizes, tables (built here) and factors, in order."""
-    return [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables, e.factors)
-            for e in pool]
+    return [(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables, f)
+            for e, f in zip(pool, factor_indices(pool))]
 
 
 def _matches_table_keys(ctx, max_size, depth):
@@ -719,7 +744,7 @@ def _matches_table_keys(ctx, max_size, depth):
 def test_pool_matches_table_keyed_pool(name, depth, max_size):
     pool = _matches_table_keys(load_context(str(FIXTURES / f"{name}.ctx")),
                                max_size, depth)
-    assert any(e.factors is not None for e in pool)
+    assert any(factor_indices(pool))
 
 
 @pytest.mark.parametrize("name", ["l2x2", "m3", "n5", "C2xC3"])
@@ -733,6 +758,23 @@ def test_lattice_pool_over_a_larger_generator_matches_table_keyed_pool(name):
     else:
         generator = load_algebra(str(FIXTURES / f"{name}.alg"))
     _matches_table_keys(lattice_context(generator), 32, 3)
+
+
+@pytest.mark.parametrize("factors, context", [
+    ((chain_lattice(2), chain_lattice(3)), lattice_context),
+    ((cyclic_ring(2), cyclic_ring(3)), ring_context),
+])
+def test_pool_over_a_product_generator_matches_its_table_backed_copy(
+        factors, context):
+    # a generator from direct_product has factors that are not members: its
+    # quotients and seeds are read off its own tables
+    product = direct_product(*factors)
+    copy = FiniteAlgebra(product.signature, product.size, product.tables,
+                         product.name)
+    rows = [[(e.algebra.name, e.recipe, e.algebra.size, e.algebra.tables)
+             for e in generate_pool(context(g), max_size=24, depth=2)]
+            for g in (product, copy)]
+    assert len(rows[0]) > 1 and rows[0] == rows[1]
 
 
 @given(st.one_of(generator_contexts(), chain_contexts()),
@@ -789,9 +831,10 @@ def test_deepest_lattice_pool_builds_no_large_product(monkeypatch):
     pool = generate_pool(load_context(str(FIXTURES / "lattices.ctx")),
                          max_size=256, depth=4)
     assert len(pool) == 1675
-    assert sum(e.factors is None for e in pool) == 7
+    assert factor_indices(pool).count(None) == 7
     assert calls["_product_tables"] == []
     # names, recipes, sizes and factors, in order
-    rows = [(e.algebra.name, e.recipe, e.algebra.size, e.factors) for e in pool]
+    rows = [(e.algebra.name, e.recipe, e.algebra.size, f)
+            for e, f in zip(pool, factor_indices(pool))]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == (
         "bfa44abe2e0e160dfe3bc230409ac33bf8e941058be4273c50ba9050cf2bfe6b")

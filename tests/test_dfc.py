@@ -4,8 +4,8 @@ import pytest
 
 import factorlab.core
 import factorlab.dfc
-from factorlab.congruences import factor_pairs, partition_text
-from factorlab.core import direct_product
+from factorlab.congruences import factor_pairs, lattice_factors, partition_text
+from factorlab.core import FiniteAlgebra, direct_product
 from factorlab.dfc import (
     CorrespondenceStage,
     central_elements,
@@ -17,7 +17,13 @@ from factorlab.formulas import DnfEvaluator, parse_formula
 from factorlab.variety import PoolEntry, VarietyContext
 from factorlab.fileio import load_context, load_formula
 from factorlab.terms import App
-from corpus import chain_lattice, cyclic_ring, lattice_context, ring_context
+from corpus import (
+    chain_lattice,
+    cyclic_ring,
+    factor_indices,
+    lattice_context,
+    ring_context,
+)
 from conftest import FIXTURES
 from oracles import (
     central_elements_scan,
@@ -174,8 +180,9 @@ def test_verify_dfc_searches_no_product_member(monkeypatch):
 
     monkeypatch.setattr(DnfEvaluator, "failure_masks", counting)
     report = verify_dfc(phi, ctx)
-    products = [e.algebra for e in ctx.pool if e.factors is not None]
-    members = [e.algebra for e in ctx.pool if e.factors is None]
+    factors = factor_indices(ctx.pool)
+    products = [e.algebra for e, f in zip(ctx.pool, factors) if f is not None]
+    members = [e.algebra for e, f in zip(ctx.pool, factors) if f is None]
     assert (len(ctx.pool), len(products)) == (33, 26)
     assert not any(a in products for a in searched)
     # every other member once per (a, c) and side, where searching every
@@ -192,10 +199,38 @@ FIXTURE_FORMULAS = {
 }
 
 
+def test_verify_dfc_reads_the_factors_of_a_product_outside_the_pool(monkeypatch):
+    # a hand-built pool may hold a product without its factors: each side
+    # searches them once, as its estimate counts them, and composes the
+    # product from them
+    c3, c2 = chain_lattice(3), chain_lattice(2)
+    ctx = VarietyContext(c3, (App("0"),), (App("1"),), (
+        PoolEntry(c3, "generator"),
+        PoolEntry(direct_product(c2, c2, "L2x2"), "product(C2, C2)")))
+    phi = parse_formula(LATTICE_PHI, ctx.signature, 1)
+    searched = []
+    failure_masks = DnfEvaluator.failure_masks
+
+    def counting(self, *args):
+        searched.append(self.algebra)
+        return failure_masks(self, *args)
+
+    monkeypatch.setattr(DnfEvaluator, "failure_masks", counting)
+    report = verify_dfc(phi, ctx)
+    # C3 and C2, 9 and 4 cells per side
+    assert len(searched) == 2 * (9 + 4)
+    assert report == verify_dfc_searched(phi, ctx)
+    # |C3|^2 + |C2|^2 + |L2x2|^2 per side (no bound variable), plus the
+    # tested pairs' cells: 2 * (9 + 4 + 16) + (81 + 144 + 144 + 256)
+    monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 682)
+    with pytest.raises(ResourceBoundError, match="estimated 683 evaluations"):
+        verify_dfc(phi, ctx)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
 def test_verify_dfc_matches_searching_every_member(name):
     ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
-    assert any(e.factors is not None for e in ctx.pool)
+    assert any(factor_indices(ctx.pool))
     for formula in FIXTURE_FORMULAS[name]:
         phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
         # equal reports have equal counterexample tuples
@@ -207,18 +242,20 @@ def test_composed_signature_cells_match_searched_cells(name):
     # a recorded product's signature at each cell, composed from its
     # factors', is the one a search of the product finds there
     ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
-    searched = tuple(PoolEntry(e.algebra, e.recipe) for e in ctx.pool)
-    used = range(len(ctx.pool))
-    products = [k for k, e in enumerate(ctx.pool) if e.factors is not None]
+    members = ctx.pool_algebras
+    # value-equal copies that hold their tables and record no factors
+    searched = [FiniteAlgebra._trusted(a.signature, a.size, a.tables, a.name)
+                for a in members]
+    products = [k for k, f in enumerate(factor_indices(ctx.pool)) if f is not None]
     assert products
     for formula in FIXTURE_FORMULAS[name]:
         phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
         for values, diagonal in ((ctx.zero_values, True), (ctx.one_values, False)):
-            composed = factorlab.dfc._Side(phi, ctx.pool, values, used, diagonal)
-            direct = factorlab.dfc._Side(phi, searched, values, used, diagonal)
+            composed = factorlab.dfc._Side(phi, values, members, diagonal)
+            direct = factorlab.dfc._Side(phi, values, searched, diagonal)
             for k in products:
-                assert ([composed.by_id[s] for s in composed.relation(k)]
-                        == [direct.by_id[s] for s in direct.relation(k)])
+                assert ([composed.by_id[s] for s in composed.relation(members[k])]
+                        == [direct.by_id[s] for s in direct.relation(searched[k])])
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FORMULAS))
@@ -324,8 +361,7 @@ def test_correspondence_check_compiles_the_formula_once(monkeypatch):
     assert all(r.ok for r in reports)
     # one compilation per searched member, where each central element had
     # its own; the recorded products are composed and compile nothing
-    searched = [a for a in ctx.pool_algebras
-                if getattr(a, "_composed", None) is None]
+    searched = [a for a in ctx.pool_algebras if lattice_factors(a) is None]
     assert compiled == searched
     assert len(compiled) == 7 and len(reports) == 11
     assert sum(r.n_central for r in reports) == 29
@@ -340,9 +376,8 @@ def test_correspondence_stage_matches_searching_every_member(name):
     # every member of the depth-3 pool, through one stage as the pipeline
     # runs it, against a search of the member itself
     ctx = load_context(str(FIXTURES / f"{name}.ctx")).populated(depth=3)
-    composed = [a for a in ctx.pool_algebras
-                if getattr(a, "_composed", None) is not None]
-    assert composed or name == "rings_z6"
+    # rings_z6 too: Z2 = Z6/{0,2,4|1,3,5} has a median term
+    assert any(lattice_factors(a) is not None for a in ctx.pool_algebras)
     for formula in FIXTURE_FORMULAS[name]:
         phi = load_formula(FIXTURES / "formulas" / f"{formula}.fm", ctx.signature, 1)
         stage = CorrespondenceStage(phi, ctx, ctx.pool_algebras)
@@ -360,7 +395,7 @@ def test_recorded_product_alone_is_composed(monkeypatch):
     ctx = load_context(str(FIXTURES / "rings.ctx")).populated(max_size=16)
     phi = parse_formula(RING_PHI, ctx.signature, 1)
     product = ctx.pool_algebras[-1]
-    assert product._composed and product.size == 16
+    assert lattice_factors(product) and product.size == 16
     oracle = correspondence_check_searched(product, phi, ctx)
     built = []
     product_tables = factorlab.core._product_tables
@@ -495,8 +530,7 @@ def test_correspondence_stage_estimates_before_any_member(monkeypatch):
             super().__init__(algebra, phi)
 
     monkeypatch.setattr(factorlab.dfc, "DnfEvaluator", Counting)
-    searched = [a for a in ctx.pool_algebras
-                if getattr(a, "_composed", None) is None]
+    searched = [a for a in ctx.pool_algebras if lattice_factors(a) is None]
     assert len(searched) == 7
     assert sum(len(central_elements(a, ctx)) * a.size ** 3 for a in searched) == 1131
     monkeypatch.setattr(factorlab.dfc, "DEFAULT_EVAL_CAP", 43754)

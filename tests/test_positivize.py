@@ -5,6 +5,7 @@ import pytest
 import factorlab.dfc
 import factorlab.positivize
 from conftest import FIXTURES, REPO
+from corpus import factor_indices
 from factorlab.dfc import verify_dfc
 from factorlab.errors import (
     InternalCheckError,
@@ -331,7 +332,8 @@ def test_recheck_evaluates_no_product_member(monkeypatch):
 
     monkeypatch.setattr(factorlab.positivize, "eval_term", recording)
     _recheck_substitution(result, ctx)
-    products = {id(e.algebra) for e in ctx.pool if e.factors is not None}
+    products = {id(e.algebra) for e, f in zip(ctx.pool, factor_indices(ctx.pool))
+                if f is not None}
     assert len(ctx.pool) == 33 and len(products) == 26
     # the generator alone: the identities it satisfies hold in HSP of it,
     # where the recheck used to evaluate all 10 non-product members

@@ -4,7 +4,7 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from factorlab.congruences import compose_lattice, principal_congruence
+from factorlab.congruences import lattice_factors, principal_congruence
 from factorlab.core import (
     FiniteAlgebra,
     Signature,
@@ -324,7 +324,7 @@ def pools_with_products(draw, max_product=8):
         a, b = pool[i].algebra, pool[j].algebra
         if a.size * b.size <= max_product:
             product = direct_product(a, b, name=f"M{len(pool)}")
-            pool.append(PoolEntry(product, "drawn", (i, j)))
+            pool.append(PoolEntry(product, "drawn"))
     return tuple(pool)
 
 
@@ -334,8 +334,7 @@ def _nested_pool(*members):
                       "drawn") for k, m in enumerate(members)]
     for i, j in ((0, 1), (len(members), 0)):
         a, b = pool[i].algebra, pool[j].algebra
-        pool.append(PoolEntry(direct_product(a, b, name=f"M{len(pool)}"),
-                              "drawn", (i, j)))
+        pool.append(PoolEntry(direct_product(a, b, name=f"M{len(pool)}"), "drawn"))
     return tuple(pool)
 
 
@@ -539,15 +538,9 @@ def test_congruence_of_central_matches_classifying_oracle(case):
 # products: products of them are composed as the pools compose their own
 MEDIAN_BASES = {
     name: [a for a in FIXTURE_POOLS[name].pool_algebras
-           if getattr(a, "_composed", None) is None]
+           if lattice_factors(a) is None]
     for name in ("rings", "lattices", "boolean")
 }
-
-
-def _recorded_product(a, b, name):
-    product = direct_product(a, b, name=name)
-    compose_lattice(product, a, b)
-    return product
 
 
 @st.composite
@@ -564,7 +557,7 @@ def median_pools(draw, max_product=12):
         index = st.integers(0, len(algebras) - 1)
         a, b = algebras[draw(index)], algebras[draw(index)]
         if a.size * b.size <= max_product:
-            algebras.append(_recorded_product(a, b, f"M{len(algebras)}"))
+            algebras.append(direct_product(a, b, f"M{len(algebras)}"))
     phi = draw(dfc_formulas(max_bound=1, max_disjuncts=3, signature=ctx.signature))
     return ctx, algebras, phi
 
@@ -574,9 +567,9 @@ def _median_example(phi_text):
     that product times C3/{0,1|2}."""
     ctx = FIXTURE_POOLS["lattices"]
     c3, c2 = MEDIAN_BASES["lattices"][0], MEDIAN_BASES["lattices"][2]
-    p = _recorded_product(c3, c2, "P")
-    algebras = [c3, c2, p, _recorded_product(c2, c3, "Q"),
-                _recorded_product(p, c2, "R")]
+    p = direct_product(c3, c2, "P")
+    algebras = [c3, c2, p, direct_product(c2, c3, "Q"),
+                direct_product(p, c2, "R")]
     return ctx, algebras, parse_formula(phi_text, ctx.signature, 1)
 
 
